@@ -22,7 +22,6 @@ from .moduli import (
     MetricReport,
     boundary_metric_term,
     metric_coefficient,
-    samols_b,
     solve_linear_bvp,
     solve_linearized,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "neumann_green",
     "reconstruct_h",
     "run_acceptance",
-    "samols_b",
     "shoot",
     "solve_linear_bvp",
     "solve_linearized",

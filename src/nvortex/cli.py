@@ -1,10 +1,11 @@
 """Command-line front end: check | solve-radial | solve-2d | metric | verify.
 
 Exit codes are a stable contract: 0 ok, 1 configuration error, 2 existence
-bound violated, 3 shooting bracket failure, 4 Newton non-convergence,
-5 metric pipeline failure, 6 verification failure.  Outputs land under
-``--out`` with fixed filenames (profile.csv, field.csv, report.json,
-metric.json); identical configurations produce bit-identical reports.
+bound violated, 3 shooting bracket failure, 4 Newton non-convergence or a
+failed inner linear solve, 5 metric pipeline failure, 6 verification failure.
+Outputs land under ``--out`` with fixed filenames (profile.csv, field.csv,
+report.json, metric.json); identical configurations produce bit-identical
+reports.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .observables import (
 )
 from .shooting import BracketError, shoot
 from .singular import build_singular_part
-from .solver2d import reconstruct_h, solve_taubes_2d
+from .solver2d import LinearSolveError, reconstruct_h, solve_taubes_2d
 from .verification import run_acceptance
 
 __all__ = ["main", "run"]
@@ -240,6 +241,9 @@ def main(argv=None) -> int:
     except BracketError as exc:
         print(f"shooting bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET
+    except LinearSolveError as exc:
+        print(f"linear solve failed: {exc}", file=sys.stderr)
+        return EXIT_NEWTON
 
 
 def run() -> None:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import ConformalDisk, VortexConfiguration
@@ -55,6 +56,8 @@ def _number(section: dict, key: str, default, where: str, *, minimum=None, integ
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -119,6 +122,10 @@ def parse_run_config(doc: dict) -> RunConfig:
     metric = doc.get("metric", {})
     _reject_unknown(metric, _METRIC_KEYS, "metric")
 
+    metric_delta = _number(metric, "delta", None, "metric")
+    if metric_delta is not None and not 0.0 < metric_delta < radius:
+        raise ConfigError(f"metric.delta must lie in (0, radius={radius}), got {metric_delta!r}")
+
     formats = outputs.get("formats", ["csv", "json"])
     if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
         raise ConfigError("outputs.formats must be a list drawn from ['csv', 'json']")
@@ -138,7 +145,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         radial_steps=_number(radial, "steps", 100_000, "radial", minimum=1_000, integer=True),
         radial_eps=_number(radial, "eps", 1e-8, "radial", minimum=0.0),
         radial_tol=_number(radial, "tol", 1e-6, "radial", minimum=0.0),
-        metric_delta=_number(metric, "delta", None, "metric", minimum=0.0),
+        metric_delta=metric_delta,
     )
 
 

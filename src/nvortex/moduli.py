@@ -45,7 +45,6 @@ __all__ = [
     "solve_linear_bvp",
     "solve_linearized",
     "boundary_metric_term",
-    "samols_b",
     "boundary_ring_position_derivatives",
     "ring_metric_integral",
     "metric_coefficient",
@@ -222,48 +221,30 @@ def _htilde_for_vortex_at(args):
 
 
 def _solve_set(disk, grid, positions, tol, max_iter, max_workers):
+    """Fields for a unit vortex at each position, in the order given."""
     jobs = [(disk, grid, z, tol, max_iter) for z in positions]
     if max_workers and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            fields = list(pool.map(_htilde_for_vortex_at, jobs))
-    else:
-        fields = [_htilde_for_vortex_at(j) for j in jobs]
-    return dict(zip(positions, fields))
+            return list(pool.map(_htilde_for_vortex_at, jobs))
+    return [_htilde_for_vortex_at(j) for j in jobs]
 
 
-def _db_dz_from_fits(b_px, b_mx, b_py, b_my, delta) -> complex:
-    """Central-difference ``db/dZ = (d_X b - i d_Y b) / 2`` at the origin."""
-    db_dx = (b_px - b_mx) / (2.0 * delta)
-    db_dy = (b_py - b_my) / (2.0 * delta)
-    return 0.5 * (db_dx - 1j * db_dy)
+def _stencil(z_core: complex, delta: float, radius: float) -> list[complex]:
+    """Central-difference offsets ``Z + delta, Z - delta, Z + i delta, Z - i delta``.
 
-
-def samols_b(
-    disk: ConformalDisk,
-    grid: PolarGrid,
-    z_core: complex,
-    delta: float,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-    max_workers: int = 1,
-) -> tuple[complex, complex]:
-    """Core coefficient ``b(Z)`` and its position derivative ``db/dZ``.
-
-    ``b`` comes from the annulus fit on the solve at ``Z``; the derivative
-    from central differences of ``b`` over ``Z +- delta`` and ``Z +- i delta``
-    (four more solves, independent and parallelisable).
+    Raises ``ValueError`` unless ``delta > 0`` and ``|Z| + delta < radius``.
     """
-    z_core = complex(z_core)
-    delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if abs(z_core) + delta >= disk.radius:
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if abs(z_core) + delta >= radius:
         raise ValueError("offset stencil leaves the disk; reduce |Z| or delta")
-    offsets = [z_core, z_core + delta, z_core - delta, z_core + 1j * delta, z_core - 1j * delta]
-    fields = _solve_set(disk, grid, offsets, tol, max_iter, max_workers)
-    b = _fit_b(fields[offsets[0]], offsets[0])
-    fits = [_fit_b(fields[z], z) for z in offsets[1:]]
-    return b, _db_dz_from_fits(*fits, delta)
+    return [z_core + delta, z_core - delta, z_core + 1j * delta, z_core - 1j * delta]
+
+
+def _central_difference(values, delta: float):
+    """``(d_X, d_Y)`` from values at the ``_stencil`` offsets, in its order."""
+    f_px, f_mx, f_py, f_my = values
+    return (f_px - f_mx) / (2.0 * delta), (f_py - f_my) / (2.0 * delta)
 
 
 def boundary_ring_position_derivatives(
@@ -280,11 +261,9 @@ def boundary_ring_position_derivatives(
     part; the core logarithm contributes ``-2 cos(theta)/rho`` and
     ``-2 sin(theta)/rho`` analytically.  Returns ``(rho, theta, dxh, dyh)``.
     """
-    offsets = [delta + 0j, -delta + 0j, 1j * delta, -1j * delta]
+    offsets = _stencil(0j, delta, disk.radius)
     fields = _solve_set(disk, grid, offsets, tol, max_iter, max_workers)
-    ring = {z: fields[z].values[-1] for z in offsets}
-    dxh_tilde = (ring[offsets[0]] - ring[offsets[1]]) / (2.0 * delta)
-    dyh_tilde = (ring[offsets[2]] - ring[offsets[3]]) / (2.0 * delta)
+    dxh_tilde, dyh_tilde = _central_difference([f.values[-1] for f in fields], delta)
     rho = grid.r[-1]
     theta = grid.theta
     dxh = dxh_tilde - 2.0 * np.cos(theta) / rho
@@ -353,29 +332,28 @@ def metric_coefficient(
     Runs the radial shoot, the linearized boundary-value solve, the core
     coefficient at the origin and its position derivative at steps ``delta``
     and ``delta/2`` (Richardson pair).  ``max_workers > 1`` runs the
-    independent offset solves concurrently.
+    independent offset solves concurrently.  An invalid ``delta`` raises
+    ``ValueError`` before the shoot.
     """
     if delta is None:
         delta = disk.radius / 100.0
+    half = 0.5 * delta
+    coarse = _stencil(0j, delta, disk.radius)
+    fine = _stencil(0j, half, disk.radius)
     radial = shoot(disk, n=1, steps=radial_steps)
     if not radial.converged:
         raise RuntimeError("radial shoot did not converge")
     lin = solve_linearized(disk, radial)
     bterm = boundary_metric_term(lin)
 
-    offsets = [0j]
-    for d in (delta, 0.5 * delta):
-        offsets += [d + 0j, -d + 0j, 1j * d, -1j * d]
+    offsets = [0j, *coarse, *fine]
     fields = _solve_set(disk, grid, offsets, tol, max_iter, max_workers)
-    fits = {z: _fit_b(fields[z], z) for z in offsets}
-    b0 = fits[0j]
-    db_coarse = _db_dz_from_fits(
-        fits[delta + 0j], fits[-delta + 0j], fits[1j * delta], fits[-1j * delta], delta
-    )
-    half = 0.5 * delta
-    db_fine = _db_dz_from_fits(
-        fits[half + 0j], fits[-half + 0j], fits[1j * half], fits[-1j * half], half
-    )
+    fits = [_fit_b(field, z) for field, z in zip(fields, offsets)]
+    b0 = fits[0]
+    d_x, d_y = _central_difference(fits[1:5], delta)
+    db_coarse = 0.5 * (d_x - 1j * d_y)
+    d_x, d_y = _central_difference(fits[5:], half)
+    db_fine = 0.5 * (d_x - 1j * d_y)
     local = math.pi * (float(disk.omega_at(0.0)) + 2.0 * db_fine.real)
     return MetricReport(
         boundary_value=lin.boundary_value,

@@ -34,7 +34,6 @@ __all__ = [
     "radial_observables",
     "export_field_csv",
     "export_profile_csv",
-    "export_scalar_csv",
     "export_json",
     "solution_summary",
 ]
@@ -182,25 +181,6 @@ def export_field_csv(
         ]
     )
     np.savetxt(path, cols, fmt=_FLOAT_FMT, delimiter=",", header=FIELD_CSV_HEADER, comments="")
-    return path
-
-
-def export_scalar_csv(path, field: ScalarField, name: str = "value") -> str:
-    """Write one grid function (e.g. a Green field) as ``r,theta,x,y,<name>``."""
-    path = _require_path(path)
-    grid = field.grid
-    z = grid.nodes_complex
-    cols = np.column_stack(
-        [
-            np.repeat(grid.r, grid.ntheta),
-            np.tile(grid.theta, grid.nr),
-            z.real.ravel(),
-            z.imag.ravel(),
-            field.values.ravel(),
-        ]
-    )
-    header = f"r,theta,x,y,{name}"
-    np.savetxt(path, cols, fmt=_FLOAT_FMT, delimiter=",", header=header, comments="")
     return path
 
 

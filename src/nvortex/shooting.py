@@ -14,7 +14,7 @@ bisect ``h0`` until the outer slope matches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import ConformalDisk, PolarGrid, ScalarField, VortexConfiguration
@@ -100,46 +99,41 @@ def build_singular_part(
     )
 
 
-def _solve_mean_zero(matrix: sp.csc_matrix, rhs: np.ndarray, curved_w: np.ndarray) -> np.ndarray:
-    """Solve the singular weighted Neumann system and project out the constant.
+def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> ScalarField:
+    """Zero-mean solution of the weighted system ``matrix @ G = w_g / A - e_source``.
 
-    The kernel of the flux-form operator is the constants, so the compatible
-    system is solved with one node pinned (dropping the redundant equation)
-    and the result shifted to zero curved-volume mean.
+    ``source`` is the flat node index and ``A`` the discrete curved area, which
+    makes the singular Neumann system exactly compatible.  The kernel of the
+    flux-form operator is the constants, so node 0 is pinned to zero (its
+    redundant equation dropped) and the result shifted to zero curved-volume
+    mean.
     """
-    total = float(np.sum(rhs))
+    lap = assemble_neumann_laplacian(grid, disk)
+    w_g = grid.curved_weights(disk)
+    area = float(np.sum(w_g))
+    rhs = w_g / area
+    rhs[source] -= 1.0
     scale = float(np.max(np.abs(rhs))) or 1.0
-    if abs(total) > 1e-9 * scale * rhs.size:
+    if abs(float(np.sum(rhs))) > 1e-9 * scale * rhs.size:
         raise ValueError("right-hand side is not compatible with the Neumann operator")
-    pinned = matrix.tolil(copy=True)
-    pinned[0, :] = 0.0
-    pinned[:, 0] = 0.0
-    pinned[0, 0] = 1.0
-    b = rhs.copy()
-    b[0] = 0.0
-    x = spla.spsolve(pinned.tocsc(), b)
-    x -= float(np.dot(x, curved_w)) / float(np.sum(curved_w))
-    return x
+    x = np.zeros(grid.size)
+    x[1:] = spla.splu(lap.matrix[1:, 1:].tocsc()).solve(rhs[1:])
+    x -= float(np.dot(x, w_g)) / area
+    return ScalarField(grid, x.reshape(grid.shape))
 
 
 def neumann_green(disk: ConformalDisk, grid: PolarGrid, q: tuple[int, int]) -> ScalarField:
     """Discrete interior Neumann Green function for source node ``q = (i, j)``.
 
     Solves ``-lap_g G = delta_q - 1/A`` with zero outer flux, where the delta
-    is ``1/cellvolume`` at ``q`` and ``A`` is the discrete curved area, which
-    makes the singular Neumann system exactly compatible.  The result has zero
-    curved-volume mean; near the source ``G ~ -(1/2 pi) log(distance)``.
+    is ``1/cellvolume`` at ``q`` and ``A`` is the discrete curved area.  The
+    result has zero curved-volume mean; near the source
+    ``G ~ -(1/2 pi) log(distance)``.
     """
     i, j = q
     if not (0 <= i < grid.nr and 0 <= j < grid.ntheta):
         raise ValueError(f"source index {q} outside grid {grid.shape}")
-    lap = assemble_neumann_laplacian(grid, disk)
-    w_g = grid.curved_weights(disk)
-    area_h = float(np.sum(w_g))
-    rhs = w_g / area_h
-    rhs[i * grid.ntheta + j] -= 1.0
-    values = _solve_mean_zero(lap.matrix, rhs, w_g)
-    return ScalarField(grid, values.reshape(grid.shape))
+    return _green_for_source(disk, grid, i * grid.ntheta + j)
 
 
 def boundary_neumann_green(disk: ConformalDisk, grid: PolarGrid, theta_q: float) -> ScalarField:
@@ -154,11 +148,4 @@ def boundary_neumann_green(disk: ConformalDisk, grid: PolarGrid, theta_q: float)
     j = int(round((float(theta_q) % (2.0 * np.pi)) / grid.dtheta)) % grid.ntheta
     if abs((float(theta_q) % (2.0 * np.pi)) - j * grid.dtheta) > 1e-10:
         raise ValueError(f"theta_q={theta_q} does not coincide with an angular node")
-    lap = assemble_neumann_laplacian(grid, disk)
-    w_g = grid.curved_weights(disk)
-    area_h = float(np.sum(w_g))
-    # Weighted system: matrix @ H + flux = w_g / A with the unit delta flux.
-    rhs = w_g / area_h
-    rhs[(grid.nr - 1) * grid.ntheta + j] -= 1.0
-    values = _solve_mean_zero(lap.matrix, rhs, w_g)
-    return ScalarField(grid, values.reshape(grid.shape))
+    return _green_for_source(disk, grid, (grid.nr - 1) * grid.ntheta + j)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nvortex import cli
+from nvortex import cli, solver2d
 from nvortex.verification import CheckResult
 
 
@@ -91,6 +91,17 @@ class TestSolve2d:
         cfg = write_config(tmp_path, base_doc(interior=[{"x": 0, "y": 0, "n": 3}]))
         assert cli.main(["solve-2d", "--config", cfg]) == cli.EXIT_BRADLOW
 
+    def test_linear_solve_failure_exit(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise solver2d.LinearSolveError("injected failure")
+
+        monkeypatch.setattr(solver2d, "_solve_spd", fail)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(grid={"nr": 16, "ntheta": 16}))
+        assert cli.main(["solve-2d", "--config", cfg, "--out", str(out)]) == cli.EXIT_NEWTON
+        assert "injected failure" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_grid_override(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(outputs={"dir": str(out)}))
@@ -111,6 +122,23 @@ class TestMetric:
         assert doc["total_coefficient"] == pytest.approx(
             doc["boundary_term"] + doc["local_term"]
         )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"solver": {"tol": float("nan")}}, "solver.tol must be finite"),
+            ({"radius": float("inf")}, "configuration.radius must be finite"),
+            ({"metric": {"delta": 0.0}}, "metric.delta must lie in"),
+            ({"metric": {"delta": 5.0}}, "metric.delta must lie in"),
+        ],
+        ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk"],
+    )
+    def test_unusable_number_is_config_error(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(**overrides))
+        assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "metric.json").exists()
 
     def test_nv_threads_parsing(self, monkeypatch):
         monkeypatch.setenv("NV_THREADS", "4")

@@ -88,6 +88,27 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_run_config(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solver", "tol", float("nan")),
+            (None, "radius", float("inf")),
+            ("metric", "delta", 0.0),
+            ("metric", "delta", 5.0),
+        ],
+        ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk"],
+    )
+    def test_unusable_number_rejected(self, tmp_path, section, key, value):
+        doc = minimal()
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section] = {key: value}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        with pytest.raises(ConfigError, match=rf"\.{key} must"):
+            load_run_config(str(path))
+
     def test_grid_too_small(self):
         doc = minimal()
         doc["grid"] = {"nr": 4}

@@ -8,7 +8,6 @@ from nvortex import (
     boundary_metric_term,
     build_grid,
     metric_coefficient,
-    samols_b,
     shoot,
     solve_linear_bvp,
     solve_linearized,
@@ -100,18 +99,19 @@ class TestCoreCoefficient:
         b2 = _fit_b(f2, z.conjugate())
         assert abs(b2 - b1.conjugate()) < 1e-8
 
-    def test_samols_b_at_origin(self, disk3):
-        grid = build_grid(disk3, 96, 96)
-        b, db = samols_b(disk3, grid, 0j, delta=0.03)
-        assert abs(b) < 1e-6
-        assert abs(db.imag) < 1e-3  # real for the symmetric disk
+    def test_offset_stencil_validated(self, disk3, monkeypatch):
+        grid = build_grid(disk3, 32, 32)
+        for delta in (0.0, -0.1, disk3.radius, 5.0):
+            with pytest.raises(ValueError):
+                boundary_ring_position_derivatives(disk3, grid, delta=delta)
 
-    def test_offset_stencil_validated(self, disk3):
-        grid = build_grid(disk3, 96, 96)
-        with pytest.raises(ValueError):
-            samols_b(disk3, grid, 2.99 + 0j, delta=0.03)
-        with pytest.raises(ValueError):
-            samols_b(disk3, grid, 0j, delta=-0.1)
+        def no_shoot(*args, **kwargs):
+            raise AssertionError("the stencil must be checked before the shoot")
+
+        monkeypatch.setattr("nvortex.moduli.shoot", no_shoot)
+        for delta in (0.0, -0.1, disk3.radius, 5.0):
+            with pytest.raises(ValueError):
+                metric_coefficient(disk3, grid, delta=delta)
 
 
 class TestMetricReport:
@@ -126,6 +126,7 @@ class TestMetricReport:
             report.boundary_term + report.local_term
         )
         assert abs(report.samols_b) < 1e-6
+        assert abs(report.db_dZ.imag) < 1e-3  # real for the symmetric disk
         # the Richardson pair exposes the differencing error, which is small
         assert abs(report.db_dZ - report.db_dZ_coarse) < 5e-3
         doc = report.to_dict()
@@ -134,7 +135,8 @@ class TestMetricReport:
 
     def test_parallel_solves_match_serial(self, disk3):
         grid = build_grid(disk3, 32, 32)
-        b_serial, db_serial = samols_b(disk3, grid, 0j, delta=0.05, max_workers=1)
-        b_pool, db_pool = samols_b(disk3, grid, 0j, delta=0.05, max_workers=3)
-        assert b_serial == b_pool
-        assert db_serial == db_pool
+        serial = boundary_ring_position_derivatives(disk3, grid, delta=0.05, max_workers=1)
+        pooled = boundary_ring_position_derivatives(disk3, grid, delta=0.05, max_workers=3)
+        assert serial[0] == pooled[0]
+        for a, b in zip(serial[1:], pooled[1:]):
+            assert np.array_equal(a, b)

@@ -20,7 +20,6 @@ from nvortex.observables import (
     export_field_csv,
     export_json,
     export_profile_csv,
-    export_scalar_csv,
     radial_observables,
     solution_summary,
 )
@@ -144,16 +143,6 @@ class TestExport:
         path = export_profile_csv(tmp_path / "profile.csv", radial_r3, disk3)
         with open(path) as fh:
             assert fh.readline().strip() == PROFILE_CSV_HEADER
-
-    def test_scalar_csv_for_green_fields(self, tmp_path, disk3):
-        from nvortex import build_grid as bg, neumann_green
-
-        grid = bg(disk3, 16, 16)
-        green = neumann_green(disk3, grid, (4, 2))
-        path = export_scalar_csv(tmp_path / "green.csv", green, name="G")
-        with open(path) as fh:
-            assert fh.readline().strip() == "r,theta,x,y,G"
-        assert sum(1 for _ in open(path)) == grid.size + 1
 
     def test_empty_path_rejected_before_writing(self, disk3, radial_r3):
         with pytest.raises(ValueError):
