@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -49,6 +50,14 @@ def _max_workers() -> int:
         return 1
 
 
+def _check_overrides(args) -> None:
+    """Apply the configuration rules to the command-line overrides."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
+    if any(v is not None and v < 8 for v in (args.nr, args.ntheta)):
+        raise ConfigError("grid overrides must keep nr, ntheta >= 8")
+
+
 def _load(args) -> RunConfig:
     cfg = load_run_config(args.config)
     if args.nr is not None:
@@ -59,8 +68,6 @@ def _load(args) -> RunConfig:
         cfg.tol = args.tol
     if args.out is not None:
         cfg.out_dir = args.out
-    if cfg.nr < 8 or cfg.ntheta < 8:
-        raise ConfigError("grid overrides must keep nr, ntheta >= 8")
     return cfg
 
 
@@ -178,8 +185,7 @@ def _cmd_verify(args) -> int:
     gate_note = None
     if args.config:
         cfg = _load(args)
-        nr = cfg.nr if args.nr is None else nr
-        tol = cfg.tol if args.tol is None else tol
+        nr, tol = cfg.nr, cfg.tol
         radial_steps = cfg.radial_steps
         margin = bradlow_margin(cfg.vortices, cfg.disk)
         if margin <= 0.0:
@@ -187,6 +193,8 @@ def _cmd_verify(args) -> int:
                 f"configured domain violates the existence bound (margin {margin:.4f}); "
                 "gate behaviour verified, domain solves skipped"
             )
+    if nr < 32:  # the refinement study also solves at nr/4, which needs >= 8
+        raise ConfigError(f"verify needs nr >= 32 (it also solves at nr/4), got {nr}")
     results = run_acceptance(nr=nr, tol=tol, radial_steps=radial_steps, log=print)
     print()
     print(f"{'criterion':>9}  {'status':6}  check")
@@ -231,6 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_overrides(args)
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

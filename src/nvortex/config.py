@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,7 +57,8 @@ def _number(section: dict, key: str, default, where: str, *, minimum=None, integ
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    # Exact comparison also rejects NaN and integers beyond the float range.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
@@ -87,6 +89,8 @@ def parse_run_config(doc: dict) -> RunConfig:
             raise ConfigError("omega must be \"euclidean\" or a list of [r, value] pairs")
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"invalid omega specification: {exc}") from exc
+    if not math.isfinite(disk.area):
+        raise ConfigError(f"configuration.radius must give a finite disk area, got {radius:.6g}")
 
     interior = []
     for k, entry in enumerate(doc.get("interior", [])):
@@ -125,6 +129,9 @@ def parse_run_config(doc: dict) -> RunConfig:
     metric_delta = _number(metric, "delta", None, "metric")
     if metric_delta is not None and not 0.0 < metric_delta < radius:
         raise ConfigError(f"metric.delta must lie in (0, radius={radius}), got {metric_delta!r}")
+    radial_eps = _number(radial, "eps", 1e-8, "radial")
+    if not 0.0 < radial_eps < radius:
+        raise ConfigError(f"radial.eps must lie in (0, radius={radius}), got {radial_eps!r}")
 
     formats = outputs.get("formats", ["csv", "json"])
     if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
@@ -143,7 +150,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         out_dir=out_dir,
         formats=tuple(formats),
         radial_steps=_number(radial, "steps", 100_000, "radial", minimum=1_000, integer=True),
-        radial_eps=_number(radial, "eps", 1e-8, "radial", minimum=0.0),
+        radial_eps=radial_eps,
         radial_tol=_number(radial, "tol", 1e-6, "radial", minimum=0.0),
         metric_delta=metric_delta,
     )

@@ -34,7 +34,7 @@ from .geometry import (
     ScalarField,
     VortexConfiguration,
 )
-from .shooting import RadialProfile, shoot
+from .shooting import RadialProfile, _rk4, shoot
 from .solver2d import solve_taubes_2d
 
 __all__ = [
@@ -89,8 +89,9 @@ def solve_linear_bvp(
 
     Integrates in ``t = log r`` (keeping the Euler-type coefficients bounded
     near the core) the regular homogeneous solution and one particular
-    solution from ``eps``, then combines them to meet ``a'(R) = -2/R^2``.
-    The vacuum case ``f == 0`` has the closed form ``a = -2 r / R^2``.
+    solution from ``eps`` (one ``shooting._rk4`` pass each), then combines
+    them to meet ``a'(R) = -2/R^2``.  The vacuum case ``f == 0`` has the
+    closed form ``a = -2 r / R^2``.
     """
     if eps is None:
         eps = EPS_FRACTION * radius
@@ -98,49 +99,24 @@ def solve_linear_bvp(
         raise ValueError(f"eps must lie in (0, radius), got {eps}")
     t0, t1 = math.log(eps), math.log(radius)
     dt = (t1 - t0) / steps
-    t_nodes = t0 + dt * np.arange(steps + 1)
-    r_nodes = np.exp(t_nodes)
-    r_mid = np.exp(t_nodes[:-1] + 0.5 * dt)
-    f_nodes = np.asarray(f_of_r(r_nodes), dtype=float)
-    f_mid = np.asarray(f_of_r(r_mid), dtype=float)
+    r_half = np.exp(t0 + 0.5 * dt * np.arange(2 * steps + 1))
+    f_half = np.asarray(f_of_r(r_half), dtype=float)
     # In t the system reads a_t = q, q_t = P(t) a + s(t); plain-float tables
-    # keep the integration loop fast.
-    p_nodes = (1.0 + r_nodes**2 * f_nodes).tolist()
-    p_mid = (1.0 + r_mid**2 * f_mid).tolist()
-    s_nodes = (-2.0 * r_nodes * f_nodes).tolist()
-    s_mid = (-2.0 * r_mid * f_mid).tolist()
+    # keep the step loop fast.
+    p_half = (1.0 + r_half**2 * f_half).tolist()
+    s_half = (-2.0 * r_half * f_half).tolist()
 
-    a_reg = np.empty(steps + 1)
-    a_par = np.empty(steps + 1)
-    a1, q1 = eps, eps  # regular branch a ~ r: q = r a' = eps
-    a2, q2 = 0.0, 0.0
-    a_reg[0], a_par[0] = a1, a2
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(steps):
-        p0, pm, p1c = p_nodes[k], p_mid[k], p_nodes[k + 1]
-        s0, sm, s1c = s_nodes[k], s_mid[k], s_nodes[k + 1]
-        # regular (homogeneous) solution
-        k1a, k1q = q1, p0 * a1
-        k2a = q1 + half * k1q
-        k2q = pm * (a1 + half * k1a)
-        k3a = q1 + half * k2q
-        k3q = pm * (a1 + half * k2a)
-        k4a = q1 + dt * k3q
-        k4q = p1c * (a1 + dt * k3a)
-        a1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-        q1 += sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
-        # particular solution
-        k1a, k1q = q2, p0 * a2 + s0
-        k2a = q2 + half * k1q
-        k2q = pm * (a2 + half * k1a) + sm
-        k3a = q2 + half * k2q
-        k3q = pm * (a2 + half * k2a) + sm
-        k4a = q2 + dt * k3q
-        k4q = p1c * (a2 + dt * k3a) + s1c
-        a2 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-        q2 += sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
-        a_reg[k + 1], a_par[k + 1] = a1, a2
+    def regular(j, a, q):
+        return q, p_half[j] * a
+
+    def particular(j, a, q):
+        return q, p_half[j] * a + s_half[j]
+
+    # Regular branch a ~ r, so q = r a' = eps at the seed.
+    a_reg, _, _, q1, diverged_reg = _rk4(regular, eps, eps, dt, steps, 1, math.inf)
+    a_par, _, _, q2, diverged_par = _rk4(particular, 0.0, 0.0, dt, steps, 1, math.inf)
+    if diverged_reg or diverged_par:
+        raise ConditioningError("linearized integration overflowed before the boundary")
 
     # Outer condition q(T) = R a'(R) = -2/R.
     target = -2.0 / radius
@@ -152,7 +128,7 @@ def solve_linear_bvp(
     q_end = q2 + coeff * q1
     bc_defect = abs(q_end / radius + 2.0 / radius**2)
     return LinearizedProfile(
-        r=r_nodes,
+        r=r_half[::2].copy(),
         a=a,
         aR=a_end,
         boundary_value=a_end - 2.0 / radius,

@@ -8,7 +8,8 @@ radial two-point boundary value problem
 
 which is solved by shooting on the core value ``h0 = htilde(0)``: integrate
 from a seed point ``eps`` with a fixed-step classical 4th-order method and
-bisect ``h0`` until the outer slope matches.
+narrow ``h0`` by false position until the outer slope matches.  The RK4 step
+loop here, ``_rk4``, also integrates the linearized moduli problem.
 """
 
 from __future__ import annotations
@@ -32,19 +33,19 @@ DEFAULT_EPS = 1e-8
 DEFAULT_STEPS = 100_000
 SCAN_LOW = -50.0
 SCAN_HIGH = 5.0
-SCAN_POINTS = 20
-#: Bisection stops once the bracket is this narrow, so ``h0`` is pinned by the
-#: integrator (and its step count) rather than by the slope tolerance.
+#: False position stops once the bracket on ``h0`` is this narrow, so ``h0`` is
+#: pinned by the integrator (and its step count) rather than by the slope
+#: tolerance.
 H0_BRACKET_WIDTH = 1e-12
 #: Treat the trajectory as blown up once htilde exceeds this value.
 DIVERGENCE_CAP = 500.0
 
 
 class BracketError(Exception):
-    """The scan over h0 found no sign change of the boundary-slope mismatch.
+    """The boundary-slope mismatch has no sign change on ``[SCAN_LOW, SCAN_HIGH]``.
 
     With the existence gate satisfied this signals an integrator
-    misconfiguration (e.g. a scan range that misses the solution).
+    misconfiguration (e.g. a bracket that misses the solution).
     """
 
 
@@ -86,74 +87,72 @@ def taylor_seed(h0: float, eps: float, n: int, omega0: float) -> tuple[float, fl
     return (h0 - 0.25 * omega0 * eps * eps, -0.5 * omega0 * eps)
 
 
-def _omega_tables(disk: ConformalDisk, eps: float, steps: int):
-    """Conformal factor at the integration nodes and midpoints, as float lists.
+def _rk4(rhs, y0, y1, dx, steps, record, cap):
+    """Fixed-step classical RK4 for the 2-vector ``(y0, y1)``; the package's one step loop.
 
-    Plain Python floats keep the integration loop an order of magnitude
-    faster than numpy scalars.
+    ``rhs(j, y0, y1)`` returns ``(y0', y1')`` at half-node ``j`` (node ``k`` is
+    ``j = 2k``), so callers tabulate coefficients once at ``2 * steps + 1``
+    half-nodes.  The first ``record`` components (0, 1 or 2) are stored at
+    every node reached.  Integration stops, flagged diverged, once ``y0``
+    exceeds ``cap`` or is not finite, or on ``OverflowError``.  Returns
+    ``(ys0, ys1, y0, y1, diverged)``, with None for a history not recorded.
     """
-    dr = (disk.radius - eps) / steps
-    nodes = eps + dr * np.arange(steps + 1)
-    if disk.euclidean:
-        ones_n = [1.0] * (steps + 1)
-        return dr, nodes, ones_n, ones_n
-    w_node = disk.omega_at(nodes).tolist()
-    w_mid = disk.omega_at(nodes[:-1] + 0.5 * dr).tolist()
-    return dr, nodes, w_node, w_mid
-
-
-def _rk4(h0, disk, n, eps, steps, record):
-    """Fixed-step RK4 core; returns (r, h, dh arrays or None, h_end, p_end, diverged)."""
-    dr, nodes, w_node, w_mid = _omega_tables(disk, eps, steps)
-    node_list = nodes.tolist()
-    two_n = 2 * n
-    h, p = taylor_seed(h0, eps, n, float(disk.omega_at(0.0)))
-    if record:
-        hs = np.empty(steps + 1)
-        ps = np.empty(steps + 1)
-        hs[0] = h
-        ps[0] = p
+    ys0 = np.full(steps + 1, y0) if record else None
+    ys1 = np.full(steps + 1, y1) if record > 1 else None
+    half = 0.5 * dx
+    sixth = dx / 6.0
     diverged = False
-    exp = math.exp
-    half = 0.5 * dr
-    sixth = dr / 6.0
     k = 0
     try:
         for k in range(steps):
-            r0 = node_list[k]
-            w0 = w_node[k]
-            wm = w_mid[k]
-            w1 = w_node[k + 1]
-            rm = r0 + half
-            r1 = r0 + dr
-            k1h = p
-            k1p = w0 * (r0**two_n * exp(h) - 1.0) - p / r0
-            h2 = h + half * k1h
-            p2 = p + half * k1p
-            k2h = p2
-            k2p = wm * (rm**two_n * exp(h2) - 1.0) - p2 / rm
-            h3 = h + half * k2h
-            p3 = p + half * k2p
-            k3h = p3
-            k3p = wm * (rm**two_n * exp(h3) - 1.0) - p3 / rm
-            h4 = h + dr * k3h
-            p4 = p + dr * k3p
-            k4h = p4
-            k4p = w1 * (r1**two_n * exp(h4) - 1.0) - p4 / r1
-            h += sixth * (k1h + 2.0 * (k2h + k3h) + k4h)
-            p += sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-            if h > DIVERGENCE_CAP or not math.isfinite(h):
+            j = 2 * k
+            k1a, k1b = rhs(j, y0, y1)
+            k2a, k2b = rhs(j + 1, y0 + half * k1a, y1 + half * k1b)
+            k3a, k3b = rhs(j + 1, y0 + half * k2a, y1 + half * k2b)
+            k4a, k4b = rhs(j + 2, y0 + dx * k3a, y1 + dx * k3b)
+            y0 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+            y1 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+            if y0 > cap or not math.isfinite(y0):
                 diverged = True
                 break
             if record:
-                hs[k + 1] = h
-                ps[k + 1] = p
+                ys0[k + 1] = y0
+            if record > 1:
+                ys1[k + 1] = y1
     except OverflowError:
         diverged = True
-    if record:
-        end = k + 1 if not diverged else k
-        return nodes[: end + 1], hs[: end + 1], ps[: end + 1], h, p, diverged
-    return None, None, None, h, p, diverged
+    kept = k + 1 if diverged else k + 2
+    return (ys0[:kept] if record else None, ys1[:kept] if record > 1 else None,
+            y0, y1, diverged)
+
+
+def _integrate(h0, disk, n, eps, steps, record):
+    """One ``_rk4`` pass of ``(htilde, htilde')`` from ``eps`` for core value ``h0``.
+
+    Returns ``(r_half, hs, ps, p_end, diverged)``: the half-node radii, the
+    recorded histories, the outer slope and the blow-up flag.
+    """
+    if steps < 1_000:
+        raise ValueError(f"steps must be at least 1000, got {steps}")
+    if n < 1:
+        raise ValueError(f"multiplicity must be >= 1, got {n}")
+    if not 0.0 < eps < disk.radius:
+        raise ValueError(f"eps must lie in (0, radius={disk.radius}), got {eps}")
+    dr = (disk.radius - eps) / steps
+    r_half = eps + 0.5 * dr * np.arange(2 * steps + 1)
+    # Plain Python floats keep the step loop an order of magnitude faster
+    # than numpy scalars.
+    r = r_half.tolist()
+    r_2n = (r_half ** (2 * n)).tolist()
+    w = [1.0] * len(r) if disk.euclidean else disk.omega_at(r_half).tolist()
+    exp = math.exp
+
+    def rhs(j, h, p):
+        return p, w[j] * (r_2n[j] * exp(h) - 1.0) - p / r[j]
+
+    h, p = taylor_seed(h0, eps, n, float(disk.omega_at(0.0)))
+    hs, ps, _, p_end, diverged = _rk4(rhs, h, p, dr, steps, record, DIVERGENCE_CAP)
+    return r_half, hs, ps, p_end, diverged
 
 
 def integrate_radial(
@@ -167,16 +166,13 @@ def integrate_radial(
 
     The residual reported is ``|htilde'(R) + 2n/R|``.  If ``exp(htilde)``
     blows up before reaching the boundary the profile is flagged diverged.
+    Raises ``ValueError`` as ``shoot`` does.
     """
-    if steps < 1_000:
-        raise ValueError(f"steps must be at least 1000, got {steps}")
     n = int(n)
-    if n < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {n}")
-    r, hs, ps, h_end, p_end, diverged = _rk4(h0, disk, n, eps, steps, record=True)
+    r_half, hs, ps, p_end, diverged = _integrate(h0, disk, n, eps, steps, 2)
     residual = math.inf if diverged else abs(p_end + 2.0 * n / disk.radius)
     return RadialProfile(
-        r=r,
+        r=r_half[::2][: len(hs)].copy(),
         htilde=hs,
         dhtilde=ps,
         h0=h0,
@@ -190,10 +186,8 @@ def integrate_radial(
 
 def _mismatch(h0, disk, n, eps, steps) -> float:
     """Boundary-slope mismatch ``htilde'(R) + 2n/R``; +inf on blow-up."""
-    _, _, _, _, p_end, diverged = _rk4(h0, disk, n, eps, steps, record=False)
-    if diverged:
-        return math.inf
-    return p_end + 2.0 * n / disk.radius
+    *_, p_end, diverged = _integrate(h0, disk, n, eps, steps, 0)
+    return math.inf if diverged else p_end + 2.0 * n / disk.radius
 
 
 def shoot(
@@ -205,37 +199,46 @@ def shoot(
 ) -> RadialProfile:
     """Find the core value ``h0`` meeting the outer Neumann slope ``-2n/R``.
 
-    A coarse scan of ``h0`` over ``[-50, 5]`` locates a sign change of the
-    slope mismatch, which bisection then narrows below ``H0_BRACKET_WIDTH``
-    (the mismatch is monotone in ``h0``, so bisection is safe).  The existence
-    gate is checked first and raises ``BradlowViolation`` when it fails.
+    The slope mismatch is nondecreasing in ``h0`` (+inf on blow-up), so a
+    sign change between ``SCAN_LOW`` and ``SCAN_HIGH`` brackets the root.
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971) narrows it below
+    ``H0_BRACKET_WIDTH``: midpoint while the high value is +inf or the secant
+    point is not strictly inside, and the kept end's value halved when the
+    same end moves twice running.
 
     Raises
     ------
     BradlowViolation
-        If ``(N=n, M=0)`` violates the area bound on ``disk``.
+        If ``(N=n, M=0)`` violates the area bound on ``disk`` (checked first).
     BracketError
-        If the scan finds no sign change despite the gate passing.
+        If the mismatch has no sign change on the bracket.
+    ValueError
+        For ``steps < 1000``, ``n < 1`` or ``eps`` outside ``(0, radius)``.
     """
     check_bradlow(VortexConfiguration.centered(n), disk)
-    scan = np.linspace(SCAN_LOW, SCAN_HIGH, SCAN_POINTS)
-    values = [_mismatch(h0, disk, n, eps, steps) for h0 in scan]
-    lo = hi = None
-    for k in range(SCAN_POINTS - 1):
-        if values[k] < 0.0 <= values[k + 1]:
-            lo, hi = scan[k], scan[k + 1]
-            break
-    if lo is None:
+    lo, hi = SCAN_LOW, SCAN_HIGH
+    f_lo = _mismatch(lo, disk, n, eps, steps)
+    f_hi = _mismatch(hi, disk, n, eps, steps)
+    if not f_lo < 0.0 <= f_hi:
         raise BracketError(
             f"no sign change of the slope mismatch for h0 in [{SCAN_LOW}, {SCAN_HIGH}]"
         )
+    last = 0  # +1 if hi moved last, -1 if lo did
     while hi - lo > H0_BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fm = _mismatch(mid, disk, n, eps, steps)
-        if fm >= 0.0:
-            hi = mid
+        x = 0.5 * (lo + hi)
+        if f_hi < math.inf:
+            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if lo < secant < hi:
+                x = secant
+        f_x = _mismatch(x, disk, n, eps, steps)
+        if f_x >= 0.0:
+            if last > 0:
+                f_lo *= 0.5
+            hi, f_hi, last = x, f_x, 1
         else:
-            lo = mid
+            if last < 0:
+                f_hi *= 0.5
+            lo, f_lo, last = x, f_x, -1
     h0 = 0.5 * (lo + hi)
     profile = integrate_radial(h0, disk, n, eps, steps)
     profile.converged = (not profile.diverged) and profile.residual <= tol

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nvortex import cli, solver2d
+from nvortex import cli, shooting, solver2d
 from nvortex.verification import CheckResult
 
 
@@ -61,6 +61,14 @@ class TestSolveRadial:
     def test_noncentered_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, base_doc(interior=[{"x": 0.5, "y": 0, "n": 1}]))
         assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_CONFIG
+
+    def test_bracket_failure_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(shooting, "_mismatch", lambda *args: -1.0)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(outputs={"dir": str(out)}))
+        assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_BRACKET
+        assert "shooting bracket failure" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestSolve2d:
@@ -130,8 +138,9 @@ class TestMetric:
             ({"radius": float("inf")}, "configuration.radius must be finite"),
             ({"metric": {"delta": 0.0}}, "metric.delta must lie in"),
             ({"metric": {"delta": 5.0}}, "metric.delta must lie in"),
+            ({"radial": {"eps": 5.0}}, "radial.eps must lie in"),
         ],
-        ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk"],
+        ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk", "eps-outside-disk"],
     )
     def test_unusable_number_is_config_error(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "out"
@@ -147,6 +156,32 @@ class TestMetric:
         assert cli._max_workers() == 1
         monkeypatch.delenv("NV_THREADS")
         assert cli._max_workers() == 1
+
+
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve-2d", "--tol", "nan"], "--tol must be finite"),
+            (["solve-2d", "--tol", "-1"], "--tol must be finite and >= 0"),
+            (["solve-2d", "--nr", "4"], "nr, ntheta >= 8"),
+            (["verify", "--nr", "0"], "nr, ntheta >= 8"),
+            (["verify", "--nr", "8"], "verify needs nr >= 32"),
+            (["verify", "--tol", "inf"], "--tol must be finite"),
+        ],
+        ids=["tol-nan", "tol-negative", "nr-4", "verify-nr-0", "verify-nr-8", "verify-tol-inf"],
+    )
+    def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, argv, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("overrides must be checked before any solve")
+
+        monkeypatch.setattr(cli, "solve_taubes_2d", no_solve)
+        monkeypatch.setattr(cli, "run_acceptance", no_solve)
+        if argv[0] != "verify":
+            argv = [*argv, "--config", write_config(tmp_path, base_doc())]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
 
 
 class TestVerify:

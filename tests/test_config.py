@@ -95,8 +95,15 @@ class TestParsing:
             (None, "radius", float("inf")),
             ("metric", "delta", 0.0),
             ("metric", "delta", 5.0),
+            (None, "radius", 10**400),
+            (None, "radius", 3 * 10**299),
+            ("radial", "eps", 0.0),
+            ("radial", "eps", 5.0),
         ],
-        ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk"],
+        ids=[
+            "tol-nan", "radius-inf", "delta-zero", "delta-outside-disk",
+            "radius-beyond-float", "radius-area-overflow", "eps-zero", "eps-outside-disk",
+        ],
     )
     def test_unusable_number_rejected(self, tmp_path, section, key, value):
         doc = minimal()

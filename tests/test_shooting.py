@@ -9,6 +9,7 @@ from nvortex import (
     ConformalDisk,
     integrate_radial,
     shoot,
+    shooting,
     taylor_seed,
 )
 from nvortex.shooting import _mismatch
@@ -62,6 +63,13 @@ class TestIntegrateRadial:
         with pytest.raises(ValueError):
             integrate_radial(0.0, disk3, n=0)
 
+    @pytest.mark.parametrize("eps", [0.0, 3.0, 5.0])
+    def test_seed_radius_inside_disk(self, disk3, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            integrate_radial(0.0, disk3, eps=eps, steps=2_000)
+        with pytest.raises(ValueError, match="eps must lie in"):
+            shoot(disk3, eps=eps, steps=2_000)
+
 
 class TestShoot:
     def test_golden_core_value(self, radial_r3):
@@ -89,6 +97,28 @@ class TestShoot:
         profile = shoot(disk3, n=2, steps=20_000)
         assert profile.converged
         assert profile.dhtilde[-1] == pytest.approx(-4.0 / 3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("value", [-1.0, 1.0, math.nan])
+    def test_no_sign_change_raises_bracket_error(self, disk3, monkeypatch, value):
+        monkeypatch.setattr(shooting, "_mismatch", lambda *args: value)
+        with pytest.raises(BracketError):
+            shoot(disk3, steps=2_000)
+
+    @pytest.mark.parametrize("radius", [3.0, 12.0], ids=["R3", "R12"])
+    def test_false_position_pass_count(self, monkeypatch, radius):
+        values = []
+
+        def recorded(*args):
+            values.append(_mismatch(*args))
+            return values[-1]
+
+        monkeypatch.setattr(shooting, "_mismatch", recorded)
+        profile = shoot(ConformalDisk.flat(radius), n=1, steps=20_000)
+        assert profile.converged
+        # f(SCAN_LOW), then f(SCAN_HIGH) = +inf (blow-up), so the loop starts
+        # by bisecting; on R=12 most early midpoints blow up as well.
+        assert values[1] == math.inf
+        assert len(values) <= 30  # a 20-point scan plus bisection took 62
 
     def test_bradlow_violation_raised_before_scan(self):
         with pytest.raises(BradlowViolation):
