@@ -151,7 +151,14 @@ def _cmd_solve_2d(args) -> int:
     if "json" in cfg.formats:
         export_json(_out_path(cfg, "report.json"), summary)
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK if report.converged else EXIT_NEWTON
+    if not report.converged:
+        print(
+            f"Newton solve stopped without converging: {report.termination} "
+            f"after {report.iterations} iterations (residual {report.residual_history[-1]:.3g})",
+            file=sys.stderr,
+        )
+        return EXIT_NEWTON
+    return EXIT_OK
 
 
 def _cmd_metric(args) -> int:

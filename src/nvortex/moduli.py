@@ -91,8 +91,11 @@ def solve_linear_bvp(
     near the core) the regular homogeneous solution and one particular
     solution from ``eps`` (one ``shooting._rk4`` pass each), then combines
     them to meet ``a'(R) = -2/R^2``.  The vacuum case ``f == 0`` has the
-    closed form ``a = -2 r / R^2``.
+    closed form ``a = -2 r / R^2``.  Raises ``ValueError`` unless ``steps``
+    is a positive integer and ``eps`` lies in ``(0, radius)``.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if eps is None:
         eps = EPS_FRACTION * radius
     if not 0.0 < eps < radius:
@@ -192,7 +195,7 @@ def _htilde_for_vortex_at(args):
     config = VortexConfiguration(interior=((z, 1),))
     field, report = solve_taubes_2d(disk, config, grid, tol=tol, max_iter=max_iter)
     if not report.converged:
-        raise RuntimeError(f"field solve for vortex at {z} did not converge")
+        raise RuntimeError(f"field solve for vortex at {z} did not converge ({report.termination})")
     return field
 
 

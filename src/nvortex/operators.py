@@ -2,6 +2,10 @@
 
 The same assembled operator backs the nonlinear field solver and the discrete
 Green-function solves, so all modules discretise the Laplacian identically.
+Its couplings depend on the radius only, so a discrete Fourier transform in
+theta splits it into independent tridiagonal systems in r, one per angular
+mode; ``PolarModeSolver`` solves the operator (with a ring-constant diagonal
+shift) that way (Concus & Golub 1973, Swarztrauber 1974).
 """
 
 from __future__ import annotations
@@ -10,10 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .geometry import ConformalDisk, PolarGrid
 
-__all__ = ["NeumannLaplacian", "assemble_neumann_laplacian"]
+__all__ = ["LinearSolveError", "NeumannLaplacian", "PolarModeSolver", "assemble_neumann_laplacian"]
+
+#: A Thomas pivot at or below this fraction of its diagonal entry means the
+#: mode system is singular to working precision.
+PIVOT_RTOL = 1e-13
+
+
+class LinearSolveError(RuntimeError):
+    """An inner linear solve failed (singular system or CG stagnation)."""
 
 
 @dataclass(frozen=True)
@@ -30,6 +43,8 @@ class NeumannLaplacian:
     grid: PolarGrid
     matrix: sp.csc_matrix
     weights: np.ndarray  # flat cell measures r*dr*dtheta, shape (size,)
+    c_rad: np.ndarray  # radial coupling across the face r = (i+1) dr, shape (nr - 1,)
+    c_ang: np.ndarray  # angular coupling on ring i, shape (nr,)
 
     def boundary_flux_vector(self, g) -> np.ndarray:
         """Weighted source carrying the outer fluxes ``R * dtheta * g_j``."""
@@ -73,20 +88,85 @@ def assemble_neumann_laplacian(grid: PolarGrid, disk: ConformalDisk) -> NeumannL
 
     # Radial couplings across interior faces at radius (i+1) * dr.
     i_in = np.arange(nr - 1)
-    c_rad = np.repeat(grid.r_faces[1:nr] * dt / dr, nt)
+    c_rad = grid.r_faces[1:nr] * dt / dr
     lo = (i_in[:, None] * nt + jj[None, :]).ravel()
     hi = ((i_in[:, None] + 1) * nt + jj[None, :]).ravel()
 
     # Angular couplings across the face between j and j+1 (periodic).
-    c_ang = np.repeat(dr / (r * dt), nt)
+    c_ang = dr / (r * dt)
     a1 = (np.arange(nr)[:, None] * nt + jj[None, :]).ravel()
     a2 = (np.arange(nr)[:, None] * nt + ((jj + 1) % nt)[None, :]).ravel()
 
     rows = np.concatenate([lo, hi, lo, hi, a1, a2, a1, a2])
     cols = np.concatenate([lo, hi, hi, lo, a1, a2, a2, a1])
-    vals = np.concatenate([-c_rad, -c_rad, c_rad, c_rad, -c_ang, -c_ang, c_ang, c_ang])
+    cr, ca = np.repeat(c_rad, nt), np.repeat(c_ang, nt)
+    vals = np.concatenate([-cr, -cr, cr, cr, -ca, -ca, ca, ca])
 
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
     weights = grid.flat_weights()
-    weights.setflags(write=False)
-    return NeumannLaplacian(grid=grid, matrix=matrix, weights=weights)
+    for a in (weights, c_rad, c_ang):
+        a.setflags(write=False)
+    return NeumannLaplacian(grid=grid, matrix=matrix, weights=weights, c_rad=c_rad, c_ang=c_ang)
+
+
+class PolarModeSolver:
+    """Exact solve of ``(lap.matrix - diag(shift)) x = b`` for a ring-constant shift.
+
+    ``shift`` has one value per ring, shape ``(nr,)``.  An rfft along theta
+    turns the system into one tridiagonal system in r per angular mode ``k``,
+    with off-diagonals ``c_rad`` and diagonal
+
+        -(c_rad[i-1] + c_rad[i]) - c_ang[i] * (2 - 2 cos(k dtheta)) - shift[i].
+
+    The negated mode systems are positive definite; they are stacked into one
+    block-diagonal tridiagonal system and factored once here by LAPACK's
+    ``dpttrf`` (the Thomas recurrence), so every ``solve`` is one ``dpttrs``
+    sweep over all modes.  Nothing is shared between instances, so each
+    thread may own one.
+
+    ``shift=None`` is the bare Neumann Laplacian, whose kernel is the
+    constants: mode 0 is then integrated by its cumulative flux (the
+    right-hand side must sum to zero) and carries zero mean on the first
+    ring, and modes ``k >= 1`` are swept unshifted.  Raises
+    ``LinearSolveError`` when a pivot is non-finite or vanishes to working
+    precision (for example a shift that underflows to zero, which leaves
+    mode 0 singular).
+    """
+
+    def __init__(self, lap: NeumannLaplacian, shift=None):
+        grid = lap.grid
+        self.shape = grid.shape
+        self.c_rad = lap.c_rad
+        #: Modes below ``first`` are solved by the flux formula, not swept.
+        self.first = 1 if shift is None else 0
+        k = np.arange(self.first, grid.ntheta // 2 + 1)
+        radial = np.concatenate([lap.c_rad, [0.0]]) + np.concatenate([[0.0], lap.c_rad])
+        diag = radial + (2.0 - 2.0 * np.cos(k * grid.dtheta))[:, None] * lap.c_ang
+        if shift is not None:
+            diag = diag + np.asarray(shift, dtype=float)
+        diag = diag.ravel()
+        off = np.tile(np.append(-lap.c_rad, 0.0), len(k))[:-1]
+        self.pivot, self.off, _ = lapack.dpttrf(diag, off)
+        singular = ~(self.pivot > PIVOT_RTOL * diag)
+        if np.any(singular):
+            m, i = divmod(int(np.argmax(singular)), grid.nr)
+            raise LinearSolveError(
+                f"polar mode {m + self.first} is singular at ring {i} "
+                f"(|pivot| {abs(self.pivot[m * grid.nr + i]):.3g})"
+            )
+
+    def solve(self, rhs) -> np.ndarray:
+        """Solution for a right-hand side of ``size`` or ``(nr, ntheta)`` values, flattened."""
+        nr, nt = self.shape
+        bhat = np.fft.rfft(np.reshape(rhs, self.shape), axis=1)
+        xhat = np.empty_like(bhat)
+        if self.first:
+            xhat[0, 0] = 0.0
+            xhat[1:, 0] = np.cumsum(np.cumsum(bhat[:-1, 0].real) / self.c_rad)
+        swept = bhat[:, self.first :].T
+        parts = np.empty((2,) + swept.shape)
+        np.negative(swept.real, out=parts[0])
+        np.negative(swept.imag, out=parts[1])
+        x, _ = lapack.dpttrs(self.pivot, self.off, parts.reshape(2, -1).T, overwrite_b=True)
+        xhat[:, self.first :] = (x[:, 0] + 1j * x[:, 1]).reshape(swept.shape).T
+        return np.fft.irfft(xhat, n=nt, axis=1).reshape(nr * nt)

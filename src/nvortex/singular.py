@@ -8,6 +8,10 @@ carries the core logarithms.  Subtracting ``v0`` removes every interior delta
 from the field equation and converts the boundary deltas into smooth inward
 Neumann data for ``htilde``: each boundary vortex contributes the constant
 ``-m_j / R`` and each interior vortex the trace of ``-d_r log|z - X_k|^2``.
+
+The Green functions solve the bare flux-form Laplacian exactly with the
+separable polar solver: Fourier modes ``k >= 1`` by a tridiagonal sweep in r,
+mode 0 by integrating its radial flux.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .geometry import ConformalDisk, PolarGrid, ScalarField, VortexConfiguration
-from .operators import assemble_neumann_laplacian
+from .operators import PolarModeSolver, assemble_neumann_laplacian
 
 __all__ = [
     "SingularPart",
@@ -104,9 +107,9 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
 
     ``source`` is the flat node index and ``A`` the discrete curved area, which
     makes the singular Neumann system exactly compatible.  The kernel of the
-    flux-form operator is the constants, so node 0 is pinned to zero (its
-    redundant equation dropped) and the result shifted to zero curved-volume
-    mean.
+    flux-form operator is the constants: the separable solve fixes the
+    constant by a zero mean on the first ring, and the result is then shifted
+    to zero curved-volume mean.
     """
     lap = assemble_neumann_laplacian(grid, disk)
     w_g = grid.curved_weights(disk)
@@ -116,8 +119,7 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
     scale = float(np.max(np.abs(rhs))) or 1.0
     if abs(float(np.sum(rhs))) > 1e-9 * scale * rhs.size:
         raise ValueError("right-hand side is not compatible with the Neumann operator")
-    x = np.zeros(grid.size)
-    x[1:] = spla.splu(lap.matrix[1:, 1:].tocsc()).solve(rhs[1:])
+    x = PolarModeSolver(lap).solve(rhs)
     x -= float(np.dot(x, w_g)) / area
     return ScalarField(grid, x.reshape(grid.shape))
 

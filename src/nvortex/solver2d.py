@@ -8,8 +8,13 @@ After splitting off the singular part the unknown ``htilde`` satisfies
 with ``g`` the smooth Neumann data induced by the cores.  The discrete system
 uses the flux-form Laplacian; its Jacobian ``lap_e - Omega exp(htilde + v0)``
 is symmetric negative definite in the volume-weighted form (the nonpositive
-diagonal shift removes the constant kernel wherever ``exp(v0) > 0``), so the
-Newton steps reduce to sparse symmetric solves.
+diagonal shift removes the constant kernel wherever ``exp(v0) > 0``), so each
+Newton step is a symmetric positive-definite solve with the negated Jacobian.
+By default that solve is conjugate gradients preconditioned by the separable
+polar solver (``operators.PolarModeSolver``) with the Jacobian's shift
+``w * Omega * exp(h)`` replaced by its mean on each ring; a centred vortex
+makes the shift ring-constant and CG converges in one or two iterations.
+SuperLU (``linear_solver="direct"``) is kept as the oracle for that path.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .geometry import (
     VortexConfiguration,
     check_bradlow,
 )
-from .operators import assemble_neumann_laplacian
+from .operators import LinearSolveError, NeumannLaplacian, PolarModeSolver, assemble_neumann_laplacian
 from .singular import SingularPart, build_singular_part
 
 __all__ = ["SolveReport", "solve_taubes_2d", "reconstruct_h"]
@@ -35,37 +40,60 @@ __all__ = ["SolveReport", "solve_taubes_2d", "reconstruct_h"]
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
 MAX_HALVINGS = 30
-#: Unknown count above which the Newton sub-solves switch to preconditioned CG.
-DIRECT_SOLVE_LIMIT = 100_000
+#: Relative residual at which the preconditioned CG of a Newton step stops.
+CG_RTOL = 1e-12
+#: CG iterations allowed per Newton step before it counts as a failed solve.
+CG_MAX_ITER = 500
 
 
 @dataclass
 class SolveReport:
-    """Newton convergence record for one field solve."""
+    """Newton convergence record for one field solve.
+
+    ``termination`` says why the iteration stopped: ``"converged"``,
+    ``"max_iter"`` (iteration budget spent) or ``"line_search"`` (no step
+    length down to ``2**-MAX_HALVINGS`` reduced the residual).
+    ``linear_iterations`` holds the CG iteration count of each Newton step
+    (0 for the direct oracle).
+    """
 
     iterations: int
     residual_history: list = dataclass_field(default_factory=list)
     bc_residual: float = 0.0
     converged: bool = False
     damping_events: int = 0
+    termination: str = ""
+    linear_iterations: list = dataclass_field(default_factory=list)
 
 
-class LinearSolveError(RuntimeError):
-    """An inner sparse solve failed (singular assembly or CG stagnation)."""
+def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method: str):
+    """Solve the Newton system ``(lap.matrix - diag(shift)) x = rhs``.
 
+    ``shift`` (``w * Omega * exp(h)``, nonnegative) makes the system negative
+    definite.  Returns ``(x, cg_iterations)``; raises ``LinearSolveError``
+    when CG does not converge or the preconditioner is singular.
+    """
+    if method == "direct":
+        return spla.splu((lap.matrix - sp.diags(shift)).tocsc()).solve(rhs), 0
+    # CG on the positive-definite mirror -J, preconditioned by the separable
+    # solve with the ring-mean shift.
+    grid = lap.grid
+    ring_shift = shift.reshape(grid.shape).mean(axis=1)
+    modes = PolarModeSolver(lap, ring_shift)
+    matrix = lap.matrix
+    shape = (grid.size, grid.size)
+    negated = spla.LinearOperator(shape, matvec=lambda x: shift * x - matrix @ x, dtype=float)
+    precond = spla.LinearOperator(shape, matvec=lambda r: -modes.solve(r), dtype=float)
+    iterations = 0
 
-def _solve_spd(matrix: sp.csc_matrix, rhs: np.ndarray, method: str) -> np.ndarray:
-    """Solve the negative-definite weighted Jacobian system."""
-    n = matrix.shape[0]
-    if method == "direct" or (method == "auto" and n <= DIRECT_SOLVE_LIMIT):
-        return spla.splu(matrix).solve(rhs)
-    # CG on the positive-definite mirror with diagonal preconditioning.
-    diag = -matrix.diagonal()
-    precond = spla.LinearOperator(matrix.shape, lambda x: x / diag)
-    x, info = spla.cg(-matrix, -rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=20 * int(np.sqrt(n)) + 200)
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.cg(negated, -rhs, rtol=CG_RTOL, atol=0.0, M=precond, maxiter=CG_MAX_ITER, callback=count)
     if info != 0:
         raise LinearSolveError(f"conjugate gradient did not converge (info={info})")
-    return x
+    return x, iterations
 
 
 def solve_taubes_2d(
@@ -74,7 +102,7 @@ def solve_taubes_2d(
     grid: PolarGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    linear_solver: str = "auto",
+    linear_solver: str = "cg",
 ) -> tuple[ScalarField, SolveReport]:
     """Solve for ``htilde`` on ``grid`` by damped Newton iteration from zero.
 
@@ -89,8 +117,8 @@ def solve_taubes_2d(
         Maximum Newton iterations; on exhaustion a not-converged report is
         returned (no exception).
     linear_solver
-        ``"auto"`` (direct up to ``DIRECT_SOLVE_LIMIT`` unknowns, CG above),
-        ``"direct"`` or ``"cg"``.
+        ``"cg"`` (conjugate gradients with the separable polar
+        preconditioner) or ``"direct"`` (SuperLU, the reference oracle).
 
     Returns
     -------
@@ -98,6 +126,11 @@ def solve_taubes_2d(
         The field ``htilde`` and the convergence record.  ``bc_residual`` is
         the discrete flux-balance defect
         ``|sum Omega (exp(htilde+v0) - 1) r dr dtheta - R * sum g dtheta|``.
+
+    Raises
+    ------
+    LinearSolveError
+        If the linear solve of a Newton step fails.
 
     Notes
     -----
@@ -110,7 +143,7 @@ def solve_taubes_2d(
     pointwise infinity-norm tolerance would stall at the pole ring while the
     field is already at its discretisation optimum everywhere.
     """
-    if linear_solver not in ("auto", "direct", "cg"):
+    if linear_solver not in ("cg", "direct"):
         raise ValueError(f"unknown linear_solver {linear_solver!r}")
     check_bradlow(config, disk)
     lap = assemble_neumann_laplacian(grid, disk)
@@ -133,11 +166,11 @@ def solve_taubes_2d(
     h = np.zeros(grid.size)
     F, e_h = residual(h)
     norm = float(np.max(np.abs(F * norm_scale)))
-    report = SolveReport(iterations=0, residual_history=[norm])
+    report = SolveReport(iterations=0, residual_history=[norm], termination="max_iter")
 
     while norm > tol and report.iterations < max_iter:
-        jac = (matrix - sp.diags(w * omega * e_h)).tocsc()
-        delta = _solve_spd(jac, -(w * F), linear_solver)
+        delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), linear_solver)
+        report.linear_iterations.append(cg_iterations)
         lam = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
@@ -150,12 +183,15 @@ def solve_taubes_2d(
             lam *= 0.5
             report.damping_events += 1
         if not accepted:
+            report.termination = "line_search"
             break
         h, F, e_h, norm = trial, F_new, e_new, norm_new
         report.iterations += 1
         report.residual_history.append(norm)
 
     report.converged = norm <= tol
+    if report.converged:
+        report.termination = "converged"
     flux_in = float(np.sum(w * omega * (e_h - 1.0)))
     flux_bc = float(grid.radius * grid.dtheta * np.sum(singular.neumann_data))
     report.bc_residual = abs(flux_in - flux_bc)

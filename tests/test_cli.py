@@ -95,6 +95,12 @@ class TestSolve2d:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["solve-2d", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_NEWTON
 
+    def test_newton_stop_reason_on_stderr(self, tmp_path, capsys):
+        doc = base_doc(solver={"tol": 1e-8, "max_iter": 1})
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["solve-2d", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_NEWTON
+        assert "max_iter after 1 iterations" in capsys.readouterr().err
+
     def test_gate_violation_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(interior=[{"x": 0, "y": 0, "n": 3}]))
         assert cli.main(["solve-2d", "--config", cfg]) == cli.EXIT_BRADLOW

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from nvortex import (
     ConformalDisk,
@@ -83,3 +84,42 @@ class TestBoundaryGreen:
         sel = np.where((depth >= 4.0 * spacing) & (depth <= 8.0 * spacing))[0]
         slope = np.polyfit(np.log(depth[sel]), h.values[sel, 0], 1)[0]
         assert abs(slope) == pytest.approx(1.0 / math.pi, rel=0.10)
+
+
+def _pinned_lu_green(disk, grid, source):
+    """Oracle: node 0 pinned, ``A[1:, 1:]`` factored by SuperLU, zero curved mean."""
+    lap = assemble_neumann_laplacian(grid, disk)
+    w_g = grid.curved_weights(disk)
+    rhs = w_g / w_g.sum()
+    rhs[source] -= 1.0
+    x = np.zeros(grid.size)
+    x[1:] = spla.splu(lap.matrix[1:, 1:].tocsc()).solve(rhs[1:])
+    x -= np.dot(x, w_g) / w_g.sum()
+    return x.reshape(grid.shape)
+
+
+class TestAgainstPinnedLU:
+    @pytest.fixture(
+        scope="class",
+        params=["flat", "table"],
+    )
+    def disk(self, request):
+        if request.param == "flat":
+            return ConformalDisk.flat(3.0)
+        r = np.linspace(0.0, 3.0, 5)
+        return ConformalDisk.from_samples(3.0, r, [1.0, 1.3, 0.8, 1.1, 1.5])
+
+    @pytest.mark.parametrize("shape", [(48, 48), (40, 37)])
+    @pytest.mark.parametrize("where", ["interior", "pole-ring", "boundary"])
+    def test_matches_oracle(self, disk, shape, where):
+        grid = build_grid(disk, *shape)
+        nr, nt = shape
+        if where == "boundary":
+            j = 5
+            green = boundary_neumann_green(disk, grid, j * grid.dtheta)
+            source = (nr - 1) * nt + j
+        else:
+            q = (nr // 3, 11) if where == "interior" else (0, 3)
+            green = neumann_green(disk, grid, q)
+            source = q[0] * nt + q[1]
+        assert np.max(np.abs(green.values - _pinned_lu_green(disk, grid, source))) <= 1e-12

@@ -36,6 +36,11 @@ class TestLinearizedSolve:
         assert np.max(np.abs(lin.a + 2.0 * lin.r / 9.0)) < 1e-8
         assert lin.boundary_value == pytest.approx(-4.0 / 3.0, abs=1e-10)
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_step_count_validated(self, steps):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            solve_linear_bvp(lambda r: np.zeros_like(r), 3.0, steps=steps)
+
     def test_regular_at_origin(self, lin_r3):
         assert abs(lin_r3.a[0]) < 1e-4
 

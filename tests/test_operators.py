@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nvortex import ConformalDisk, build_grid
-from nvortex.operators import assemble_neumann_laplacian
+from nvortex.operators import LinearSolveError, PolarModeSolver, assemble_neumann_laplacian
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +68,31 @@ def test_radius_mismatch_rejected(disk3):
     grid = build_grid(ConformalDisk.flat(2.0), 16, 16)
     with pytest.raises(ValueError):
         assemble_neumann_laplacian(grid, disk3)
+
+
+class TestPolarModeSolver:
+    @pytest.mark.parametrize("shape", [(24, 32), (17, 21)])
+    def test_shifted_solve_matches_lu(self, disk3, shape):
+        grid = build_grid(disk3, *shape)
+        lap = assemble_neumann_laplacian(grid, disk3)
+        rng = np.random.default_rng(3)
+        shift = rng.uniform(0.0, 0.2, grid.nr)
+        rhs = rng.normal(size=grid.size)
+        x = PolarModeSolver(lap, shift).solve(rhs)
+        ref = spla.splu((lap.matrix - sp.diags(np.repeat(shift, grid.ntheta))).tocsc()).solve(rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_bare_laplacian_solves_compatible_system(self, disk3):
+        grid = build_grid(disk3, 24, 31)
+        lap = assemble_neumann_laplacian(grid, disk3)
+        rhs = np.random.default_rng(4).normal(size=grid.size)
+        rhs -= rhs.mean()
+        x = PolarModeSolver(lap).solve(rhs)
+        assert np.max(np.abs(lap.matrix @ x - rhs)) < 1e-12 * np.max(np.abs(rhs))
+        assert abs(x[: grid.ntheta].sum()) < 1e-12  # the constant is fixed on ring 0
+
+    @pytest.mark.parametrize("value", [0.0, 1e-320, np.nan, np.inf])
+    def test_unusable_shift_raises(self, lap64, value):
+        grid, lap = lap64
+        with pytest.raises(LinearSolveError, match="mode 0"):
+            PolarModeSolver(lap, np.full(grid.nr, value))

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvortex import (
     BradlowViolation,
@@ -9,7 +12,9 @@ from nvortex import (
     build_singular_part,
     reconstruct_h,
     solve_taubes_2d,
+    solver2d,
 )
+from nvortex.operators import LinearSolveError
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +31,8 @@ class TestNewtonSolve:
         assert report.iterations <= 50
         history = report.residual_history
         assert all(b < a for a, b in zip(history, history[1:]))
+        assert report.termination == "converged"
+        assert len(report.linear_iterations) == report.iterations
 
     def test_matches_radial_oracle(self, centered64, radial_r3):
         grid, field, _ = centered64
@@ -56,6 +63,19 @@ class TestNewtonSolve:
         )
         assert not report.converged
         assert report.iterations == 1
+        assert report.termination == "max_iter"
+        assert len(report.linear_iterations) == 1 and report.linear_iterations[0] >= 1
+
+    def test_failed_line_search_is_reported(self, disk3, monkeypatch):
+        # A zero step never lowers the residual, so every halving is rejected.
+        grid = build_grid(disk3, 16, 16)
+        monkeypatch.setattr(solver2d, "_solve_spd", lambda lap, shift, rhs, method: (0.0 * rhs, 7))
+        _, report = solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid)
+        assert not report.converged
+        assert report.termination == "line_search"
+        assert report.iterations == 0
+        assert report.linear_iterations == [7]
+        assert report.damping_events == solver2d.MAX_HALVINGS + 1
 
     def test_unknown_linear_solver_rejected(self, disk3):
         grid = build_grid(disk3, 16, 16)
@@ -69,6 +89,50 @@ class TestNewtonSolve:
         f_direct, _ = solve_taubes_2d(disk3, cfg, grid, linear_solver="direct")
         assert rep_cg.converged
         assert np.max(np.abs(f_cg.values - f_direct.values)) < 1e-8
+
+
+#: Interior position inside radius 2.2 of the radius-3 disk, as polar (rho, angle).
+_interior = st.tuples(st.floats(0.0, 2.2), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda p: p[0] * complex(math.cos(p[1]), math.sin(p[1]))
+)
+
+
+@st.composite
+def _configurations(draw):
+    """One or two interior vortices and at most one boundary vortex, N + M/2 <= 2."""
+    interior = draw(st.lists(_interior, min_size=0, max_size=2))
+    boundary = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=0, max_size=1 if len(interior) < 2 else 0))
+    if not interior and not boundary:
+        interior = [draw(_interior)]
+    return VortexConfiguration(
+        interior=tuple((z, 1) for z in interior), boundary=tuple((t, 1) for t in boundary)
+    )
+
+
+class TestFastPathAgainstDirect:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(cfg=_configurations())
+    def test_random_configurations_match_direct(self, cfg):
+        disk = ConformalDisk.flat(3.0)
+        grid = build_grid(disk, 32, 32)
+        f_cg, rep_cg = solve_taubes_2d(disk, cfg, grid)
+        f_direct, rep_direct = solve_taubes_2d(disk, cfg, grid, linear_solver="direct")
+        assert rep_cg.converged and rep_direct.converged
+        assert rep_cg.iterations == rep_direct.iterations
+        assert np.max(np.abs(f_cg.values - f_direct.values)) <= 1e-10
+
+    def test_centred_solve_takes_few_cg_iterations(self, disk3):
+        # The ring-mean shift is exact for a rotationally symmetric iterate.
+        grid = build_grid(disk3, 128, 128)
+        _, report = solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid)
+        assert report.converged
+        assert 1 <= max(report.linear_iterations) <= 3
+
+    def test_cg_stagnation_raises(self, disk3, monkeypatch):
+        monkeypatch.setattr(solver2d, "CG_MAX_ITER", 1)
+        grid = build_grid(disk3, 32, 32)
+        with pytest.raises(LinearSolveError, match="conjugate gradient"):
+            solve_taubes_2d(disk3, VortexConfiguration.boundary_point(0.3), grid)
 
 
 class TestSymmetries:
