@@ -18,7 +18,13 @@ from scipy.linalg import lapack
 
 from .geometry import ConformalDisk, PolarGrid
 
-__all__ = ["LinearSolveError", "NeumannLaplacian", "PolarModeSolver", "assemble_neumann_laplacian"]
+__all__ = [
+    "LinearSolveError",
+    "NeumannLaplacian",
+    "PolarModeSolver",
+    "assemble_neumann_laplacian",
+    "polar_couplings",
+]
 
 #: A Thomas pivot at or below this fraction of its diagonal entry means the
 #: mode system is singular to working precision.
@@ -67,6 +73,24 @@ class NeumannLaplacian:
         return (out / self.weights).reshape(self.grid.shape)
 
 
+def polar_couplings(grid: PolarGrid, disk: ConformalDisk) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings of the weighted flux-form Laplacian, read-only.
+
+    ``c_rad[i] = r_{i+1/2} dtheta / dr`` couples rings ``i`` and ``i + 1``
+    across the face at radius ``(i + 1) dr``, shape ``(nr - 1,)``;
+    ``c_ang[i] = dr / (r_i dtheta)`` couples neighbouring nodes on ring ``i``,
+    shape ``(nr,)``.  They depend on the radius only, which is all the
+    separable solve needs.
+    """
+    if abs(grid.radius - disk.radius) > 1e-12 * disk.radius:
+        raise ValueError("grid radius does not match disk radius")
+    c_rad = grid.r_faces[1 : grid.nr] * grid.dtheta / grid.dr
+    c_ang = grid.dr / (grid.r * grid.dtheta)
+    c_rad.setflags(write=False)
+    c_ang.setflags(write=False)
+    return c_rad, c_ang
+
+
 def assemble_neumann_laplacian(grid: PolarGrid, disk: ConformalDisk) -> NeumannLaplacian:
     """Assemble the 5-point flux-form Laplacian for ``grid``.
 
@@ -79,21 +103,16 @@ def assemble_neumann_laplacian(grid: PolarGrid, disk: ConformalDisk) -> NeumannL
     special case) and the outer face carrying the prescribed Neumann flux.
     The matrix is assembled in the volume-weighted symmetric form.
     """
-    if abs(grid.radius - disk.radius) > 1e-12 * disk.radius:
-        raise ValueError("grid radius does not match disk radius")
+    c_rad, c_ang = polar_couplings(grid, disk)
     nr, nt = grid.nr, grid.ntheta
-    dr, dt = grid.dr, grid.dtheta
-    r = grid.r
     jj = np.arange(nt)
 
     # Radial couplings across interior faces at radius (i+1) * dr.
     i_in = np.arange(nr - 1)
-    c_rad = grid.r_faces[1:nr] * dt / dr
     lo = (i_in[:, None] * nt + jj[None, :]).ravel()
     hi = ((i_in[:, None] + 1) * nt + jj[None, :]).ravel()
 
     # Angular couplings across the face between j and j+1 (periodic).
-    c_ang = dr / (r * dt)
     a1 = (np.arange(nr)[:, None] * nt + jj[None, :]).ravel()
     a2 = (np.arange(nr)[:, None] * nt + ((jj + 1) % nt)[None, :]).ravel()
 
@@ -104,15 +123,16 @@ def assemble_neumann_laplacian(grid: PolarGrid, disk: ConformalDisk) -> NeumannL
 
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
     weights = grid.flat_weights()
-    for a in (weights, c_rad, c_ang):
-        a.setflags(write=False)
+    weights.setflags(write=False)
     return NeumannLaplacian(grid=grid, matrix=matrix, weights=weights, c_rad=c_rad, c_ang=c_ang)
 
 
 class PolarModeSolver:
     """Exact solve of ``(lap.matrix - diag(shift)) x = b`` for a ring-constant shift.
 
-    ``shift`` has one value per ring, shape ``(nr,)``.  An rfft along theta
+    ``c_rad`` and ``c_ang`` are the operator's couplings (``polar_couplings``);
+    the assembled matrix is not needed.  ``shift`` has one value per ring,
+    shape ``(nr,)``.  An rfft along theta
     turns the system into one tridiagonal system in r per angular mode ``k``,
     with off-diagonals ``c_rad`` and diagonal
 
@@ -133,19 +153,18 @@ class PolarModeSolver:
     mode 0 singular).
     """
 
-    def __init__(self, lap: NeumannLaplacian, shift=None):
-        grid = lap.grid
+    def __init__(self, grid: PolarGrid, c_rad: np.ndarray, c_ang: np.ndarray, shift=None):
         self.shape = grid.shape
-        self.c_rad = lap.c_rad
+        self.c_rad = c_rad
         #: Modes below ``first`` are solved by the flux formula, not swept.
         self.first = 1 if shift is None else 0
         k = np.arange(self.first, grid.ntheta // 2 + 1)
-        radial = np.concatenate([lap.c_rad, [0.0]]) + np.concatenate([[0.0], lap.c_rad])
-        diag = radial + (2.0 - 2.0 * np.cos(k * grid.dtheta))[:, None] * lap.c_ang
+        radial = np.concatenate([c_rad, [0.0]]) + np.concatenate([[0.0], c_rad])
+        diag = radial + (2.0 - 2.0 * np.cos(k * grid.dtheta))[:, None] * c_ang
         if shift is not None:
             diag = diag + np.asarray(shift, dtype=float)
         diag = diag.ravel()
-        off = np.tile(np.append(-lap.c_rad, 0.0), len(k))[:-1]
+        off = np.tile(np.append(-c_rad, 0.0), len(k))[:-1]
         self.pivot, self.off, _ = lapack.dpttrf(diag, off)
         singular = ~(self.pivot > PIVOT_RTOL * diag)
         if np.any(singular):

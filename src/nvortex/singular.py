@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConformalDisk, PolarGrid, ScalarField, VortexConfiguration
-from .operators import PolarModeSolver, assemble_neumann_laplacian
+from .operators import PolarModeSolver, polar_couplings
 
 __all__ = [
     "SingularPart",
@@ -111,7 +111,7 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
     constant by a zero mean on the first ring, and the result is then shifted
     to zero curved-volume mean.
     """
-    lap = assemble_neumann_laplacian(grid, disk)
+    c_rad, c_ang = polar_couplings(grid, disk)
     w_g = grid.curved_weights(disk)
     area = float(np.sum(w_g))
     rhs = w_g / area
@@ -119,7 +119,7 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
     scale = float(np.max(np.abs(rhs))) or 1.0
     if abs(float(np.sum(rhs))) > 1e-9 * scale * rhs.size:
         raise ValueError("right-hand side is not compatible with the Neumann operator")
-    x = PolarModeSolver(lap).solve(rhs)
+    x = PolarModeSolver(grid, c_rad, c_ang).solve(rhs)
     x -= float(np.dot(x, w_g)) / area
     return ScalarField(grid, x.reshape(grid.shape))
 

@@ -79,7 +79,7 @@ def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method
     # solve with the ring-mean shift.
     grid = lap.grid
     ring_shift = shift.reshape(grid.shape).mean(axis=1)
-    modes = PolarModeSolver(lap, ring_shift)
+    modes = PolarModeSolver(grid, lap.c_rad, lap.c_ang, ring_shift)
     matrix = lap.matrix
     shape = (grid.size, grid.size)
     negated = spla.LinearOperator(shape, matvec=lambda x: shift * x - matrix @ x, dtype=float)

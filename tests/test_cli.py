@@ -1,9 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from nvortex import cli, shooting, solver2d
+from nvortex import build_grid, build_singular_part, cli, compute_observables, shooting, solver2d
+from nvortex.config import load_run_config
+from nvortex.observables import FIELD_CSV_HEADER
 from nvortex.verification import CheckResult
 
 
@@ -89,6 +92,36 @@ class TestSolve2d:
         assert cli.main(["solve-2d", "--config", cfg, "--out", str(out_b)]) == cli.EXIT_OK
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "field.csv").read_bytes() == (out_b / "field.csv").read_bytes()
+
+    def test_field_csv_matches_savetxt_oracle(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, base_doc(grid={"nr": 16, "ntheta": 24}))
+        assert cli.main(["solve-2d", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_OK
+        cfg = load_run_config(cfg_path)
+        grid = build_grid(cfg.disk, 16, 24)
+        field, report = solver2d.solve_taubes_2d(
+            cfg.disk, cfg.vortices, grid, tol=cfg.tol, max_iter=cfg.max_iter
+        )
+        singular = build_singular_part(cfg.vortices, cfg.disk, grid)
+        obs = compute_observables(field, singular, cfg.disk, grid)
+        h = solver2d.reconstruct_h(field, singular).values
+        z = grid.nodes_complex
+        cols = np.column_stack(
+            [
+                np.repeat(grid.r, grid.ntheta),
+                np.tile(grid.theta, grid.nr),
+                z.real.ravel(),
+                z.imag.ravel(),
+                field.values.ravel(),
+                h.ravel(),
+                np.exp(h).ravel(),
+                obs.B.values.ravel(),
+                obs.energy_density.values.ravel(),
+            ]
+        )
+        oracle = tmp_path / "oracle.csv"
+        np.savetxt(oracle, cols, fmt="%.17g", delimiter=",", header=FIELD_CSV_HEADER, comments="")
+        assert (out / "field.csv").read_bytes() == oracle.read_bytes()
 
     def test_newton_exhaustion_exit(self, tmp_path, capsys):
         doc = base_doc(solver={"tol": 1e-8, "max_iter": 1})

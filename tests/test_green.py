@@ -10,6 +10,7 @@ from nvortex import (
     build_grid,
     neumann_green,
 )
+from nvortex import operators
 from nvortex.operators import assemble_neumann_laplacian
 
 
@@ -84,6 +85,21 @@ class TestBoundaryGreen:
         sel = np.where((depth >= 4.0 * spacing) & (depth <= 8.0 * spacing))[0]
         slope = np.polyfit(np.log(depth[sel]), h.values[sel, 0], 1)[0]
         assert abs(slope) == pytest.approx(1.0 / math.pi, rel=0.10)
+
+
+def test_green_functions_need_no_sparse_assembly(disk3, monkeypatch):
+    grid = build_grid(disk3, 24, 20)
+    expected = (neumann_green(disk3, grid, (5, 3)), boundary_neumann_green(disk3, grid, 0.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse assembly called")
+
+    monkeypatch.setattr(operators.sp, "coo_matrix", refuse)
+    with pytest.raises(AssertionError, match="sparse assembly"):
+        assemble_neumann_laplacian(grid, disk3)
+    got = (neumann_green(disk3, grid, (5, 3)), boundary_neumann_green(disk3, grid, 0.0))
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.values, b.values)
 
 
 def _pinned_lu_green(disk, grid, source):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nvortex import (
+    ConformalDisk,
     ScalarField,
     VortexConfiguration,
     build_grid,
@@ -23,7 +26,71 @@ from nvortex.observables import (
     radial_observables,
     solution_summary,
 )
+from nvortex.shooting import RadialProfile
 from nvortex.solver2d import reconstruct_h
+
+#: Values whose ``%.17g`` spelling is easy to get wrong: signed zero, the
+#: smallest subnormal, exponent switch-overs and near-overflow magnitudes.
+_SPECIAL_FINITE = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, 1e17, 1e300, -1e300, 1.0 / 3.0]
+_finite = st.one_of(st.sampled_from(_SPECIAL_FINITE), st.floats(allow_nan=False, allow_infinity=False))
+_any_float = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), _finite)
+
+
+def _savetxt_field_csv(path, grid, htilde, h, B, density):
+    """Oracle: the node table as one column stack written by ``np.savetxt``."""
+    z = grid.nodes_complex
+    with np.errstate(over="ignore"):
+        e_h = np.exp(h.values)
+    cols = np.column_stack(
+        [
+            np.repeat(grid.r, grid.ntheta),
+            np.tile(grid.theta, grid.nr),
+            z.real.ravel(),
+            z.imag.ravel(),
+            htilde.values.ravel(),
+            h.values.ravel(),
+            e_h.ravel(),
+            B.values.ravel(),
+            density.values.ravel(),
+        ]
+    )
+    np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=FIELD_CSV_HEADER, comments="")
+
+
+def _savetxt_profile_csv(path, profile, disk):
+    """Oracle: the radial table as one column stack written by ``np.savetxt``."""
+    obs = radial_observables(profile, disk)
+    cols = np.column_stack(
+        [profile.r, profile.htilde, profile.dhtilde, obs["phi_sq"], obs["B"], obs["energy_density"]]
+    )
+    np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=PROFILE_CSV_HEADER, comments="")
+
+
+@st.composite
+def _field_tables(draw):
+    nr, ntheta = draw(
+        st.tuples(st.integers(8, 11), st.integers(8, 11)).filter(lambda s: s[0] != s[1])
+    )
+    grid = build_grid(ConformalDisk.flat(draw(st.sampled_from([1.0, 3.0, 7.25]))), nr, ntheta)
+    fields = [
+        ScalarField(grid, draw(arrays(float, grid.shape, elements=_finite))) for _ in range(4)
+    ]
+    return grid, fields
+
+
+@st.composite
+def _profiles(draw):
+    n_rows = draw(st.integers(1, 12))
+    column = arrays(float, n_rows, elements=_any_float)
+    return RadialProfile(
+        r=draw(column),
+        htilde=draw(column),
+        dhtilde=draw(column),
+        h0=0.0,
+        n=draw(st.integers(0, 2)),
+        residual=0.0,
+        converged=True,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +205,42 @@ class TestExport:
         assert header == FIELD_CSV_HEADER
         assert len(first) == 9
         assert sum(1 for _ in open(path)) == grid.size + 1
+
+    def test_field_shape_must_match_grid(self, tmp_path, disk3):
+        grid = build_grid(disk3, 16, 24)
+        good = ScalarField(grid, np.zeros(grid.shape))
+        for shape in ((24, 16), (20, 24)):
+            bad = ScalarField(build_grid(disk3, *shape), np.zeros(shape))
+            for k, name in enumerate(("htilde", "h", "B", "density")):
+                fields = [good] * 4
+                fields[k] = bad
+                with pytest.raises(ValueError, match=rf"{name} has shape \({shape[0]}, {shape[1]}\)"):
+                    export_field_csv(tmp_path / "field.csv", grid, *fields)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(table=_field_tables())
+    def test_field_csv_bytes_match_savetxt(self, tmp_path_factory, table):
+        grid, (htilde, h, B, density) = table
+        tmp = tmp_path_factory.mktemp("field")
+        _savetxt_field_csv(tmp / "oracle.csv", grid, htilde, h, B, density)
+        export_field_csv(tmp / "field.csv", grid, htilde, h, B, density)
+        assert (tmp / "field.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(profile=_profiles())
+    def test_profile_csv_bytes_match_savetxt(self, tmp_path_factory, profile):
+        disk = ConformalDisk.flat(3.0)
+        tmp = tmp_path_factory.mktemp("profile")
+        with np.errstate(all="ignore"):
+            _savetxt_profile_csv(tmp / "oracle.csv", profile, disk)
+            export_profile_csv(tmp / "profile.csv", profile, disk)
+        assert (tmp / "profile.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+
+    def test_long_profile_bytes_match_savetxt(self, tmp_path, disk3, radial_r3):
+        # 100,001 rows: many whole blocks of rows and a partial last one
+        _savetxt_profile_csv(tmp_path / "oracle.csv", radial_r3, disk3)
+        export_profile_csv(tmp_path / "profile.csv", radial_r3, disk3)
+        assert (tmp_path / "profile.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_profile_csv_schema(self, tmp_path, disk3, radial_r3):
         path = export_profile_csv(tmp_path / "profile.csv", radial_r3, disk3)

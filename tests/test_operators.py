@@ -78,7 +78,7 @@ class TestPolarModeSolver:
         rng = np.random.default_rng(3)
         shift = rng.uniform(0.0, 0.2, grid.nr)
         rhs = rng.normal(size=grid.size)
-        x = PolarModeSolver(lap, shift).solve(rhs)
+        x = PolarModeSolver(grid, lap.c_rad, lap.c_ang, shift).solve(rhs)
         ref = spla.splu((lap.matrix - sp.diags(np.repeat(shift, grid.ntheta))).tocsc()).solve(rhs)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -87,7 +87,7 @@ class TestPolarModeSolver:
         lap = assemble_neumann_laplacian(grid, disk3)
         rhs = np.random.default_rng(4).normal(size=grid.size)
         rhs -= rhs.mean()
-        x = PolarModeSolver(lap).solve(rhs)
+        x = PolarModeSolver(grid, lap.c_rad, lap.c_ang).solve(rhs)
         assert np.max(np.abs(lap.matrix @ x - rhs)) < 1e-12 * np.max(np.abs(rhs))
         assert abs(x[: grid.ntheta].sum()) < 1e-12  # the constant is fixed on ring 0
 
@@ -95,4 +95,4 @@ class TestPolarModeSolver:
     def test_unusable_shift_raises(self, lap64, value):
         grid, lap = lap64
         with pytest.raises(LinearSolveError, match="mode 0"):
-            PolarModeSolver(lap, np.full(grid.nr, value))
+            PolarModeSolver(grid, lap.c_rad, lap.c_ang, np.full(grid.nr, value))
