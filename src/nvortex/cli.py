@@ -27,7 +27,6 @@ from .observables import (
     solution_summary,
 )
 from .shooting import BracketError, shoot
-from .singular import build_singular_part
 from .solver2d import LinearSolveError, reconstruct_h, solve_taubes_2d
 from .verification import run_acceptance
 
@@ -40,14 +39,6 @@ EXIT_BRACKET = 3
 EXIT_NEWTON = 4
 EXIT_METRIC = 5
 EXIT_VERIFY = 6
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("NV_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _check_overrides(args) -> None:
@@ -128,7 +119,7 @@ def _cmd_solve_2d(args) -> int:
     field, report = solve_taubes_2d(
         cfg.disk, cfg.vortices, grid, tol=cfg.tol, max_iter=cfg.max_iter
     )
-    singular = build_singular_part(cfg.vortices, cfg.disk, grid)
+    singular = report.singular
     observables = compute_observables(
         field, singular, cfg.disk, grid, bc_residual=report.bc_residual
     )
@@ -172,7 +163,6 @@ def _cmd_metric(args) -> int:
             tol=cfg.tol,
             max_iter=cfg.max_iter,
             radial_steps=cfg.radial_steps,
-            max_workers=_max_workers(),
         )
     except BradlowViolation:
         raise

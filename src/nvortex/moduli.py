@@ -23,7 +23,6 @@ alongside).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,22 +189,16 @@ def _fit_b(htilde: ScalarField, z_core: complex) -> complex:
     return 0.5 * (coeffs[1] + 1j * coeffs[2])
 
 
-def _htilde_for_vortex_at(args):
-    disk, grid, z, tol, max_iter = args
-    config = VortexConfiguration(interior=((z, 1),))
-    field, report = solve_taubes_2d(disk, config, grid, tol=tol, max_iter=max_iter)
-    if not report.converged:
-        raise RuntimeError(f"field solve for vortex at {z} did not converge ({report.termination})")
-    return field
-
-
-def _solve_set(disk, grid, positions, tol, max_iter, max_workers):
+def _solve_set(disk, grid, positions, tol, max_iter):
     """Fields for a unit vortex at each position, in the order given."""
-    jobs = [(disk, grid, z, tol, max_iter) for z in positions]
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_htilde_for_vortex_at, jobs))
-    return [_htilde_for_vortex_at(j) for j in jobs]
+    fields = []
+    for z in positions:
+        config = VortexConfiguration(interior=((z, 1),))
+        field, report = solve_taubes_2d(disk, config, grid, tol=tol, max_iter=max_iter)
+        if not report.converged:
+            raise RuntimeError(f"field solve for vortex at {z} did not converge ({report.termination})")
+        fields.append(field)
+    return fields
 
 
 def _stencil(z_core: complex, delta: float, radius: float) -> list[complex]:
@@ -232,7 +225,6 @@ def boundary_ring_position_derivatives(
     delta: float,
     tol: float = 1e-8,
     max_iter: int = 50,
-    max_workers: int = 1,
 ):
     """``d_X h`` and ``d_Y h`` on the outermost node ring for a vortex at 0.
 
@@ -241,7 +233,7 @@ def boundary_ring_position_derivatives(
     ``-2 sin(theta)/rho`` analytically.  Returns ``(rho, theta, dxh, dyh)``.
     """
     offsets = _stencil(0j, delta, disk.radius)
-    fields = _solve_set(disk, grid, offsets, tol, max_iter, max_workers)
+    fields = _solve_set(disk, grid, offsets, tol, max_iter)
     dxh_tilde, dyh_tilde = _central_difference([f.values[-1] for f in fields], delta)
     rho = grid.r[-1]
     theta = grid.theta
@@ -304,15 +296,13 @@ def metric_coefficient(
     tol: float = 1e-8,
     max_iter: int = 50,
     radial_steps: int = 100_000,
-    max_workers: int = 1,
 ) -> MetricReport:
     """Full metric pipeline for a unit vortex at the origin.
 
     Runs the radial shoot, the linearized boundary-value solve, the core
     coefficient at the origin and its position derivative at steps ``delta``
-    and ``delta/2`` (Richardson pair).  ``max_workers > 1`` runs the
-    independent offset solves concurrently.  An invalid ``delta`` raises
-    ``ValueError`` before the shoot.
+    and ``delta/2`` (Richardson pair), one field solve after another.  An
+    invalid ``delta`` raises ``ValueError`` before the shoot.
     """
     if delta is None:
         delta = disk.radius / 100.0
@@ -326,7 +316,7 @@ def metric_coefficient(
     bterm = boundary_metric_term(lin)
 
     offsets = [0j, *coarse, *fine]
-    fields = _solve_set(disk, grid, offsets, tol, max_iter, max_workers)
+    fields = _solve_set(disk, grid, offsets, tol, max_iter)
     fits = [_fit_b(field, z) for field, z in zip(fields, offsets)]
     b0 = fits[0]
     d_x, d_y = _central_difference(fits[1:5], delta)

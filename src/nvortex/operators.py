@@ -35,6 +35,15 @@ class LinearSolveError(RuntimeError):
     """An inner linear solve failed (singular system or CG stagnation)."""
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two flat arrays, the same bits whatever the BLAS thread count.
+
+    ``np.dot`` goes to BLAS ``ddot``, which splits long sums across threads;
+    ``einsum`` sums in numpy's own single-threaded loop.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 @dataclass(frozen=True)
 class NeumannLaplacian:
     """Volume-weighted flat Laplacian with zero-flux pole and Neumann outer face.
@@ -141,8 +150,7 @@ class PolarModeSolver:
     The negated mode systems are positive definite; they are stacked into one
     block-diagonal tridiagonal system and factored once here by LAPACK's
     ``dpttrf`` (the Thomas recurrence), so every ``solve`` is one ``dpttrs``
-    sweep over all modes.  Nothing is shared between instances, so each
-    thread may own one.
+    sweep over all modes.
 
     ``shift=None`` is the bare Neumann Laplacian, whose kernel is the
     constants: mode 0 is then integrated by its cumulative flux (the

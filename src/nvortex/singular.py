@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConformalDisk, PolarGrid, ScalarField, VortexConfiguration
-from .operators import PolarModeSolver, polar_couplings
+from .operators import PolarModeSolver, inner, polar_couplings
 
 __all__ = [
     "SingularPart",
@@ -120,7 +120,7 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
     if abs(float(np.sum(rhs))) > 1e-9 * scale * rhs.size:
         raise ValueError("right-hand side is not compatible with the Neumann operator")
     x = PolarModeSolver(grid, c_rad, c_ang).solve(rhs)
-    x -= float(np.dot(x, w_g)) / area
+    x -= inner(x, w_g) / area
     return ScalarField(grid, x.reshape(grid.shape))
 
 

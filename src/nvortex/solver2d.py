@@ -10,15 +10,18 @@ uses the flux-form Laplacian; its Jacobian ``lap_e - Omega exp(htilde + v0)``
 is symmetric negative definite in the volume-weighted form (the nonpositive
 diagonal shift removes the constant kernel wherever ``exp(v0) > 0``), so each
 Newton step is a symmetric positive-definite solve with the negated Jacobian.
-By default that solve is conjugate gradients preconditioned by the separable
-polar solver (``operators.PolarModeSolver``) with the Jacobian's shift
-``w * Omega * exp(h)`` replaced by its mean on each ring; a centred vortex
-makes the shift ring-constant and CG converges in one or two iterations.
-SuperLU (``linear_solver="direct"``) is kept as the oracle for that path.
+By default that solve is a short conjugate-gradient loop preconditioned by
+the separable polar solver (``operators.PolarModeSolver``) with the Jacobian's
+shift ``w * Omega * exp(h)`` replaced by its mean on each ring; a centred
+vortex makes the shift ring-constant and CG converges in one or two
+iterations.  Its inner products are ``operators.inner``, not threaded BLAS, so
+the result does not depend on the BLAS thread count.  SuperLU
+(``linear_solver="direct"``) is kept as the oracle for that path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -32,7 +35,7 @@ from .geometry import (
     VortexConfiguration,
     check_bradlow,
 )
-from .operators import LinearSolveError, NeumannLaplacian, PolarModeSolver, assemble_neumann_laplacian
+from .operators import LinearSolveError, NeumannLaplacian, PolarModeSolver, assemble_neumann_laplacian, inner
 from .singular import SingularPart, build_singular_part
 
 __all__ = ["SolveReport", "solve_taubes_2d", "reconstruct_h"]
@@ -54,7 +57,8 @@ class SolveReport:
     ``"max_iter"`` (iteration budget spent) or ``"line_search"`` (no step
     length down to ``2**-MAX_HALVINGS`` reduced the residual).
     ``linear_iterations`` holds the CG iteration count of each Newton step
-    (0 for the direct oracle).
+    (0 for the direct oracle).  ``singular`` is the singular part the solve
+    split off, for reconstructing ``h`` and the observables.
     """
 
     iterations: int
@@ -64,6 +68,7 @@ class SolveReport:
     damping_events: int = 0
     termination: str = ""
     linear_iterations: list = dataclass_field(default_factory=list)
+    singular: SingularPart | None = None
 
 
 def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method: str):
@@ -75,25 +80,27 @@ def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method
     """
     if method == "direct":
         return spla.splu((lap.matrix - sp.diags(shift)).tocsc()).solve(rhs), 0
-    # CG on the positive-definite mirror -J, preconditioned by the separable
-    # solve with the ring-mean shift.
+    # Preconditioned CG on the positive-definite mirror -J x = -rhs, from
+    # x = 0; the preconditioner is the separable solve with the ring-mean shift.
     grid = lap.grid
-    ring_shift = shift.reshape(grid.shape).mean(axis=1)
-    modes = PolarModeSolver(grid, lap.c_rad, lap.c_ang, ring_shift)
+    modes = PolarModeSolver(grid, lap.c_rad, lap.c_ang, shift.reshape(grid.shape).mean(axis=1))
     matrix = lap.matrix
-    shape = (grid.size, grid.size)
-    negated = spla.LinearOperator(shape, matvec=lambda x: shift * x - matrix @ x, dtype=float)
-    precond = spla.LinearOperator(shape, matvec=lambda r: -modes.solve(r), dtype=float)
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = spla.cg(negated, -rhs, rtol=CG_RTOL, atol=0.0, M=precond, maxiter=CG_MAX_ITER, callback=count)
-    if info != 0:
-        raise LinearSolveError(f"conjugate gradient did not converge (info={info})")
-    return x, iterations
+    x = np.zeros_like(rhs)
+    r = -rhs
+    rhs_norm = math.sqrt(inner(r, r))
+    p, rho_prev = None, 1.0
+    for iteration in range(CG_MAX_ITER):
+        if math.sqrt(inner(r, r)) <= CG_RTOL * rhs_norm:
+            return x, iteration
+        z = -modes.solve(r)
+        rho = inner(r, z)
+        p = z if p is None else z + (rho / rho_prev) * p
+        q = shift * p - matrix @ p
+        alpha = rho / inner(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise LinearSolveError(f"conjugate gradient did not converge in {CG_MAX_ITER} iterations")
 
 
 def solve_taubes_2d(
@@ -130,7 +137,8 @@ def solve_taubes_2d(
     Raises
     ------
     LinearSolveError
-        If the linear solve of a Newton step fails.
+        If the linear solve of a Newton step fails; the message names the
+        step and the residual it started from.
 
     Notes
     -----
@@ -166,10 +174,13 @@ def solve_taubes_2d(
     h = np.zeros(grid.size)
     F, e_h = residual(h)
     norm = float(np.max(np.abs(F * norm_scale)))
-    report = SolveReport(iterations=0, residual_history=[norm], termination="max_iter")
+    report = SolveReport(iterations=0, residual_history=[norm], termination="max_iter", singular=singular)
 
     while norm > tol and report.iterations < max_iter:
-        delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), linear_solver)
+        try:
+            delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), linear_solver)
+        except LinearSolveError as exc:
+            raise LinearSolveError(f"Newton step {report.iterations + 1} (residual {norm:.3g}): {exc}") from exc
         report.linear_iterations.append(cg_iterations)
         lam = 1.0
         accepted = False

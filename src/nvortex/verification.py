@@ -33,7 +33,7 @@ from .moduli import (
 )
 from .observables import compute_observables
 from .shooting import shoot
-from .singular import build_singular_part, boundary_neumann_green, neumann_green
+from .singular import boundary_neumann_green, neumann_green
 from .solver2d import solve_taubes_2d
 
 __all__ = ["CheckResult", "run_acceptance", "BASE_NR"]
@@ -141,18 +141,10 @@ def run_acceptance(
     profile_fine = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=2 * radial_steps)
 
     centered_obs = compute_observables(
-        centered,
-        build_singular_part(VortexConfiguration.centered(1), disk, grid),
-        disk,
-        grid,
-        bc_residual=centered_report.bc_residual,
+        centered, centered_report.singular, disk, grid, bc_residual=centered_report.bc_residual
     )
     boundary_obs = compute_observables(
-        boundary_field,
-        build_singular_part(boundary_cfg, disk, grid),
-        disk,
-        grid,
-        bc_residual=boundary_report.bc_residual,
+        boundary_field, boundary_report.singular, disk, grid, bc_residual=boundary_report.bc_residual
     )
 
     # --- 1. flux quantization, interior vortex -----------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from nvortex import ConformalDisk, shoot
@@ -14,3 +19,27 @@ def radial_r3(disk3):
     profile = shoot(disk3, n=1)
     assert profile.converged
     return profile
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def run_with_blas_threads():
+    """Run ``python -c code *args`` in a fresh process with ``OPENBLAS_NUM_THREADS`` set.
+
+    The thread count is fixed when OpenBLAS loads, so comparing thread
+    counts needs one process each.  Returns the completed process (stdout as
+    text); a non-zero exit fails the test with its stderr.
+    """
+
+    def run(code: str, threads: int, *args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        return done
+
+    return run

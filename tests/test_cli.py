@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,29 @@ class TestSolve2d:
         assert "injected failure" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_linear_solve_failure_names_newton_step(self, tmp_path, capsys):
+        # 0.01 from the boundary at dr ~ 0.047: exp(h) collapses over the
+        # Newton steps until mode 0 of the preconditioner is singular.
+        doc = base_doc(interior=[{"x": 2.99, "y": 1e-4, "n": 1}], grid={"nr": 64, "ntheta": 64})
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["solve-2d", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_NEWTON
+        err = capsys.readouterr().err
+        assert re.search(r"linear solve failed: Newton step \d+ \(residual [^)]+\): polar mode 0 is singular", err)
+
+    def test_reports_independent_of_blas_threads(self, tmp_path, run_with_blas_threads):
+        # At 128^2 (16,384 nodes) OpenBLAS splits a ddot across threads; at
+        # 64^2 it does not, so a smaller grid would not test anything.
+        doc = base_doc(
+            interior=[{"x": 0.7, "y": 0.3, "n": 1}, {"x": -0.5, "y": -0.8, "n": 1}],
+            grid={"nr": 128, "ntheta": 128},
+        )
+        cfg = write_config(tmp_path, doc)
+        code = "import sys\nfrom nvortex.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        for threads in (1, 2):
+            run_with_blas_threads(code, threads, "solve-2d", "--config", cfg, "--out", str(tmp_path / f"t{threads}"))
+        for name in ("report.json", "field.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
     def test_grid_override(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(outputs={"dir": str(out)}))
@@ -187,14 +211,6 @@ class TestMetric:
         assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "metric.json").exists()
-
-    def test_nv_threads_parsing(self, monkeypatch):
-        monkeypatch.setenv("NV_THREADS", "4")
-        assert cli._max_workers() == 4
-        monkeypatch.setenv("NV_THREADS", "zero")
-        assert cli._max_workers() == 1
-        monkeypatch.delenv("NV_THREADS")
-        assert cli._max_workers() == 1
 
 
 class TestOverrides:

@@ -139,3 +139,16 @@ class TestAgainstPinnedLU:
             green = neumann_green(disk, grid, q)
             source = q[0] * nt + q[1]
         assert np.max(np.abs(green.values - _pinned_lu_green(disk, grid, source))) <= 1e-12
+
+
+def test_green_function_independent_of_blas_threads(run_with_blas_threads):
+    # 65,536 nodes: long enough that a threaded BLAS reduction would split it.
+    code = (
+        "import hashlib\n"
+        "from nvortex import ConformalDisk, build_grid, neumann_green\n"
+        "disk = ConformalDisk.flat(3.0)\n"
+        "g = neumann_green(disk, build_grid(disk, 256, 256), (100, 37))\n"
+        "print(hashlib.sha256(g.values.tobytes()).hexdigest())\n"
+    )
+    one, two = (run_with_blas_threads(code, n).stdout for n in (1, 2))
+    assert one == two

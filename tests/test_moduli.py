@@ -137,11 +137,3 @@ class TestMetricReport:
         doc = report.to_dict()
         assert doc["schema_version"] == 1
         assert doc["total_coefficient"] == report.total_coefficient
-
-    def test_parallel_solves_match_serial(self, disk3):
-        grid = build_grid(disk3, 32, 32)
-        serial = boundary_ring_position_derivatives(disk3, grid, delta=0.05, max_workers=1)
-        pooled = boundary_ring_position_derivatives(disk3, grid, delta=0.05, max_workers=3)
-        assert serial[0] == pooled[0]
-        for a, b in zip(serial[1:], pooled[1:]):
-            assert np.array_equal(a, b)
