@@ -81,17 +81,17 @@ def _cmd_check(args) -> int:
     return EXIT_OK if margin > 0.0 else EXIT_BRADLOW
 
 
-def _require_centered(cfg: RunConfig) -> int:
+def _require_centered(cfg: RunConfig, command: str) -> int:
     if cfg.vortices.boundary or any(pos != 0 for pos, _ in cfg.vortices.interior):
         raise ConfigError(
-            "solve-radial needs a purely interior configuration centred at the origin"
+            f"{command} needs a purely interior configuration centred at the origin"
         )
     return cfg.vortices.N
 
 
 def _cmd_solve_radial(args) -> int:
     cfg = _load(args)
-    n = _require_centered(cfg)
+    n = _require_centered(cfg, "solve-radial")
     profile = shoot(
         cfg.disk, n=n, tol=cfg.radial_tol, eps=cfg.radial_eps, steps=cfg.radial_steps
     )
@@ -154,6 +154,9 @@ def _cmd_solve_2d(args) -> int:
 
 def _cmd_metric(args) -> int:
     cfg = _load(args)
+    n = _require_centered(cfg, "metric")
+    if n != 1:
+        raise ConfigError(f"metric needs one unit vortex at the origin, got N={n}")
     grid = build_grid(cfg.disk, cfg.nr, cfg.ntheta)
     try:
         report = metric_coefficient(
@@ -163,6 +166,8 @@ def _cmd_metric(args) -> int:
             tol=cfg.tol,
             max_iter=cfg.max_iter,
             radial_steps=cfg.radial_steps,
+            radial_eps=cfg.radial_eps,
+            radial_tol=cfg.radial_tol,
         )
     except BradlowViolation:
         raise
@@ -255,3 +260,7 @@ def main(argv=None) -> int:
 def run() -> None:
     """Console entry point."""
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -33,7 +33,7 @@ from .geometry import (
     ScalarField,
     VortexConfiguration,
 )
-from .shooting import RadialProfile, _rk4, shoot
+from .shooting import DEFAULT_EPS, RadialProfile, _rk4, shoot
 from .solver2d import solve_taubes_2d
 
 __all__ = [
@@ -296,20 +296,24 @@ def metric_coefficient(
     tol: float = 1e-8,
     max_iter: int = 50,
     radial_steps: int = 100_000,
+    radial_eps: float = DEFAULT_EPS,
+    radial_tol: float = 1e-6,
 ) -> MetricReport:
     """Full metric pipeline for a unit vortex at the origin.
 
-    Runs the radial shoot, the linearized boundary-value solve, the core
-    coefficient at the origin and its position derivative at steps ``delta``
-    and ``delta/2`` (Richardson pair), one field solve after another.  An
-    invalid ``delta`` raises ``ValueError`` before the shoot.
+    Runs the radial shoot (``radial_steps``, ``radial_eps`` and ``radial_tol``
+    are ``shoot``'s ``steps``, ``eps`` and ``tol``), the linearized
+    boundary-value solve, the core coefficient at the origin and its position
+    derivative at steps ``delta`` and ``delta/2`` (Richardson pair), one field
+    solve after another.  An invalid ``delta`` raises ``ValueError`` before
+    the shoot.
     """
     if delta is None:
         delta = disk.radius / 100.0
     half = 0.5 * delta
     coarse = _stencil(0j, delta, disk.radius)
     fine = _stencil(0j, half, disk.radius)
-    radial = shoot(disk, n=1, steps=radial_steps)
+    radial = shoot(disk, n=1, tol=radial_tol, eps=radial_eps, steps=radial_steps)
     if not radial.converged:
         raise RuntimeError("radial shoot did not converge")
     lin = solve_linearized(disk, radial)

@@ -8,8 +8,9 @@ radial two-point boundary value problem
 
 which is solved by shooting on the core value ``h0 = htilde(0)``: integrate
 from a seed point ``eps`` with a fixed-step classical 4th-order method and
-narrow ``h0`` by false position until the outer slope matches.  The RK4 step
-loop here, ``_rk4``, also integrates the linearized moduli problem.
+narrow ``h0`` by false position until the outer slope matches: first with
+coarse passes, then from a narrow bracket at the requested step count.  The
+RK4 step loop here, ``_rk4``, also integrates the linearized moduli problem.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ SCAN_HIGH = 5.0
 #: pinned by the integrator (and its step count) rather than by the slope
 #: tolerance.
 H0_BRACKET_WIDTH = 1e-12
+#: Steps of the coarse search stage (the ``_integrate`` minimum), which
+#: narrows ``h0`` to ``COARSE_BRACKET_WIDTH`` before any full-resolution pass.
+COARSE_STEPS = 1_000
+COARSE_BRACKET_WIDTH = 1e-9
+#: Half-width of the first full-resolution bracket around the coarse ``h0``,
+#: and the factor it widens by when the mismatch does not change sign on it.
+FINE_HALF_WIDTH = 1e-6
+FINE_WIDEN = 100.0
 #: Treat the trajectory as blown up once htilde exceeds this value.
 DIVERGENCE_CAP = 500.0
 
@@ -62,6 +71,8 @@ class RadialProfile:
     converged: bool
     diverged: bool = False
     steps: int = DEFAULT_STEPS
+    #: Mismatch passes of ``shoot``'s coarse and full-resolution stages.
+    passes: tuple[int, int] = (0, 0)
 
     def htilde_at(self, r) -> np.ndarray:
         """Linear interpolation of htilde onto radii ``r``."""
@@ -190,6 +201,33 @@ def _mismatch(h0, disk, n, eps, steps) -> float:
     return math.inf if diverged else p_end + 2.0 * n / disk.radius
 
 
+def _illinois(f, lo, hi, f_lo, f_hi, width) -> float:
+    """Illinois false position on ``f`` from ``f(lo) < 0 <= f(hi)`` to a bracket below ``width``.
+
+    Takes the midpoint while ``f_hi`` is +inf or the secant point is not
+    strictly inside, and halves the kept end's value when the same end moves
+    twice running (Dowell & Jarratt, BIT 11, 1971).  Returns the midpoint of
+    the final bracket.
+    """
+    last = 0  # +1 if hi moved last, -1 if lo did
+    while hi - lo > width:
+        x = 0.5 * (lo + hi)
+        if f_hi < math.inf:
+            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if lo < secant < hi:
+                x = secant
+        f_x = f(x)
+        if f_x >= 0.0:
+            if last > 0:
+                f_lo *= 0.5
+            hi, f_hi, last = x, f_x, 1
+        else:
+            if last < 0:
+                f_hi *= 0.5
+            lo, f_lo, last = x, f_x, -1
+    return 0.5 * (lo + hi)
+
+
 def shoot(
     disk: ConformalDisk,
     n: int = 1,
@@ -201,45 +239,55 @@ def shoot(
 
     The slope mismatch is nondecreasing in ``h0`` (+inf on blow-up), so a
     sign change between ``SCAN_LOW`` and ``SCAN_HIGH`` brackets the root.
-    Illinois false position (Dowell & Jarratt, BIT 11, 1971) narrows it below
-    ``H0_BRACKET_WIDTH``: midpoint while the high value is +inf or the secant
-    point is not strictly inside, and the kept end's value halved when the
-    same end moves twice running.
+    Illinois false position narrows it to ``COARSE_BRACKET_WIDTH`` with
+    ``COARSE_STEPS``-step passes.  The full-resolution root is then bracketed
+    at ``FINE_HALF_WIDTH`` around that value (widened by ``FINE_WIDEN`` on a
+    miss, clipped to the scan bracket) and narrowed below
+    ``H0_BRACKET_WIDTH`` with ``steps``-step passes; ``passes`` on the result
+    counts both stages.
 
     Raises
     ------
     BradlowViolation
         If ``(N=n, M=0)`` violates the area bound on ``disk`` (checked first).
     BracketError
-        If the mismatch has no sign change on the bracket.
+        If the mismatch has no sign change on the scan bracket, at either
+        step count.
     ValueError
         For ``steps < 1000``, ``n < 1`` or ``eps`` outside ``(0, radius)``.
     """
     check_bradlow(VortexConfiguration.centered(n), disk)
-    lo, hi = SCAN_LOW, SCAN_HIGH
-    f_lo = _mismatch(lo, disk, n, eps, steps)
-    f_hi = _mismatch(hi, disk, n, eps, steps)
+    passes = [0, 0]
+
+    def coarse(h0):
+        passes[0] += 1
+        return _mismatch(h0, disk, n, eps, COARSE_STEPS)
+
+    def full(h0):
+        passes[1] += 1
+        return _mismatch(h0, disk, n, eps, steps)
+
+    f_lo, f_hi = coarse(SCAN_LOW), coarse(SCAN_HIGH)
     if not f_lo < 0.0 <= f_hi:
         raise BracketError(
-            f"no sign change of the slope mismatch for h0 in [{SCAN_LOW}, {SCAN_HIGH}]"
+            f"no sign change of the slope mismatch at {COARSE_STEPS} steps for h0 in "
+            f"[{SCAN_LOW}, {SCAN_HIGH}]"
         )
-    last = 0  # +1 if hi moved last, -1 if lo did
-    while hi - lo > H0_BRACKET_WIDTH:
-        x = 0.5 * (lo + hi)
-        if f_hi < math.inf:
-            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if lo < secant < hi:
-                x = secant
-        f_x = _mismatch(x, disk, n, eps, steps)
-        if f_x >= 0.0:
-            if last > 0:
-                f_lo *= 0.5
-            hi, f_hi, last = x, f_x, 1
-        else:
-            if last < 0:
-                f_hi *= 0.5
-            lo, f_lo, last = x, f_x, -1
-    h0 = 0.5 * (lo + hi)
+    guess = _illinois(coarse, SCAN_LOW, SCAN_HIGH, f_lo, f_hi, COARSE_BRACKET_WIDTH)
+    half = FINE_HALF_WIDTH
+    while True:
+        lo, hi = max(guess - half, SCAN_LOW), min(guess + half, SCAN_HIGH)
+        f_lo, f_hi = full(lo), full(hi)
+        if f_lo < 0.0 <= f_hi:
+            break
+        if lo == SCAN_LOW and hi == SCAN_HIGH:
+            raise BracketError(
+                f"no sign change of the slope mismatch at {steps} steps for h0 in "
+                f"[{SCAN_LOW}, {SCAN_HIGH}]"
+            )
+        half *= FINE_WIDEN
+    h0 = _illinois(full, lo, hi, f_lo, f_hi, H0_BRACKET_WIDTH)
     profile = integrate_radial(h0, disk, n, eps, steps)
     profile.converged = (not profile.diverged) and profile.residual <= tol
+    profile.passes = tuple(passes)
     return profile

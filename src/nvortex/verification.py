@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,14 @@ def _solve_centered(disk, nr, tol, max_iter):
     return grid, field, report, runtime
 
 
+@contextmanager
+def _stage(say, label):
+    """Run the block, then log ``label ... <elapsed> s``."""
+    t0 = time.perf_counter()
+    yield
+    say(f"{label} ... {time.perf_counter() - t0:.2f} s")
+
+
 def _log_slope(distances, values):
     slope, _ = np.polyfit(np.log(distances), values, 1)
     return float(slope)
@@ -125,20 +134,20 @@ def run_acceptance(
     disk = ConformalDisk.flat(3.0)
 
     # --- shared solves -----------------------------------------------------
-    say(f"solving centered vortex at {nr}x{nr} ...")
-    grid, centered, centered_report, centered_time = _solve_centered(disk, nr, tol, max_iter)
+    with _stage(say, f"solving centered vortex at {nr}x{nr}"):
+        grid, centered, centered_report, centered_time = _solve_centered(disk, nr, tol, max_iter)
 
-    say(f"solving boundary vortex at {nr}x{nr} ...")
-    boundary_cfg = VortexConfiguration.boundary_point(0.0, 1)
-    t0 = time.perf_counter()
-    boundary_field, boundary_report = solve_taubes_2d(
-        disk, boundary_cfg, grid, tol=tol, max_iter=max_iter
-    )
-    boundary_time = time.perf_counter() - t0
+    with _stage(say, f"solving boundary vortex at {nr}x{nr}"):
+        boundary_cfg = VortexConfiguration.boundary_point(0.0, 1)
+        t0 = time.perf_counter()
+        boundary_field, boundary_report = solve_taubes_2d(
+            disk, boundary_cfg, grid, tol=tol, max_iter=max_iter
+        )
+        boundary_time = time.perf_counter() - t0
 
-    say(f"radial shoot at {radial_steps} and {2 * radial_steps} steps ...")
-    profile = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=radial_steps)
-    profile_fine = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=2 * radial_steps)
+    with _stage(say, f"radial shoot at {radial_steps} and {2 * radial_steps} steps"):
+        profile = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=radial_steps)
+        profile_fine = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=2 * radial_steps)
 
     centered_obs = compute_observables(
         centered, centered_report.singular, disk, grid, bc_residual=centered_report.bc_residual
@@ -195,29 +204,29 @@ def run_acceptance(
     add(4, "solver converges N=1 at R=3",
         centered_report.converged and centered_report.iterations <= MAX_NEWTON_ITER,
         f"{centered_report.iterations} Newton iterations")
-    say("solving N=2 configuration ...")
-    n2_nr = min(nr, 128)
-    n2_cfg = VortexConfiguration(interior=((0.5 + 0j, 1), (-0.5 + 0j, 1)))
-    _, n2_report = solve_taubes_2d(
-        disk, n2_cfg, build_grid(disk, n2_nr, n2_nr), tol=tol, max_iter=max_iter
-    )
+    with _stage(say, "solving N=2 configuration"):
+        n2_nr = min(nr, 128)
+        n2_cfg = VortexConfiguration(interior=((0.5 + 0j, 1), (-0.5 + 0j, 1)))
+        _, n2_report = solve_taubes_2d(
+            disk, n2_cfg, build_grid(disk, n2_nr, n2_nr), tol=tol, max_iter=max_iter
+        )
     add(4, "solver converges N=2 at R=3",
         n2_report.converged and n2_report.iterations <= MAX_NEWTON_ITER,
         f"{n2_report.iterations} Newton iterations (margin {bradlow_margin(n2_cfg, disk):.2f})")
 
     # --- 5. cross-solver agreement and grid convergence --------------------
-    say("grid refinement study ...")
     errors = {}
-    for level in (nr // 4, nr // 2, nr):
-        if level == nr:
-            fld, g = centered, grid
-        else:
-            g = build_grid(disk, level, level)
-            fld, rep = solve_taubes_2d(
-                disk, VortexConfiguration.centered(1), g, tol=tol, max_iter=max_iter
-            )
-        oracle = profile.htilde_at(g.r)
-        errors[level] = float(np.max(np.abs(fld.values - oracle[:, None])))
+    with _stage(say, "grid refinement study"):
+        for level in (nr // 4, nr // 2, nr):
+            if level == nr:
+                fld, g = centered, grid
+            else:
+                g = build_grid(disk, level, level)
+                fld, _ = solve_taubes_2d(
+                    disk, VortexConfiguration.centered(1), g, tol=tol, max_iter=max_iter
+                )
+            oracle = profile.htilde_at(g.r)
+            errors[level] = float(np.max(np.abs(fld.values - oracle[:, None])))
     e_coarse, e_mid, e_fine = (errors[k] for k in (nr // 4, nr // 2, nr))
     add(5, "2d field matches radial profile", e_fine <= TOL_CROSS_FIELD * cross_scale,
         f"max_err={e_fine:.2e} tol={TOL_CROSS_FIELD * cross_scale:.2e}")
@@ -234,21 +243,21 @@ def run_acceptance(
         f"|h0({radial_steps}) - h0({2 * radial_steps})| = {h0_shift:.2e} < {TOL_H0_STABILITY:.0e}")
 
     # --- 7. moduli nonlocality witness --------------------------------------
-    say("linearized solve and loop-integral check ...")
-    vacuum = solve_linear_bvp(lambda r: np.zeros_like(r), disk.radius)
+    loop_nr = min(LOOP_CHECK_NR, nr)
+    with _stage(say, "linearized solve and loop-integral check"):
+        vacuum = solve_linear_bvp(lambda r: np.zeros_like(r), disk.radius)
+        lin = solve_linearized(disk, profile)
+        loop_grid = build_grid(disk, loop_nr, loop_nr)
+        rho, _, dxh, dyh = boundary_ring_position_derivatives(
+            disk, loop_grid, delta=disk.radius / 100.0, tol=tol, max_iter=max_iter
+        )
     vac_err = float(np.max(np.abs(vacuum.a + 2.0 * vacuum.r / disk.radius**2)))
     add(7, "vacuum closed form a = -2r/R^2", vac_err <= TOL_VACUUM_ORACLE,
         f"max_err={vac_err:.2e} <= {TOL_VACUUM_ORACLE:.0e}")
-    lin = solve_linearized(disk, profile)
     add(7, "nonlocality witness |d_X h(R;0)| > 1e-2",
         abs(lin.boundary_value) > MIN_BOUNDARY_VALUE,
         f"d_X h(R;0) = {lin.boundary_value:.6f}")
-    loop_nr = min(LOOP_CHECK_NR, nr)
     loop_tol = TOL_LOOP_INTEGRAL * ((LOOP_CHECK_NR / loop_nr) ** 1.5)
-    loop_grid = build_grid(disk, loop_nr, loop_nr)
-    rho, _, dxh, dyh = boundary_ring_position_derivatives(
-        disk, loop_grid, delta=disk.radius / 100.0, tol=tol, max_iter=max_iter
-    )
     direct = ring_metric_integral(dxh, dyh)
     closed = math.pi * (lin.a_at(rho) - 2.0 / rho) ** 2
     loop_err = abs(direct - closed) / abs(closed)
@@ -272,25 +281,25 @@ def run_acceptance(
         f"argmax radius {grid.r[i_max]:.4f} < R - dr = {disk.radius - grid.dr:.4f}")
 
     # --- 10. Green-function suite -------------------------------------------
-    say("Green-function checks ...")
-    sym_grid = build_grid(disk, GREEN_SYMMETRY_NR, GREEN_SYMMETRY_NR)
     qa, qb = (10, 7), (30, 29)
-    ga = neumann_green(disk, sym_grid, qa)
-    gb = neumann_green(disk, sym_grid, qb)
+    with _stage(say, "Green-function checks"):
+        sym_grid = build_grid(disk, GREEN_SYMMETRY_NR, GREEN_SYMMETRY_NR)
+        ga = neumann_green(disk, sym_grid, qa)
+        gb = neumann_green(disk, sym_grid, qb)
+        gi_grid = build_grid(disk, GREEN_INTERIOR_NR, GREEN_INTERIOR_NR)
+        gq = neumann_green(disk, gi_grid, (0, 0))
+        gb_grid = build_grid(disk, GREEN_BOUNDARY_NR, GREEN_BOUNDARY_NTHETA)
+        hq = boundary_neumann_green(disk, gb_grid, 0.0)
     sym_err = abs(ga.values[qb] - gb.values[qa])
     add(10, "Green symmetry G_Q(Q') = G_Q'(Q)", sym_err <= TOL_GREEN_SYMMETRY,
         f"|diff| = {sym_err:.2e} <= {TOL_GREEN_SYMMETRY:.0e}")
 
-    gi_grid = build_grid(disk, GREEN_INTERIOR_NR, GREEN_INTERIOR_NR)
-    gq = neumann_green(disk, gi_grid, (0, 0))
     i_fit = np.arange(4, 9)
     slope = _log_slope(i_fit * gi_grid.dr, gq.values[i_fit, 0])
     rel_err = abs(abs(slope) - 1.0 / (2.0 * math.pi)) * 2.0 * math.pi
     add(10, "interior Green log slope 1/(2*pi)", rel_err <= TOL_GREEN_INTERIOR_SLOPE,
         f"|slope|={abs(slope):.5f} vs {1/(2*math.pi):.5f} rel_err={rel_err:.2e}")
 
-    gb_grid = build_grid(disk, GREEN_BOUNDARY_NR, GREEN_BOUNDARY_NTHETA)
-    hq = boundary_neumann_green(disk, gb_grid, 0.0)
     spacing = max(gb_grid.dr, disk.radius * gb_grid.dtheta)
     depth = disk.radius - gb_grid.r
     sel = np.where((depth >= 4.0 * spacing) & (depth <= 8.0 * spacing))[0]

@@ -25,19 +25,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
-def run_with_blas_threads():
-    """Run ``python -c code *args`` in a fresh process with ``OPENBLAS_NUM_THREADS`` set.
+def run_python():
+    """Run ``python *argv`` in a fresh process with ``src`` on the import path.
 
-    The thread count is fixed when OpenBLAS loads, so comparing thread
-    counts needs one process each.  Returns the completed process (stdout as
-    text); a non-zero exit fails the test with its stderr.
+    ``threads`` sets ``OPENBLAS_NUM_THREADS``: the thread count is fixed when
+    OpenBLAS loads, so comparing thread counts needs one process each.
+    Returns the completed process (stdout as text); a non-zero exit fails the
+    test with its stderr.
     """
 
-    def run(code: str, threads: int, *args: str) -> subprocess.CompletedProcess:
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    def run(*argv: str, threads: int | None = None) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300
         )
         assert done.returncode == 0, done.stderr
         return done

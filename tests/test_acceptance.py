@@ -5,14 +5,22 @@ asserts each criterion's records.  Check lines are printed so the run log
 carries one pass/fail line per verified statement.
 """
 
+import re
+
 import pytest
 
 from nvortex import run_acceptance
 
 
 @pytest.fixture(scope="module")
-def records():
-    return run_acceptance(nr=256)
+def log():
+    """Every line the suite logs while ``records`` runs it."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def records(log):
+    return run_acceptance(nr=256, log=log.append)
 
 
 def _criterion(records, k):
@@ -72,3 +80,11 @@ def test_summary_all_criteria_pass(records):
     failed = [r for r in records if not r.passed]
     print(f"{len(records) - len(failed)}/{len(records)} acceptance checks passed")
     assert not failed
+
+
+def test_progress_lines_carry_stage_seconds(records, log):
+    progress = [line for line in log if not line.startswith("[")]
+    assert len(log) == len(records) + len(progress)
+    assert len(progress) == 7
+    for line in progress:
+        assert re.fullmatch(r".+ \.\.\. \d+\.\d\d s", line), line

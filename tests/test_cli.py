@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from nvortex import build_grid, build_singular_part, cli, compute_observables, shooting, solver2d
+from nvortex import build_grid, build_singular_part, cli, compute_observables, moduli, shooting, solver2d
 from nvortex.config import load_run_config
 from nvortex.observables import FIELD_CSV_HEADER
 from nvortex.verification import CheckResult
@@ -159,7 +159,7 @@ class TestSolve2d:
         err = capsys.readouterr().err
         assert re.search(r"linear solve failed: Newton step \d+ \(residual [^)]+\): polar mode 0 is singular", err)
 
-    def test_reports_independent_of_blas_threads(self, tmp_path, run_with_blas_threads):
+    def test_reports_independent_of_blas_threads(self, tmp_path, run_python):
         # At 128^2 (16,384 nodes) OpenBLAS splits a ddot across threads; at
         # 64^2 it does not, so a smaller grid would not test anything.
         doc = base_doc(
@@ -167,9 +167,9 @@ class TestSolve2d:
             grid={"nr": 128, "ntheta": 128},
         )
         cfg = write_config(tmp_path, doc)
-        code = "import sys\nfrom nvortex.cli import main\nsys.exit(main(sys.argv[1:]))\n"
         for threads in (1, 2):
-            run_with_blas_threads(code, threads, "solve-2d", "--config", cfg, "--out", str(tmp_path / f"t{threads}"))
+            out = str(tmp_path / f"t{threads}")
+            run_python("-m", "nvortex", "solve-2d", "--config", cfg, "--out", out, threads=threads)
         for name in ("report.json", "field.csv"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
@@ -211,6 +211,55 @@ class TestMetric:
         assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "metric.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "vortices, message",
+        [
+            ({"interior": [{"x": 1.5, "y": 0.0, "n": 1}]}, "metric needs a purely interior"),
+            ({"interior": [{"x": 0.0, "y": 0.0, "n": 2}]}, "metric needs one unit vortex"),
+            ({"interior": [{"x": 1.5, "y": 0.0, "n": 2}], "boundary": [{"theta": 0.0, "m": 1}]},
+             "metric needs a purely interior"),
+            ({"interior": [], "boundary": [{"theta": 0.0, "m": 1}]}, "metric needs a purely interior"),
+            ({"interior": []}, "at least one vortex"),
+        ],
+        ids=["off-centre", "N=2", "N=2-plus-boundary", "boundary-only", "no-vortex"],
+    )
+    def test_rejects_other_than_one_centred_vortex(self, tmp_path, capsys, monkeypatch, vortices, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the configuration must be rejected before any solve")
+
+        monkeypatch.setattr(cli, "metric_coefficient", no_solve)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(**vortices))
+        assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not (out / "metric.json").exists()
+
+    def test_radial_eps_and_tol_reach_the_shoot(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real_shoot = moduli.shoot
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs)
+            return real_shoot(*args, **kwargs)
+
+        monkeypatch.setattr(moduli, "shoot", recorded)
+        doc = base_doc(radial={"steps": 2000, "eps": 1e-6, "tol": 1e-5})
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["metric", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert seen == [{"n": 1, "tol": 1e-5, "eps": 1e-6, "steps": 2000}]
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["nvortex", "nvortex.cli"])
+    def test_python_m_runs_the_cli(self, tmp_path, run_python, module):
+        cfg = write_config(tmp_path, base_doc())
+        done = run_python("-m", module, "check", "--config", cfg)
+        doc = json.loads(done.stdout)
+        assert doc["margin"] == pytest.approx(1.25, abs=1e-9)
+        assert doc["passed"] is True
 
 
 class TestOverrides:

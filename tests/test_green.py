@@ -141,7 +141,7 @@ class TestAgainstPinnedLU:
         assert np.max(np.abs(green.values - _pinned_lu_green(disk, grid, source))) <= 1e-12
 
 
-def test_green_function_independent_of_blas_threads(run_with_blas_threads):
+def test_green_function_independent_of_blas_threads(run_python):
     # 65,536 nodes: long enough that a threaded BLAS reduction would split it.
     code = (
         "import hashlib\n"
@@ -150,5 +150,5 @@ def test_green_function_independent_of_blas_threads(run_with_blas_threads):
         "g = neumann_green(disk, build_grid(disk, 256, 256), (100, 37))\n"
         "print(hashlib.sha256(g.values.tobytes()).hexdigest())\n"
     )
-    one, two = (run_with_blas_threads(code, n).stdout for n in (1, 2))
+    one, two = (run_python("-c", code, threads=n).stdout for n in (1, 2))
     assert one == two

@@ -19,6 +19,38 @@ from nvortex.shooting import _mismatch
 H0_R3 = -1.1101533202553604
 
 
+def single_stage_h0(disk, n, steps, eps=shooting.DEFAULT_EPS):
+    """Core value from one Illinois search at full resolution over the scan bracket.
+
+    The oracle for the two-stage ``shoot``: it runs every pass at ``steps``.
+    """
+    lo, hi = shooting.SCAN_LOW, shooting.SCAN_HIGH
+    f_lo = _mismatch(lo, disk, n, eps, steps)
+    f_hi = _mismatch(hi, disk, n, eps, steps)
+    assert f_lo < 0.0 <= f_hi
+    last = 0
+    while hi - lo > shooting.H0_BRACKET_WIDTH:
+        x = 0.5 * (lo + hi)
+        if f_hi < math.inf:
+            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if lo < secant < hi:
+                x = secant
+        f_x = _mismatch(x, disk, n, eps, steps)
+        if f_x >= 0.0:
+            if last > 0:
+                f_lo *= 0.5
+            hi, f_hi, last = x, f_x, 1
+        else:
+            if last < 0:
+                f_hi *= 0.5
+            lo, f_lo, last = x, f_x, -1
+    return 0.5 * (lo + hi)
+
+
+def table_disk():
+    return ConformalDisk.from_samples(3.0, (0.0, 0.75, 1.5, 2.25, 3.0), (1.0, 1.1, 1.25, 1.35, 1.5))
+
+
 class TestTaylorSeed:
     def test_zero_core_value(self):
         h, dh = taylor_seed(0.0, 1e-8, 1, 1.0)
@@ -104,21 +136,80 @@ class TestShoot:
         with pytest.raises(BracketError):
             shoot(disk3, steps=2_000)
 
+    @pytest.mark.parametrize(
+        "disk, n, steps",
+        [
+            (ConformalDisk.flat(3.0), 1, 8_000),
+            (ConformalDisk.flat(3.0), 1, 10_000),
+            (ConformalDisk.flat(3.0), 1, 16_000),
+            (ConformalDisk.flat(3.0), 2, 20_000),
+            (ConformalDisk.flat(12.0), 1, 20_000),
+            (table_disk(), 1, 10_000),
+        ],
+        ids=["R3-8k", "R3-10k", "R3-16k", "R3-n2-20k", "R12-20k", "table-10k"],
+    )
+    def test_two_stage_matches_single_stage_oracle(self, disk, n, steps):
+        profile = shoot(disk, n=n, steps=steps)
+        assert profile.converged
+        assert profile.h0 == pytest.approx(single_stage_h0(disk, n, steps), abs=1e-12)
+
     @pytest.mark.parametrize("radius", [3.0, 12.0], ids=["R3", "R12"])
     def test_false_position_pass_count(self, monkeypatch, radius):
-        values = []
+        coarse = []
 
-        def recorded(*args):
-            values.append(_mismatch(*args))
-            return values[-1]
+        def recorded(h0, disk, n, eps, steps):
+            value = _mismatch(h0, disk, n, eps, steps)
+            if steps == shooting.COARSE_STEPS:
+                coarse.append(value)
+            return value
 
         monkeypatch.setattr(shooting, "_mismatch", recorded)
         profile = shoot(ConformalDisk.flat(radius), n=1, steps=20_000)
         assert profile.converged
-        # f(SCAN_LOW), then f(SCAN_HIGH) = +inf (blow-up), so the loop starts
-        # by bisecting; on R=12 most early midpoints blow up as well.
-        assert values[1] == math.inf
-        assert len(values) <= 30  # a 20-point scan plus bisection took 62
+        # f(SCAN_LOW), then f(SCAN_HIGH) = +inf (blow-up), so the coarse loop
+        # starts by bisecting; on R=12 most early midpoints blow up as well.
+        assert coarse[1] == math.inf
+        n_coarse, n_full = profile.passes
+        assert n_coarse == len(coarse) <= 30
+        # one Illinois search at 20,000 steps takes 19-27 passes
+        assert n_full <= 8
+
+    def test_fine_stage_miss_widens_bracket(self, disk3, monkeypatch):
+        # Move the full-resolution root 3e-5 above the coarse one: outside
+        # the first +-1e-6 bracket, inside the widened +-1e-4 one.
+        shift = 3e-5
+        full = []
+
+        def shifted(h0, disk, n, eps, steps):
+            if steps == shooting.COARSE_STEPS:
+                return _mismatch(h0, disk, n, eps, steps)
+            full.append(h0)
+            return _mismatch(h0 - shift, disk, n, eps, steps)
+
+        expected = shoot(disk3, steps=8_000).h0 + shift
+        monkeypatch.setattr(shooting, "_mismatch", shifted)
+        profile = shoot(disk3, steps=8_000)
+        guess = 0.5 * (full[0] + full[1])
+        assert full[1] - full[0] == pytest.approx(2 * shooting.FINE_HALF_WIDTH, rel=1e-6)
+        assert full[2:4] == pytest.approx([guess - 1e-4, guess + 1e-4], abs=1e-12)
+        assert profile.passes[1] == len(full)
+        assert profile.h0 == pytest.approx(expected, abs=2e-12)
+
+    def test_fine_stage_miss_over_scan_bracket_raises(self, disk3, monkeypatch):
+        full = []
+
+        def no_full_resolution_root(h0, disk, n, eps, steps):
+            if steps == shooting.COARSE_STEPS:
+                return _mismatch(h0, disk, n, eps, steps)
+            full.append(h0)
+            return -1.0
+
+        monkeypatch.setattr(shooting, "_mismatch", no_full_resolution_root)
+        with pytest.raises(BracketError, match="at 8000 steps"):
+            shoot(disk3, steps=8_000)
+        # +-1e-6, +-1e-4, +-1e-2, +-1, then +-100 clipped to the scan bracket
+        assert len(full) == 10
+        assert full[-2:] == [shooting.SCAN_LOW, shooting.SCAN_HIGH]
 
     def test_bradlow_violation_raised_before_scan(self):
         with pytest.raises(BradlowViolation):
