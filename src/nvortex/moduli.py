@@ -33,7 +33,7 @@ from .geometry import (
     ScalarField,
     VortexConfiguration,
 )
-from .shooting import DEFAULT_EPS, RadialProfile, _rk4, shoot
+from .shooting import DEFAULT_EPS, RadialProfile, shoot
 from .solver2d import solve_taubes_2d
 
 __all__ = [
@@ -78,6 +78,82 @@ class LinearizedProfile:
         return np.interp(np.asarray(r, dtype=float), self.r, self.a)
 
 
+def _rk4_maps(p, s, h):
+    """One classical RK4 step of ``a_t = q, q_t = P a + s`` as an affine map.
+
+    The system is linear, so the step from half-node ``2k`` to ``2k + 2`` is
+    exactly ``y -> M y + c`` with entries polynomial in ``h`` and in ``P``,
+    ``s`` at half-nodes ``2k, 2k + 1, 2k + 2``.  ``p`` and ``s`` hold those
+    values at all ``2 * steps + 1`` half-nodes; returns the per-step arrays
+    ``(m00, m01, m10, m11, c0, c1)``.
+    """
+    p0, p1, p2 = p[:-2:2], p[1::2], p[2::2]
+    s0, s1, s2 = s[:-2:2], s[1::2], s[2::2]
+    h2 = h * h
+    p01 = p0 * p1 * h2
+    p12 = p1 * p2 * h2
+    ps0 = p1 * s0 * h2
+    return (
+        1.0 + h2 * (p01 + 4.0 * p0 + 8.0 * p1) / 24.0,
+        h * (p1 * h2 + 6.0) / 6.0,
+        h * (p01 + 2.0 * p0 + p12 + 8.0 * p1 + 2.0 * p2) / 12.0,
+        1.0 + h2 * (p12 + 8.0 * p1 + 4.0 * p2) / 24.0,
+        h2 * (ps0 + 4.0 * s0 + 8.0 * s1) / 24.0,
+        h * (ps0 + p2 * s1 * h2 + 2.0 * s0 + 8.0 * s1 + 2.0 * s2) / 12.0,
+    )
+
+
+def _block_prefixes(maps, steps):
+    """Within-block prefix compositions of the step maps, for a blocked scan.
+
+    The steps are cut into ``nb`` blocks of ``size`` (both about
+    ``sqrt(steps)``; the last block is padded with identity maps).  One loop
+    over block positions, vectorised across blocks, composes each block's
+    maps up to every position.  Returns ``(rows, ends)``: ``rows`` holds the
+    first row of each prefix matrix and its offset, ``(x00, x01, d0)`` with
+    shape ``(nb, size)``, so that ``a`` after position ``i`` of block ``b`` is
+    ``x00 a_b + x01 q_b + d0`` from the block's start state ``(a_b, q_b)``;
+    ``ends`` holds the whole-block maps ``(x00, x01, x10, x11, d0, d1)``.
+    Elementwise operations only, so no BLAS thread count can change a sum.
+    """
+    size = math.isqrt(steps - 1) + 1
+    nb = -(-steps // size)
+    padded = []
+    for entry, pad in zip(maps, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)):
+        block = np.full(nb * size, pad)
+        block[:steps] = entry
+        padded.append(block.reshape(nb, size))
+    rows = tuple(np.empty((nb, size)) for _ in range(3))
+    x00, x01, x10, x11, d0, d1 = (col[:, 0] for col in padded)
+    for i in range(size):
+        if i:
+            m00, m01, m10, m11, c0, c1 = (col[:, i] for col in padded)
+            x00, x01, x10, x11, d0, d1 = (
+                m00 * x00 + m01 * x10,
+                m00 * x01 + m01 * x11,
+                m10 * x00 + m11 * x10,
+                m10 * x01 + m11 * x11,
+                m00 * d0 + m01 * d1 + c0,
+                m10 * d0 + m11 * d1 + c1,
+            )
+        rows[0][:, i], rows[1][:, i], rows[2][:, i] = x00, x01, d0
+    return rows, (x00, x01, x10, x11, d0, d1)
+
+
+def _block_starts(ends, a, q):
+    """States ``(a, q)`` at every block start, and after the last block.
+
+    Applies the whole-block affine maps ``ends`` in turn from ``(a, q)``, one
+    scalar step per block.
+    """
+    starts_a, starts_q = [], []
+    for x00, x01, x10, x11, d0, d1 in zip(*(e.tolist() for e in ends)):
+        starts_a.append(a)
+        starts_q.append(q)
+        a, q = x00 * a + x01 * q + d0, x10 * a + x11 * q + d1
+    return np.array(starts_a), np.array(starts_q), a, q
+
+
 def solve_linear_bvp(
     f_of_r,
     radius: float,
@@ -88,10 +164,17 @@ def solve_linear_bvp(
 
     Integrates in ``t = log r`` (keeping the Euler-type coefficients bounded
     near the core) the regular homogeneous solution and one particular
-    solution from ``eps`` (one ``shooting._rk4`` pass each), then combines
-    them to meet ``a'(R) = -2/R^2``.  The vacuum case ``f == 0`` has the
-    closed form ``a = -2 r / R^2``.  Raises ``ValueError`` unless ``steps``
-    is a positive integer and ``eps`` lies in ``(0, radius)``.
+    solution from ``eps``, then combines them to meet ``a'(R) = -2/R^2``.
+    Each is ``steps`` classical RK4 steps, applied as composed affine maps
+    (``_rk4_maps``) by a blocked scan in which both solutions share the
+    within-block compositions; ``f_of_r`` is evaluated once, at the
+    ``2 * steps + 1`` half-node radii.  The vacuum case ``f == 0`` has the
+    closed form ``a = -2 r / R^2``.
+
+    Raises ``ValueError`` unless ``steps`` is a positive integer, ``eps``
+    lies in ``(0, radius)`` and ``f_of_r`` returns finite values
+    broadcastable to the half-node radii; ``ConditioningError`` if the
+    integration overflows or the homogeneous solution's outer slope vanishes.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -103,29 +186,42 @@ def solve_linear_bvp(
     dt = (t1 - t0) / steps
     r_half = np.exp(t0 + 0.5 * dt * np.arange(2 * steps + 1))
     f_half = np.asarray(f_of_r(r_half), dtype=float)
-    # In t the system reads a_t = q, q_t = P(t) a + s(t); plain-float tables
-    # keep the step loop fast.
-    p_half = (1.0 + r_half**2 * f_half).tolist()
-    s_half = (-2.0 * r_half * f_half).tolist()
+    try:
+        f_half = np.broadcast_to(f_half, r_half.shape)
+    except ValueError:
+        raise ValueError(
+            f"f_of_r must return values broadcastable to the half-node radii, shape "
+            f"{r_half.shape}; got shape {f_half.shape}"
+        ) from None
+    bad = np.count_nonzero(~np.isfinite(f_half))
+    if bad:
+        raise ValueError(f"coefficient f is not finite at {bad} of {f_half.size} half-node radii")
+    # In t the system reads a_t = q, q_t = P(t) a + s(t).
+    overflow = ConditioningError("linearized integration overflowed before the boundary")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, ends = _block_prefixes(
+            _rk4_maps(1.0 + r_half**2 * f_half, -2.0 * r_half * f_half, dt), steps
+        )
+        # The homogeneous solution has no source: the same matrices, zero
+        # offsets.  Regular branch a ~ r, so q = r a' = eps at the seed.
+        zero = np.zeros_like(ends[4])
+        reg_a, reg_q, _, q1 = _block_starts(ends[:4] + (zero, zero), eps, eps)
+        par_a, par_q, _, q2 = _block_starts(ends, 0.0, 0.0)
+        if not (math.isfinite(q1) and math.isfinite(q2)):
+            raise overflow
 
-    def regular(j, a, q):
-        return q, p_half[j] * a
-
-    def particular(j, a, q):
-        return q, p_half[j] * a + s_half[j]
-
-    # Regular branch a ~ r, so q = r a' = eps at the seed.
-    a_reg, _, _, q1, diverged_reg = _rk4(regular, eps, eps, dt, steps, 1, math.inf)
-    a_par, _, _, q2, diverged_par = _rk4(particular, 0.0, 0.0, dt, steps, 1, math.inf)
-    if diverged_reg or diverged_par:
-        raise ConditioningError("linearized integration overflowed before the boundary")
-
-    # Outer condition q(T) = R a'(R) = -2/R.
-    target = -2.0 / radius
-    if abs(q1) < 1e-12 * (abs(q2) + abs(target) + 1.0):
-        raise ConditioningError("homogeneous solution has vanishing outer slope")
-    coeff = (target - q2) / q1
-    a = a_par + coeff * a_reg
+        # Outer condition q(T) = R a'(R) = -2/R.
+        target = -2.0 / radius
+        if abs(q1) < 1e-12 * (abs(q2) + abs(target) + 1.0):
+            raise ConditioningError("homogeneous solution has vanishing outer slope")
+        coeff = (target - q2) / q1
+        start_a = (par_a + coeff * reg_a)[:, None]
+        start_q = (par_q + coeff * reg_q)[:, None]
+        a = np.empty(steps + 1)
+        a[0] = coeff * eps
+        a[1:] = (rows[0] * start_a + rows[1] * start_q + rows[2]).ravel()[:steps]
+    if not np.isfinite(a).all():
+        raise overflow
     a_end = float(a[-1])
     q_end = q2 + coeff * q1
     bc_defect = abs(q_end / radius + 2.0 / radius**2)

@@ -9,8 +9,7 @@ radial two-point boundary value problem
 which is solved by shooting on the core value ``h0 = htilde(0)``: integrate
 from a seed point ``eps`` with a fixed-step classical 4th-order method and
 narrow ``h0`` by false position until the outer slope matches: first with
-coarse passes, then from a narrow bracket at the requested step count.  The
-RK4 step loop here, ``_rk4``, also integrates the linearized moduli problem.
+coarse passes, then from a narrow bracket at the requested step count.
 """
 
 from __future__ import annotations
@@ -98,20 +97,21 @@ def taylor_seed(h0: float, eps: float, n: int, omega0: float) -> tuple[float, fl
     return (h0 - 0.25 * omega0 * eps * eps, -0.5 * omega0 * eps)
 
 
-def _rk4(rhs, y0, y1, dx, steps, record, cap):
-    """Fixed-step classical RK4 for the 2-vector ``(y0, y1)``; the package's one step loop.
+def _rk4(rhs, y0, y1, dx, steps, record):
+    """Fixed-step classical RK4 for the 2-vector ``(y0, y1)`` of the radial shoot.
 
     ``rhs(j, y0, y1)`` returns ``(y0', y1')`` at half-node ``j`` (node ``k`` is
-    ``j = 2k``), so callers tabulate coefficients once at ``2 * steps + 1``
-    half-nodes.  The first ``record`` components (0, 1 or 2) are stored at
-    every node reached.  Integration stops, flagged diverged, once ``y0``
-    exceeds ``cap`` or is not finite, or on ``OverflowError``.  Returns
-    ``(ys0, ys1, y0, y1, diverged)``, with None for a history not recorded.
+    ``j = 2k``), so the caller tabulates coefficients once at ``2 * steps + 1``
+    half-nodes.  With ``record`` both components are stored at every node
+    reached.  Integration stops, flagged diverged, once ``y0`` exceeds
+    ``DIVERGENCE_CAP`` or is not finite, or on ``OverflowError``.  Returns
+    ``(ys0, ys1, y0, y1, diverged)``, with None for histories not recorded.
     """
     ys0 = np.full(steps + 1, y0) if record else None
-    ys1 = np.full(steps + 1, y1) if record > 1 else None
+    ys1 = np.full(steps + 1, y1) if record else None
     half = 0.5 * dx
     sixth = dx / 6.0
+    cap = DIVERGENCE_CAP  # a local: the step loop reads it every step
     diverged = False
     k = 0
     try:
@@ -128,13 +128,13 @@ def _rk4(rhs, y0, y1, dx, steps, record, cap):
                 break
             if record:
                 ys0[k + 1] = y0
-            if record > 1:
                 ys1[k + 1] = y1
     except OverflowError:
         diverged = True
-    kept = k + 1 if diverged else k + 2
-    return (ys0[:kept] if record else None, ys1[:kept] if record > 1 else None,
-            y0, y1, diverged)
+    if record:
+        kept = k + 1 if diverged else k + 2
+        ys0, ys1 = ys0[:kept], ys1[:kept]
+    return ys0, ys1, y0, y1, diverged
 
 
 def _integrate(h0, disk, n, eps, steps, record):
@@ -162,7 +162,7 @@ def _integrate(h0, disk, n, eps, steps, record):
         return p, w[j] * (r_2n[j] * exp(h) - 1.0) - p / r[j]
 
     h, p = taylor_seed(h0, eps, n, float(disk.omega_at(0.0)))
-    hs, ps, _, p_end, diverged = _rk4(rhs, h, p, dr, steps, record, DIVERGENCE_CAP)
+    hs, ps, _, p_end, diverged = _rk4(rhs, h, p, dr, steps, record)
     return r_half, hs, ps, p_end, diverged
 
 
@@ -180,7 +180,7 @@ def integrate_radial(
     Raises ``ValueError`` as ``shoot`` does.
     """
     n = int(n)
-    r_half, hs, ps, p_end, diverged = _integrate(h0, disk, n, eps, steps, 2)
+    r_half, hs, ps, p_end, diverged = _integrate(h0, disk, n, eps, steps, True)
     residual = math.inf if diverged else abs(p_end + 2.0 * n / disk.radius)
     return RadialProfile(
         r=r_half[::2][: len(hs)].copy(),
@@ -197,7 +197,7 @@ def integrate_radial(
 
 def _mismatch(h0, disk, n, eps, steps) -> float:
     """Boundary-slope mismatch ``htilde'(R) + 2n/R``; +inf on blow-up."""
-    *_, p_end, diverged = _integrate(h0, disk, n, eps, steps, 0)
+    *_, p_end, diverged = _integrate(h0, disk, n, eps, steps, False)
     return math.inf if diverged else p_end + 2.0 * n / disk.radius
 
 

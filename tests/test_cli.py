@@ -194,6 +194,14 @@ class TestMetric:
             doc["boundary_term"] + doc["local_term"]
         )
 
+    def test_metric_independent_of_blas_threads(self, tmp_path, run_python):
+        cfg = write_config(tmp_path, base_doc())
+        for threads in (1, 2):
+            out = str(tmp_path / f"t{threads}")
+            run_python("-m", "nvortex", "metric", "--config", cfg, "--out", out, threads=threads)
+        one, two = ((tmp_path / f"t{threads}" / "metric.json").read_bytes() for threads in (1, 2))
+        assert one == two
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
