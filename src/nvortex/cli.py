@@ -109,7 +109,10 @@ def _cmd_solve_radial(args) -> int:
     if "json" in cfg.formats:
         export_json(_out_path(cfg, "report.json"), report)
     print(json.dumps(report, sort_keys=True))
-    return EXIT_OK if profile.converged else EXIT_BRACKET
+    if not profile.converged:
+        print(profile.failure_reason(cfg.radial_tol), file=sys.stderr)
+        return EXIT_BRACKET
+    return EXIT_OK
 
 
 def _cmd_solve_2d(args) -> int:

@@ -411,7 +411,7 @@ def metric_coefficient(
     fine = _stencil(0j, half, disk.radius)
     radial = shoot(disk, n=1, tol=radial_tol, eps=radial_eps, steps=radial_steps)
     if not radial.converged:
-        raise RuntimeError("radial shoot did not converge")
+        raise RuntimeError(radial.failure_reason(radial_tol))
     lin = solve_linearized(disk, radial)
     bterm = boundary_metric_term(lin)
 

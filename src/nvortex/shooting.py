@@ -77,6 +77,11 @@ class RadialProfile:
         """Linear interpolation of htilde onto radii ``r``."""
         return np.interp(np.asarray(r, dtype=float), self.r, self.htilde)
 
+    def failure_reason(self, tol: float) -> str:
+        """Why a shoot to ``tol`` did not converge, for error messages."""
+        how = "diverged" if self.diverged else f"boundary-slope residual {self.residual:.3g} > tol {tol:.3g}"
+        return f"radial shoot did not converge: {how} at {self.steps} steps, h0 = {self.h0!r}"
+
 
 def taylor_seed(h0: float, eps: float, n: int, omega0: float) -> tuple[float, float]:
     """Series values ``(htilde(eps), htilde'(eps))`` seeding the integration.

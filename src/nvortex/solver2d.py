@@ -14,8 +14,14 @@ By default that solve is a short conjugate-gradient loop preconditioned by
 the separable polar solver (``operators.PolarModeSolver``) with the Jacobian's
 shift ``w * Omega * exp(h)`` replaced by its mean on each ring; a centred
 vortex makes the shift ring-constant and CG converges in one or two
-iterations.  Its inner products are ``operators.inner``, not threaded BLAS, so
-the result does not depend on the BLAS thread count.  SuperLU
+iterations.  The steps are inexact Newton steps (Eisenstat & Walker, "Choosing
+the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17, 1996,
+choice 2): CG stops at a relative residual of ``FORCING_MAX`` on the first
+step and of ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2``, clipped to
+``[CG_RTOL, FORCING_MAX]``, on later ones; once the Newton residual is below
+``FORCING_EXACT_BELOW`` every step is solved to ``CG_RTOL``.  The CG inner
+products are ``operators.inner``, not threaded BLAS, so the result does not
+depend on the BLAS thread count.  SuperLU
 (``linear_solver="direct"``) is kept as the oracle for that path.
 """
 
@@ -45,6 +51,12 @@ DEFAULT_MAX_ITER = 50
 MAX_HALVINGS = 30
 #: Relative residual at which the preconditioned CG of a Newton step stops.
 CG_RTOL = 1e-12
+#: Loosest relative CG tolerance of an inexact Newton step (the first step's).
+FORCING_MAX = 1e-3
+#: Later steps stop CG at ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2``.
+FORCING_GAMMA = 0.01
+#: Below this Newton residual norm every step is solved to ``CG_RTOL``.
+FORCING_EXACT_BELOW = 1e-2
 #: CG iterations allowed per Newton step before it counts as a failed solve.
 CG_MAX_ITER = 500
 
@@ -57,8 +69,10 @@ class SolveReport:
     ``"max_iter"`` (iteration budget spent) or ``"line_search"`` (no step
     length down to ``2**-MAX_HALVINGS`` reduced the residual).
     ``linear_iterations`` holds the CG iteration count of each Newton step
-    (0 for the direct oracle).  ``singular`` is the singular part the solve
-    split off, for reconstructing ``h`` and the observables.
+    (0 for the direct oracle) and ``forcing`` the relative CG tolerance it
+    was solved to (``CG_RTOL`` for an exact step, 0.0 for the direct
+    oracle).  ``singular`` is the singular part the solve split off, for
+    reconstructing ``h`` and the observables.
     """
 
     iterations: int
@@ -68,14 +82,17 @@ class SolveReport:
     damping_events: int = 0
     termination: str = ""
     linear_iterations: list = dataclass_field(default_factory=list)
+    forcing: list = dataclass_field(default_factory=list)
     singular: SingularPart | None = None
 
 
-def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method: str):
+def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method: str, rtol: float):
     """Solve the Newton system ``(lap.matrix - diag(shift)) x = rhs``.
 
     ``shift`` (``w * Omega * exp(h)``, nonnegative) makes the system negative
-    definite.  Returns ``(x, cg_iterations)``; raises ``LinearSolveError``
+    definite.  CG stops once its residual is ``rtol`` times that of ``x = 0``
+    (the Newton step's forcing term, see ``_forcing``); ``"direct"`` ignores
+    ``rtol``.  Returns ``(x, cg_iterations)``; raises ``LinearSolveError``
     when CG does not converge or the preconditioner is singular.
     """
     if method == "direct":
@@ -90,7 +107,7 @@ def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method
     rhs_norm = math.sqrt(inner(r, r))
     p, rho_prev = None, 1.0
     for iteration in range(CG_MAX_ITER):
-        if math.sqrt(inner(r, r)) <= CG_RTOL * rhs_norm:
+        if math.sqrt(inner(r, r)) <= rtol * rhs_norm:
             return x, iteration
         z = -modes.solve(r)
         rho = inner(r, z)
@@ -101,6 +118,16 @@ def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method
         r -= alpha * q
         rho_prev = rho
     raise LinearSolveError(f"conjugate gradient did not converge in {CG_MAX_ITER} iterations")
+
+
+def _forcing(history: list) -> float:
+    """Relative CG tolerance of the Newton step from the residual ``history[-1]``."""
+    norm = history[-1]
+    if norm < FORCING_EXACT_BELOW:
+        return CG_RTOL
+    if len(history) == 1:
+        return FORCING_MAX
+    return max(CG_RTOL, min(FORCING_MAX, FORCING_GAMMA * (norm / history[-2]) ** 2))
 
 
 def solve_taubes_2d(
@@ -177,11 +204,13 @@ def solve_taubes_2d(
     report = SolveReport(iterations=0, residual_history=[norm], termination="max_iter", singular=singular)
 
     while norm > tol and report.iterations < max_iter:
+        rtol = 0.0 if linear_solver == "direct" else _forcing(report.residual_history)
         try:
-            delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), linear_solver)
+            delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), linear_solver, rtol)
         except LinearSolveError as exc:
             raise LinearSolveError(f"Newton step {report.iterations + 1} (residual {norm:.3g}): {exc}") from exc
         report.linear_iterations.append(cg_iterations)
+        report.forcing.append(rtol)
         lam = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS + 1):

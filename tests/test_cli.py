@@ -28,6 +28,21 @@ def base_doc(**overrides):
     return doc
 
 
+def _unconverged_shoot(disk, *, n, tol, eps, steps):
+    """A real profile at ``h0 = -1``, off the root, so its outer slope misses ``tol``."""
+    return shooting.integrate_radial(-1.0, disk, n, eps, steps)
+
+
+def _assert_shoot_reason(err):
+    match = re.search(r"radial shoot did not converge: boundary-slope residual (\S+) > tol (\S+) "
+                      r"at (\d+) steps, h0 = (\S+)", err)
+    assert match, err
+    assert float(match.group(1)) > 1e-6
+    assert float(match.group(2)) == 1e-6
+    assert match.group(3) == "2000"
+    assert float(match.group(4)) == -1.0
+
+
 class TestCheck:
     def test_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc())
@@ -73,6 +88,15 @@ class TestSolveRadial:
         assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_BRACKET
         assert "shooting bracket failure" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_unconverged_shoot_says_why(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "shoot", _unconverged_shoot)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(outputs={"dir": str(out)}))
+        assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_BRACKET
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["converged"] is False
+        _assert_shoot_reason(captured.err)
 
 
 class TestSolve2d:
@@ -243,6 +267,16 @@ class TestMetric:
         assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
+        assert not (out / "metric.json").exists()
+
+    def test_unconverged_shoot_says_why(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(moduli, "shoot", _unconverged_shoot)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc())
+        assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_METRIC
+        err = capsys.readouterr().err
+        assert "metric pipeline failed" in err
+        _assert_shoot_reason(err)
         assert not (out / "metric.json").exists()
 
     def test_radial_eps_and_tol_reach_the_shoot(self, tmp_path, capsys, monkeypatch):

@@ -69,7 +69,7 @@ class TestNewtonSolve:
     def test_failed_line_search_is_reported(self, disk3, monkeypatch):
         # A zero step never lowers the residual, so every halving is rejected.
         grid = build_grid(disk3, 16, 16)
-        monkeypatch.setattr(solver2d, "_solve_spd", lambda lap, shift, rhs, method: (0.0 * rhs, 7))
+        monkeypatch.setattr(solver2d, "_solve_spd", lambda lap, shift, rhs, method, rtol: (0.0 * rhs, 7))
         _, report = solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid)
         assert not report.converged
         assert report.termination == "line_search"
@@ -133,6 +133,53 @@ class TestFastPathAgainstDirect:
         grid = build_grid(disk3, 32, 32)
         with pytest.raises(LinearSolveError, match="conjugate gradient"):
             solve_taubes_2d(disk3, VortexConfiguration.boundary_point(0.3), grid)
+
+
+_CASES = {
+    "centred": VortexConfiguration.centered(1),
+    "boundary": VortexConfiguration.boundary_point(0.3),
+    "N=1+M=1": VortexConfiguration(interior=((0.8 - 0.5j, 1),), boundary=((2.0, 1),)),
+}
+
+
+class TestForcing:
+    @pytest.mark.parametrize("cfg", _CASES.values(), ids=_CASES.keys())
+    def test_forcing_bounded_and_final_step_exact(self, disk3, cfg):
+        grid = build_grid(disk3, 64, 64)
+        _, report = solve_taubes_2d(disk3, cfg, grid)
+        assert report.converged
+        assert len(report.forcing) == len(report.linear_iterations) == report.iterations
+        assert all(solver2d.CG_RTOL <= eta <= solver2d.FORCING_MAX for eta in report.forcing)
+        assert report.forcing[0] == solver2d.FORCING_MAX
+        assert report.forcing[-1] == solver2d.CG_RTOL
+
+    def test_direct_records_zero_forcing(self, disk3):
+        grid = build_grid(disk3, 32, 32)
+        _, report = solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid, linear_solver="direct")
+        assert report.converged
+        assert report.forcing == [0.0] * report.iterations
+
+    def test_forcing_saves_cg_iterations_not_newton_steps(self, disk3, monkeypatch):
+        grid = build_grid(disk3, 64, 64)
+        cfg = VortexConfiguration.boundary_point(0.3)
+        _, inexact = solve_taubes_2d(disk3, cfg, grid)
+        monkeypatch.setattr(solver2d, "FORCING_MAX", solver2d.CG_RTOL)
+        _, exact = solve_taubes_2d(disk3, cfg, grid)
+        assert inexact.converged and exact.converged
+        assert set(exact.forcing) == {solver2d.CG_RTOL}
+        assert inexact.iterations == exact.iterations
+        assert sum(inexact.linear_iterations) < sum(exact.linear_iterations)
+
+
+class TestFluxBalance:
+    @pytest.mark.parametrize("nr", [32, 64])
+    @pytest.mark.parametrize("linear_solver", ["cg", "direct"])
+    @pytest.mark.parametrize("cfg", _CASES.values(), ids=_CASES.keys())
+    def test_bc_residual_small(self, disk3, cfg, linear_solver, nr):
+        grid = build_grid(disk3, nr, nr)
+        _, report = solve_taubes_2d(disk3, cfg, grid, linear_solver=linear_solver)
+        assert report.converged
+        assert report.bc_residual < 1e-7
 
 
 class TestSymmetries:
