@@ -11,6 +11,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -160,14 +161,9 @@ def _cmd_metric(args) -> int:
     n = _require_centered(cfg, "metric")
     if n != 1:
         raise ConfigError(f"metric needs one unit vortex at the origin, got N={n}")
-    grid = build_grid(cfg.disk, cfg.nr, cfg.ntheta)
     try:
         report = metric_coefficient(
             cfg.disk,
-            grid,
-            delta=cfg.metric_delta,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
             radial_steps=cfg.radial_steps,
             radial_eps=cfg.radial_eps,
             radial_tol=cfg.radial_tol,
@@ -177,6 +173,8 @@ def _cmd_metric(args) -> int:
     except Exception as exc:
         print(f"metric pipeline failed: {exc}", file=sys.stderr)
         return EXIT_METRIC
+    if cfg.metric_delta is not None:  # echoed into metric.json, unused
+        report = dataclasses.replace(report, delta=cfg.metric_delta)
     document = report.to_dict()
     export_json(_out_path(cfg, "metric.json"), document)
     print(json.dumps(document, sort_keys=True))

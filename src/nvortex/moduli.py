@@ -12,12 +12,16 @@ regular at the origin with ``a'(R) = -2/R^2``.  The kinetic-energy
 coefficient of a moving vortex combines a boundary term,
 ``(1/2) * pi * (d_X h(R; 0))^2`` with ``d_X h(R; 0) = a(R) - 2/R``, and the
 local term ``pi * (Omega(0) + 2 db/dZ)`` built from the core coefficient
-``b(Z) = d_zbar (h - log|z - Z|^2)`` at ``z = Z``.  A nonzero boundary term is
-the witness that the metric is not a purely local function of vortex position.
+``b(Z) = d_zbar (h - log|z - Z|^2)`` at ``z = Z`` (Samols, "Vortex
+scattering", CMP 145, 1992).  A nonzero boundary term is the witness that the
+metric is not a purely local function of vortex position.
 
-Convention: the assembled coefficient uses the real part of ``db/dZ`` (the
-complex value, real up to differencing noise on a symmetric disk, is reported
-alongside).
+Convention: the smooth part of the position derivative is
+``d_X htilde = a(r) cos(theta)``, so near the core ``d_Z htilde = a'(0) zbar / 2``
+and, with ``d_z d_zbar htilde = -Omega(0)/4`` at the core,
+``db/dZ = a'(0)/2 - Omega(0)/4``: real, and read off the radial solve with no
+2-D solve and no differencing in the vortex position.  The local term is then
+``pi * (Omega(0)/2 + a'(0))``.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ class LinearizedProfile:
     r: np.ndarray
     a: np.ndarray
     aR: float
+    slope0: float  # a'(0), the coefficient of the regular branch a ~ c r
     boundary_value: float  # d_X h(R; 0) = a(R) - 2/R
     bc_defect: float  # |a'(R) + 2/R^2|, zero up to roundoff by construction
 
@@ -171,6 +176,9 @@ def solve_linear_bvp(
     ``2 * steps + 1`` half-node radii.  The vacuum case ``f == 0`` has the
     closed form ``a = -2 r / R^2``.
 
+    The regular solution is seeded as ``a = r``, so its superposition
+    coefficient is ``a'(0)`` (``slope0``).
+
     Raises ``ValueError`` unless ``steps`` is a positive integer, ``eps``
     lies in ``(0, radius)`` and ``f_of_r`` returns finite values
     broadcastable to the half-node radii; ``ConditioningError`` if the
@@ -229,6 +237,7 @@ def solve_linear_bvp(
         r=r_half[::2].copy(),
         a=a,
         aR=a_end,
+        slope0=coeff,
         boundary_value=a_end - 2.0 / radius,
         bc_defect=bc_defect,
     )
@@ -285,36 +294,6 @@ def _fit_b(htilde: ScalarField, z_core: complex) -> complex:
     return 0.5 * (coeffs[1] + 1j * coeffs[2])
 
 
-def _solve_set(disk, grid, positions, tol, max_iter):
-    """Fields for a unit vortex at each position, in the order given."""
-    fields = []
-    for z in positions:
-        config = VortexConfiguration(interior=((z, 1),))
-        field, report = solve_taubes_2d(disk, config, grid, tol=tol, max_iter=max_iter)
-        if not report.converged:
-            raise RuntimeError(f"field solve for vortex at {z} did not converge ({report.termination})")
-        fields.append(field)
-    return fields
-
-
-def _stencil(z_core: complex, delta: float, radius: float) -> list[complex]:
-    """Central-difference offsets ``Z + delta, Z - delta, Z + i delta, Z - i delta``.
-
-    Raises ``ValueError`` unless ``delta > 0`` and ``|Z| + delta < radius``.
-    """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if abs(z_core) + delta >= radius:
-        raise ValueError("offset stencil leaves the disk; reduce |Z| or delta")
-    return [z_core + delta, z_core - delta, z_core + 1j * delta, z_core - 1j * delta]
-
-
-def _central_difference(values, delta: float):
-    """``(d_X, d_Y)`` from values at the ``_stencil`` offsets, in its order."""
-    f_px, f_mx, f_py, f_my = values
-    return (f_px - f_mx) / (2.0 * delta), (f_py - f_my) / (2.0 * delta)
-
-
 def boundary_ring_position_derivatives(
     disk: ConformalDisk,
     grid: PolarGrid,
@@ -324,13 +303,24 @@ def boundary_ring_position_derivatives(
 ):
     """``d_X h`` and ``d_Y h`` on the outermost node ring for a vortex at 0.
 
-    Central differences in the vortex position (four solves) give the smooth
-    part; the core logarithm contributes ``-2 cos(theta)/rho`` and
-    ``-2 sin(theta)/rho`` analytically.  Returns ``(rho, theta, dxh, dyh)``.
+    The independent 2-D witness for the radial factor ``a``: central
+    differences over four field solves, with the vortex at ``+-delta`` and
+    ``+-i delta``, give the smooth part; the core logarithm contributes
+    ``-2 cos(theta)/rho`` and ``-2 sin(theta)/rho`` analytically.  Returns
+    ``(rho, theta, dxh, dyh)``.  Raises ``ValueError`` before any solve
+    unless ``0 < delta < R``.
     """
-    offsets = _stencil(0j, delta, disk.radius)
-    fields = _solve_set(disk, grid, offsets, tol, max_iter)
-    dxh_tilde, dyh_tilde = _central_difference([f.values[-1] for f in fields], delta)
+    if not 0.0 < delta < disk.radius:
+        raise ValueError(f"delta must lie in (0, radius={disk.radius}), got {delta}")
+    ring = []
+    for z in (complex(delta), complex(-delta), complex(0.0, delta), complex(0.0, -delta)):
+        config = VortexConfiguration(interior=((z, 1),))
+        field, report = solve_taubes_2d(disk, config, grid, tol=tol, max_iter=max_iter)
+        if not report.converged:
+            raise RuntimeError(f"field solve for vortex at {z} did not converge ({report.termination})")
+        ring.append(field.values[-1])
+    dxh_tilde = (ring[0] - ring[1]) / (2.0 * delta)
+    dyh_tilde = (ring[2] - ring[3]) / (2.0 * delta)
     rho = grid.r[-1]
     theta = grid.theta
     dxh = dxh_tilde - 2.0 * np.cos(theta) / rho
@@ -353,8 +343,12 @@ class MetricReport:
     """Assembled kinetic-energy coefficient of one vortex through the origin.
 
     ``total_coefficient = boundary_term + local_term`` multiplies the squared
-    modulus of the vortex velocity.  ``db_dZ`` is the refined (half-step)
-    central difference; ``db_dZ_coarse`` exposes the truncation level.
+    modulus of the vortex velocity.  ``db_dZ = a'(0)/2 - Omega(0)/4`` comes
+    from the radial linearized solve (see the module docstring), so it is
+    real, ``db_dZ_coarse`` equals it, and ``samols_b``, the core coefficient
+    ``b(0)``, is exactly zero by rotational symmetry.  ``delta`` is the
+    configured position step (default ``R/100``), kept in the report for its
+    schema; nothing is differenced with it.
     """
 
     boundary_value: float
@@ -387,10 +381,7 @@ class MetricReport:
 
 def metric_coefficient(
     disk: ConformalDisk,
-    grid: PolarGrid,
-    delta: float | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
+    *,
     radial_steps: int = 100_000,
     radial_eps: float = DEFAULT_EPS,
     radial_tol: float = 1e-6,
@@ -398,40 +389,27 @@ def metric_coefficient(
     """Full metric pipeline for a unit vortex at the origin.
 
     Runs the radial shoot (``radial_steps``, ``radial_eps`` and ``radial_tol``
-    are ``shoot``'s ``steps``, ``eps`` and ``tol``), the linearized
-    boundary-value solve, the core coefficient at the origin and its position
-    derivative at steps ``delta`` and ``delta/2`` (Richardson pair), one field
-    solve after another.  An invalid ``delta`` raises ``ValueError`` before
-    the shoot.
+    are ``shoot``'s ``steps``, ``eps`` and ``tol``) and the linearized
+    boundary-value solve, which gives both the boundary term and ``a'(0)``
+    for the local term; no 2-D field is solved.  Raises ``RuntimeError`` if
+    the shoot does not converge.
     """
-    if delta is None:
-        delta = disk.radius / 100.0
-    half = 0.5 * delta
-    coarse = _stencil(0j, delta, disk.radius)
-    fine = _stencil(0j, half, disk.radius)
     radial = shoot(disk, n=1, tol=radial_tol, eps=radial_eps, steps=radial_steps)
     if not radial.converged:
         raise RuntimeError(radial.failure_reason(radial_tol))
     lin = solve_linearized(disk, radial)
     bterm = boundary_metric_term(lin)
-
-    offsets = [0j, *coarse, *fine]
-    fields = _solve_set(disk, grid, offsets, tol, max_iter)
-    fits = [_fit_b(field, z) for field, z in zip(fields, offsets)]
-    b0 = fits[0]
-    d_x, d_y = _central_difference(fits[1:5], delta)
-    db_coarse = 0.5 * (d_x - 1j * d_y)
-    d_x, d_y = _central_difference(fits[5:], half)
-    db_fine = 0.5 * (d_x - 1j * d_y)
-    local = math.pi * (float(disk.omega_at(0.0)) + 2.0 * db_fine.real)
+    omega0 = float(disk.omega_at(0.0))
+    db = complex(0.5 * lin.slope0 - 0.25 * omega0, 0.0)
+    local = math.pi * (0.5 * omega0 + lin.slope0)
     return MetricReport(
         boundary_value=lin.boundary_value,
         boundary_term=bterm,
-        samols_b=b0,
-        db_dZ=db_fine,
-        db_dZ_coarse=db_coarse,
+        samols_b=0j,
+        db_dZ=db,
+        db_dZ_coarse=db,
         local_term=local,
         total_coefficient=bterm + local,
-        delta=delta,
+        delta=disk.radius / 100.0,
         nonlocal_boundary_term=bterm > 0.0,
     )

@@ -259,8 +259,11 @@ def shoot(
         If the mismatch has no sign change on the scan bracket, at either
         step count.
     ValueError
-        For ``steps < 1000``, ``n < 1`` or ``eps`` outside ``(0, radius)``.
+        For ``tol`` not finite and ``>= 0``, ``steps < 1000``, ``n < 1`` or
+        ``eps`` outside ``(0, radius)``.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     check_bradlow(VortexConfiguration.centered(n), disk)
     passes = [0, 0]
 

@@ -16,6 +16,7 @@ mode 0 by integrating its radial flux.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,8 @@ def neumann_green(disk: ConformalDisk, grid: PolarGrid, q: tuple[int, int]) -> S
     ``G ~ -(1/2 pi) log(distance)``.
     """
     i, j = q
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (i, j)):
+        raise ValueError(f"source index {q} must be a pair of integers")
     if not (0 <= i < grid.nr and 0 <= j < grid.ntheta):
         raise ValueError(f"source index {q} outside grid {grid.shape}")
     return _green_for_source(disk, grid, i * grid.ntheta + j)
@@ -147,6 +150,8 @@ def boundary_neumann_green(disk: ConformalDisk, grid: PolarGrid, theta_q: float)
     result has zero curved-volume mean; near the source
     ``H ~ -(1/pi) log(distance)`` (half-space behaviour).
     """
+    if not math.isfinite(theta_q):
+        raise ValueError(f"theta_q must be finite, got {theta_q}")
     j = int(round((float(theta_q) % (2.0 * np.pi)) / grid.dtheta)) % grid.ntheta
     if abs((float(theta_q) % (2.0 * np.pi)) - j * grid.dtheta) > 1e-10:
         raise ValueError(f"theta_q={theta_q} does not coincide with an angular node")

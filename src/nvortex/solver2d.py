@@ -163,6 +163,8 @@ def solve_taubes_2d(
 
     Raises
     ------
+    ValueError
+        For an unknown ``linear_solver`` or a ``tol`` not finite and ``>= 0``.
     LinearSolveError
         If the linear solve of a Newton step fails; the message names the
         step and the residual it started from.
@@ -180,6 +182,8 @@ def solve_taubes_2d(
     """
     if linear_solver not in ("cg", "direct"):
         raise ValueError(f"unknown linear_solver {linear_solver!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     check_bradlow(config, disk)
     lap = assemble_neumann_laplacian(grid, disk)
     singular = build_singular_part(config, disk, grid)

@@ -218,6 +218,21 @@ class TestMetric:
             doc["boundary_term"] + doc["local_term"]
         )
 
+    def test_grid_does_not_change_metric_json(self, tmp_path, capsys):
+        # metric solves nothing in 2-D: the grid overrides leave every byte alone.
+        cfg = write_config(tmp_path, base_doc(radial={"steps": 10000}))
+        for n in ("16", "48"):
+            out = str(tmp_path / n)
+            assert cli.main(["metric", "--config", cfg, "--nr", n, "--ntheta", n, "--out", out]) == cli.EXIT_OK
+        assert (tmp_path / "16" / "metric.json").read_bytes() == (tmp_path / "48" / "metric.json").read_bytes()
+
+    @pytest.mark.parametrize("metric, delta", [({}, 0.03), ({"metric": {"delta": 0.05}}, 0.05)])
+    def test_delta_is_echoed(self, tmp_path, capsys, metric, delta):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(**metric))
+        assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads((out / "metric.json").read_text())["delta"] == delta
+
     def test_metric_independent_of_blas_threads(self, tmp_path, run_python):
         cfg = write_config(tmp_path, base_doc())
         for threads in (1, 2):

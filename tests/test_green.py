@@ -52,6 +52,11 @@ class TestInteriorGreen:
         with pytest.raises(ValueError):
             neumann_green(disk3, grid48, (48, 0))
 
+    @pytest.mark.parametrize("q", [(1.0, 2), (1, 2.0), (True, 2)])
+    def test_source_index_must_be_integers(self, disk3, grid48, q):
+        with pytest.raises(ValueError, match="must be a pair of integers"):
+            neumann_green(disk3, grid48, q)
+
     def test_symmetry_on_curved_disk(self):
         r = np.linspace(0.0, 3.0, 31)
         disk = ConformalDisk.from_samples(3.0, r, 1.0 + 0.2 * r)
@@ -76,6 +81,11 @@ class TestBoundaryGreen:
     def test_angle_must_sit_on_a_node(self, disk3, grid48):
         with pytest.raises(ValueError):
             boundary_neumann_green(disk3, grid48, 0.5 * grid48.dtheta)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_angle_must_be_finite(self, disk3, grid48, theta):
+        with pytest.raises(ValueError, match=f"theta_q must be finite, got {theta}"):
+            boundary_neumann_green(disk3, grid48, theta)
 
     def test_log_slope_near_boundary_source(self, disk3):
         grid = build_grid(disk3, 64, 402)

@@ -45,6 +45,11 @@ def radial_table():
     return disk, shoot(disk, n=1, steps=10_000)
 
 
+@pytest.fixture(scope="module")
+def metric_r3(disk3):
+    return metric_coefficient(disk3, radial_steps=20_000)
+
+
 def coefficient(disk, radial):
     """``f = Omega r^2 exp(htilde)``, as ``solve_linearized`` builds it."""
     return lambda r: disk.omega_at(r) * r**2 * np.exp(radial.htilde_at(r))
@@ -92,11 +97,33 @@ def two_pass_bvp(f_of_r, radius, steps):
 ORACLE_STEPS = [1, 3, 1_000, 99_991]  # 99,991 is prime: a ragged last block
 
 
+def finite_difference_db_dz(disk, nr):
+    """Oracle: ``db/dZ`` at the origin from 2-D field solves.
+
+    This is how ``metric_coefficient`` formed it before reading ``a'(0)`` off
+    the radial solve: field solves with the vortex at ``+-delta`` and
+    ``+-i delta`` around the centre (``delta = R/100``), the core coefficient
+    ``b`` fitted at each, and central differences
+    ``db/dZ = (d_X b - i d_Y b) / 2``.
+    """
+    grid = build_grid(disk, nr, nr)
+    delta = disk.radius / 100.0
+    fits = []
+    for z in (complex(delta), complex(-delta), complex(0.0, delta), complex(0.0, -delta)):
+        field, report = solve_taubes_2d(disk, VortexConfiguration(interior=((z, 1),)), grid)
+        assert report.converged
+        fits.append(_fit_b(field, z))
+    d_x = (fits[0] - fits[1]) / (2.0 * delta)
+    d_y = (fits[2] - fits[3]) / (2.0 * delta)
+    return 0.5 * (d_x - 1j * d_y)
+
+
 class TestLinearizedSolve:
     def test_vacuum_closed_form(self):
         lin = solve_linear_bvp(lambda r: np.zeros_like(r), 3.0)
         assert np.max(np.abs(lin.a + 2.0 * lin.r / 9.0)) < 1e-8
         assert lin.boundary_value == pytest.approx(-4.0 / 3.0, abs=1e-10)
+        assert lin.slope0 == pytest.approx(-2.0 / 9.0, abs=1e-10)
 
     @pytest.mark.parametrize("steps", [0, -5])
     def test_step_count_validated(self, steps):
@@ -206,25 +233,16 @@ class TestCoreCoefficient:
         b2 = _fit_b(f2, z.conjugate())
         assert abs(b2 - b1.conjugate()) < 1e-8
 
-    def test_offset_stencil_validated(self, disk3, monkeypatch):
+    def test_offset_stencil_validated(self, disk3):
         grid = build_grid(disk3, 32, 32)
         for delta in (0.0, -0.1, disk3.radius, 5.0):
             with pytest.raises(ValueError):
                 boundary_ring_position_derivatives(disk3, grid, delta=delta)
 
-        def no_shoot(*args, **kwargs):
-            raise AssertionError("the stencil must be checked before the shoot")
-
-        monkeypatch.setattr("nvortex.moduli.shoot", no_shoot)
-        for delta in (0.0, -0.1, disk3.radius, 5.0):
-            with pytest.raises(ValueError):
-                metric_coefficient(disk3, grid, delta=delta)
-
 
 class TestMetricReport:
-    def test_assembly_and_flags(self, disk3):
-        grid = build_grid(disk3, 96, 96)
-        report = metric_coefficient(disk3, grid, radial_steps=20_000)
+    def test_assembly_and_flags(self, disk3, metric_r3):
+        report = metric_r3
         assert report.nonlocal_boundary_term
         assert report.boundary_term > 0.0
         expected_local = math.pi * (1.0 + 2.0 * report.db_dZ.real)
@@ -234,8 +252,30 @@ class TestMetricReport:
         )
         assert abs(report.samols_b) < 1e-6
         assert abs(report.db_dZ.imag) < 1e-3  # real for the symmetric disk
-        # the Richardson pair exposes the differencing error, which is small
-        assert abs(report.db_dZ - report.db_dZ_coarse) < 5e-3
+        slope0 = solve_linearized(disk3, shoot(disk3, n=1, steps=20_000)).slope0
+        assert report.local_term == math.pi * (0.5 + slope0)
+        assert report.db_dZ == complex(0.5 * slope0 - 0.25, 0.0)
+        assert report.db_dZ_coarse == report.db_dZ
+        assert report.samols_b == 0j
         doc = report.to_dict()
         assert doc["schema_version"] == 1
         assert doc["total_coefficient"] == report.total_coefficient
+        assert doc["delta"] == disk3.radius / 100.0
+
+    def test_no_field_solve(self, disk3, metric_r3, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("metric_coefficient must not solve the 2-D field")
+
+        monkeypatch.setattr("nvortex.moduli.solve_taubes_2d", no_solve)
+        assert metric_coefficient(disk3, radial_steps=20_000) == metric_r3
+
+    def test_matches_finite_difference_oracle_on_flat_disk(self, disk3, metric_r3):
+        assert abs(finite_difference_db_dz(disk3, 128) - metric_r3.db_dZ) < 1e-4
+
+    def test_finite_difference_oracle_converges_on_table_disk(self, radial_table):
+        # With Omega'(0) != 0 the 2-D differences converge at first order only.
+        disk, _ = radial_table
+        db = metric_coefficient(disk, radial_steps=10_000).db_dZ
+        coarse, fine = (finite_difference_db_dz(disk, nr) - db for nr in (64, 128))
+        assert abs(fine) <= 0.6 * abs(coarse)
+        assert np.sign(fine.real) == np.sign(coarse.real)

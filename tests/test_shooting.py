@@ -211,6 +211,15 @@ class TestShoot:
         assert len(full) == 10
         assert full[-2:] == [shooting.SCAN_LOW, shooting.SCAN_HIGH]
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-6, math.inf])
+    def test_unusable_tol_rejected_before_scan(self, disk3, monkeypatch, tol):
+        def no_pass(*args):
+            raise AssertionError("tol must be checked before any integration")
+
+        monkeypatch.setattr(shooting, "_mismatch", no_pass)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            shoot(disk3, n=1, tol=tol)
+
     def test_bradlow_violation_raised_before_scan(self):
         with pytest.raises(BradlowViolation):
             shoot(ConformalDisk.flat(1.0), n=1)

@@ -82,6 +82,12 @@ class TestNewtonSolve:
         with pytest.raises(ValueError):
             solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid, linear_solver="lu")
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf])
+    def test_unusable_tol_rejected(self, disk3, tol):
+        grid = build_grid(disk3, 16, 16)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid, tol=tol)
+
     def test_cg_path_matches_direct(self, disk3):
         grid = build_grid(disk3, 32, 32)
         cfg = VortexConfiguration(interior=((0.4 + 0.1j, 1),))
