@@ -37,7 +37,7 @@ from .geometry import (
     ScalarField,
     VortexConfiguration,
 )
-from .shooting import DEFAULT_EPS, RadialProfile, shoot
+from .shooting import DEFAULT_EPS, RadialProfile, _solve_joints, shoot
 from .solver2d import solve_taubes_2d
 
 __all__ = [
@@ -61,7 +61,7 @@ EPS_FRACTION = 1e-6
 
 
 class ConditioningError(RuntimeError):
-    """The superposition for the linearized profile is numerically singular."""
+    """The block system for the linearized profile overflowed or is singular."""
 
 
 class FitError(RuntimeError):
@@ -145,44 +145,30 @@ def _block_prefixes(maps, steps):
     return rows, (x00, x01, x10, x11, d0, d1)
 
 
-def _block_starts(ends, a, q):
-    """States ``(a, q)`` at every block start, and after the last block.
-
-    Applies the whole-block affine maps ``ends`` in turn from ``(a, q)``, one
-    scalar step per block.
-    """
-    starts_a, starts_q = [], []
-    for x00, x01, x10, x11, d0, d1 in zip(*(e.tolist() for e in ends)):
-        starts_a.append(a)
-        starts_q.append(q)
-        a, q = x00 * a + x01 * q + d0, x10 * a + x11 * q + d1
-    return np.array(starts_a), np.array(starts_q), a, q
-
-
 def solve_linear_bvp(
     f_of_r,
     radius: float,
     eps: float | None = None,
     steps: int = DEFAULT_LIN_STEPS,
 ) -> LinearizedProfile:
-    """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by superposition.
+    """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by multiple shooting.
 
     Integrates in ``t = log r`` (keeping the Euler-type coefficients bounded
-    near the core) the regular homogeneous solution and one particular
-    solution from ``eps``, then combines them to meet ``a'(R) = -2/R^2``.
-    Each is ``steps`` classical RK4 steps, applied as composed affine maps
-    (``_rk4_maps``) by a blocked scan in which both solutions share the
-    within-block compositions; ``f_of_r`` is evaluated once, at the
-    ``2 * steps + 1`` half-node radii.  The vacuum case ``f == 0`` has the
-    closed form ``a = -2 r / R^2``.
-
-    The regular solution is seeded as ``a = r``, so its superposition
-    coefficient is ``a'(0)`` (``slope0``).
+    near the core) with ``steps`` classical RK4 steps from ``eps``.  The
+    system is linear, so each step is an affine map (``_rk4_maps``) and a
+    blocked scan composes them into about ``sqrt(steps)`` block maps
+    (``_block_prefixes``); ``f_of_r`` is evaluated once, at the
+    ``2 * steps + 1`` half-node radii.  One banded solve (``_solve_joints``)
+    gives ``a'(0)`` (``slope0``; the regular branch is seeded as
+    ``a = slope0 * r``) and every block-start state from continuity at the
+    joints and ``a'(R) = -2/R^2``.  Short blocks keep it well conditioned on
+    large disks, where both solutions of the equation grow like ``e^r``.  The
+    vacuum case ``f == 0`` has the closed form ``a = -2 r / R^2``.
 
     Raises ``ValueError`` unless ``steps`` is a positive integer, ``eps``
     lies in ``(0, radius)`` and ``f_of_r`` returns finite values
     broadcastable to the half-node radii; ``ConditioningError`` if the
-    integration overflows or the homogeneous solution's outer slope vanishes.
+    block maps overflow or the banded factor is singular.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -210,34 +196,35 @@ def solve_linear_bvp(
         rows, ends = _block_prefixes(
             _rk4_maps(1.0 + r_half**2 * f_half, -2.0 * r_half * f_half, dt), steps
         )
-        # The homogeneous solution has no source: the same matrices, zero
-        # offsets.  Regular branch a ~ r, so q = r a' = eps at the seed.
-        zero = np.zeros_like(ends[4])
-        reg_a, reg_q, _, q1 = _block_starts(ends[:4] + (zero, zero), eps, eps)
-        par_a, par_q, _, q2 = _block_starts(ends, 0.0, 0.0)
-        if not (math.isfinite(q1) and math.isfinite(q2)):
-            raise overflow
-
-        # Outer condition q(T) = R a'(R) = -2/R.
-        target = -2.0 / radius
-        if abs(q1) < 1e-12 * (abs(q2) + abs(target) + 1.0):
-            raise ConditioningError("homogeneous solution has vanishing outer slope")
-        coeff = (target - q2) / q1
-        start_a = (par_a + coeff * reg_a)[:, None]
-        start_q = (par_q + coeff * reg_q)[:, None]
-        a = np.empty(steps + 1)
-        a[0] = coeff * eps
-        a[1:] = (rows[0] * start_a + rows[1] * start_q + rows[2]).ravel()[:steps]
+    x00, x01, x10, x11, d0, d1 = ends
+    if not np.isfinite(ends).all():
+        raise overflow
+    # Continuity X_b s_b + d_b = s_{b+1} at each joint, then the outer
+    # condition q(T) = R a'(R) = -2/R; the seed is (a, q) = slope0 * (eps, eps).
+    rhs = np.empty(2 * x00.size - 1)
+    rhs[0:-1:2], rhs[1:-1:2] = -d0[:-1], -d1[:-1]
+    rhs[-1] = -2.0 / radius - d1[-1]
+    lead = ((x00[0] + x01[0]) * eps, (x10[0] + x11[0]) * eps)
+    try:
+        x = _solve_joints(lead, (x00, x01, x10, x11), rhs)
+    except np.linalg.LinAlgError:
+        raise ConditioningError("the banded block system for the linearized profile is singular") from None
+    slope0 = float(x[0])
+    start_a = np.concatenate(([slope0 * eps], x[1::2]))
+    start_q = np.concatenate(([slope0 * eps], x[2::2]))
+    a = np.empty(steps + 1)
+    a[0] = slope0 * eps
+    a[1:] = (rows[0] * start_a[:, None] + rows[1] * start_q[:, None] + rows[2]).ravel()[:steps]
     if not np.isfinite(a).all():
         raise overflow
     a_end = float(a[-1])
-    q_end = q2 + coeff * q1
+    q_end = x10[-1] * start_a[-1] + x11[-1] * start_q[-1] + d1[-1]
     bc_defect = abs(q_end / radius + 2.0 / radius**2)
     return LinearizedProfile(
         r=r_half[::2].copy(),
         a=a,
         aR=a_end,
-        slope0=coeff,
+        slope0=slope0,
         boundary_value=a_end - 2.0 / radius,
         bc_defect=bc_defect,
     )

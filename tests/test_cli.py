@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -88,6 +89,15 @@ class TestSolveRadial:
         assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_BRACKET
         assert "shooting bracket failure" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_profile_independent_of_blas_threads(self, tmp_path, run_python):
+        # 100k steps: the Newton sweeps' banded LAPACK solve has 633 unknowns.
+        cfg = write_config(tmp_path, base_doc(radial={"steps": 100000}))
+        for threads in (1, 2):
+            out = str(tmp_path / f"t{threads}")
+            run_python("-m", "nvortex", "solve-radial", "--config", cfg, "--out", out, threads=threads)
+        for name in ("report.json", "profile.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
     def test_unconverged_shoot_says_why(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "shoot", _unconverged_shoot)
@@ -217,6 +227,15 @@ class TestMetric:
         assert doc["total_coefficient"] == pytest.approx(
             doc["boundary_term"] + doc["local_term"]
         )
+
+    def test_large_disk(self, tmp_path, capsys):
+        # One march across [eps, 25] cannot meet the outer slope; multiple
+        # shooting can, and the metric nears pi, its value on the plane.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(radius=25.0, radial={"steps": 50000}))
+        assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / "metric.json").read_text())
+        assert doc["total_coefficient"] == pytest.approx(math.pi, abs=1e-7)
 
     def test_grid_does_not_change_metric_json(self, tmp_path, capsys):
         # metric solves nothing in 2-D: the grid overrides leave every byte alone.

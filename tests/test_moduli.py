@@ -38,6 +38,15 @@ def radial_r12():
     return disk12, shoot(disk12, n=1, steps=20_000)
 
 
+@pytest.fixture(scope="module", params=[(20.0, 40_000), (25.0, 50_000)], ids=["R20", "R25"])
+def radial_large(request):
+    radius, steps = request.param
+    disk = ConformalDisk.flat(radius)
+    radial = shoot(disk, n=1, steps=steps)
+    assert radial.converged
+    return disk, radial
+
+
 @pytest.fixture(scope="module")
 def radial_table():
     """A table-Omega disk, Omega increasing in [1, 1.5] on r = 0, 0.75, .., 3."""
@@ -171,6 +180,28 @@ class TestLinearizedSolve:
         tol = 1e-13 * max(1.0, np.max(np.abs(a)), terms)
         assert np.max(np.abs(lin.a - a)) <= tol
         assert abs(lin.boundary_value - boundary_value) <= tol
+
+    def test_boundary_value_converges_on_large_disk(self, radial_large):
+        # A superposition of two solutions growing like exp(r) loses
+        # boundary_value (about -4.1e-9 at R = 20, -2.5e-11 at R = 25) to
+        # rounding; the banded block solve keeps it.
+        coarse, fine = (solve_linearized(*radial_large, steps=steps) for steps in (100_000, 400_000))
+        assert fine.boundary_value == pytest.approx(coarse.boundary_value, rel=1e-3)
+        assert fine.bc_defect < 1e-12
+
+    def test_slope_tends_to_plane_value(self):
+        # a'(0) -> 1/2 on the plane, so the local term tends to pi.
+        disk = ConformalDisk.flat(25.0)
+        lin = solve_linearized(disk, shoot(disk, n=1, steps=50_000))
+        assert lin.slope0 == pytest.approx(0.5, abs=1e-8)
+
+    def test_singular_band_is_conditioning_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr("nvortex.moduli._solve_joints", singular)
+        with pytest.raises(ConditioningError, match="singular"):
+            solve_linear_bvp(lambda r: np.zeros_like(r), 3.0, steps=2_000)
 
     def test_coefficient_of_wrong_shape_named(self):
         message = r"broadcastable to the half-node radii, shape \(4001,\); got shape \(5,\)"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nvortex import (
     BracketError,
@@ -12,24 +14,31 @@ from nvortex import (
     shooting,
     taylor_seed,
 )
+from nvortex.geometry import VortexConfiguration, bradlow_margin
 from nvortex.shooting import _mismatch
 
 #: Core value of the radius-3 unit vortex at 1e5 integration steps,
 #: regression-locked after the cross-check against the 2d solver.
 H0_R3 = -1.1101533202553604
+#: The oracle's false position stops once the bracket on ``h0`` is this
+#: narrow, so its ``h0`` is pinned by the integrator and its step count.
+H0_BRACKET_WIDTH = 1e-12
+#: Core value of the unit vortex on the plane, the large-disk limit.
+H0_PLANE = -1.01072165075583
 
 
 def single_stage_h0(disk, n, steps, eps=shooting.DEFAULT_EPS):
     """Core value from one Illinois search at full resolution over the scan bracket.
 
-    The oracle for the two-stage ``shoot``: it runs every pass at ``steps``.
+    The oracle for ``shoot``'s coarse stage and multiple-shooting Newton: it
+    runs every pass at ``steps``, as one march from ``eps``.
     """
     lo, hi = shooting.SCAN_LOW, shooting.SCAN_HIGH
     f_lo = _mismatch(lo, disk, n, eps, steps)
     f_hi = _mismatch(hi, disk, n, eps, steps)
     assert f_lo < 0.0 <= f_hi
     last = 0
-    while hi - lo > shooting.H0_BRACKET_WIDTH:
+    while hi - lo > H0_BRACKET_WIDTH:
         x = 0.5 * (lo + hi)
         if f_hi < math.inf:
             secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -90,6 +99,8 @@ class TestIntegrateRadial:
     def test_step_minimum_enforced(self, disk3):
         with pytest.raises(ValueError):
             integrate_radial(0.0, disk3, steps=500)
+        with pytest.raises(ValueError, match="steps must be at least 1000"):
+            shoot(disk3, steps=500)
 
     def test_multiplicity_validated(self, disk3):
         with pytest.raises(ValueError):
@@ -154,62 +165,58 @@ class TestShoot:
         assert profile.h0 == pytest.approx(single_stage_h0(disk, n, steps), abs=1e-12)
 
     @pytest.mark.parametrize("radius", [3.0, 12.0], ids=["R3", "R12"])
-    def test_false_position_pass_count(self, monkeypatch, radius):
-        coarse = []
-
-        def recorded(h0, disk, n, eps, steps):
-            value = _mismatch(h0, disk, n, eps, steps)
-            if steps == shooting.COARSE_STEPS:
-                coarse.append(value)
-            return value
-
-        monkeypatch.setattr(shooting, "_mismatch", recorded)
+    def test_false_position_pass_count(self, radius):
+        # 18-27 coarse passes of false position plus the recorded start, then
+        # 2 Newton sweeps from that start.
         profile = shoot(ConformalDisk.flat(radius), n=1, steps=20_000)
         assert profile.converged
-        # f(SCAN_LOW), then f(SCAN_HIGH) = +inf (blow-up), so the coarse loop
-        # starts by bisecting; on R=12 most early midpoints blow up as well.
-        assert coarse[1] == math.inf
-        n_coarse, n_full = profile.passes
-        assert n_coarse == len(coarse) <= 30
-        # one Illinois search at 20,000 steps takes 19-27 passes
-        assert n_full <= 8
+        n_coarse, n_sweeps = profile.passes
+        assert n_coarse <= 30
+        assert 2 <= n_sweeps <= shooting.MAX_SWEEPS
 
-    def test_fine_stage_miss_widens_bracket(self, disk3, monkeypatch):
-        # Move the full-resolution root 3e-5 above the coarse one: outside
-        # the first +-1e-6 bracket, inside the widened +-1e-4 one.
-        shift = 3e-5
-        full = []
+    def test_stalled_newton_says_why(self, disk3, monkeypatch):
+        real_sweep = shooting._sweep
+        calls = []
 
-        def shifted(h0, disk, n, eps, steps):
-            if steps == shooting.COARSE_STEPS:
-                return _mismatch(h0, disk, n, eps, steps)
-            full.append(h0)
-            return _mismatch(h0 - shift, disk, n, eps, steps)
+        def flickering(tables, starts):
+            # Every other sweep ends each segment 1e-3 too high: no Newton
+            # step can settle that.
+            y, hs, ps = real_sweep(tables, starts)
+            calls.append(None)
+            y[0] += 1e-3 * (len(calls) % 2)
+            return y, hs, ps
 
-        expected = shoot(disk3, steps=8_000).h0 + shift
-        monkeypatch.setattr(shooting, "_mismatch", shifted)
+        monkeypatch.setattr(shooting, "_sweep", flickering)
         profile = shoot(disk3, steps=8_000)
-        guess = 0.5 * (full[0] + full[1])
-        assert full[1] - full[0] == pytest.approx(2 * shooting.FINE_HALF_WIDTH, rel=1e-6)
-        assert full[2:4] == pytest.approx([guess - 1e-4, guess + 1e-4], abs=1e-12)
-        assert profile.passes[1] == len(full)
-        assert profile.h0 == pytest.approx(expected, abs=2e-12)
+        assert not profile.converged
+        assert profile.stalled
+        assert profile.passes[1] == shooting.MAX_SWEEPS
+        reason = profile.failure_reason(1e-6)
+        assert f"Newton stalled after {shooting.MAX_SWEEPS} sweeps" in reason
+        assert f"largest joint defect {profile.joint_defect:.3g}" in reason
+        assert profile.joint_defect > 1e-4
 
-    def test_fine_stage_miss_over_scan_bracket_raises(self, disk3, monkeypatch):
-        full = []
+    @pytest.mark.parametrize("failure", ["singular", "diverging"])
+    def test_failed_newton_step_stalls(self, disk3, monkeypatch, failure):
+        def failed_step(lead, maps, rhs):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("singular matrix")
+            return np.full(rhs.size, 1e3)  # leaves the scan bracket
 
-        def no_full_resolution_root(h0, disk, n, eps, steps):
-            if steps == shooting.COARSE_STEPS:
-                return _mismatch(h0, disk, n, eps, steps)
-            full.append(h0)
-            return -1.0
+        monkeypatch.setattr(shooting, "_solve_joints", failed_step)
+        profile = shoot(disk3, steps=8_000)
+        assert not profile.converged and profile.stalled
+        assert profile.passes[1] == 1
+        assert "Newton stalled after 1 sweeps" in profile.failure_reason(1e-6)
 
-        monkeypatch.setattr(shooting, "_mismatch", no_full_resolution_root)
-        with pytest.raises(BracketError, match="at 8000 steps"):
-            shoot(disk3, steps=8_000)
-        # +-1e-6, +-1e-4, +-1e-2, +-1, then +-100 clipped to the scan bracket
-        assert len(full) == 10
-        assert full[-2:] == [shooting.SCAN_LOW, shooting.SCAN_HIGH]
+    @pytest.mark.parametrize("radius, steps", [(25.0, 50_000), (30.0, 100_000)], ids=["R25", "R30"])
+    def test_large_disk_converges_to_plane_core_value(self, radius, steps):
+        # One march across [eps, R] amplifies errors like e^R; the segments
+        # keep Newton well conditioned.
+        profile = shoot(ConformalDisk.flat(radius), n=1, steps=steps)
+        assert profile.converged
+        assert profile.h0 == pytest.approx(H0_PLANE, abs=1e-9)
+        assert profile.dhtilde[-1] == pytest.approx(-2.0 / radius, abs=1e-6)
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-6, math.inf])
     def test_unusable_tol_rejected_before_scan(self, disk3, monkeypatch, tol):
@@ -227,3 +234,30 @@ class TestShoot:
     def test_interpolation_matches_nodes(self, radial_r3):
         sample = radial_r3.r[::5000]
         assert np.allclose(radial_r3.htilde_at(sample), radial_r3.htilde[::5000])
+
+
+@st.composite
+def radial_problems(draw):
+    """A disk with an increasing Omega table in [1, 1.5], n and a step count."""
+    radius = draw(st.floats(2.5, 8.0))
+    knots = np.linspace(0.0, radius, 5)
+    values = sorted(draw(st.lists(st.floats(1.0, 1.5), min_size=5, max_size=5)))
+    disk = ConformalDisk.from_samples(radius, knots, values)
+    n = draw(st.sampled_from([1, 2]))
+    steps = draw(st.integers(2_000, 6_000))
+    return disk, n, steps
+
+
+class TestShootProperties:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(radial_problems())
+    def test_matches_oracle_and_single_march(self, problem):
+        disk, n, steps = problem
+        assume(bradlow_margin(VortexConfiguration.centered(n), disk) > 0.0)
+        profile = shoot(disk, n=n, steps=steps)
+        assert profile.converged
+        assert profile.h0 == pytest.approx(single_stage_h0(disk, n, steps), abs=1e-12)
+        # The joints are continuous: one march from the same h0 retraces it.
+        march = integrate_radial(profile.h0, disk, n, steps=steps)
+        assert np.max(np.abs(profile.htilde - march.htilde)) <= 1e-9
+        assert np.max(np.abs(profile.dhtilde - march.dhtilde)) <= 1e-9
