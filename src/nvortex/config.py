@@ -25,6 +25,11 @@ _RADIAL_KEYS = {"steps", "eps", "tol"}
 _METRIC_KEYS = {"delta"}
 _INTERIOR_KEYS = {"x", "y", "n"}
 _BOUNDARY_KEYS = {"theta", "m"}
+#: JSON type of each optional section: an object of fields or a list of entries.
+_SECTION_TYPES = {
+    "grid": dict, "solver": dict, "outputs": dict, "radial": dict, "metric": dict,
+    "interior": list, "boundary": list,
+}
 
 
 @dataclass
@@ -72,6 +77,10 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "configuration")
+    for key, kind in _SECTION_TYPES.items():
+        if key in doc and not isinstance(doc[key], kind):
+            expected = "an object" if kind is dict else "a list"
+            raise ConfigError(f"configuration.{key} must be {expected}, got {doc[key]!r}")
     if "radius" not in doc:
         raise ConfigError("configuration is missing the required field 'radius'")
     radius = _number(doc, "radius", None, "configuration", minimum=1e-12)
@@ -80,14 +89,14 @@ def parse_run_config(doc: dict) -> RunConfig:
     try:
         if omega == "euclidean":
             disk = ConformalDisk.flat(radius)
-        elif isinstance(omega, list):
+        elif isinstance(omega, list) and all(isinstance(p, list) and len(p) == 2 for p in omega):
             pairs = [(float(p[0]), float(p[1])) for p in omega]
             disk = ConformalDisk.from_samples(
                 radius, [p[0] for p in pairs], [p[1] for p in pairs]
             )
         else:
             raise ConfigError("omega must be \"euclidean\" or a list of [r, value] pairs")
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid omega specification: {exc}") from exc
     if not math.isfinite(disk.area):
         raise ConfigError(f"configuration.radius must give a finite disk area, got {radius:.6g}")

@@ -37,8 +37,9 @@ from .geometry import (
     ScalarField,
     VortexConfiguration,
 )
+from .operators import assemble_neumann_laplacian
 from .shooting import DEFAULT_EPS, RadialProfile, _solve_joints, shoot
-from .solver2d import solve_taubes_2d
+from .solver2d import CG_RTOL, _solve_spd, solve_taubes_2d
 
 __all__ = [
     "LinearizedProfile",
@@ -262,8 +263,7 @@ def _fit_b(htilde: ScalarField, z_core: complex) -> complex:
     outside the worst discretisation error).  The design includes the full
     quadratic so the field curvature is absorbed by nuisance coefficients;
     with a purely linear design the curvature aliases into the gradient as
-    nodes enter and leave the annulus, which wrecks differencing of ``b``
-    with respect to the vortex position.
+    nodes enter and leave the annulus when the fit point moves.
     """
     grid = htilde.grid
     d = grid.nodes_complex - z_core
@@ -272,47 +272,47 @@ def _fit_b(htilde: ScalarField, z_core: complex) -> complex:
     count = int(np.count_nonzero(mask))
     if count < 12:
         raise FitError(f"only {count} nodes in the fit annulus; refine the grid")
-    dx = d.real[mask]
-    dy = d.imag[mask]
-    design = np.column_stack(
-        [np.ones(count), dx, dy, dx * dx, dx * dy, dy * dy]
-    )
+    dx, dy = d.real[mask], d.imag[mask]
+    design = np.column_stack([np.ones(count), dx, dy, dx * dx, dx * dy, dy * dy])
     coeffs, *_ = np.linalg.lstsq(design, htilde.values[mask], rcond=None)
     return 0.5 * (coeffs[1] + 1j * coeffs[2])
 
 
+def _position_tangents(disk: ConformalDisk, grid: PolarGrid, tol: float, max_iter: int):
+    """``d_X htilde`` and ``d_Y htilde`` at a centred unit vortex, each ``(nr, ntheta)``.
+
+    The tangent equation of the discrete field equation at the converged
+    field, ``(L - diag(s)) u = s d_X v0 - b(d_X g)`` with ``s = w Omega e^h``,
+    ``d_X v0 = -2 cos(theta)/r`` and ``d_X g = -2 cos(theta)/R^2`` (``sin`` for
+    ``d_Y``).  The shift ``s`` is ring-constant, so PCG stops after one
+    iteration.  Raises ``RuntimeError`` naming an unconverged solve's termination.
+    """
+    field, report = solve_taubes_2d(disk, VortexConfiguration.centered(1), grid, tol, max_iter)
+    if not report.converged:
+        raise RuntimeError(f"centred field solve did not converge ({report.termination})")
+    lap = assemble_neumann_laplacian(grid, disk)
+    h = field.values + report.singular.v0.values
+    shift = lap.weights * (disk.omega_at(grid.r)[:, None] * np.exp(h)).ravel()
+    tangents = []
+    for trig in (np.cos(grid.theta), np.sin(grid.theta)):
+        d_v0 = -2.0 * (trig / grid.r[:, None]).ravel()
+        rhs = shift * d_v0 - lap.boundary_flux_vector(-2.0 * trig / disk.radius**2)
+        tangents.append(_solve_spd(lap, shift, rhs, "cg", CG_RTOL)[0].reshape(grid.shape))
+    return tangents
+
+
 def boundary_ring_position_derivatives(
-    disk: ConformalDisk,
-    grid: PolarGrid,
-    delta: float,
-    tol: float = 1e-8,
-    max_iter: int = 50,
+    disk: ConformalDisk, grid: PolarGrid, tol: float = 1e-8, max_iter: int = 50
 ):
     """``d_X h`` and ``d_Y h`` on the outermost node ring for a vortex at 0.
 
-    The independent 2-D witness for the radial factor ``a``: central
-    differences over four field solves, with the vortex at ``+-delta`` and
-    ``+-i delta``, give the smooth part; the core logarithm contributes
-    ``-2 cos(theta)/rho`` and ``-2 sin(theta)/rho`` analytically.  Returns
-    ``(rho, theta, dxh, dyh)``.  Raises ``ValueError`` before any solve
-    unless ``0 < delta < R``.
+    The 2-D witness for the radial factor ``a``: the smooth part from
+    ``_position_tangents`` plus the core logarithm's ``-2 cos(theta)/rho``
+    (``sin`` for ``d_Y h``).  Returns ``(rho, theta, dxh, dyh)``.
     """
-    if not 0.0 < delta < disk.radius:
-        raise ValueError(f"delta must lie in (0, radius={disk.radius}), got {delta}")
-    ring = []
-    for z in (complex(delta), complex(-delta), complex(0.0, delta), complex(0.0, -delta)):
-        config = VortexConfiguration(interior=((z, 1),))
-        field, report = solve_taubes_2d(disk, config, grid, tol=tol, max_iter=max_iter)
-        if not report.converged:
-            raise RuntimeError(f"field solve for vortex at {z} did not converge ({report.termination})")
-        ring.append(field.values[-1])
-    dxh_tilde = (ring[0] - ring[1]) / (2.0 * delta)
-    dyh_tilde = (ring[2] - ring[3]) / (2.0 * delta)
-    rho = grid.r[-1]
-    theta = grid.theta
-    dxh = dxh_tilde - 2.0 * np.cos(theta) / rho
-    dyh = dyh_tilde - 2.0 * np.sin(theta) / rho
-    return rho, theta, dxh, dyh
+    rho, theta = grid.r[-1], grid.theta
+    ux, uy = _position_tangents(disk, grid, tol, max_iter)
+    return rho, theta, ux[-1] - 2.0 * np.cos(theta) / rho, uy[-1] - 2.0 * np.sin(theta) / rho
 
 
 def ring_metric_integral(dxh: np.ndarray, dyh: np.ndarray) -> float:

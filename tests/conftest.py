@@ -30,11 +30,11 @@ def run_python():
 
     ``threads`` sets ``OPENBLAS_NUM_THREADS``: the thread count is fixed when
     OpenBLAS loads, so comparing thread counts needs one process each.
-    Returns the completed process (stdout as text); a non-zero exit fails the
-    test with its stderr.
+    Returns the completed process (stdout and stderr as text); an exit code
+    other than ``returncode`` fails the test with its stderr.
     """
 
-    def run(*argv: str, threads: int | None = None) -> subprocess.CompletedProcess:
+    def run(*argv: str, threads: int | None = None, returncode: int = 0) -> subprocess.CompletedProcess:
         env = dict(os.environ)
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -42,7 +42,7 @@ def run_python():
         done = subprocess.run(
             [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300
         )
-        assert done.returncode == 0, done.stderr
+        assert done.returncode == returncode, done.stderr
         return done
 
     return run

@@ -64,6 +64,13 @@ class TestCheck:
         assert "radius" in capsys.readouterr().err
 
 
+    def test_section_of_wrong_type_is_config_error(self, tmp_path, run_python):
+        cfg = write_config(tmp_path, {"radius": 3, "interior": 5})
+        done = run_python("-m", "nvortex", "check", "--config", cfg, returncode=cli.EXIT_CONFIG)
+        assert "configuration error" in done.stderr
+        assert "configuration.interior must be a list" in done.stderr
+        assert "Traceback" not in done.stderr
+
 class TestSolveRadial:
     def test_writes_profile_and_report(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -389,3 +396,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "violates the existence bound" in out
         assert "domain solves skipped" in out
+
+    def test_unconverged_loop_check_is_a_failure(self, capsys):
+        # tol = 0 cannot be met: the loop-integral check records why and
+        # the run ends as a verification failure, not a traceback.
+        assert cli.main(["verify", "--nr", "32", "--tol", "0"]) == cli.EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert (
+            "FAIL    loop integral matches closed form "
+            "(centred field solve did not converge (line_search))" in out
+        )

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nvortex import config
 from nvortex.config import ConfigError, load_run_config, parse_run_config
 
 
@@ -116,6 +118,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"\.{key} must"):
             load_run_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [("interior", 5), ("boundary", None), ("grid", 5), ("grid", []), ("solver", None)],
+        ids=["interior-number", "boundary-null", "grid-number", "grid-list", "solver-null"],
+    )
+    def test_section_of_wrong_type_rejected(self, section, value):
+        doc = minimal()
+        doc[section] = value
+        with pytest.raises(ConfigError, match=rf"configuration\.{section} must be an? (object|list)"):
+            parse_run_config(doc)
+
+    @pytest.mark.parametrize(
+        "omega", [[{}], [[0.0]], [[0.0, 1.0, 2.0]], [[10**400, 1.0], [3.0, 1.0]]],
+        ids=["object", "short", "long", "beyond-float"],
+    )
+    def test_omega_entries_must_be_numeric_pairs(self, omega):
+        doc = minimal()
+        doc["omega"] = omega
+        with pytest.raises(ConfigError, match="omega"):
+            parse_run_config(doc)
+
     def test_grid_too_small(self):
         doc = minimal()
         doc["grid"] = {"nr": 4}
@@ -139,3 +162,35 @@ class TestLoading:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_run_config(str(path))
+
+
+#: Every field name the schema knows, so generated documents reach the nested checks.
+FIELD_NAMES = sorted(
+    config._TOP_KEYS | config._GRID_KEYS | config._SOLVER_KEYS | config._OUTPUT_KEYS
+    | config._RADIAL_KEYS | config._METRIC_KEYS | config._INTERIOR_KEYS | config._BOUNDARY_KEYS
+)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["euclidean", "csv", "json", ""]) | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=4), children, max_size=4),
+    max_leaves=16,
+)
+#: Arbitrary JSON, plus documents with a usable radius and arbitrary sections.
+DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {"radius": st.floats(0.5, 10.0)},
+    optional={key: JSON_VALUES for key in sorted(config._TOP_KEYS - {"radius"})},
+)
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(doc=DOCUMENTS)
+    def test_only_config_error_escapes(self, doc):
+        try:
+            parse_run_config(doc)
+        except ConfigError:
+            pass

@@ -66,6 +66,46 @@ class TestInteriorGreen:
         assert abs(ga.values[20, 17] - gb.values[5, 3]) < 1e-10
 
 
+def closed_form_deviation(disk, nr, q):
+    """Largest gap between ``neumann_green`` and the flat disk's closed form.
+
+    ``G = -(log|z - q| + log|R^2 - z conj(q)|) / (2 pi) + |z|^2 / (4 pi R^2)``
+    solves ``-lap G = delta_q - 1/A`` with zero outer flux.  The two are
+    matched up to a constant (their volume-weighted mean gap) on the nodes at
+    least 0.5 from the source.
+    """
+    grid = build_grid(disk, nr, nr)
+    green = neumann_green(disk, grid, q).values
+    z = grid.nodes_complex
+    zq = z[q]
+    far = np.abs(z - zq) >= 0.5
+    z = z[far]
+    radius = disk.radius
+    closed = (
+        -(np.log(np.abs(z - zq)) + np.log(np.abs(radius**2 - z * np.conj(zq)))) / (2.0 * math.pi)
+        + np.abs(z) ** 2 / (4.0 * math.pi * radius**2)
+    )
+    gap = green[far] - closed
+    gap -= np.average(gap, weights=grid.flat_weights().reshape(grid.shape)[far])
+    return float(np.max(np.abs(gap)))
+
+
+class TestClosedFormGreen:
+    @pytest.mark.parametrize(
+        "where, bound", [((0.3, 0.1), 4.5e-4), ((0.7, 0.6), 2.8e-3)], ids=["inner", "outer"]
+    )
+    def test_second_order_on_flat_disk(self, disk3, where, bound):
+        # Measured: 1.65e-3, 3.98e-4, 1.05e-4 (inner) and 1.01e-2, 2.52e-3,
+        # 5.41e-4 (outer) at 48, 96 and 192 nodes a side.
+        errors = [
+            closed_form_deviation(disk3, nr, (int(where[0] * nr), int(where[1] * nr)))
+            for nr in (48, 96, 192)
+        ]
+        assert errors[1] <= bound
+        assert errors[0] >= 3.5 * errors[1]
+        assert errors[1] >= 3.5 * errors[2]
+
+
 class TestBoundaryGreen:
     def test_mean_zero_and_system(self, disk3, grid48):
         h = boundary_neumann_green(disk3, grid48, 0.0)

@@ -12,10 +12,12 @@ from nvortex import (
     solve_linear_bvp,
     solve_linearized,
 )
+from nvortex import moduli
 from nvortex.moduli import (
     EPS_FRACTION,
     ConditioningError,
     _fit_b,
+    _position_tangents,
     boundary_ring_position_derivatives,
     ring_metric_integral,
 )
@@ -106,25 +108,44 @@ def two_pass_bvp(f_of_r, radius, steps):
 ORACLE_STEPS = [1, 3, 1_000, 99_991]  # 99,991 is prime: a ragged last block
 
 
+def offset_fields(disk, grid, delta):
+    """Field solves with the vortex at ``+delta``, ``-delta``, ``+i delta``, ``-i delta``.
+
+    The stencil of the finite-difference oracles below: central differences
+    over these four solves are how position derivatives were formed before
+    the radial linearized solve and the tangent-linear solve replaced them.
+    Returns ``[(Z, htilde), ...]`` in that order.
+    """
+    fields = []
+    for z in (complex(delta), complex(-delta), complex(0.0, delta), complex(0.0, -delta)):
+        field, report = solve_taubes_2d(disk, VortexConfiguration(interior=((z, 1),)), grid)
+        assert report.converged
+        fields.append((z, field))
+    return fields
+
+
 def finite_difference_db_dz(disk, nr):
     """Oracle: ``db/dZ`` at the origin from 2-D field solves.
 
     This is how ``metric_coefficient`` formed it before reading ``a'(0)`` off
-    the radial solve: field solves with the vortex at ``+-delta`` and
-    ``+-i delta`` around the centre (``delta = R/100``), the core coefficient
-    ``b`` fitted at each, and central differences
-    ``db/dZ = (d_X b - i d_Y b) / 2``.
+    the radial solve: the core coefficient ``b`` fitted at each offset field
+    (``delta = R/100``) and central differences ``db/dZ = (d_X b - i d_Y b) / 2``.
     """
-    grid = build_grid(disk, nr, nr)
     delta = disk.radius / 100.0
-    fits = []
-    for z in (complex(delta), complex(-delta), complex(0.0, delta), complex(0.0, -delta)):
-        field, report = solve_taubes_2d(disk, VortexConfiguration(interior=((z, 1),)), grid)
-        assert report.converged
-        fits.append(_fit_b(field, z))
+    fits = [_fit_b(field, z) for z, field in offset_fields(disk, build_grid(disk, nr, nr), delta)]
     d_x = (fits[0] - fits[1]) / (2.0 * delta)
     d_y = (fits[2] - fits[3]) / (2.0 * delta)
     return 0.5 * (d_x - 1j * d_y)
+
+
+def finite_difference_ring(disk, grid, delta):
+    """Oracle: ``(d_X htilde, d_Y htilde)`` on the outer ring by central differences.
+
+    This is how ``boundary_ring_position_derivatives`` formed them before the
+    tangent-linear solve.
+    """
+    ring = [field.values[-1] for _, field in offset_fields(disk, grid, delta)]
+    return (ring[0] - ring[1]) / (2.0 * delta), (ring[2] - ring[3]) / (2.0 * delta)
 
 
 class TestLinearizedSolve:
@@ -232,12 +253,69 @@ class TestBoundaryTerm:
 
     def test_loop_integral_matches_closed_form(self, disk3, lin_r3):
         grid = build_grid(disk3, 96, 96)
-        rho, _, dxh, dyh = boundary_ring_position_derivatives(
-            disk3, grid, delta=disk3.radius / 100.0
-        )
+        rho, _, dxh, dyh = boundary_ring_position_derivatives(disk3, grid)
         direct = ring_metric_integral(dxh, dyh)
         closed = math.pi * (lin_r3.a_at(rho) - 2.0 / rho) ** 2
         assert direct == pytest.approx(closed, rel=0.05)
+
+
+class TestPositionTangents:
+    def test_matches_finite_difference_oracle(self, disk3):
+        # The oracle's delta^2 error: measured 7.7e-5 at delta = R/100, then
+        # 1.93e-5 at R/200.
+        grid = build_grid(disk3, 64, 64)
+        rho, theta, dxh, dyh = boundary_ring_position_derivatives(disk3, grid)
+        tangent = (dxh + 2.0 * np.cos(theta) / rho, dyh + 2.0 * np.sin(theta) / rho)
+        gaps = []
+        for delta in (disk3.radius / 100.0, disk3.radius / 200.0):
+            oracle = finite_difference_ring(disk3, grid, delta)
+            gaps.append(max(np.max(np.abs(t - o)) for t, o in zip(tangent, oracle)))
+        assert gaps[0] <= 1e-4
+        assert gaps[0] >= 3.5 * gaps[1]
+
+    @pytest.mark.parametrize("case", ["flat", "table"])
+    def test_whole_disk_matches_radial_factor(self, disk3, lin_r3, radial_table, case):
+        # max |u_X - a(r) cos(theta)| is second order: measured 1.64e-4 then
+        # 4.09e-5 (flat) and 1.90e-4 then 4.74e-5 (table) at 64 and 128.
+        if case == "flat":
+            disk, lin = disk3, lin_r3
+        else:
+            disk, lin = radial_table[0], solve_linearized(*radial_table)
+        errors = []
+        for nr in (64, 128):
+            grid = build_grid(disk, nr, nr)
+            u_x, _ = _position_tangents(disk, grid, 1e-8, 50)
+            errors.append(np.max(np.abs(u_x - lin.a_at(grid.r)[:, None] * np.cos(grid.theta))))
+        assert errors[1] <= 6e-5
+        assert errors[0] >= 3.5 * errors[1]
+
+    def test_quarter_turn_equivariance(self, disk3):
+        grid = build_grid(disk3, 64, 64)
+        u_x, u_y = _position_tangents(disk3, grid, 1e-8, 50)
+        assert np.max(np.abs(u_y - np.roll(u_x, grid.ntheta // 4, axis=1))) <= 1e-12
+
+    def test_one_field_solve_and_one_iteration_each(self, disk3, monkeypatch):
+        solves, iterations = [], []
+        real_solve, real_spd = moduli.solve_taubes_2d, moduli._solve_spd
+
+        def counting_solve(disk, config, *args, **kwargs):
+            solves.append(config)
+            return real_solve(disk, config, *args, **kwargs)
+
+        def counting_spd(*args):
+            x, count = real_spd(*args)
+            iterations.append(count)
+            return x, count
+
+        monkeypatch.setattr(moduli, "solve_taubes_2d", counting_solve)
+        monkeypatch.setattr(moduli, "_solve_spd", counting_spd)
+        _position_tangents(disk3, build_grid(disk3, 32, 32), 1e-8, 50)
+        assert solves == [VortexConfiguration.centered(1)]
+        assert iterations == [1, 1]
+
+    def test_unconverged_field_solve_names_termination(self, disk3):
+        with pytest.raises(RuntimeError, match=r"did not converge \(line_search\)"):
+            boundary_ring_position_derivatives(disk3, build_grid(disk3, 32, 32), tol=0.0)
 
 
 class TestCoreCoefficient:
@@ -263,12 +341,6 @@ class TestCoreCoefficient:
         b1 = _fit_b(f1, z)
         b2 = _fit_b(f2, z.conjugate())
         assert abs(b2 - b1.conjugate()) < 1e-8
-
-    def test_offset_stencil_validated(self, disk3):
-        grid = build_grid(disk3, 32, 32)
-        for delta in (0.0, -0.1, disk3.radius, 5.0):
-            with pytest.raises(ValueError):
-                boundary_ring_position_derivatives(disk3, grid, delta=delta)
 
 
 class TestMetricReport:
