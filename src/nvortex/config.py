@@ -56,15 +56,21 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+def _finite(value, label: str):
+    """``value`` if it is a finite JSON number (not a string, not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{label} must be a number, got {value!r}")
+    # Exact comparison also rejects NaN and integers beyond the float range.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{label} must be finite, got {value!r}")
+    return value
+
+
 def _number(section: dict, key: str, default, where: str, *, minimum=None, integer=False):
     value = section.get(key, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    # Exact comparison also rejects NaN and integers beyond the float range.
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    _finite(value, f"{where}.{key}")
     if integer and int(value) != value:
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -90,7 +96,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         if omega == "euclidean":
             disk = ConformalDisk.flat(radius)
         elif isinstance(omega, list) and all(isinstance(p, list) and len(p) == 2 for p in omega):
-            pairs = [(float(p[0]), float(p[1])) for p in omega]
+            pairs = [tuple(float(_finite(v, f"omega[{k}][{i}]")) for i, v in enumerate(p))
+                     for k, p in enumerate(omega)]
             disk = ConformalDisk.from_samples(
                 radius, [p[0] for p in pairs], [p[1] for p in pairs]
             )

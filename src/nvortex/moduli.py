@@ -8,8 +8,10 @@ where the radial factor ``a`` solves the linear two-point problem
 
     a'' + a'/r - a/r^2 = f(r) * (a - 2/r),   f = Omega * exp(h),
 
-regular at the origin with ``a'(R) = -2/R^2``.  The kinetic-energy
-coefficient of a moving vortex combines a boundary term,
+regular at the origin with ``a'(R) = -2/R^2``; ``solve_linear_bvp`` solves
+it by multiple shooting with the radial shoot's segments, RK4 sweep and
+banded joint solve (``shooting._segments``, ``_sweep``, ``_solve_joints``).
+The kinetic-energy coefficient of a moving vortex combines a boundary term,
 ``(1/2) * pi * (d_X h(R; 0))^2`` with ``d_X h(R; 0) = a(R) - 2/R``, and the
 local term ``pi * (Omega(0) + 2 db/dZ)`` built from the core coefficient
 ``b(Z) = d_zbar (h - log|z - Z|^2)`` at ``z = Z`` (Samols, "Vortex
@@ -38,7 +40,7 @@ from .geometry import (
     VortexConfiguration,
 )
 from .operators import assemble_neumann_laplacian
-from .shooting import DEFAULT_EPS, RadialProfile, _solve_joints, shoot
+from .shooting import DEFAULT_EPS, RadialProfile, _segments, _solve_joints, _sweep, shoot
 from .solver2d import CG_RTOL, _solve_spd, solve_taubes_2d
 
 __all__ = [
@@ -84,102 +86,40 @@ class LinearizedProfile:
         return np.interp(np.asarray(r, dtype=float), self.r, self.a)
 
 
-def _rk4_maps(p, s, h):
-    """One classical RK4 step of ``a_t = q, q_t = P a + s`` as an affine map.
-
-    The system is linear, so the step from half-node ``2k`` to ``2k + 2`` is
-    exactly ``y -> M y + c`` with entries polynomial in ``h`` and in ``P``,
-    ``s`` at half-nodes ``2k, 2k + 1, 2k + 2``.  ``p`` and ``s`` hold those
-    values at all ``2 * steps + 1`` half-nodes; returns the per-step arrays
-    ``(m00, m01, m10, m11, c0, c1)``.
-    """
-    p0, p1, p2 = p[:-2:2], p[1::2], p[2::2]
-    s0, s1, s2 = s[:-2:2], s[1::2], s[2::2]
-    h2 = h * h
-    p01 = p0 * p1 * h2
-    p12 = p1 * p2 * h2
-    ps0 = p1 * s0 * h2
-    return (
-        1.0 + h2 * (p01 + 4.0 * p0 + 8.0 * p1) / 24.0,
-        h * (p1 * h2 + 6.0) / 6.0,
-        h * (p01 + 2.0 * p0 + p12 + 8.0 * p1 + 2.0 * p2) / 12.0,
-        1.0 + h2 * (p12 + 8.0 * p1 + 4.0 * p2) / 24.0,
-        h2 * (ps0 + 4.0 * s0 + 8.0 * s1) / 24.0,
-        h * (ps0 + p2 * s1 * h2 + 2.0 * s0 + 8.0 * s1 + 2.0 * s2) / 12.0,
-    )
-
-
-def _block_prefixes(maps, steps):
-    """Within-block prefix compositions of the step maps, for a blocked scan.
-
-    The steps are cut into ``nb`` blocks of ``size`` (both about
-    ``sqrt(steps)``; the last block is padded with identity maps).  One loop
-    over block positions, vectorised across blocks, composes each block's
-    maps up to every position.  Returns ``(rows, ends)``: ``rows`` holds the
-    first row of each prefix matrix and its offset, ``(x00, x01, d0)`` with
-    shape ``(nb, size)``, so that ``a`` after position ``i`` of block ``b`` is
-    ``x00 a_b + x01 q_b + d0`` from the block's start state ``(a_b, q_b)``;
-    ``ends`` holds the whole-block maps ``(x00, x01, x10, x11, d0, d1)``.
-    Elementwise operations only, so no BLAS thread count can change a sum.
-    """
-    size = math.isqrt(steps - 1) + 1
-    nb = -(-steps // size)
-    padded = []
-    for entry, pad in zip(maps, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)):
-        block = np.full(nb * size, pad)
-        block[:steps] = entry
-        padded.append(block.reshape(nb, size))
-    rows = tuple(np.empty((nb, size)) for _ in range(3))
-    x00, x01, x10, x11, d0, d1 = (col[:, 0] for col in padded)
-    for i in range(size):
-        if i:
-            m00, m01, m10, m11, c0, c1 = (col[:, i] for col in padded)
-            x00, x01, x10, x11, d0, d1 = (
-                m00 * x00 + m01 * x10,
-                m00 * x01 + m01 * x11,
-                m10 * x00 + m11 * x10,
-                m10 * x01 + m11 * x11,
-                m00 * d0 + m01 * d1 + c0,
-                m10 * d0 + m11 * d1 + c1,
-            )
-        rows[0][:, i], rows[1][:, i], rows[2][:, i] = x00, x01, d0
-    return rows, (x00, x01, x10, x11, d0, d1)
-
-
 def solve_linear_bvp(
     f_of_r,
     radius: float,
-    eps: float | None = None,
     steps: int = DEFAULT_LIN_STEPS,
 ) -> LinearizedProfile:
     """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by multiple shooting.
 
     Integrates in ``t = log r`` (keeping the Euler-type coefficients bounded
-    near the core) with ``steps`` classical RK4 steps from ``eps``.  The
-    system is linear, so each step is an affine map (``_rk4_maps``) and a
-    blocked scan composes them into about ``sqrt(steps)`` block maps
-    (``_block_prefixes``); ``f_of_r`` is evaluated once, at the
-    ``2 * steps + 1`` half-node radii.  One banded solve (``_solve_joints``)
-    gives ``a'(0)`` (``slope0``; the regular branch is seeded as
-    ``a = slope0 * r``) and every block-start state from continuity at the
-    joints and ``a'(R) = -2/R^2``.  Short blocks keep it well conditioned on
-    large disks, where both solutions of the equation grow like ``e^r``.  The
-    vacuum case ``f == 0`` has the closed form ``a = -2 r / R^2``.
+    near the core) with ``steps`` classical RK4 steps from
+    ``eps = EPS_FRACTION * radius``; ``f_of_r`` is evaluated once, at the
+    ``2 * steps + 1`` half-node radii.  The steps are cut into segments as
+    for ``shoot`` (``_segments``), and one ``_sweep`` steps every segment
+    from a zero start with an identity variational matrix.  The system is
+    linear, so that sweep's rows after each step are exactly the affine map
+    of the segment so far: ``a = y0 + x00 a_b + x01 q_b`` from the segment's
+    start state ``(a_b, q_b)``.  One banded solve (``_solve_joints``) gives
+    ``a'(0)`` (``slope0``; the regular branch is seeded as
+    ``a = slope0 * r``) and every segment-start state from continuity at the
+    joints and ``a'(R) = -2/R^2``.  Short segments keep it well conditioned
+    on large disks, where both solutions of the equation grow like ``e^r``.
+    The vacuum case ``f == 0`` has the closed form ``a = -2 r / R^2``.
 
-    Raises ``ValueError`` unless ``steps`` is a positive integer, ``eps``
-    lies in ``(0, radius)`` and ``f_of_r`` returns finite values
+    Raises ``ValueError`` unless ``steps`` is a positive integer, ``radius``
+    is positive and finite and ``f_of_r`` returns finite values
     broadcastable to the half-node radii; ``ConditioningError`` if the
-    block maps overflow or the banded factor is singular.
+    sweep overflows or the banded factor is singular.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if eps is None:
-        eps = EPS_FRACTION * radius
-    if not 0.0 < eps < radius:
-        raise ValueError(f"eps must lie in (0, radius), got {eps}")
-    t0, t1 = math.log(eps), math.log(radius)
-    dt = (t1 - t0) / steps
-    r_half = np.exp(t0 + 0.5 * dt * np.arange(2 * steps + 1))
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    eps = EPS_FRACTION * radius
+    r_half, index, dt = _segments(math.log(eps), math.log(radius), steps)
+    np.exp(r_half, out=r_half)  # the half-node radii, from their values of t = log r
     f_half = np.asarray(f_of_r(r_half), dtype=float)
     try:
         f_half = np.broadcast_to(f_half, r_half.shape)
@@ -192,22 +132,29 @@ def solve_linear_bvp(
     if bad:
         raise ValueError(f"coefficient f is not finite at {bad} of {f_half.size} half-node radii")
     # In t the system reads a_t = q, q_t = P(t) a + s(t).
+    p = (1.0 + r_half**2 * f_half)[index]
+    s = (-2.0 * r_half * f_half)[index]
+
+    def rhs(j, y):
+        k = np.empty_like(y)
+        k[::2] = y[1::2]
+        k[1] = p[j] * y[0] + s[j]
+        k[3::2] = p[j] * y[2::2]
+        return k
+
+    y, ys = _sweep(rhs, dt, np.zeros((2, index.shape[1])))
     overflow = ConditioningError("linearized integration overflowed before the boundary")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows, ends = _block_prefixes(
-            _rk4_maps(1.0 + r_half**2 * f_half, -2.0 * r_half * f_half, dt), steps
-        )
-    x00, x01, x10, x11, d0, d1 = ends
-    if not np.isfinite(ends).all():
+    if not np.isfinite(y).all():
         raise overflow
+    d0, d1, x00, x10, x01, x11 = y
     # Continuity X_b s_b + d_b = s_{b+1} at each joint, then the outer
     # condition q(T) = R a'(R) = -2/R; the seed is (a, q) = slope0 * (eps, eps).
-    rhs = np.empty(2 * x00.size - 1)
-    rhs[0:-1:2], rhs[1:-1:2] = -d0[:-1], -d1[:-1]
-    rhs[-1] = -2.0 / radius - d1[-1]
+    rhs_joints = np.empty(2 * d0.size - 1)
+    rhs_joints[0:-1:2], rhs_joints[1:-1:2] = -d0[:-1], -d1[:-1]
+    rhs_joints[-1] = -2.0 / radius - d1[-1]
     lead = ((x00[0] + x01[0]) * eps, (x10[0] + x11[0]) * eps)
     try:
-        x = _solve_joints(lead, (x00, x01, x10, x11), rhs)
+        x = _solve_joints(lead, (x00, x01, x10, x11), rhs_joints)
     except np.linalg.LinAlgError:
         raise ConditioningError("the banded block system for the linearized profile is singular") from None
     slope0 = float(x[0])
@@ -215,7 +162,9 @@ def solve_linear_bvp(
     start_q = np.concatenate(([slope0 * eps], x[2::2]))
     a = np.empty(steps + 1)
     a[0] = slope0 * eps
-    a[1:] = (rows[0] * start_a[:, None] + rows[1] * start_q[:, None] + rows[2]).ravel()[:steps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.array([state[0] + state[2] * start_a + state[4] * start_q for state in ys])
+    a[1:] = rows.T.ravel()[:steps]
     if not np.isfinite(a).all():
         raise overflow
     a_end = float(a[-1])

@@ -16,6 +16,10 @@ at the joints plus the outer slope is one banded solve per sweep (Keller,
 "Numerical Methods for Two-Point Boundary-Value Problems", 1968; Ascher,
 Mattheij & Russell, SIAM 1995, ch. 4).  Short segments keep the solve well
 conditioned where one march across ``[eps, R]`` amplifies errors like e^R.
+The segmentation (``_segments``), the sweep (``_sweep``) and the banded
+solve (``_solve_joints``) also serve the linearised radial problem of
+``moduli.solve_linear_bvp``; the scalar march ``_integrate`` serves the
+coarse passes and ``integrate_radial``.
 """
 
 from __future__ import annotations
@@ -259,51 +263,44 @@ def _solve_joints(lead, maps, rhs) -> np.ndarray:
     return solve_banded((2, 1), ab, rhs)
 
 
-def _segment_tables(disk, n, eps, steps):
-    """``_integrate``'s steps cut into segments of ``size`` steps, for ``_sweep``.
+def _segments(x0, x1, steps):
+    """``steps`` RK4 steps from ``x0`` to ``x1`` cut into segments, for ``_sweep``.
 
-    Returns ``(r_half, (r, r_2n, w, dx))``: the half-node radii; per segment
-    (columns) the half-node values of ``r``, ``r^{2n}`` and ``Omega`` and the
-    step sizes, zero on the padding after the last node (an identity step).
-    ``_sweep`` pays numpy's per-call cost once per position in a segment, so
-    segments are short: about ``sqrt(steps) / 4`` steps (on a 2-vCPU VM a
-    10k-step sweep takes 2.6 ms in 400 segments of 25 steps, 10.9 ms in 100
-    of 100).
+    Returns ``(x_half, index, dx)``: the ``2 * steps + 1`` half-node
+    coordinates; per segment (columns) the indices of its half-nodes, with
+    shape ``(2 * size + 1, segments)``, at which a caller gathers its
+    coefficients; and the step sizes, shape ``(size, segments)``, zero on the
+    padding after the last node (an identity step).  ``_sweep`` pays numpy's
+    per-call cost once per position in a segment, so segments are short:
+    about ``sqrt(steps) / 4`` steps (on a 2-vCPU VM a 10k-step sweep takes
+    2.6 ms in 400 segments of 25 steps, 10.9 ms in 100 of 100).
     """
     size = math.isqrt(steps - 1) // 4 + 1
     count = -(-steps // size)
-    dr = (disk.radius - eps) / steps
-    r_half = eps + 0.5 * dr * np.arange(2 * steps + 1)
-    r = r_half[np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)]
-    dx = np.full(count * size, dr)
+    step = (x1 - x0) / steps
+    x_half = x0 + 0.5 * step * np.arange(2 * steps + 1)
+    index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
+    dx = np.full(count * size, step)
     dx[steps:] = 0.0
-    return r_half, (r, r ** (2 * n), disk.omega_at(r), dx.reshape(count, size).T)
+    return x_half, index, dx.reshape(count, size).T
 
 
-def _sweep(tables, starts):
+def _sweep(rhs, dx, starts):
     """RK4 across every segment from ``starts`` (shape ``(2, segments)``).
 
-    Vectorised over segments, it steps ``(htilde, htilde')`` and the 2x2
-    matrix of its derivatives by the start state with the same stages, which
-    makes the matrix the exact Jacobian of the discrete segment map.  Returns
-    ``(y, hs, ps)``: ``y`` has rows ``(h, p, x00, x10, x01, x11)`` at the
-    segment ends; ``hs`` and ``ps`` hold the state after every step.
-    Overflow shows as non-finite values.
+    Vectorised over segments, it steps a 2-component state and the 2x2
+    matrix of its derivatives by the start state, rows
+    ``(y0, y1, x00, x10, x01, x11)``, with the same stages; ``rhs(j, y)``
+    gives their derivatives at half-node row ``j`` of ``_segments``' index
+    table.  The matrix is then the exact Jacobian of the discrete segment
+    map.  Returns ``(y, ys)``: the six rows at the segment ends, and the list
+    of the six rows after each step (one array per step keeps every block
+    small).  Overflow shows as non-finite values.
     """
-    r, r_2n, w, dx = tables
     y = np.zeros((6, starts.shape[1]))
     y[:2] = starts
     y[2] = y[5] = 1.0
-    hs, ps = np.empty(dx.shape), np.empty(dx.shape)
-
-    def rhs(j, y):
-        t = r_2n[j] * np.exp(y[0])
-        k = np.empty_like(y)
-        k[::2] = y[1::2]
-        k[1] = w[j] * (t - 1.0) - y[1] / r[j]
-        k[3::2] = (w[j] * t) * y[2::2] - y[3::2] / r[j]
-        return k
-
+    ys = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, h in enumerate(dx):
             k1 = rhs(2 * i, y)
@@ -311,8 +308,8 @@ def _sweep(tables, starts):
             k3 = rhs(2 * i + 1, y + 0.5 * h * k2)
             k4 = rhs(2 * i + 2, y + h * k3)
             y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-            hs[i], ps[i] = y[0], y[1]
-    return y, hs, ps
+            ys.append(y)
+    return y, ys
 
 
 def _hermite(x, xs, ys, dys):
@@ -398,15 +395,26 @@ def shoot(
         )
     h0 = _illinois(coarse, SCAN_LOW, SCAN_HIGH, f_lo, f_hi, COARSE_BRACKET_WIDTH)
     n = int(n)
-    r_half, tables = _segment_tables(disk, n, eps, steps)
-    starts = _coarse_starts(h0, disk, n, eps, tables[0][0, 1:])
+    r_half, index, dx = _segments(eps, disk.radius, steps)
+    r = r_half[index]
+    r_2n, w = r ** (2 * n), disk.omega_at(r)
+
+    def rhs(j, y):
+        t = r_2n[j] * np.exp(y[0])
+        k = np.empty_like(y)
+        k[::2] = y[1::2]
+        k[1] = w[j] * (t - 1.0) - y[1] / r[j]
+        k[3::2] = (w[j] * t) * y[2::2] - y[3::2] / r[j]
+        return k
+
+    starts = _coarse_starts(h0, disk, n, eps, r[0, 1:])
     coarse_passes += 1
     omega0 = float(disk.omega_at(0.0))
     quartic = n == 1 and omega0 == 1.0
     settled = False
     for sweeps in range(1, MAX_SWEEPS + 1):
         seed = taylor_seed(h0, eps, n, omega0)
-        y, hs, ps = _sweep(tables, np.column_stack((seed, starts)))
+        y, ys = _sweep(rhs, dx, np.column_stack((seed, starts)))
         defect = np.empty(2 * y.shape[1] - 1)
         defect[0:-1:2] = y[0, :-1] - starts[0]
         defect[1:-1:2] = y[1, :-1] - starts[1]
@@ -433,8 +441,8 @@ def shoot(
     stalled = not settled or joint == math.inf or residual == math.inf
     return RadialProfile(
         r=r_half[::2].copy(),
-        htilde=np.concatenate(([seed[0]], hs.T.ravel()[:steps])),
-        dhtilde=np.concatenate(([seed[1]], ps.T.ravel()[:steps])),
+        htilde=np.concatenate(([seed[0]], np.array([state[0] for state in ys]).T.ravel()[:steps])),
+        dhtilde=np.concatenate(([seed[1]], np.array([state[1] for state in ys]).T.ravel()[:steps])),
         h0=h0,
         n=n,
         residual=residual,

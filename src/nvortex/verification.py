@@ -92,6 +92,11 @@ def _rel(value: float, target: float) -> float:
     return abs(value - target) / abs(target)
 
 
+def _unconverged(report) -> str:
+    """Detail suffix naming why a solve stopped, empty once it converged."""
+    return "" if report.converged else f"; solve not converged ({report.termination})"
+
+
 def _solve_centered(disk, nr, tol, max_iter):
     grid = build_grid(disk, nr, nr)
     t0 = time.perf_counter()
@@ -163,7 +168,8 @@ def run_acceptance(
     err = _rel(centered_obs.flux, 2.0 * math.pi)
     add(1, "interior flux = 2*pi",
         centered_report.converged and err <= TOL_FLUX_INTERIOR * scale,
-        f"flux={centered_obs.flux:.6f} rel_err={err:.2e} tol={TOL_FLUX_INTERIOR * scale:.2e}")
+        f"flux={centered_obs.flux:.6f} rel_err={err:.2e} tol={TOL_FLUX_INTERIOR * scale:.2e}"
+        + _unconverged(centered_report))
     add(1, "interior solve runtime", centered_time < RUNTIME_LIMIT,
         f"{centered_time:.1f}s < {RUNTIME_LIMIT:.0f}s")
 
@@ -171,7 +177,8 @@ def run_acceptance(
     err = _rel(boundary_obs.flux, math.pi)
     add(2, "boundary flux = pi",
         boundary_report.converged and err <= TOL_FLUX_BOUNDARY * scale,
-        f"flux={boundary_obs.flux:.6f} rel_err={err:.2e} tol={TOL_FLUX_BOUNDARY * scale:.2e}")
+        f"flux={boundary_obs.flux:.6f} rel_err={err:.2e} tol={TOL_FLUX_BOUNDARY * scale:.2e}"
+        + _unconverged(boundary_report))
     add(2, "boundary solve runtime", boundary_time < RUNTIME_LIMIT,
         f"{boundary_time:.1f}s < {RUNTIME_LIMIT:.0f}s")
 

@@ -130,8 +130,10 @@ class TestParsing:
             parse_run_config(doc)
 
     @pytest.mark.parametrize(
-        "omega", [[{}], [[0.0]], [[0.0, 1.0, 2.0]], [[10**400, 1.0], [3.0, 1.0]]],
-        ids=["object", "short", "long", "beyond-float"],
+        "omega",
+        [[{}], [[0.0]], [[0.0, 1.0, 2.0]], [[10**400, 1.0], [3.0, 1.0]],
+         [["0", "1"], ["3", "1.5"]], [[False, 1], [3, 1.5]]],
+        ids=["object", "short", "long", "beyond-float", "strings", "boolean"],
     )
     def test_omega_entries_must_be_numeric_pairs(self, omega):
         doc = minimal()

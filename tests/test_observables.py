@@ -204,7 +204,8 @@ class TestExport:
             first = fh.readline().strip().split(",")
         assert header == FIELD_CSV_HEADER
         assert len(first) == 9
-        assert sum(1 for _ in open(path)) == grid.size + 1
+        with open(path) as fh:
+            assert sum(1 for _ in fh) == grid.size + 1
 
     def test_field_shape_must_match_grid(self, tmp_path, disk3):
         grid = build_grid(disk3, 16, 24)
@@ -259,8 +260,10 @@ class TestExport:
         doc = solution_summary(obs, cfg.N, cfg.M, 1.25, 7, True)
         p1 = export_json(tmp_path / "a.json", doc)
         p2 = export_json(tmp_path / "b.json", doc)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        loaded = json.load(open(p1))
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+        with open(p1) as fh:
+            loaded = json.load(fh)
         assert loaded["schema_version"] == 1
         assert loaded["expected_flux"] == pytest.approx(2.0 * math.pi)
         assert loaded["expected_energy"] == pytest.approx(math.pi)

@@ -178,13 +178,13 @@ class TestShoot:
         real_sweep = shooting._sweep
         calls = []
 
-        def flickering(tables, starts):
+        def flickering(rhs, dx, starts):
             # Every other sweep ends each segment 1e-3 too high: no Newton
             # step can settle that.
-            y, hs, ps = real_sweep(tables, starts)
+            y, ys = real_sweep(rhs, dx, starts)
             calls.append(None)
             y[0] += 1e-3 * (len(calls) % 2)
-            return y, hs, ps
+            return y, ys
 
         monkeypatch.setattr(shooting, "_sweep", flickering)
         profile = shoot(disk3, steps=8_000)
