@@ -34,7 +34,7 @@ from .observables import (
     total_flux,
 )
 from .operators import NeumannLaplacian, assemble_neumann_laplacian
-from .shooting import BracketError, RadialProfile, integrate_radial, shoot, taylor_seed
+from .shooting import RadialProfile, shoot, taylor_seed
 from .singular import (
     SingularPart,
     boundary_neumann_green,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BradlowViolation",
-    "BracketError",
     "CheckResult",
     "ConformalDisk",
     "LinearizedProfile",
@@ -70,7 +69,6 @@ __all__ = [
     "check_bradlow",
     "compute_observables",
     "energy_density",
-    "integrate_radial",
     "magnetic_field",
     "metric_coefficient",
     "neumann_green",

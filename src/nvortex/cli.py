@@ -1,7 +1,7 @@
 """Command-line front end: check | solve-radial | solve-2d | metric | verify.
 
 Exit codes are a stable contract: 0 ok, 1 configuration error, 2 existence
-bound violated, 3 shooting bracket failure, 4 Newton non-convergence or a
+bound violated, 3 radial shoot did not converge, 4 Newton non-convergence or a
 failed inner linear solve, 5 metric pipeline failure, 6 verification failure.
 Outputs land under ``--out`` with fixed filenames (profile.csv, field.csv,
 report.json, metric.json); identical configurations produce bit-identical
@@ -27,7 +27,7 @@ from .observables import (
     export_profile_csv,
     solution_summary,
 )
-from .shooting import BracketError, shoot
+from .shooting import shoot
 from .solver2d import LinearSolveError, reconstruct_h, solve_taubes_2d
 from .verification import run_acceptance
 
@@ -36,7 +36,7 @@ __all__ = ["main", "run"]
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BRADLOW = 2
-EXIT_BRACKET = 3
+EXIT_SHOOT = 3
 EXIT_NEWTON = 4
 EXIT_METRIC = 5
 EXIT_VERIFY = 6
@@ -112,7 +112,7 @@ def _cmd_solve_radial(args) -> int:
     print(json.dumps(report, sort_keys=True))
     if not profile.converged:
         print(profile.failure_reason(cfg.radial_tol), file=sys.stderr)
-        return EXIT_BRACKET
+        return EXIT_SHOOT
     return EXIT_OK
 
 
@@ -250,9 +250,6 @@ def main(argv=None) -> int:
     except BradlowViolation as exc:
         print(f"existence bound violated: {exc} (margin {exc.margin:.6g})", file=sys.stderr)
         return EXIT_BRADLOW
-    except BracketError as exc:
-        print(f"shooting bracket failure: {exc}", file=sys.stderr)
-        return EXIT_BRACKET
     except LinearSolveError as exc:
         print(f"linear solve failed: {exc}", file=sys.stderr)
         return EXIT_NEWTON

@@ -9,7 +9,8 @@ and loop-integral checks run on fixed auxiliary grids chosen for their own
 resolution needs, independent of ``nr``.  The loop-integral check takes the
 vortex-position derivative of the centred field from its tangent-linear
 solve (``moduli.boundary_ring_position_derivatives``); when that field solve
-does not converge, the check is recorded as failed with the reason.
+does not converge, the check is recorded as failed with the reason.  So are
+the checks that need a converged radial shoot when it does not converge.
 """
 
 from __future__ import annotations
@@ -246,31 +247,36 @@ def run_acceptance(
         f"orders {p1:.2f}, {p2:.2f} >= {MIN_CONV_ORDER}")
 
     # --- 6. shooting reproduces the radial setup ---------------------------
-    add(6, "boundary slope -2/3 met", profile.converged and profile.residual <= TOL_SHOOT_SLOPE,
-        f"|slope + 2/3| = {profile.residual:.2e} <= {TOL_SHOOT_SLOPE:.0e}")
+    shoot_failure = None if profile.converged else profile.failure_reason(TOL_SHOOT_SLOPE)
+    fine_failure = shoot_failure or (
+        None if profile_fine.converged else profile_fine.failure_reason(TOL_SHOOT_SLOPE))
+    add(6, "boundary slope -2/3 met", shoot_failure is None and profile.residual <= TOL_SHOOT_SLOPE,
+        shoot_failure or f"|slope + 2/3| = {profile.residual:.2e} <= {TOL_SHOOT_SLOPE:.0e}")
     h0_shift = abs(profile.h0 - profile_fine.h0)
-    add(6, "h0 stable under step halving", h0_shift < TOL_H0_STABILITY,
-        f"|h0({radial_steps}) - h0({2 * radial_steps})| = {h0_shift:.2e} < {TOL_H0_STABILITY:.0e}")
+    add(6, "h0 stable under step halving", fine_failure is None and h0_shift < TOL_H0_STABILITY,
+        fine_failure or f"|h0({radial_steps}) - h0({2 * radial_steps})| = {h0_shift:.2e} "
+                        f"< {TOL_H0_STABILITY:.0e}")
 
     # --- 7. moduli nonlocality witness --------------------------------------
     loop_nr = min(LOOP_CHECK_NR, nr)
-    loop_failure = None
+    loop_failure = shoot_failure
     with _stage(say, "linearized solve and loop-integral check"):
         vacuum = solve_linear_bvp(lambda r: np.zeros_like(r), disk.radius)
-        lin = solve_linearized(disk, profile)
-        loop_grid = build_grid(disk, loop_nr, loop_nr)
-        try:
-            rho, _, dxh, dyh = boundary_ring_position_derivatives(
-                disk, loop_grid, tol=tol, max_iter=max_iter
-            )
-        except RuntimeError as exc:
-            loop_failure = str(exc)
+        if shoot_failure is None:
+            lin = solve_linearized(disk, profile)
+            loop_grid = build_grid(disk, loop_nr, loop_nr)
+            try:
+                rho, _, dxh, dyh = boundary_ring_position_derivatives(
+                    disk, loop_grid, tol=tol, max_iter=max_iter
+                )
+            except RuntimeError as exc:
+                loop_failure = str(exc)
     vac_err = float(np.max(np.abs(vacuum.a + 2.0 * vacuum.r / disk.radius**2)))
     add(7, "vacuum closed form a = -2r/R^2", vac_err <= TOL_VACUUM_ORACLE,
         f"max_err={vac_err:.2e} <= {TOL_VACUUM_ORACLE:.0e}")
     add(7, "nonlocality witness |d_X h(R;0)| > 1e-2",
-        abs(lin.boundary_value) > MIN_BOUNDARY_VALUE,
-        f"d_X h(R;0) = {lin.boundary_value:.6f}")
+        shoot_failure is None and abs(lin.boundary_value) > MIN_BOUNDARY_VALUE,
+        shoot_failure or f"d_X h(R;0) = {lin.boundary_value:.6f}")
     if loop_failure is not None:
         add(7, "loop integral matches closed form", False, loop_failure)
     else:

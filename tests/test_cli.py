@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from nvortex import build_grid, build_singular_part, cli, compute_observables, moduli, shooting, solver2d
+from nvortex import build_grid, build_singular_part, cli, compute_observables, moduli, solver2d, verification
 from nvortex.config import load_run_config
 from nvortex.observables import FIELD_CSV_HEADER
 from nvortex.verification import CheckResult
+from radial_oracle import integrate_radial
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -31,7 +33,7 @@ def base_doc(**overrides):
 
 def _unconverged_shoot(disk, *, n, tol, eps, steps):
     """A real profile at ``h0 = -1``, off the root, so its outer slope misses ``tol``."""
-    return shooting.integrate_radial(-1.0, disk, n, eps, steps)
+    return integrate_radial(-1.0, disk, n, eps, steps)
 
 
 def _assert_shoot_reason(err):
@@ -89,14 +91,6 @@ class TestSolveRadial:
         cfg = write_config(tmp_path, base_doc(interior=[{"x": 0.5, "y": 0, "n": 1}]))
         assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_CONFIG
 
-    def test_bracket_failure_exit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(shooting, "_mismatch", lambda *args: -1.0)
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, base_doc(outputs={"dir": str(out)}))
-        assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_BRACKET
-        assert "shooting bracket failure" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
-
     def test_profile_independent_of_blas_threads(self, tmp_path, run_python):
         # 100k steps: the Newton sweeps' banded LAPACK solve has 633 unknowns.
         cfg = write_config(tmp_path, base_doc(radial={"steps": 100000}))
@@ -110,7 +104,7 @@ class TestSolveRadial:
         monkeypatch.setattr(cli, "shoot", _unconverged_shoot)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(outputs={"dir": str(out)}))
-        assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_BRACKET
+        assert cli.main(["solve-radial", "--config", cfg]) == cli.EXIT_SHOOT
         captured = capsys.readouterr()
         assert json.loads(captured.out)["converged"] is False
         _assert_shoot_reason(captured.err)
@@ -411,3 +405,23 @@ class TestVerify:
         for name in ("interior flux = 2*pi", "boundary flux = pi"):
             (line,) = [line for line in out.splitlines() if f"FAIL    {name} (" in line]
             assert line.endswith("; solve not converged (line_search))")
+
+    def test_unconverged_shoot_is_a_failure(self, tmp_path, capsys, monkeypatch):
+        # The checks that need the radial profile say why it is unusable,
+        # and the run ends as a verification failure, not a configuration
+        # error from the linearised solve.
+        real_shoot = verification.shoot
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real_shoot(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(verification, "shoot", unconverged)
+        cfg = write_config(tmp_path, base_doc())
+        assert cli.main(["verify", "--config", cfg]) == cli.EXIT_VERIFY
+        out = capsys.readouterr().out
+        reason = "radial shoot did not converge: boundary-slope residual "
+        for name in ("boundary slope -2/3 met", "h0 stable under step halving",
+                     "nonlocality witness |d_X h(R;0)| > 1e-2", "loop integral matches closed form"):
+            (line,) = [line for line in out.splitlines() if f"FAIL    {name} (" in line]
+            assert reason in line and "at 2000 steps" in line
+        assert "PASS    vacuum closed form a = -2r/R^2" in out

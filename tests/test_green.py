@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvortex import (
     ConformalDisk,
@@ -30,6 +32,17 @@ class TestInteriorGreen:
         ga = neumann_green(disk3, grid48, qa)
         gb = neumann_green(disk3, grid48, qb)
         assert abs(ga.values[qb] - gb.values[qa]) < 1e-10
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(nodes=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), min_size=2, max_size=2, unique=True),
+           curved=st.booleans())
+    def test_symmetry_for_random_source_pairs(self, nodes, curved):
+        disk = ConformalDisk.from_samples(3.0, (0.0, 1.5, 3.0), (1.0, 1.4, 0.7)) if curved else ConformalDisk.flat(3.0)
+        grid = build_grid(disk, 24, 24)
+        qa, qb = nodes
+        ga = neumann_green(disk, grid, qa)
+        gb = neumann_green(disk, grid, qb)
+        assert abs(ga.values[qb] - gb.values[qa]) <= 1e-12
 
     def test_log_slope_near_source(self, disk3):
         grid = build_grid(disk3, 96, 96)

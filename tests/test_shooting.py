@@ -6,54 +6,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nvortex import (
-    BracketError,
     BradlowViolation,
     ConformalDisk,
-    integrate_radial,
+    moduli,
     shoot,
     shooting,
     taylor_seed,
 )
 from nvortex.geometry import VortexConfiguration, bradlow_margin
-from nvortex.shooting import _mismatch
+from radial_oracle import _mismatch, integrate_radial, single_stage_h0
 
 #: Core value of the radius-3 unit vortex at 1e5 integration steps,
 #: regression-locked after the cross-check against the 2d solver.
 H0_R3 = -1.1101533202553604
-#: The oracle's false position stops once the bracket on ``h0`` is this
-#: narrow, so its ``h0`` is pinned by the integrator and its step count.
-H0_BRACKET_WIDTH = 1e-12
 #: Core value of the unit vortex on the plane, the large-disk limit.
 H0_PLANE = -1.01072165075583
-
-
-def single_stage_h0(disk, n, steps, eps=shooting.DEFAULT_EPS):
-    """Core value from one Illinois search at full resolution over the scan bracket.
-
-    The oracle for ``shoot``'s coarse stage and multiple-shooting Newton: it
-    runs every pass at ``steps``, as one march from ``eps``.
-    """
-    lo, hi = shooting.SCAN_LOW, shooting.SCAN_HIGH
-    f_lo = _mismatch(lo, disk, n, eps, steps)
-    f_hi = _mismatch(hi, disk, n, eps, steps)
-    assert f_lo < 0.0 <= f_hi
-    last = 0
-    while hi - lo > H0_BRACKET_WIDTH:
-        x = 0.5 * (lo + hi)
-        if f_hi < math.inf:
-            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if lo < secant < hi:
-                x = secant
-        f_x = _mismatch(x, disk, n, eps, steps)
-        if f_x >= 0.0:
-            if last > 0:
-                f_lo *= 0.5
-            hi, f_hi, last = x, f_x, 1
-        else:
-            if last < 0:
-                f_hi *= 0.5
-            lo, f_lo, last = x, f_x, -1
-    return 0.5 * (lo + hi)
 
 
 def table_disk():
@@ -94,19 +61,26 @@ class TestIntegrateRadial:
     def test_large_core_value_gives_opposite_bracket(self, disk3):
         assert _mismatch(5.0, disk3, 1, 1e-8, 20_000) > 0.0
         profile = integrate_radial(5.0, disk3, n=1)
-        assert profile.diverged or profile.dhtilde[-1] > -2.0 / 3.0
+        assert profile.residual == math.inf or profile.dhtilde[-1] > -2.0 / 3.0
 
     def test_step_minimum_enforced(self, disk3):
         with pytest.raises(ValueError):
             integrate_radial(0.0, disk3, steps=500)
-        with pytest.raises(ValueError, match="steps must be at least 1000"):
-            shoot(disk3, steps=500)
+        for steps in (500, 2000.0, 5000.5, True, "2000", None):
+            with pytest.raises(ValueError, match="steps must be an integer of at least 1000"):
+                shoot(disk3, steps=steps)
+        with pytest.raises(ValueError, match="steps must be an integer of at least 1000"):
+            moduli.metric_coefficient(disk3, radial_steps=5000.5)
+        assert shoot(disk3, steps=np.int64(2_000)).converged
 
     def test_multiplicity_validated(self, disk3):
         with pytest.raises(ValueError):
             integrate_radial(0.0, disk3, n=0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"multiplicity must be >= 1, got {n}"):
+                shoot(disk3, n=n, steps=2_000)
 
-    @pytest.mark.parametrize("eps", [0.0, 3.0, 5.0])
+    @pytest.mark.parametrize("eps", [0.0, 3.0, 5.0, -1e-8, math.nan])
     def test_seed_radius_inside_disk(self, disk3, eps):
         with pytest.raises(ValueError, match="eps must lie in"):
             integrate_radial(0.0, disk3, eps=eps, steps=2_000)
@@ -141,12 +115,6 @@ class TestShoot:
         assert profile.converged
         assert profile.dhtilde[-1] == pytest.approx(-4.0 / 3.0, abs=1e-6)
 
-    @pytest.mark.parametrize("value", [-1.0, 1.0, math.nan])
-    def test_no_sign_change_raises_bracket_error(self, disk3, monkeypatch, value):
-        monkeypatch.setattr(shooting, "_mismatch", lambda *args: value)
-        with pytest.raises(BracketError):
-            shoot(disk3, steps=2_000)
-
     @pytest.mark.parametrize(
         "disk, n, steps",
         [
@@ -166,13 +134,13 @@ class TestShoot:
 
     @pytest.mark.parametrize("radius", [3.0, 12.0], ids=["R3", "R12"])
     def test_false_position_pass_count(self, radius):
-        # 18-27 coarse passes of false position plus the recorded start, then
-        # 2 Newton sweeps from that start.
+        # Sweeps of the two Newton stages: 5 on the coarse mesh from the
+        # closed-form start, then 2 at 20k steps.
         profile = shoot(ConformalDisk.flat(radius), n=1, steps=20_000)
         assert profile.converged
-        n_coarse, n_sweeps = profile.passes
-        assert n_coarse <= 30
-        assert 2 <= n_sweeps <= shooting.MAX_SWEEPS
+        n_coarse, n_fine = profile.passes
+        assert n_coarse <= 8
+        assert 2 <= n_fine <= 3
 
     def test_stalled_newton_says_why(self, disk3, monkeypatch):
         real_sweep = shooting._sweep
@@ -209,7 +177,9 @@ class TestShoot:
         assert profile.passes[1] == 1
         assert "Newton stalled after 1 sweeps" in profile.failure_reason(1e-6)
 
-    @pytest.mark.parametrize("radius, steps", [(25.0, 50_000), (30.0, 100_000)], ids=["R25", "R30"])
+    @pytest.mark.parametrize(
+        "radius, steps", [(25.0, 50_000), (30.0, 100_000), (60.0, 100_000)], ids=["R25", "R30", "R60"]
+    )
     def test_large_disk_converges_to_plane_core_value(self, radius, steps):
         # One march across [eps, R] amplifies errors like e^R; the segments
         # keep Newton well conditioned.
@@ -218,12 +188,50 @@ class TestShoot:
         assert profile.h0 == pytest.approx(H0_PLANE, abs=1e-9)
         assert profile.dhtilde[-1] == pytest.approx(-2.0 / radius, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_converges_near_the_existence_bound(self, n):
+        # Bradlow margin 1e-3: |phi|^2 is small everywhere and the coarse
+        # Newton takes 12-15 sweeps from the closed-form start.  The slope
+        # mismatch barely moves with h0 there, so the oracle's own root is
+        # known to a few 1e-12 only.
+        disk = ConformalDisk.flat(2.0 * math.sqrt(n + 1e-3))
+        assert bradlow_margin(VortexConfiguration.centered(n), disk) == pytest.approx(1e-3, abs=1e-12)
+        profile = shoot(disk, n=n, steps=5_000)
+        assert profile.converged
+        assert profile.passes[1] == 2
+        assert profile.h0 == pytest.approx(single_stage_h0(disk, n, 5_000), abs=5e-12)
+
+    @pytest.mark.parametrize(
+        "disk, n",
+        [
+            (ConformalDisk.from_samples(7.0, (0.0, 3.5, 7.0), (70.0, 0.1, 30.0)), 1),
+            (ConformalDisk.flat(100.0), 6),
+            (ConformalDisk.flat(120.0), 6),
+        ],
+        ids=["steep-Omega", "n6-R100", "n6-R120"],
+    )
+    def test_far_from_the_closed_form_start(self, disk, n):
+        # h0 is 3.2 on the steep table: a full first Newton step from -1
+        # leaves the scan range, so steps are capped at MAX_H0_STEP.  For
+        # n = 6 at R >= 100 a 1,000-step coarse sweep from the closed form
+        # overflows, so the coarse mesh step is capped at COARSE_MAX_STEP.
+        profile = shoot(disk, n=n, steps=5_000)
+        assert profile.converged
+        assert profile.h0 == pytest.approx(single_stage_h0(disk, n, 5_000), abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-4, 1.0])
+    def test_any_seed_radius_converges(self, disk3, eps):
+        profile = shoot(disk3, eps=eps, steps=5_000)
+        assert profile.converged
+        assert profile.r[0] == eps
+        assert profile.h0 == pytest.approx(single_stage_h0(disk3, 1, 5_000, eps=eps), abs=1e-12)
+
     @pytest.mark.parametrize("tol", [math.nan, -1e-6, math.inf])
     def test_unusable_tol_rejected_before_scan(self, disk3, monkeypatch, tol):
         def no_pass(*args):
             raise AssertionError("tol must be checked before any integration")
 
-        monkeypatch.setattr(shooting, "_mismatch", no_pass)
+        monkeypatch.setattr(shooting, "_sweep", no_pass)
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             shoot(disk3, n=1, tol=tol)
 

@@ -204,6 +204,25 @@ class TestSymmetries:
         flipped = field.values[:, (-np.arange(grid.ntheta)) % grid.ntheta]
         assert np.max(np.abs(field.values - flipped)) < 1e-9
 
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(cfg=_configurations(), k=st.integers(1, 31))
+    def test_random_configurations_equivariant(self, cfg, k):
+        # Rotating the vortices by k angular cells rolls the solution by k
+        # columns; reflecting them in the real axis reflects it.
+        disk = ConformalDisk.flat(3.0)
+        grid = build_grid(disk, 32, 32)
+        mirror = VortexConfiguration(
+            interior=tuple((z.conjugate(), n) for z, n in cfg.interior),
+            boundary=tuple((-t, m) for t, m in cfg.boundary),
+        )
+        base, report = solve_taubes_2d(disk, cfg, grid)
+        rotated, rotated_report = solve_taubes_2d(disk, cfg.rotated(k * grid.dtheta), grid)
+        reflected, reflected_report = solve_taubes_2d(disk, mirror, grid)
+        assert report.converged and rotated_report.converged and reflected_report.converged
+        flip = (-np.arange(grid.ntheta)) % grid.ntheta
+        assert np.max(np.abs(np.roll(base.values, k, axis=1) - rotated.values)) <= 1e-11
+        assert np.max(np.abs(base.values[:, flip] - reflected.values)) <= 1e-11
+
 
 class TestReconstruction:
     def test_field_modulus_below_one(self, disk3, centered64):
