@@ -1,7 +1,9 @@
 """Flux-form finite-difference Laplacian on the polar grid with Neumann faces.
 
-The same assembled operator backs the nonlinear field solver and the discrete
+The same operator backs the nonlinear field solver and the discrete
 Green-function solves, so all modules discretise the Laplacian identically.
+The field solver uses it assembled, as a seven-diagonal CSR matrix built
+band by band; the Green functions need only its couplings.
 Its couplings depend on the radius only, so a discrete Fourier transform in
 theta splits it into independent tridiagonal systems in r, one per angular
 mode; ``PolarModeSolver`` solves the operator (with a ring-constant diagonal
@@ -56,7 +58,7 @@ class NeumannLaplacian:
     """
 
     grid: PolarGrid
-    matrix: sp.csc_matrix
+    matrix: sp.csr_matrix
     weights: np.ndarray  # flat cell measures r*dr*dtheta, shape (size,)
     c_rad: np.ndarray  # radial coupling across the face r = (i+1) dr, shape (nr - 1,)
     c_ang: np.ndarray  # angular coupling on ring i, shape (nr,)
@@ -110,27 +112,29 @@ def assemble_neumann_laplacian(grid: PolarGrid, disk: ConformalDisk) -> NeumannL
 
     with the inner face of the first ring at ``r = 0`` (zero flux, no pole
     special case) and the outer face carrying the prescribed Neumann flux.
-    The matrix is assembled in the volume-weighted symmetric form.
+    The matrix is assembled in the volume-weighted symmetric form, directly
+    as seven CSR diagonals (offsets 0, +-1, +-(ntheta-1), +-ntheta); each
+    diagonal entry is minus its row's off-diagonal sum, so row sums vanish.
     """
     c_rad, c_ang = polar_couplings(grid, disk)
     nr, nt = grid.nr, grid.ntheta
-    jj = np.arange(nt)
-
-    # Radial couplings across interior faces at radius (i+1) * dr.
-    i_in = np.arange(nr - 1)
-    lo = (i_in[:, None] * nt + jj[None, :]).ravel()
-    hi = ((i_in[:, None] + 1) * nt + jj[None, :]).ravel()
-
-    # Angular couplings across the face between j and j+1 (periodic).
-    a1 = (np.arange(nr)[:, None] * nt + jj[None, :]).ravel()
-    a2 = (np.arange(nr)[:, None] * nt + ((jj + 1) % nt)[None, :]).ravel()
-
-    rows = np.concatenate([lo, hi, lo, hi, a1, a2, a1, a2])
-    cols = np.concatenate([lo, hi, hi, lo, a1, a2, a2, a1])
-    cr, ca = np.repeat(c_rad, nt), np.repeat(c_ang, nt)
-    vals = np.concatenate([-cr, -cr, cr, cr, -ca, -ca, ca, ca])
-
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
+    ring = np.repeat(c_ang, nt)
+    first = np.arange(grid.size) % nt == 0
+    # Diagonal k (offset > 0) holds row k's coupling to node k + offset; the
+    # matrix is symmetric, so offset -k holds the same values.  Angular
+    # neighbours j + 1 sit at offset 1 (none from the last node of a ring)
+    # and the periodic wrap from j = 0 to j = nt - 1 at offset nt - 1.
+    east = np.where(first[1:], 0.0, ring[:-1])
+    wrap = np.where(first[: 1 - nt], ring[: 1 - nt], 0.0)
+    north = np.repeat(c_rad, nt)
+    radial = np.concatenate([c_rad, [0.0]]) + np.concatenate([[0.0], c_rad])
+    diagonal = -np.repeat(2.0 * c_ang + radial, nt)
+    matrix = sp.diags(
+        [diagonal, east, east, wrap, wrap, north, north],
+        [0, 1, -1, nt - 1, 1 - nt, nt, -nt],
+        shape=(grid.size, grid.size),
+        format="csr",
+    )
     weights = grid.flat_weights()
     weights.setflags(write=False)
     return NeumannLaplacian(grid=grid, matrix=matrix, weights=weights, c_rad=c_rad, c_ang=c_ang)

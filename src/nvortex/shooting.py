@@ -40,7 +40,9 @@ __all__ = [
 
 DEFAULT_EPS = 1e-8
 DEFAULT_STEPS = 100_000
-#: Newton gives up on a step that takes ``h0`` out of this range.
+#: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW`` or above
+#: ``SCAN_HIGH + n log(max(1, Omega(0)))``: the core value grows like
+#: ``n log Omega(0)`` on a disk with a large conformal factor at the centre.
 SCAN_LOW = -50.0
 SCAN_HIGH = 5.0
 #: Least steps of the coarse Newton stage, which starts the one at
@@ -80,7 +82,8 @@ class RadialProfile:
     #: Largest state mismatch at a segment joint in the recorded sweep.
     joint_defect: float = 0.0
     #: The Newton sweeps hit ``MAX_SWEEPS``, a non-finite state, a singular
-    #: band or a step out of ``[SCAN_LOW, SCAN_HIGH]`` before settling.
+    #: band or a step out of the ``h0`` range (``SCAN_LOW``, ``SCAN_HIGH``)
+    #: before settling.
     stalled: bool = False
 
     def htilde_at(self, r) -> np.ndarray:
@@ -210,8 +213,8 @@ def _newton(disk, n, eps, steps, h0, starts):
     ``MAX_SWEEPS`` sweeps; that sweep records the profile.  A step that
     changes ``h0`` by more than ``MAX_H0_STEP`` is scaled down.  It stalls on
     the cap, a non-finite sweep, a singular band or a step that takes
-    ``h0`` out of ``[SCAN_LOW, SCAN_HIGH]``.  Returns the profile with
-    ``converged`` unset and ``passes = (0, sweeps)``.
+    ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1, Omega(0)))``.
+    Returns the profile with ``converged`` unset and ``passes = (0, sweeps)``.
     """
     r_half, index, dx = _segments(eps, disk.radius, steps)
     r = r_half[index]
@@ -228,6 +231,7 @@ def _newton(disk, n, eps, steps, h0, starts):
     starts = starts(r[0, 1:])
     omega0 = float(disk.omega_at(0.0))
     quartic = n == 1 and omega0 == 1.0
+    high = SCAN_HIGH + n * math.log(max(1.0, omega0))
     settled = False
     for sweeps in range(1, MAX_SWEEPS + 1):
         seed = taylor_seed(h0, eps, n, omega0)
@@ -248,7 +252,7 @@ def _newton(disk, n, eps, steps, h0, starts):
             break
         if abs(step[0]) > MAX_H0_STEP:
             step *= MAX_H0_STEP / abs(step[0])
-        if not SCAN_LOW <= h0 + step[0] <= SCAN_HIGH:
+        if not SCAN_LOW <= h0 + step[0] <= high:
             break  # diverging: the root is inside the scan range
         h0 += float(step[0])
         starts = starts + np.vstack((step[1::2], step[2::2]))

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nvortex import ConformalDisk, build_grid
-from nvortex.operators import LinearSolveError, PolarModeSolver, assemble_neumann_laplacian
+from nvortex.operators import LinearSolveError, PolarModeSolver, assemble_neumann_laplacian, polar_couplings
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,31 @@ def test_boundary_flux_vector_shape_and_placement(lap64):
     assert np.allclose(b[(grid.nr - 1) * grid.ntheta :], expected)
     with pytest.raises(ValueError):
         lap.boundary_flux_vector(np.zeros(3))
+
+
+def _coo_laplacian(grid, disk):
+    """Oracle: the weighted Laplacian summed entry by entry from its face couplings."""
+    c_rad, c_ang = polar_couplings(grid, disk)
+    nr, nt = grid.nr, grid.ntheta
+    jj = np.arange(nt)
+    lo = (np.arange(nr - 1)[:, None] * nt + jj).ravel()
+    hi = lo + nt
+    a1 = (np.arange(nr)[:, None] * nt + jj).ravel()
+    a2 = (np.arange(nr)[:, None] * nt + (jj + 1) % nt).ravel()
+    rows = np.concatenate([lo, hi, lo, hi, a1, a2, a1, a2])
+    cols = np.concatenate([lo, hi, hi, lo, a1, a2, a2, a1])
+    cr, ca = np.repeat(c_rad, nt), np.repeat(c_ang, nt)
+    vals = np.concatenate([-cr, -cr, cr, cr, -ca, -ca, ca, ca])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsr()
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (24, 31), (64, 64), (256, 256)])
+def test_band_assembly_matches_coo_reference(disk3, shape):
+    grid = build_grid(disk3, *shape)
+    matrix = assemble_neumann_laplacian(grid, disk3).matrix
+    reference = _coo_laplacian(grid, disk3)
+    assert matrix.format == "csr" and matrix.nnz == reference.nnz
+    assert abs(matrix - reference).max() <= 1e-14 * abs(reference).max()
 
 
 def test_radius_mismatch_rejected(disk3):

@@ -219,6 +219,16 @@ class TestShoot:
         assert profile.converged
         assert profile.h0 == pytest.approx(single_stage_h0(disk, n, 5_000), abs=1e-12)
 
+    def test_core_value_past_scan_high_on_large_conformal_factor(self):
+        # h0 is about h0_plane + n log Omega(0) = 5.9 at Omega = 1000, above
+        # SCAN_HIGH; the guard on Newton's h0 grows with log Omega(0).  The
+        # RK4 error at 20k steps is about 2e-11.
+        disk = ConformalDisk.from_samples(3.0, (0.0, 3.0), (1000.0, 1000.0))
+        profile = shoot(disk, n=1, steps=20_000)
+        assert profile.converged
+        assert profile.h0 > shooting.SCAN_HIGH
+        assert profile.h0 == pytest.approx(shoot(disk, n=1, steps=40_000).h0, abs=1e-10)
+
     @pytest.mark.parametrize("eps", [1e-12, 1e-4, 1.0])
     def test_any_seed_radius_converges(self, disk3, eps):
         profile = shoot(disk3, eps=eps, steps=5_000)

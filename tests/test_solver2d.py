@@ -10,6 +10,7 @@ from nvortex import (
     VortexConfiguration,
     build_grid,
     build_singular_part,
+    compute_observables,
     reconstruct_h,
     solve_taubes_2d,
     solver2d,
@@ -175,6 +176,110 @@ class TestForcing:
         assert set(exact.forcing) == {solver2d.CG_RTOL}
         assert inexact.iterations == exact.iterations
         assert sum(inexact.linear_iterations) < sum(exact.linear_iterations)
+
+
+def _zero_start(disk, cfg, grid):
+    """Oracle: the same Newton on ``grid`` alone, started from ``htilde = 0``."""
+    return solver2d._solve(disk, cfg, grid, solver2d.DEFAULT_TOL, solver2d.DEFAULT_MAX_ITER, "cg", nested=False)
+
+
+def _refuse(*args):
+    raise AssertionError("no half-grid start expected")
+
+
+_NESTED_CASES = {**_CASES, "off-centre N=2": VortexConfiguration(interior=((1.1 + 0.4j, 1), (-0.7 - 1.2j, 1)))}
+
+
+class TestNestedStart:
+    @pytest.mark.parametrize("nr", [128, 256])
+    @pytest.mark.parametrize("cfg", _NESTED_CASES.values(), ids=_NESTED_CASES.keys())
+    def test_matches_zero_start_oracle(self, disk3, cfg, nr):
+        grid = build_grid(disk3, nr, nr)
+        field, report = solve_taubes_2d(disk3, cfg, grid)
+        oracle, oracle_report = _zero_start(disk3, cfg, grid)
+        assert report.converged and oracle_report.converged
+        assert np.max(np.abs(field.values - oracle.values)) <= 1e-8
+        assert [level[:2] for level in report.coarse] == [(64, 64), (128, 128)][: nr // 128]
+        assert report.iterations < oracle_report.iterations
+        assert len(report.residual_history) == report.iterations + 1
+        # Both stop at residual tol; their quantization agrees far below
+        # its own discretisation error (about 1e-4 here).
+        obs = compute_observables(field, report.singular, disk3, grid)
+        ref = compute_observables(oracle, oracle_report.singular, disk3, grid)
+        assert obs.flux == pytest.approx(ref.flux, rel=1e-8)
+        assert obs.energy == pytest.approx(ref.energy, rel=1e-8)
+
+    def test_vortex_on_a_half_grid_node_only(self, disk3):
+        # x = dr of 128^2 is the first ring of 64^2 (theta = 0), not a 128^2 node.
+        grid = build_grid(disk3, 128, 128)
+        cfg = VortexConfiguration(interior=((grid.dr, 1),))
+        with pytest.raises(ValueError, match="coincides with a grid node"):
+            build_singular_part(cfg, disk3, build_grid(disk3, 64, 64))
+        field, report = solve_taubes_2d(disk3, cfg, grid)
+        oracle, _ = _zero_start(disk3, cfg, grid)
+        assert report.converged and report.coarse == []
+        assert np.array_equal(field.values, oracle.values)
+
+    def test_half_grid_linear_failure_starts_from_zero(self, disk3, monkeypatch):
+        grid = build_grid(disk3, 128, 128)
+        cfg = _CASES["N=1+M=1"]
+        oracle, oracle_report = _zero_start(disk3, cfg, grid)
+        spd = solver2d._solve_spd
+
+        def fail_on_half_grid(lap, shift, rhs, method, rtol):
+            if lap.grid.nr < grid.nr:
+                raise LinearSolveError("injected")
+            return spd(lap, shift, rhs, method, rtol)
+
+        monkeypatch.setattr(solver2d, "_solve_spd", fail_on_half_grid)
+        field, report = solve_taubes_2d(disk3, cfg, grid)
+        assert report.converged and report.coarse == []
+        assert report.iterations == oracle_report.iterations
+        assert np.array_equal(field.values, oracle.values)
+
+    def test_start_that_raises_the_residual_is_dropped(self, disk3, monkeypatch):
+        grid = build_grid(disk3, 128, 128)
+        cfg = _CASES["boundary"]
+        oracle, _ = _zero_start(disk3, cfg, grid)
+        monkeypatch.setattr(solver2d, "_prolong", lambda coarse, fine: np.full(fine.size, 50.0))
+        field, report = solve_taubes_2d(disk3, cfg, grid)
+        assert report.converged and len(report.coarse) == 1
+        assert np.array_equal(field.values, oracle.values)
+
+    def test_fine_grid_validated_before_half_grid(self, disk3, monkeypatch):
+        grid = build_grid(disk3, 128, 128)
+        built = []
+
+        def refuse_after_recording(cfg, disk, g):
+            built.append(g)
+            _refuse()
+
+        monkeypatch.setattr(solver2d, "build_singular_part", refuse_after_recording)
+        with pytest.raises(AssertionError, match="no half-grid start"):
+            solve_taubes_2d(disk3, _CASES["centred"], grid)
+        assert built == [grid]
+
+    @pytest.mark.parametrize("shape", [(64, 64), (126, 126), (128, 127)])
+    def test_small_or_odd_grids_start_from_zero(self, disk3, monkeypatch, shape):
+        grid = build_grid(disk3, *shape)
+        cfg = _CASES["N=1+M=1"]
+        oracle, oracle_report = _zero_start(disk3, cfg, grid)
+        monkeypatch.setattr(solver2d, "_prolong", _refuse)
+        field, report = solve_taubes_2d(disk3, cfg, grid)
+        assert report.coarse == []
+        assert report.residual_history == oracle_report.residual_history
+        assert np.array_equal(field.values, oracle.values)
+
+    def test_prolongation_exact_for_cartesian_cubics(self, disk3):
+        # Along every line through the pole a cubic in x, y is a cubic in r,
+        # and on every ring a trigonometric polynomial of degree 3.
+        def cubic(g):
+            x, y = g.nodes_complex.real, g.nodes_complex.imag
+            return x**3 - 2.0 * x * y + 0.5 * y**2 - x + 1.0
+
+        coarse, fine = build_grid(disk3, 32, 20), build_grid(disk3, 64, 40)
+        err = np.max(np.abs(solver2d._prolong(cubic(coarse), fine) - cubic(fine).ravel()))
+        assert err <= 1e-12
 
 
 class TestFluxBalance:
