@@ -27,7 +27,7 @@ from .observables import (
     export_profile_csv,
     solution_summary,
 )
-from .shooting import shoot
+from .shooting import DEFAULT_STEPS, shoot
 from .solver2d import LinearSolveError, reconstruct_h, solve_taubes_2d
 from .verification import run_acceptance
 
@@ -184,7 +184,7 @@ def _cmd_metric(args) -> int:
 def _cmd_verify(args) -> int:
     nr = args.nr if args.nr is not None else 256
     tol = args.tol if args.tol is not None else 1e-8
-    radial_steps = 100_000
+    radial_steps = DEFAULT_STEPS
     gate_note = None
     if args.config:
         cfg = _load(args)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import ConformalDisk, VortexConfiguration
+from .shooting import DEFAULT_STEPS
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "load_run_config"]
 
@@ -44,7 +45,7 @@ class RunConfig:
     max_iter: int = 50
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
-    radial_steps: int = 100_000
+    radial_steps: int = DEFAULT_STEPS
     radial_eps: float = 1e-8
     radial_tol: float = 1e-6
     metric_delta: Optional[float] = None
@@ -165,7 +166,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         max_iter=_number(solver, "max_iter", 50, "solver", minimum=1, integer=True),
         out_dir=out_dir,
         formats=tuple(formats),
-        radial_steps=_number(radial, "steps", 100_000, "radial", minimum=1_000, integer=True),
+        radial_steps=_number(radial, "steps", DEFAULT_STEPS, "radial", minimum=1_000, integer=True),
         radial_eps=radial_eps,
         radial_tol=_number(radial, "tol", 1e-6, "radial", minimum=0.0),
         metric_delta=metric_delta,

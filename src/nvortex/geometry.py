@@ -54,7 +54,10 @@ class ConformalDisk:
     and return numpy arrays; ``euclidean`` marks the exact flat case
     ``Omega == 1`` so that solvers may take closed-form shortcuts.  The area
     is evaluated once by composite midpoint quadrature over ``AREA_PANELS``
-    radial panels.
+    radial panels.  ``breakpoints`` are the radii in ``(0, radius)`` where
+    ``Omega`` has a kink, on which the radial solvers put a step node: the
+    interior sample radii of ``from_samples``, none for a flat or callable
+    ``Omega``.
 
     Immutable after construction; safe to share across threads.
     """
@@ -63,6 +66,7 @@ class ConformalDisk:
     omega: Callable[[np.ndarray], np.ndarray] = _unit_factor
     euclidean: bool = False
     area: float = field(init=False, default=0.0)
+    breakpoints: Tuple[float, ...] = field(init=False, default=())
 
     def __post_init__(self):
         radius = float(self.radius)
@@ -98,7 +102,10 @@ class ConformalDisk:
         def interpolated(r, _r=r_s, _w=w_s):
             return np.interp(np.asarray(r, dtype=float), _r, _w)
 
-        return cls(radius=radius, omega=interpolated, euclidean=False)
+        disk = cls(radius=radius, omega=interpolated, euclidean=False)
+        kinks = r_s[(r_s > 0.0) & (r_s < disk.radius)]
+        object.__setattr__(disk, "breakpoints", tuple(float(r) for r in kinks))
+        return disk
 
     def omega_at(self, r) -> np.ndarray:
         """Conformal factor evaluated at radius array ``r``."""

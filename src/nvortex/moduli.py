@@ -40,7 +40,16 @@ from .geometry import (
     VortexConfiguration,
 )
 from .operators import assemble_neumann_laplacian
-from .shooting import DEFAULT_EPS, RadialProfile, _segments, _solve_joints, _sweep, shoot
+from .shooting import (
+    DEFAULT_EPS,
+    DEFAULT_STEPS,
+    RadialProfile,
+    _hermite,
+    _segments,
+    _solve_joints,
+    _sweep,
+    shoot,
+)
 from .solver2d import CG_RTOL, _solve_spd, solve_taubes_2d
 
 __all__ = [
@@ -56,7 +65,10 @@ __all__ = [
     "metric_coefficient",
 ]
 
-DEFAULT_LIN_STEPS = 100_000
+#: Sized like ``shooting.DEFAULT_STEPS``.  Driven by a 1M-step shoot,
+#: ``boundary_value`` on the flat R = 25 disk is off by 1.1e-11 at 6,500
+#: steps and by 8.0e-12 at 7,000; the other disks are within 1e-11 from 6,000.
+DEFAULT_LIN_STEPS = 7_000
 #: Inner start of the linearized integration, as a fraction of the radius;
 #: the regular branch ``a ~ c r`` is imposed there (the 1/r branch is excluded
 #: by smoothness of the position derivative at the origin).
@@ -77,19 +89,26 @@ class LinearizedProfile:
 
     r: np.ndarray
     a: np.ndarray
+    da: np.ndarray  # a'(r) at the nodes, from the sweep's q = r a'
     aR: float
     slope0: float  # a'(0), the coefficient of the regular branch a ~ c r
     boundary_value: float  # d_X h(R; 0) = a(R) - 2/R
     bc_defect: float  # |a'(R) + 2/R^2|, zero up to roundoff by construction
 
     def a_at(self, r) -> np.ndarray:
-        return np.interp(np.asarray(r, dtype=float), self.r, self.a)
+        """Cubic Hermite interpolation of ``a`` and ``da`` onto radii ``r``.
+
+        Outside ``[r[0], r[-1]]`` it holds the end values.
+        """
+        return _hermite(np.asarray(r, dtype=float), self.r, self.a, self.da)
 
 
 def solve_linear_bvp(
     f_of_r,
     radius: float,
     steps: int = DEFAULT_LIN_STEPS,
+    *,
+    breakpoints=(),
 ) -> LinearizedProfile:
     """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by multiple shooting.
 
@@ -97,7 +116,9 @@ def solve_linear_bvp(
     near the core) with ``steps`` classical RK4 steps from
     ``eps = EPS_FRACTION * radius``; ``f_of_r`` is evaluated once, at the
     ``2 * steps + 1`` half-node radii.  The steps are cut into segments as
-    for ``shoot`` (``_segments``), and one ``_sweep`` steps every segment
+    for ``shoot`` (``_segments``), with a node on each of the increasing
+    radii ``breakpoints`` where ``f`` has a kink (``ConformalDisk.breakpoints``;
+    uniform steps without), and one ``_sweep`` steps every segment
     from a zero start with an identity variational matrix.  The system is
     linear, so that sweep's rows after each step are exactly the affine map
     of the segment so far: ``a = y0 + x00 a_b + x01 q_b`` from the segment's
@@ -118,7 +139,8 @@ def solve_linear_bvp(
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     eps = EPS_FRACTION * radius
-    r_half, index, dt = _segments(math.log(eps), math.log(radius), steps)
+    breaks = [math.log(b) for b in breakpoints if b > 0.0]
+    r_half, index, dt = _segments(math.log(eps), math.log(radius), steps, breaks)
     np.exp(r_half, out=r_half)  # the half-node radii, from their values of t = log r
     f_half = np.asarray(f_of_r(r_half), dtype=float)
     try:
@@ -160,19 +182,23 @@ def solve_linear_bvp(
     slope0 = float(x[0])
     start_a = np.concatenate(([slope0 * eps], x[1::2]))
     start_q = np.concatenate(([slope0 * eps], x[2::2]))
-    a = np.empty(steps + 1)
-    a[0] = slope0 * eps
+    a, q = np.empty(steps + 1), np.empty(steps + 1)
+    a[0] = q[0] = slope0 * eps
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.array([state[0] + state[2] * start_a + state[4] * start_q for state in ys])
-    a[1:] = rows.T.ravel()[:steps]
+        rows = np.array([(state[0] + state[2] * start_a + state[4] * start_q,
+                          state[1] + state[3] * start_a + state[5] * start_q) for state in ys])
+    a[1:] = rows[:, 0].T.ravel()[:steps]
+    q[1:] = rows[:, 1].T.ravel()[:steps]
     if not np.isfinite(a).all():
         raise overflow
     a_end = float(a[-1])
     q_end = x10[-1] * start_a[-1] + x11[-1] * start_q[-1] + d1[-1]
     bc_defect = abs(q_end / radius + 2.0 / radius**2)
+    r = r_half[::2].copy()
     return LinearizedProfile(
-        r=r_half[::2].copy(),
+        r=r,
         a=a,
+        da=q / r,
         aR=a_end,
         slope0=slope0,
         boundary_value=a_end - 2.0 / radius,
@@ -185,7 +211,12 @@ def solve_linearized(
     radial: RadialProfile,
     steps: int = DEFAULT_LIN_STEPS,
 ) -> LinearizedProfile:
-    """Linearized profile driven by a converged unit-vortex radial solution."""
+    """Linearized profile driven by a converged unit-vortex radial solution.
+
+    The coefficient reads ``htilde`` off ``radial`` by cubic Hermite
+    interpolation at the half-node radii, and the steps fall on the disk's
+    breakpoints, so the solve stays fourth order in both step counts.
+    """
     if radial.n != 1:
         raise ValueError("the linearized problem is defined for a unit vortex")
     if not radial.converged:
@@ -194,7 +225,7 @@ def solve_linearized(
     def f_of_r(r):
         return disk.omega_at(r) * r**2 * np.exp(radial.htilde_at(r))
 
-    return solve_linear_bvp(f_of_r, disk.radius, steps=steps)
+    return solve_linear_bvp(f_of_r, disk.radius, steps=steps, breakpoints=disk.breakpoints)
 
 
 def boundary_metric_term(lin: LinearizedProfile) -> float:
@@ -318,7 +349,7 @@ class MetricReport:
 def metric_coefficient(
     disk: ConformalDisk,
     *,
-    radial_steps: int = 100_000,
+    radial_steps: int = DEFAULT_STEPS,
     radial_eps: float = DEFAULT_EPS,
     radial_tol: float = 1e-6,
 ) -> MetricReport:

@@ -18,7 +18,10 @@ march across ``[eps, R]`` amplifies errors like e^R.  The same Newton runs
 twice: on a coarse mesh from a closed-form guess, then at the requested
 step count from the coarse solution.  The segmentation (``_segments``), the
 sweep (``_sweep``) and the banded solve (``_solve_joints``) also serve the
-linearised radial problem of ``moduli.solve_linear_bvp``.
+linearised radial problem of ``moduli.solve_linear_bvp``.  Both solves stay
+fourth order end to end: a step node sits on every kink of a sampled Omega
+(``ConformalDisk.breakpoints``), and the profile hands ``htilde`` on by cubic
+Hermite interpolation of its values and slopes (``RadialProfile.htilde_at``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-8
-DEFAULT_STEPS = 100_000
+#: The least multiple of 500 steps whose ``h0``, and whose ``slope0`` and
+#: ``boundary_value`` with ``moduli.DEFAULT_LIN_STEPS``, stay within 1e-11 of
+#: 1M-step solves on flat disks of radius 3, 12 and 25, a sampled and a
+#: smooth Omega on radius 3.  The flat R = 25 disk sets it: its ``h0`` is off
+#: by 1.0e-11 at 6,500 steps and by 7.6e-12 at 7,000.
+DEFAULT_STEPS = 7_000
 #: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW`` or above
 #: ``SCAN_HIGH + n log(max(1, Omega(0)))``: the core value grows like
 #: ``n log Omega(0)`` on a disk with a large conformal factor at the centre.
@@ -87,8 +95,12 @@ class RadialProfile:
     stalled: bool = False
 
     def htilde_at(self, r) -> np.ndarray:
-        """Linear interpolation of htilde onto radii ``r``."""
-        return np.interp(np.asarray(r, dtype=float), self.r, self.htilde)
+        """Cubic Hermite interpolation of ``htilde`` and ``dhtilde`` onto radii ``r``.
+
+        Fourth order between the nodes, like the RK4 steps that made them;
+        outside ``[r[0], r[-1]]`` it holds the end values.
+        """
+        return _hermite(np.asarray(r, dtype=float), self.r, self.htilde, self.dhtilde)
 
     def failure_reason(self, tol: float) -> str:
         """Why a shoot to ``tol`` did not converge, for error messages."""
@@ -142,7 +154,7 @@ def _solve_joints(lead, maps, rhs) -> np.ndarray:
     return solve_banded((2, 1), ab, rhs)
 
 
-def _segments(x0, x1, steps):
+def _segments(x0, x1, steps, breaks=()):
     """``steps`` RK4 steps from ``x0`` to ``x1`` cut into segments, for ``_sweep``.
 
     Returns ``(x_half, index, dx)``: the ``2 * steps + 1`` half-node
@@ -153,14 +165,32 @@ def _segments(x0, x1, steps):
     per-call cost once per position in a segment, so segments are short:
     about ``sqrt(steps) / 4`` steps (on a 2-vCPU VM a 10k-step sweep takes
     2.6 ms in 400 segments of 25 steps, 10.9 ms in 100 of 100).
+
+    A node falls on each of the increasing coordinates ``breaks`` where the
+    coefficients have a kink, so that no RK4 step straddles one (Hairer,
+    Norsett & Wanner, "Solving ODEs I", II.6): each moves the uniform node
+    nearest it onto itself, and the steps between two such nodes are
+    uniform.  A breakpoint nearest ``x0``, ``x1`` or the node of the one
+    before it gets no node.  Without breakpoints the steps are uniform.
     """
     size = math.isqrt(steps - 1) // 4 + 1
     count = -(-steps // size)
     step = (x1 - x0) / steps
-    x_half = x0 + 0.5 * step * np.arange(2 * steps + 1)
+    knots, nodes = [x0], [0]
+    for b in breaks:
+        k = round((b - x0) / step)
+        if nodes[-1] < k < steps:
+            knots.append(b)
+            nodes.append(k)
+    knots.append(x1)
+    nodes.append(steps)
+    x_half = np.empty(2 * steps + 1)
+    dx = np.zeros(count * size)
+    for a, b, ka, kb in zip(knots, knots[1:], nodes, nodes[1:]):
+        h = (b - a) / (kb - ka)
+        x_half[2 * ka:2 * kb + 1] = a + 0.5 * h * np.arange(2 * (kb - ka) + 1)
+        dx[ka:kb] = h
     index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
-    dx = np.full(count * size, step)
-    dx[steps:] = 0.0
     return x_half, index, dx.reshape(count, size).T
 
 
@@ -192,14 +222,17 @@ def _sweep(rhs, dx, starts):
 
 
 def _hermite(x, xs, ys, dys):
-    """Cubic Hermite interpolation of values ``ys`` and slopes ``dys`` at ``xs``."""
+    """Cubic Hermite interpolation of values ``ys`` and slopes ``dys`` at ``xs``.
+
+    Outside ``[xs[0], xs[-1]]`` it holds the end values, as ``np.interp`` does.
+    """
+    x = np.clip(x, xs[0], xs[-1])
     j = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-    d = xs[j + 1] - xs[j]
-    t = (x - xs[j]) / d
-    return (ys[j] + t * d * dys[j] + t * t * (3.0 * (ys[j + 1] - ys[j]) - d * (2.0 * dys[j] + dys[j + 1]))
-            + t**3 * (2.0 * (ys[j] - ys[j + 1]) + d * (dys[j] + dys[j + 1])))
-
-
+    x0, y0, y1, s0, s1 = xs[j], ys[j], ys[j + 1], dys[j], dys[j + 1]
+    d = xs[j + 1] - x0
+    t = (x - x0) / d
+    return (y0 + t * d * s0 + t * t * (3.0 * (y1 - y0) - d * (2.0 * s0 + s1))
+            + t**3 * (2.0 * (y0 - y1) + d * (s0 + s1)))
 
 
 def _newton(disk, n, eps, steps, h0, starts):
@@ -216,7 +249,7 @@ def _newton(disk, n, eps, steps, h0, starts):
     ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1, Omega(0)))``.
     Returns the profile with ``converged`` unset and ``passes = (0, sweeps)``.
     """
-    r_half, index, dx = _segments(eps, disk.radius, steps)
+    r_half, index, dx = _segments(eps, disk.radius, steps, disk.breakpoints)
     r = r_half[index]
     r_2n, w = r ** (2 * n), disk.omega_at(r)
 

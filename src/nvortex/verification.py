@@ -37,7 +37,7 @@ from .moduli import (
     solve_linearized,
 )
 from .observables import compute_observables
-from .shooting import shoot
+from .shooting import DEFAULT_STEPS, shoot
 from .singular import boundary_neumann_green, neumann_green
 from .solver2d import solve_taubes_2d
 
@@ -125,7 +125,7 @@ def run_acceptance(
     nr: int = BASE_NR,
     tol: float = 1e-8,
     max_iter: int = MAX_NEWTON_ITER,
-    radial_steps: int = 100_000,
+    radial_steps: int = DEFAULT_STEPS,
     log=None,
 ) -> list[CheckResult]:
     """Run all acceptance checks at resolution ``nr`` and return their records."""

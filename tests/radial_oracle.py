@@ -5,7 +5,9 @@ segments.  This module keeps the slow path it replaced as the reference:
 one fixed-step classical RK4 march of ``(htilde, htilde')`` from ``eps``
 to ``R`` (``integrate_radial``), its outer-slope mismatch, and Illinois
 false position on that mismatch over ``[SCAN_LOW, SCAN_HIGH]``
-(``single_stage_h0``), every pass at the full step count.
+(``single_stage_h0``), every pass at the full step count.  The march puts
+a node on each of the disk's breakpoints as ``shoot`` does
+(``aligned_nodes``), so both discretise the same problem.
 """
 
 from __future__ import annotations
@@ -22,6 +24,32 @@ DIVERGENCE_CAP = 500.0
 #: False position stops once the bracket on ``h0`` is this narrow, so the
 #: oracle's ``h0`` is pinned by the integrator and its step count.
 H0_BRACKET_WIDTH = 1e-12
+
+
+def aligned_nodes(x0, x1, steps, breaks=()):
+    """Half-node coordinates and per-step sizes of ``steps`` steps with a node on each breakpoint.
+
+    Each breakpoint takes the place of the nearest node of the uniform mesh
+    from ``x0`` to ``x1``, unless that node is an end or not past the one
+    before; the steps between taken nodes are uniform.  Returns ``(x_half, dx)`` of
+    lengths ``2 * steps + 1`` and ``steps``.
+    """
+    uniform = (x1 - x0) / steps
+    knots, nodes = [x0], [0]
+    for b in breaks:
+        k = round((b - x0) / uniform)
+        if nodes[-1] < k < steps:
+            knots.append(b)
+            nodes.append(k)
+    knots.append(x1)
+    nodes.append(steps)
+    x_half = np.empty(2 * steps + 1)
+    dx = np.empty(steps)
+    for a, b, ka, kb in zip(knots, knots[1:], nodes, nodes[1:]):
+        h = (b - a) / (kb - ka)
+        x_half[2 * ka:2 * kb + 1] = a + 0.5 * h * np.arange(2 * (kb - ka) + 1)
+        dx[ka:kb] = h
+    return x_half, dx
 
 
 def _integrate(h0, disk, n, eps, steps, record):
@@ -41,8 +69,8 @@ def _integrate(h0, disk, n, eps, steps, record):
         raise ValueError(f"multiplicity must be >= 1, got {n}")
     if not 0.0 < eps < disk.radius:
         raise ValueError(f"eps must lie in (0, radius={disk.radius}), got {eps}")
-    dr = (disk.radius - eps) / steps
-    r_half = eps + 0.5 * dr * np.arange(2 * steps + 1)
+    r_half, dr = aligned_nodes(eps, disk.radius, steps, disk.breakpoints)
+    dr = dr.tolist()
     r = r_half.tolist()
     r_2n = (r_half ** (2 * n)).tolist()
     w = [1.0] * len(r) if disk.euclidean else disk.omega_at(r_half).tolist()
@@ -50,19 +78,20 @@ def _integrate(h0, disk, n, eps, steps, record):
     h, p = taylor_seed(h0, eps, n, float(disk.omega_at(0.0)))
     hs = np.full(steps + 1, h) if record else None
     ps = np.full(steps + 1, p) if record else None
-    half, sixth = 0.5 * dr, dr / 6.0
     cap = DIVERGENCE_CAP  # a local: the step loop reads it every step
     diverged = False
     k = 0
     try:
         for k in range(steps):
             j = 2 * k
+            step = dr[k]
+            half, sixth = 0.5 * step, step / 6.0
             b1 = w[j] * (r_2n[j] * exp(h) - 1.0) - p / r[j]
             h2, p2 = h + half * p, p + half * b1
             b2 = w[j + 1] * (r_2n[j + 1] * exp(h2) - 1.0) - p2 / r[j + 1]
             h3, p3 = h + half * p2, p + half * b2
             b3 = w[j + 1] * (r_2n[j + 1] * exp(h3) - 1.0) - p3 / r[j + 1]
-            h4, p4 = h + dr * p3, p + dr * b3
+            h4, p4 = h + step * p3, p + step * b3
             b4 = w[j + 2] * (r_2n[j + 2] * exp(h4) - 1.0) - p4 / r[j + 2]
             h += sixth * (p + 2.0 * (p2 + p3) + p4)
             p += sixth * (b1 + 2.0 * (b2 + b3) + b4)

@@ -253,6 +253,93 @@ class TestShoot:
         sample = radial_r3.r[::5000]
         assert np.allclose(radial_r3.htilde_at(sample), radial_r3.htilde[::5000])
 
+    def test_interpolation_holds_end_values_outside_the_nodes(self, disk3):
+        # A seed radius above moduli.EPS_FRACTION * R leaves the linearized
+        # solve's innermost radii below the profile's first node.
+        profile = shoot(disk3, eps=1.0, steps=2_000)
+        ends = profile.htilde_at([0.0, 0.5, 1.0, 3.0, 3.5])
+        assert np.max(np.abs(ends - profile.htilde[[0, 0, 0, -1, -1]])) <= 1e-14
+
+
+def uniform_layout(x0, x1, steps):
+    """``_segments``' node layout before breakpoints: uniform steps, zero-padded."""
+    size = math.isqrt(steps - 1) // 4 + 1
+    count = -(-steps // size)
+    step = (x1 - x0) / steps
+    x_half = x0 + 0.5 * step * np.arange(2 * steps + 1)
+    index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
+    dx = np.full(count * size, step)
+    dx[steps:] = 0.0
+    return x_half, index, dx.reshape(count, size).T
+
+
+class TestSegments:
+    @pytest.mark.parametrize(
+        "x0, x1, steps",
+        [(1e-8, 3.0, 7_000), (1e-8, 25.0, 1_000), (math.log(3e-6), math.log(3.0), 7_000), (0.0, 1.0, 1),
+         (0.0, 1.0, 99_991)],
+    )
+    def test_no_breakpoints_keep_the_uniform_layout_bit_for_bit(self, x0, x1, steps):
+        for got, want in zip(shooting._segments(x0, x1, steps), uniform_layout(x0, x1, steps)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("steps", [1_000, 7_000, 12_345])
+    @pytest.mark.parametrize("breaks", [(0.75, 1.5, 2.25), (0.7, 1.3, 2.2), (0.0101, 1.0, 1.0004, 2.9995)])
+    def test_a_node_on_every_breakpoint(self, steps, breaks):
+        eps, radius = 1e-8, 3.0
+        x_half, index, dx = shooting._segments(eps, radius, steps, breaks)
+        nodes = x_half[::2]
+        steps_of = dx.T.ravel()[:steps]
+        assert x_half.shape == (2 * steps + 1,) and nodes[0] == eps
+        assert np.all(dx.T.ravel()[steps:] == 0.0)
+        # Each node is the last one plus its step, each half-node halfway.
+        assert np.allclose(np.diff(nodes), steps_of, rtol=1e-9, atol=0.0)
+        assert np.allclose(x_half[1::2], nodes[:-1] + 0.5 * steps_of, rtol=1e-12, atol=0.0)
+        assert nodes[-1] == pytest.approx(radius, rel=1e-14)
+        # A breakpoint takes the uniform node nearest it unless that is an
+        # end or not past the last one taken: at 1k and 7k steps 1.0004 shares
+        # 1.0's node, and at 1k 2.9995 is nearest the rim.
+        uniform = (radius - eps) / steps
+        expected, last = [], 0
+        for b in breaks:
+            k = round((b - eps) / uniform)
+            if last < k < steps:
+                expected.append(b)
+                last = k
+        kept = [b for b in breaks if b in nodes]
+        assert kept == expected
+        if breaks[0] > 0.1:
+            assert kept == list(breaks)
+        # Uniform between breakpoints, each end moved by at most half a step.
+        for a, b in zip([eps] + kept, kept + [radius]):
+            inside = steps_of[(nodes[:-1] >= a) & (nodes[:-1] < b)]
+            assert np.ptp(inside) <= 1e-12 * uniform
+            assert inside.size * uniform == pytest.approx(b - a, abs=uniform)
+
+    def test_breakpoints_nearest_an_end_get_no_node(self):
+        x_half, _, dx = shooting._segments(0.0, 1.0, 10, (-0.5, 0.04, 0.5, 0.52, 0.96, 1.5))
+        # Only 0.5 takes a node: -0.5 and 1.5 lie outside, 0.04 and 0.96 are
+        # nearest an end, 0.52 is nearest 0.5's node.  That is the uniform mesh.
+        assert x_half[10] == 0.5 and x_half[0] == 0.0
+        assert np.allclose(x_half, 0.05 * np.arange(21), rtol=0.0, atol=1e-15)
+        assert np.allclose(dx.T.ravel()[:10], 0.1, rtol=0.0, atol=1e-15)
+
+    def test_disk_breakpoints(self):
+        assert ConformalDisk.flat(3.0).breakpoints == ()
+        assert ConformalDisk(3.0, omega=lambda r: 1.0 + np.asarray(r)).breakpoints == ()
+        assert table_disk().breakpoints == (0.75, 1.5, 2.25)
+        wide = ConformalDisk.from_samples(3.0, (-1.0, 0.0, 1.0, 3.0, 4.0), (1.0, 1.0, 2.0, 1.0, 1.0))
+        assert wide.breakpoints == (1.0,)
+
+    def test_both_radial_solves_step_onto_the_breakpoints(self):
+        disk = ConformalDisk.from_samples(3.0, (0.0, 0.7, 1.3, 2.2, 3.0), (1.0, 1.1, 1.25, 1.35, 1.5))
+        profile = shoot(disk, n=1, steps=2_000)
+        assert all(b in profile.r for b in disk.breakpoints)
+        lin = moduli.solve_linearized(disk, profile, steps=2_000)
+        for b in disk.breakpoints:
+            assert np.min(np.abs(lin.r - b)) <= 1e-15 * b
+
 
 @st.composite
 def radial_problems(draw):
