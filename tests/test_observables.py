@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,17 +17,20 @@ from nvortex import (
     magnetic_field,
     solve_taubes_2d,
 )
+from nvortex import observables
 from nvortex.observables import (
     FIELD_CSV_HEADER,
     PROFILE_CSV_HEADER,
     _density_from_parts,
+    _g17_cells,
+    _g17_tables,
     export_field_csv,
     export_json,
     export_profile_csv,
     radial_observables,
     solution_summary,
 )
-from nvortex.shooting import RadialProfile
+from nvortex.shooting import RadialProfile, shoot
 from nvortex.solver2d import reconstruct_h
 
 #: Values whose ``%.17g`` spelling is easy to get wrong: signed zero, the
@@ -191,6 +195,86 @@ class TestQuantization:
         assert abs(obs96.flux - 2.0 * math.pi) < 1e-7  # conservation floor
 
 
+def _g17_text(values, seps):
+    return _g17_cells(values, seps).tobytes().translate(None, observables._PAD)
+
+
+def _percent_text(values, seps):
+    return b"".join(b"%.17g" % v + bytes([s]) for v, s in zip(values.tolist(), seps.tolist()))
+
+
+#: The special values above, both sides of every power of ten
+#: (``floor(log10)`` can be off by one there), three-digit exponents and the
+#: ends of the float64 range.
+_POWERS = 10.0 ** np.arange(-30, 31)
+_PINNED = np.concatenate(
+    [
+        _SPECIAL_FINITE,
+        np.nextafter(_POWERS, 0.0),
+        _POWERS,
+        np.nextafter(_POWERS, math.inf),
+        [1e-100, 1e100, 1e-308, 1e308, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-320],
+        [math.nan, -math.nan, math.inf, -math.inf],
+    ]
+)
+
+
+class TestG17Formatter:
+    """``_g17_cells`` spells every float64 as ``b"%.17g" % v`` does."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+        newline=st.lists(st.booleans(), min_size=64, max_size=64),
+    )
+    def test_raw_bit_patterns(self, bits, newline):
+        # raw patterns cover subnormals, nan payloads, negative nan, +-inf and +-0
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        seps = np.where(newline[: len(bits)], ord("\n"), ord(",")).astype(np.uint8)
+        assert _g17_text(values, seps) == _percent_text(values, seps)
+
+    def test_random_bit_patterns_in_blocks(self):
+        rng = np.random.default_rng(17)
+        values = rng.integers(0, 2**64, size=(50, 7), dtype=np.uint64, endpoint=False).view(np.float64)
+        seps = np.frombuffer(b",,,,,,\n", dtype=np.uint8)
+        assert _g17_text(values, seps) == _percent_text(values.ravel(), np.tile(seps, 50))
+
+    def test_pinned_values(self):
+        values = np.concatenate([_PINNED, -_PINNED])
+        seps = np.full(values.shape, ord(","), dtype=np.uint8)
+        assert _g17_text(values, seps) == _percent_text(values, seps)
+
+    def test_half_even_ties(self):
+        # both are exact binary ties at the 17th digit; %g rounds half to even
+        values = np.array([1000000000000000.25, 1000000000000000.75])
+        assert _g17_text(values, ord(",")) == b"1000000000000000.2,1000000000000000.8,"
+
+    def test_special_values_raise_no_floating_point_error(self):
+        values = np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
+        with np.errstate(all="raise"):
+            assert _g17_text(values, ord(",")) == b"nan,nan,inf,-inf,0,-0,4.9406564584124654e-324,"
+
+    def test_exact_path_alone_gives_the_same_bytes(self, monkeypatch):
+        # where long double is no wider than double no value is certified
+        rng = np.random.default_rng(3)
+        values = np.concatenate([_PINNED, rng.standard_normal(500) * 10.0 ** rng.integers(-30, 30, 500)])
+        seps = np.full(values.shape, ord(","), dtype=np.uint8)
+        expected = _g17_text(values, seps)
+        monkeypatch.setattr(observables, "_TIE_MARGIN", math.inf)
+        cells = _g17_cells(values, seps)
+        # every cell holds the text that ``%`` padded with spaces
+        assert [c[:-1].tobytes().rstrip(b" ") for c in cells] == [b"%.17g" % v for v in values.tolist()]
+        assert cells.tobytes().translate(None, observables._PAD) == expected == _percent_text(values, seps)
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        # the certification bound assumes at most half an ulp of error per power
+        t = _g17_tables()
+        unit_roundoff = Fraction(t.eps) / 2
+        for k, power in zip(range(observables._KMIN, observables._KMAX + 1), t.scale):
+            exact = Fraction(10) ** (16 - k)
+            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= unit_roundoff * exact
+
+
 class TestExport:
     def test_field_csv_schema(self, tmp_path, solved96):
         grid, out = solved96
@@ -237,10 +321,13 @@ class TestExport:
             export_profile_csv(tmp / "profile.csv", profile, disk)
         assert (tmp / "profile.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
 
-    def test_long_profile_bytes_match_savetxt(self, tmp_path, disk3, radial_r3):
-        # 100,001 rows: many whole blocks of rows and a partial last one
-        _savetxt_profile_csv(tmp_path / "oracle.csv", radial_r3, disk3)
-        export_profile_csv(tmp_path / "profile.csv", radial_r3, disk3)
+    def test_long_profile_bytes_match_savetxt(self, tmp_path, disk3):
+        # 5,001 rows: three whole blocks of 1,365 rows and a partial one of 906
+        profile = shoot(disk3, n=1, steps=5_000)
+        rows = observables._BLOCK_VALUES // 6
+        assert len(profile.r) > 2 * rows and len(profile.r) % rows
+        _savetxt_profile_csv(tmp_path / "oracle.csv", profile, disk3)
+        export_profile_csv(tmp_path / "profile.csv", profile, disk3)
         assert (tmp_path / "profile.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_profile_csv_schema(self, tmp_path, disk3, radial_r3):
