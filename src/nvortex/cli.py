@@ -1,8 +1,9 @@
 """Command-line front end: check | solve-radial | solve-2d | metric | verify.
 
-Exit codes are a stable contract: 0 ok, 1 configuration error, 2 existence
-bound violated, 3 radial shoot did not converge, 4 Newton non-convergence or a
-failed inner linear solve, 5 metric pipeline failure, 6 verification failure.
+Exit codes are a stable contract: 0 ok, 1 configuration or usage error, 2
+existence bound violated, 3 radial shoot did not converge, 4 Newton
+non-convergence or a failed inner linear solve, 5 metric pipeline failure, 6
+verification failure.
 Outputs land under ``--out`` with fixed filenames (profile.csv, field.csv,
 report.json, metric.json); identical configurations produce bit-identical
 reports.
@@ -212,8 +213,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors exit 1, not argparse's 2 (the existence-bound code).
+
+    Subparsers inherit the class.
+    """
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nvortex",
         description=(
             "Critically coupled Ginzburg-Landau vortices on a conformal disk "
@@ -240,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_overrides(args)
         return args.handler(args)
     except (ConfigError, ValueError) as exc:

@@ -277,7 +277,7 @@ def _position_tangents(disk: ConformalDisk, grid: PolarGrid, tol: float, max_ite
     for trig in (np.cos(grid.theta), np.sin(grid.theta)):
         d_v0 = -2.0 * (trig / grid.r[:, None]).ravel()
         rhs = shift * d_v0 - lap.boundary_flux_vector(-2.0 * trig / disk.radius**2)
-        tangents.append(_solve_spd(lap, shift, rhs, "cg", CG_RTOL)[0].reshape(grid.shape))
+        tangents.append(_solve_spd(lap, shift, rhs, CG_RTOL)[0].reshape(grid.shape))
     return tangents
 
 

@@ -72,17 +72,6 @@ class NeumannLaplacian:
         b[(self.grid.nr - 1) * self.grid.ntheta :] = self.grid.radius * self.grid.dtheta * g
         return b
 
-    def apply(self, values: np.ndarray, g=None) -> np.ndarray:
-        """Unweighted discrete Laplacian of a ``(nr, ntheta)`` array.
-
-        ``g`` supplies the outer Neumann data (defaults to zero flux).
-        """
-        u = np.asarray(values, dtype=float).reshape(self.grid.size)
-        out = self.matrix @ u
-        if g is not None:
-            out = out + self.boundary_flux_vector(g)
-        return (out / self.weights).reshape(self.grid.shape)
-
 
 def polar_couplings(grid: PolarGrid, disk: ConformalDisk) -> tuple[np.ndarray, np.ndarray]:
     """Couplings of the weighted flux-form Laplacian, read-only.

@@ -21,8 +21,8 @@ step and of ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2``, clipped to
 ``[CG_RTOL, FORCING_MAX]``, on later ones; once the Newton residual is below
 ``FORCING_EXACT_BELOW`` every step is solved to ``CG_RTOL``.  The CG inner
 products are ``operators.inner``, not threaded BLAS, so the result does not
-depend on the BLAS thread count.  SuperLU
-(``linear_solver="direct"``) is kept as the oracle for that path.
+depend on the BLAS thread count.  This is the only linear-solver path;
+the tests keep a SuperLU Newton step as the oracle it is checked against.
 
 Newton does not start from zero on grids that halve to at least
 ``NESTED_MIN_POINTS`` per direction: the same solve on the half grid,
@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import (
     ConformalDisk,
@@ -79,10 +77,9 @@ class SolveReport:
     ``"max_iter"`` (iteration budget spent) or ``"line_search"`` (no step
     length down to ``2**-MAX_HALVINGS`` reduced the residual).
     ``linear_iterations`` holds the CG iteration count of each Newton step
-    (0 for the direct oracle) and ``forcing`` the relative CG tolerance it
-    was solved to (``CG_RTOL`` for an exact step, 0.0 for the direct
-    oracle).  ``singular`` is the singular part the solve split off, for
-    reconstructing ``h`` and the observables.  ``coarse`` holds one
+    and ``forcing`` the relative CG tolerance it was solved to (``CG_RTOL``
+    for an exact step).  ``singular`` is the singular part the solve split
+    off, for reconstructing ``h`` and the observables.  ``coarse`` holds one
     ``(nr, ntheta, newton_steps, cg_iterations)`` per half-grid level of the
     nested start, coarsest first; the other fields describe this grid only.
     """
@@ -99,17 +96,15 @@ class SolveReport:
     coarse: list = dataclass_field(default_factory=list)
 
 
-def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, method: str, rtol: float):
+def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, rtol: float):
     """Solve the Newton system ``(lap.matrix - diag(shift)) x = rhs``.
 
     ``shift`` (``w * Omega * exp(h)``, nonnegative) makes the system negative
     definite.  CG stops once its residual is ``rtol`` times that of ``x = 0``
-    (the Newton step's forcing term, see ``_forcing``); ``"direct"`` ignores
-    ``rtol``.  Returns ``(x, cg_iterations)``; raises ``LinearSolveError``
-    when CG does not converge or the preconditioner is singular.
+    (the Newton step's forcing term, see ``_forcing``).  Returns
+    ``(x, cg_iterations)``; raises ``LinearSolveError`` when CG does not
+    converge or the preconditioner is singular.
     """
-    if method == "direct":
-        return spla.splu((lap.matrix - sp.diags(shift)).tocsc()).solve(rhs), 0
     # Preconditioned CG on the positive-definite mirror -J x = -rhs, from
     # x = 0; the preconditioner is the separable solve with the ring-mean shift.
     grid = lap.grid
@@ -204,8 +199,8 @@ def solve_taubes_2d(
         Maximum Newton iterations; on exhaustion a not-converged report is
         returned (no exception).
     linear_solver
-        ``"cg"`` (conjugate gradients with the separable polar
-        preconditioner) or ``"direct"`` (SuperLU, the reference oracle).
+        Only ``"cg"``: conjugate gradients with the separable polar
+        preconditioner, the one linear-solver path.
 
     Returns
     -------
@@ -217,9 +212,9 @@ def solve_taubes_2d(
     Raises
     ------
     ValueError
-        For an unknown ``linear_solver``, a ``tol`` not finite and ``>= 0``
-        or a vortex on a node of ``grid`` (only a node of a half grid gives
-        a zero start instead).
+        For a ``linear_solver`` other than ``"cg"``, a ``tol`` not finite
+        and ``>= 0`` or a vortex on a node of ``grid`` (only a node of a
+        half grid gives a zero start instead).
     LinearSolveError
         If the linear solve of a Newton step on ``grid`` fails; the message
         names the step and the residual it started from.  A failure on a
@@ -236,13 +231,14 @@ def solve_taubes_2d(
     pointwise infinity-norm tolerance would stall at the pole ring while the
     field is already at its discretisation optimum everywhere.
     """
-    return _solve(disk, config, grid, tol, max_iter, linear_solver, nested=True)
-
-
-def _solve(disk, config, grid, tol, max_iter, linear_solver, nested):
-    """``solve_taubes_2d``; ``nested=False`` always starts Newton from zero."""
-    if linear_solver not in ("cg", "direct"):
+    # The keyword stays only because perfbench's warm-up passes linear_solver="cg".
+    if linear_solver != "cg":
         raise ValueError(f"unknown linear_solver {linear_solver!r}")
+    return _solve(disk, config, grid, tol, max_iter, nested=True)
+
+
+def _solve(disk, config, grid, tol, max_iter, nested):
+    """``solve_taubes_2d``; ``nested=False`` always starts Newton from zero."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     check_bradlow(config, disk)
@@ -271,7 +267,7 @@ def _solve(disk, config, grid, tol, max_iter, linear_solver, nested):
     if nested and grid.nr % 2 == grid.ntheta % 2 == 0 and min(half) >= NESTED_MIN_POINTS:
         try:
             coarse_field, coarse_report = _solve(
-                disk, config, PolarGrid(grid.radius, *half), tol, max_iter, linear_solver, nested=True
+                disk, config, PolarGrid(grid.radius, *half), tol, max_iter, nested=True
             )
         except (ValueError, LinearSolveError):
             pass  # a vortex on a half-grid node, or a failed half-grid step
@@ -287,9 +283,9 @@ def _solve(disk, config, grid, tol, max_iter, linear_solver, nested):
     )
 
     while norm > tol and report.iterations < max_iter:
-        rtol = 0.0 if linear_solver == "direct" else _forcing(report.residual_history)
+        rtol = _forcing(report.residual_history)
         try:
-            delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), linear_solver, rtol)
+            delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), rtol)
         except LinearSolveError as exc:
             raise LinearSolveError(f"Newton step {report.iterations + 1} (residual {norm:.3g}): {exc}") from exc
         report.linear_iterations.append(cg_iterations)

@@ -339,6 +339,34 @@ class TestModuleEntry:
         assert doc["margin"] == pytest.approx(1.25, abs=1e-9)
         assert doc["passed"] is True
 
+    def test_import_leaves_sparse_linalg_unloaded(self, run_python):
+        # Every linear solve is the library's own PCG or a LAPACK routine.
+        done = run_python("-c", "import sys, nvortex.cli; print('scipy.sparse.linalg' in sys.modules)")
+        assert done.stdout.strip() == "False"
+
+
+class TestUsageErrors:
+    # argparse would exit with 2, the code of a violated existence bound.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve-2d"], "nvortex solve-2d: the following arguments are required: --config"),
+            (["verify", "--nr", "abc"], "nvortex verify: argument --nr: invalid int value: 'abc'"),
+            (["metric", "--config", "c.json", "--bogus", "1"], "nvortex: unrecognized arguments: --bogus 1"),
+        ],
+        ids=["missing-config", "non-integer-nr", "unknown-option"],
+    )
+    def test_usage_error_is_config_error(self, capsys, argv, message):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["metric", "--help"]], ids=["top", "subcommand"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 0
+        assert "usage: nvortex" in capsys.readouterr().out
+
 
 class TestOverrides:
     @pytest.mark.parametrize(

@@ -17,6 +17,8 @@ from nvortex import (
 )
 from nvortex.operators import LinearSolveError
 
+from direct_oracle import solve_direct
+
 
 @pytest.fixture(scope="module")
 def centered64(disk3):
@@ -70,7 +72,7 @@ class TestNewtonSolve:
     def test_failed_line_search_is_reported(self, disk3, monkeypatch):
         # A zero step never lowers the residual, so every halving is rejected.
         grid = build_grid(disk3, 16, 16)
-        monkeypatch.setattr(solver2d, "_solve_spd", lambda lap, shift, rhs, method, rtol: (0.0 * rhs, 7))
+        monkeypatch.setattr(solver2d, "_solve_spd", lambda lap, shift, rhs, rtol: (0.0 * rhs, 7))
         _, report = solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid)
         assert not report.converged
         assert report.termination == "line_search"
@@ -80,8 +82,9 @@ class TestNewtonSolve:
 
     def test_unknown_linear_solver_rejected(self, disk3):
         grid = build_grid(disk3, 16, 16)
-        with pytest.raises(ValueError):
-            solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid, linear_solver="lu")
+        for linear_solver in ("lu", "direct"):
+            with pytest.raises(ValueError, match="unknown linear_solver"):
+                solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid, linear_solver=linear_solver)
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf])
     def test_unusable_tol_rejected(self, disk3, tol):
@@ -93,7 +96,7 @@ class TestNewtonSolve:
         grid = build_grid(disk3, 32, 32)
         cfg = VortexConfiguration(interior=((0.4 + 0.1j, 1),))
         f_cg, rep_cg = solve_taubes_2d(disk3, cfg, grid, linear_solver="cg")
-        f_direct, _ = solve_taubes_2d(disk3, cfg, grid, linear_solver="direct")
+        f_direct, _ = solve_direct(disk3, cfg, grid)
         assert rep_cg.converged
         assert np.max(np.abs(f_cg.values - f_direct.values)) < 1e-8
 
@@ -123,7 +126,7 @@ class TestFastPathAgainstDirect:
         disk = ConformalDisk.flat(3.0)
         grid = build_grid(disk, 32, 32)
         f_cg, rep_cg = solve_taubes_2d(disk, cfg, grid)
-        f_direct, rep_direct = solve_taubes_2d(disk, cfg, grid, linear_solver="direct")
+        f_direct, rep_direct = solve_direct(disk, cfg, grid)
         assert rep_cg.converged and rep_direct.converged
         assert rep_cg.iterations == rep_direct.iterations
         assert np.max(np.abs(f_cg.values - f_direct.values)) <= 1e-10
@@ -160,12 +163,6 @@ class TestForcing:
         assert report.forcing[0] == solver2d.FORCING_MAX
         assert report.forcing[-1] == solver2d.CG_RTOL
 
-    def test_direct_records_zero_forcing(self, disk3):
-        grid = build_grid(disk3, 32, 32)
-        _, report = solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid, linear_solver="direct")
-        assert report.converged
-        assert report.forcing == [0.0] * report.iterations
-
     def test_forcing_saves_cg_iterations_not_newton_steps(self, disk3, monkeypatch):
         grid = build_grid(disk3, 64, 64)
         cfg = VortexConfiguration.boundary_point(0.3)
@@ -180,7 +177,7 @@ class TestForcing:
 
 def _zero_start(disk, cfg, grid):
     """Oracle: the same Newton on ``grid`` alone, started from ``htilde = 0``."""
-    return solver2d._solve(disk, cfg, grid, solver2d.DEFAULT_TOL, solver2d.DEFAULT_MAX_ITER, "cg", nested=False)
+    return solver2d._solve(disk, cfg, grid, solver2d.DEFAULT_TOL, solver2d.DEFAULT_MAX_ITER, nested=False)
 
 
 def _refuse(*args):
@@ -226,10 +223,10 @@ class TestNestedStart:
         oracle, oracle_report = _zero_start(disk3, cfg, grid)
         spd = solver2d._solve_spd
 
-        def fail_on_half_grid(lap, shift, rhs, method, rtol):
+        def fail_on_half_grid(lap, shift, rhs, rtol):
             if lap.grid.nr < grid.nr:
                 raise LinearSolveError("injected")
-            return spd(lap, shift, rhs, method, rtol)
+            return spd(lap, shift, rhs, rtol)
 
         monkeypatch.setattr(solver2d, "_solve_spd", fail_on_half_grid)
         field, report = solve_taubes_2d(disk3, cfg, grid)
@@ -284,11 +281,11 @@ class TestNestedStart:
 
 class TestFluxBalance:
     @pytest.mark.parametrize("nr", [32, 64])
-    @pytest.mark.parametrize("linear_solver", ["cg", "direct"])
+    @pytest.mark.parametrize("solve", [solve_taubes_2d, solve_direct], ids=["cg", "direct"])
     @pytest.mark.parametrize("cfg", _CASES.values(), ids=_CASES.keys())
-    def test_bc_residual_small(self, disk3, cfg, linear_solver, nr):
+    def test_bc_residual_small(self, disk3, cfg, solve, nr):
         grid = build_grid(disk3, nr, nr)
-        _, report = solve_taubes_2d(disk3, cfg, grid, linear_solver=linear_solver)
+        _, report = solve(disk3, cfg, grid)
         assert report.converged
         assert report.bc_residual < 1e-7
 
