@@ -28,10 +28,7 @@ from .moduli import (
 from .observables import (
     ObservableSet,
     compute_observables,
-    energy_density,
     magnetic_field,
-    total_energy,
-    total_flux,
 )
 from .operators import NeumannLaplacian, assemble_neumann_laplacian
 from .shooting import RadialProfile, shoot, taylor_seed
@@ -41,7 +38,7 @@ from .singular import (
     build_singular_part,
     neumann_green,
 )
-from .solver2d import SolveReport, reconstruct_h, solve_taubes_2d
+from .solver2d import SolveReport, solve_taubes_2d
 from .verification import CheckResult, run_acceptance
 
 __version__ = "0.1.0"
@@ -68,18 +65,14 @@ __all__ = [
     "build_singular_part",
     "check_bradlow",
     "compute_observables",
-    "energy_density",
     "magnetic_field",
     "metric_coefficient",
     "neumann_green",
-    "reconstruct_h",
     "run_acceptance",
     "shoot",
     "solve_linear_bvp",
     "solve_linearized",
     "solve_taubes_2d",
     "taylor_seed",
-    "total_energy",
-    "total_flux",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .observables import (
     solution_summary,
 )
 from .shooting import DEFAULT_STEPS, shoot
-from .solver2d import LinearSolveError, reconstruct_h, solve_taubes_2d
+from .solver2d import LinearSolveError, solve_taubes_2d
 from .verification import run_acceptance
 
 __all__ = ["main", "run"]
@@ -124,10 +124,7 @@ def _cmd_solve_2d(args) -> int:
     field, report = solve_taubes_2d(
         cfg.disk, cfg.vortices, grid, tol=cfg.tol, max_iter=cfg.max_iter
     )
-    singular = report.singular
-    observables = compute_observables(
-        field, singular, cfg.disk, grid, bc_residual=report.bc_residual
-    )
+    observables = compute_observables(field, report)
     summary = solution_summary(
         observables,
         cfg.vortices.N,
@@ -139,9 +136,8 @@ def _cmd_solve_2d(args) -> int:
     summary["residual_history"] = report.residual_history
     summary["damping_events"] = report.damping_events
     if "csv" in cfg.formats:
-        h = reconstruct_h(field, singular)
         export_field_csv(
-            _out_path(cfg, "field.csv"), grid, field, h, observables.B,
+            _out_path(cfg, "field.csv"), grid, field, observables.h, observables.B,
             observables.energy_density,
         )
     if "json" in cfg.formats:

@@ -51,20 +51,17 @@ class ConformalDisk:
     """Round disk of radius ``radius`` with a radial conformal factor.
 
     The metric is ``Omega(r) * (dr^2 + r^2 dtheta^2)``.  ``omega`` must accept
-    and return numpy arrays; ``euclidean`` marks the exact flat case
-    ``Omega == 1`` so that solvers may take closed-form shortcuts.  The area
-    is evaluated once by composite midpoint quadrature over ``AREA_PANELS``
-    radial panels.  ``breakpoints`` are the radii in ``(0, radius)`` where
-    ``Omega`` has a kink, on which the radial solvers put a step node: the
-    interior sample radii of ``from_samples``, none for a flat or callable
-    ``Omega``.
+    and return numpy arrays.  The area is evaluated once by composite midpoint
+    quadrature over ``AREA_PANELS`` radial panels.  ``breakpoints`` are the
+    radii in ``(0, radius)`` where ``Omega`` has a kink, on which the radial
+    solvers put a step node: the interior sample radii of ``from_samples``,
+    none for a flat or callable ``Omega``.
 
     Immutable after construction; safe to share across threads.
     """
 
     radius: float
     omega: Callable[[np.ndarray], np.ndarray] = _unit_factor
-    euclidean: bool = False
     area: float = field(init=False, default=0.0)
     breakpoints: Tuple[float, ...] = field(init=False, default=())
 
@@ -85,7 +82,7 @@ class ConformalDisk:
     @classmethod
     def flat(cls, radius: float) -> "ConformalDisk":
         """Euclidean disk, ``Omega == 1``."""
-        return cls(radius=radius, omega=_unit_factor, euclidean=True)
+        return cls(radius=radius, omega=_unit_factor)
 
     @classmethod
     def from_samples(cls, radius, r_samples, omega_samples) -> "ConformalDisk":
@@ -102,7 +99,7 @@ class ConformalDisk:
         def interpolated(r, _r=r_s, _w=w_s):
             return np.interp(np.asarray(r, dtype=float), _r, _w)
 
-        disk = cls(radius=radius, omega=interpolated, euclidean=False)
+        disk = cls(radius=radius, omega=interpolated)
         kinks = r_s[(r_s > 0.0) & (r_s < disk.radius)]
         object.__setattr__(disk, "breakpoints", tuple(float(r) for r in kinks))
         return disk

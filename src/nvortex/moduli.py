@@ -35,7 +35,6 @@ import numpy as np
 
 from .geometry import (
     ConformalDisk,
-    PolarGrid,
     ScalarField,
     VortexConfiguration,
 )
@@ -50,7 +49,7 @@ from .shooting import (
     _sweep,
     shoot,
 )
-from .solver2d import CG_RTOL, _solve_spd, solve_taubes_2d
+from .solver2d import CG_RTOL, SolveReport, _solve_spd
 
 __all__ = [
     "LinearizedProfile",
@@ -258,20 +257,27 @@ def _fit_b(htilde: ScalarField, z_core: complex) -> complex:
     return 0.5 * (coeffs[1] + 1j * coeffs[2])
 
 
-def _position_tangents(disk: ConformalDisk, grid: PolarGrid, tol: float, max_iter: int):
+def _position_tangents(field: ScalarField, report: SolveReport):
     """``d_X htilde`` and ``d_Y htilde`` at a centred unit vortex, each ``(nr, ntheta)``.
 
-    The tangent equation of the discrete field equation at the converged
-    field, ``(L - diag(s)) u = s d_X v0 - b(d_X g)`` with ``s = w Omega e^h``,
+    ``(field, report)`` is what ``solve_taubes_2d`` returned for
+    ``VortexConfiguration.centered(1)``; the grid, the disk and ``v0`` come
+    from it, and no field is solved here.  The tangent equation of the
+    discrete field equation at that field,
+    ``(L - diag(s)) u = s d_X v0 - b(d_X g)`` with ``s = w Omega e^h``,
     ``d_X v0 = -2 cos(theta)/r`` and ``d_X g = -2 cos(theta)/R^2`` (``sin`` for
     ``d_Y``).  The shift ``s`` is ring-constant, so PCG stops after one
-    iteration.  Raises ``RuntimeError`` naming an unconverged solve's termination.
+    iteration.  Raises ``ValueError`` for another configuration, or naming
+    the termination of an unconverged solve.
     """
-    field, report = solve_taubes_2d(disk, VortexConfiguration.centered(1), grid, tol, max_iter)
+    singular = report.singular
+    if singular.config != VortexConfiguration.centered(1):
+        raise ValueError(f"position tangents need one unit vortex at the origin, got {singular.config}")
     if not report.converged:
-        raise RuntimeError(f"centred field solve did not converge ({report.termination})")
+        raise ValueError(f"centred field solve did not converge ({report.termination})")
+    disk, grid = singular.disk, field.grid
     lap = assemble_neumann_laplacian(grid, disk)
-    h = field.values + report.singular.v0.values
+    h = field.values + singular.v0.values
     shift = lap.weights * (disk.omega_at(grid.r)[:, None] * np.exp(h)).ravel()
     tangents = []
     for trig in (np.cos(grid.theta), np.sin(grid.theta)):
@@ -281,17 +287,16 @@ def _position_tangents(disk: ConformalDisk, grid: PolarGrid, tol: float, max_ite
     return tangents
 
 
-def boundary_ring_position_derivatives(
-    disk: ConformalDisk, grid: PolarGrid, tol: float = 1e-8, max_iter: int = 50
-):
+def boundary_ring_position_derivatives(field: ScalarField, report: SolveReport):
     """``d_X h`` and ``d_Y h`` on the outermost node ring for a vortex at 0.
 
     The 2-D witness for the radial factor ``a``: the smooth part from
-    ``_position_tangents`` plus the core logarithm's ``-2 cos(theta)/rho``
-    (``sin`` for ``d_Y h``).  Returns ``(rho, theta, dxh, dyh)``.
+    ``_position_tangents(field, report)`` plus the core logarithm's
+    ``-2 cos(theta)/rho`` (``sin`` for ``d_Y h``).  Returns
+    ``(rho, theta, dxh, dyh)``.
     """
-    rho, theta = grid.r[-1], grid.theta
-    ux, uy = _position_tangents(disk, grid, tol, max_iter)
+    rho, theta = field.grid.r[-1], field.grid.theta
+    ux, uy = _position_tangents(field, report)
     return rho, theta, ux[-1] - 2.0 * np.cos(theta) / rho, uy[-1] - 2.0 * np.sin(theta) / rho
 
 

@@ -35,14 +35,11 @@ import numpy as np
 
 from .geometry import ConformalDisk, PolarGrid, ScalarField
 from .shooting import RadialProfile
-from .singular import SingularPart
+from .solver2d import SolveReport
 
 __all__ = [
     "ObservableSet",
     "magnetic_field",
-    "total_flux",
-    "energy_density",
-    "total_energy",
     "compute_observables",
     "radial_observables",
     "export_field_csv",
@@ -73,8 +70,9 @@ _KMIN, _KMAX = -324, 308
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """Derived fields and totals of one converged solve."""
+    """``h = htilde + v0``, the derived fields and the totals of one solve."""
 
+    h: ScalarField
     B: ScalarField
     energy_density: ScalarField
     flux: float
@@ -86,12 +84,6 @@ def magnetic_field(h: ScalarField) -> ScalarField:
     """``B = (1 - exp(h))/2``; equals 1/2 exactly where ``exp(h)`` underflows."""
     with np.errstate(over="ignore"):
         return ScalarField(h.grid, 0.5 * (1.0 - np.exp(h.values)))
-
-
-def total_flux(B: ScalarField, disk: ConformalDisk, grid: PolarGrid) -> float:
-    """Midpoint quadrature of ``B`` against the metric volume."""
-    w = disk.omega_at(grid.r) * grid.r * grid.dr * grid.dtheta
-    return float(np.sum(B.values * w[:, None]))
 
 
 def _density_from_parts(e_h, grad_r, grad_t, omega_col):
@@ -109,22 +101,26 @@ def _radial_derivative(values: np.ndarray, dr: float) -> np.ndarray:
     return out
 
 
-def energy_density(
-    htilde: ScalarField,
-    singular: SingularPart,
-    disk: ConformalDisk,
-    grid: PolarGrid,
-) -> ScalarField:
-    """On-shell energy density per unit metric volume.
+def compute_observables(htilde: ScalarField, report: SolveReport) -> ObservableSet:
+    """``h``, ``B``, the energy density and their quantization integrals.
 
-    The gradient of ``h`` splits into finite differences of the smooth
-    ``htilde`` plus the exact analytic gradient of the core logarithms, which
-    removes the dominant near-core differencing error.  The density is
-    integrable at the cores since ``exp(h) |grad h|^2`` vanishes there.
+    Takes the pair that ``solve_taubes_2d`` returns: the grid is
+    ``htilde.grid``, the core logarithms ``v0`` and the disk come from
+    ``report.singular`` and ``bc_residual`` is the report's.
+
+    The energy density is per unit metric volume.  The gradient of ``h``
+    splits into finite differences of the smooth ``htilde`` plus the exact
+    analytic gradient of the core logarithms, which removes the dominant
+    near-core differencing error.  The density is integrable at the cores
+    since ``exp(h) |grad h|^2`` vanishes there.  Flux and energy are midpoint
+    quadratures of ``B`` and the density against the metric volume.
     """
-    h = htilde.values + singular.v0.values
+    singular = report.singular
+    grid = htilde.grid
+    h = ScalarField(grid, htilde.values + singular.v0.values)
+    B = magnetic_field(h)
     with np.errstate(over="ignore"):
-        e_h = np.exp(h)
+        e_h = np.exp(h.values)
     d_r = _radial_derivative(htilde.values, grid.dr)
     d_t = (np.roll(htilde.values, -1, axis=1) - np.roll(htilde.values, 1, axis=1)) / (
         2.0 * grid.dtheta
@@ -132,33 +128,16 @@ def energy_density(
     v0_r, v0_t = singular.gradient_polar()
     grad_r = d_r + v0_r
     grad_t = d_t / grid.r[:, None] + v0_t
-    omega_col = disk.omega_at(grid.r)[:, None]
-    return ScalarField(grid, _density_from_parts(e_h, grad_r, grad_t, omega_col))
-
-
-def total_energy(density: ScalarField, disk: ConformalDisk, grid: PolarGrid) -> float:
-    """Midpoint quadrature of the energy density against the metric volume."""
-    w = disk.omega_at(grid.r) * grid.r * grid.dr * grid.dtheta
-    return float(np.sum(density.values * w[:, None]))
-
-
-def compute_observables(
-    htilde: ScalarField,
-    singular: SingularPart,
-    disk: ConformalDisk,
-    grid: PolarGrid,
-    bc_residual: float = 0.0,
-) -> ObservableSet:
-    """Bundle ``B``, the energy density and their quantization integrals."""
-    h = ScalarField(grid, htilde.values + singular.v0.values)
-    B = magnetic_field(h)
-    dens = energy_density(htilde, singular, disk, grid)
+    omega = singular.disk.omega_at(grid.r)
+    density = ScalarField(grid, _density_from_parts(e_h, grad_r, grad_t, omega[:, None]))
+    w = (omega * grid.r * grid.dr * grid.dtheta)[:, None]
     return ObservableSet(
+        h=h,
         B=B,
-        energy_density=dens,
-        flux=total_flux(B, disk, grid),
-        energy=total_energy(dens, disk, grid),
-        bc_residual=bc_residual,
+        energy_density=density,
+        flux=float(np.sum(B.values * w)),
+        energy=float(np.sum(density.values * w)),
+        bc_residual=report.bc_residual,
     )
 
 

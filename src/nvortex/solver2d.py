@@ -49,7 +49,7 @@ from .geometry import (
 from .operators import LinearSolveError, NeumannLaplacian, PolarModeSolver, assemble_neumann_laplacian, inner
 from .singular import SingularPart, build_singular_part
 
-__all__ = ["SolveReport", "solve_taubes_2d", "reconstruct_h"]
+__all__ = ["SolveReport", "solve_taubes_2d"]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -79,7 +79,9 @@ class SolveReport:
     ``linear_iterations`` holds the CG iteration count of each Newton step
     and ``forcing`` the relative CG tolerance it was solved to (``CG_RTOL``
     for an exact step).  ``singular`` is the singular part the solve split
-    off, for reconstructing ``h`` and the observables.  ``coarse`` holds one
+    off; it holds the core logarithms ``v0``, the configuration and the disk,
+    so the field and this report are all that ``compute_observables`` and
+    the position tangents of ``moduli`` take.  ``coarse`` holds one
     ``(nr, ntheta, newton_steps, cg_iterations)`` per half-grid level of the
     nested start, coarsest first; the other fields describe this grid only.
     """
@@ -315,9 +317,3 @@ def _solve(disk, config, grid, tol, max_iter, nested):
     report.bc_residual = abs(flux_in - flux_bc)
     return ScalarField(grid, h.reshape(grid.shape)), report
 
-
-def reconstruct_h(htilde: ScalarField, singular: SingularPart) -> ScalarField:
-    """Recombine ``h = htilde + v0`` nodewise (``exp(h)`` may underflow at cores)."""
-    if htilde.grid is not singular.v0.grid and htilde.grid != singular.v0.grid:
-        raise ValueError("htilde and singular part live on different grids")
-    return ScalarField(htilde.grid, htilde.values + singular.v0.values)

@@ -6,11 +6,13 @@ convergence model: quadrature-type checks scale with ``(256/nr)^1.5`` and the
 cross-solver field comparison with ``(256/nr)^2`` (second-order scheme).
 Exact-arithmetic and solver-tolerance checks never scale.  The Green-function
 and loop-integral checks run on fixed auxiliary grids chosen for their own
-resolution needs, independent of ``nr``.  The loop-integral check takes the
-vortex-position derivative of the centred field from its tangent-linear
-solve (``moduli.boundary_ring_position_derivatives``); when that field solve
-does not converge, the check is recorded as failed with the reason.  So are
-the checks that need a converged radial shoot when it does not converge.
+resolution needs, independent of ``nr``.  The centred unit vortex is solved
+once per grid size; the refinement study and the loop-integral check reuse
+those solves.  The loop-integral check takes the vortex-position derivative
+of the centred field from the tangent-linear solve at it
+(``moduli.boundary_ring_position_derivatives``); when that field solve does
+not converge, the check is recorded as failed with the reason.  So are the
+checks that need a converged radial shoot when it does not converge.
 """
 
 from __future__ import annotations
@@ -98,16 +100,6 @@ def _unconverged(report) -> str:
     return "" if report.converged else f"; solve not converged ({report.termination})"
 
 
-def _solve_centered(disk, nr, tol, max_iter):
-    grid = build_grid(disk, nr, nr)
-    t0 = time.perf_counter()
-    field, report = solve_taubes_2d(
-        disk, VortexConfiguration.centered(1), grid, tol=tol, max_iter=max_iter
-    )
-    runtime = time.perf_counter() - t0
-    return grid, field, report, runtime
-
-
 @contextmanager
 def _stage(say, label):
     """Run the block, then log ``label ... <elapsed> s``."""
@@ -141,10 +133,23 @@ def run_acceptance(
     cross_scale = (BASE_NR / nr) ** 2.0 if nr < BASE_NR else 1.0
 
     disk = ConformalDisk.flat(3.0)
+    centred = {}
+
+    def centred_solve(level):
+        """``(field, report)`` of the centred unit vortex on ``level x level``, solved once."""
+        if level not in centred:
+            centred[level] = solve_taubes_2d(
+                disk, VortexConfiguration.centered(1), build_grid(disk, level, level),
+                tol=tol, max_iter=max_iter,
+            )
+        return centred[level]
 
     # --- shared solves -----------------------------------------------------
     with _stage(say, f"solving centered vortex at {nr}x{nr}"):
-        grid, centered, centered_report, centered_time = _solve_centered(disk, nr, tol, max_iter)
+        t0 = time.perf_counter()
+        centered, centered_report = centred_solve(nr)
+        centered_time = time.perf_counter() - t0
+    grid = centered.grid
 
     with _stage(say, f"solving boundary vortex at {nr}x{nr}"):
         boundary_cfg = VortexConfiguration.boundary_point(0.0, 1)
@@ -158,12 +163,8 @@ def run_acceptance(
         profile = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=radial_steps)
         profile_fine = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=2 * radial_steps)
 
-    centered_obs = compute_observables(
-        centered, centered_report.singular, disk, grid, bc_residual=centered_report.bc_residual
-    )
-    boundary_obs = compute_observables(
-        boundary_field, boundary_report.singular, disk, grid, bc_residual=boundary_report.bc_residual
-    )
+    centered_obs = compute_observables(centered, centered_report)
+    boundary_obs = compute_observables(boundary_field, boundary_report)
 
     # --- 1. flux quantization, interior vortex -----------------------------
     err = _rel(centered_obs.flux, 2.0 * math.pi)
@@ -216,7 +217,8 @@ def run_acceptance(
         centered_report.converged and centered_report.iterations <= MAX_NEWTON_ITER,
         f"{centered_report.iterations} Newton iterations")
     with _stage(say, "solving N=2 configuration"):
-        n2_nr = min(nr, 128)
+        # An even grid has no node at radius 1/2: (i + 1/2) * 3/n = 1/2 needs n = 6i + 3.
+        n2_nr = min(nr, 128) // 2 * 2
         n2_cfg = VortexConfiguration(interior=((0.5 + 0j, 1), (-0.5 + 0j, 1)))
         _, n2_report = solve_taubes_2d(
             disk, n2_cfg, build_grid(disk, n2_nr, n2_nr), tol=tol, max_iter=max_iter
@@ -229,14 +231,8 @@ def run_acceptance(
     errors = {}
     with _stage(say, "grid refinement study"):
         for level in (nr // 4, nr // 2, nr):
-            if level == nr:
-                fld, g = centered, grid
-            else:
-                g = build_grid(disk, level, level)
-                fld, _ = solve_taubes_2d(
-                    disk, VortexConfiguration.centered(1), g, tol=tol, max_iter=max_iter
-                )
-            oracle = profile.htilde_at(g.r)
+            fld, _ = centred_solve(level)
+            oracle = profile.htilde_at(fld.grid.r)
             errors[level] = float(np.max(np.abs(fld.values - oracle[:, None])))
     e_coarse, e_mid, e_fine = (errors[k] for k in (nr // 4, nr // 2, nr))
     add(5, "2d field matches radial profile", e_fine <= TOL_CROSS_FIELD * cross_scale,
@@ -264,12 +260,10 @@ def run_acceptance(
         vacuum = solve_linear_bvp(lambda r: np.zeros_like(r), disk.radius)
         if shoot_failure is None:
             lin = solve_linearized(disk, profile)
-            loop_grid = build_grid(disk, loop_nr, loop_nr)
+            loop_field, loop_report = centred_solve(loop_nr)
             try:
-                rho, _, dxh, dyh = boundary_ring_position_derivatives(
-                    disk, loop_grid, tol=tol, max_iter=max_iter
-                )
-            except RuntimeError as exc:
+                rho, _, dxh, dyh = boundary_ring_position_derivatives(loop_field, loop_report)
+            except ValueError as exc:
                 loop_failure = str(exc)
     vac_err = float(np.max(np.abs(vacuum.a + 2.0 * vacuum.r / disk.radius**2)))
     add(7, "vacuum closed form a = -2r/R^2", vac_err <= TOL_VACUUM_ORACLE,

@@ -73,7 +73,7 @@ def _integrate(h0, disk, n, eps, steps, record):
     dr = dr.tolist()
     r = r_half.tolist()
     r_2n = (r_half ** (2 * n)).tolist()
-    w = [1.0] * len(r) if disk.euclidean else disk.omega_at(r_half).tolist()
+    w = disk.omega_at(r_half).tolist()
     exp = math.exp
     h, p = taylor_seed(h0, eps, n, float(disk.omega_at(0.0)))
     hs = np.full(steps + 1, h) if record else None

@@ -6,10 +6,11 @@ carries one pass/fail line per verified statement.
 """
 
 import re
+from collections import Counter
 
 import pytest
 
-from nvortex import run_acceptance
+from nvortex import VortexConfiguration, run_acceptance, solver2d
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +89,20 @@ def test_progress_lines_carry_stage_seconds(records, log):
     assert len(progress) == 7
     for line in progress:
         assert re.fullmatch(r".+ \.\.\. \d+\.\d\d s", line), line
+
+
+def test_each_centred_grid_solved_once(monkeypatch):
+    # The refinement study and the loop-integral check reuse the centred
+    # solves by grid size; at nr = 64 the loop grid is the run's own.
+    solves = Counter()
+    real_solve = solver2d._solve
+
+    def counting(disk, config, grid, *args, **kwargs):
+        solves[config, grid] += 1
+        return real_solve(disk, config, grid, *args, **kwargs)
+
+    monkeypatch.setattr(solver2d, "_solve", counting)
+    run_acceptance(nr=64)
+    centred = VortexConfiguration.centered(1)
+    counts = {grid.nr: n for (config, grid), n in solves.items() if config == centred and grid.radius == 3.0}
+    assert counts == {64: 1, 32: 1, 16: 1}

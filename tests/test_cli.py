@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from nvortex import build_grid, build_singular_part, cli, compute_observables, moduli, solver2d, verification
+from nvortex import build_grid, cli, compute_observables, moduli, solver2d, verification
 from nvortex.config import load_run_config
 from nvortex.observables import FIELD_CSV_HEADER
 from nvortex.verification import CheckResult
@@ -138,9 +138,8 @@ class TestSolve2d:
         field, report = solver2d.solve_taubes_2d(
             cfg.disk, cfg.vortices, grid, tol=cfg.tol, max_iter=cfg.max_iter
         )
-        singular = build_singular_part(cfg.vortices, cfg.disk, grid)
-        obs = compute_observables(field, singular, cfg.disk, grid)
-        h = solver2d.reconstruct_h(field, singular).values
+        obs = compute_observables(field, report)
+        h = field.values + report.singular.v0.values
         z = grid.nodes_complex
         cols = np.column_stack(
             [
@@ -419,6 +418,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "violates the existence bound" in out
         assert "domain solves skipped" in out
+
+    def test_odd_grid_passes(self, capsys):
+        # The 33^2 grid has nodes at radius 1/2, where the N=2 check puts its
+        # vortices; that check solves on the even grid below.
+        assert cli.main(["verify", "--nr", "33"]) == cli.EXIT_OK
+        assert "28/28 checks passed at 33x33" in capsys.readouterr().out
 
     def test_unconverged_loop_check_is_a_failure(self, capsys):
         # tol = 0 cannot be met: the loop-integral check records why and

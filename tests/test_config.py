@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvortex import config
+from nvortex import ConformalDisk, config
 from nvortex.config import ConfigError, load_run_config, parse_run_config
 
 
@@ -15,7 +15,7 @@ class TestParsing:
     def test_defaults(self):
         cfg = parse_run_config(minimal())
         assert cfg.disk.radius == 3.0
-        assert cfg.disk.euclidean
+        assert cfg.disk == ConformalDisk.flat(3.0)
         assert cfg.vortices.N == 1 and cfg.vortices.M == 0
         assert (cfg.nr, cfg.ntheta) == (256, 256)
         assert cfg.tol == 1e-8
@@ -36,7 +36,8 @@ class TestParsing:
             "metric": {"delta": 0.05},
         }
         cfg = parse_run_config(doc)
-        assert not cfg.disk.euclidean
+        assert cfg.disk != ConformalDisk.flat(3.0)
+        assert cfg.disk.breakpoints == (1.5,)
         assert cfg.vortices.N == 2 and cfg.vortices.M == 1
         assert (cfg.nr, cfg.ntheta) == (64, 128)
         assert cfg.formats == ("json",)

@@ -14,7 +14,7 @@ from nvortex import (
     solve_linear_bvp,
     solve_linearized,
 )
-from nvortex import moduli
+from nvortex import moduli, solver2d
 from nvortex.moduli import (
     DEFAULT_LIN_STEPS,
     EPS_FRACTION,
@@ -36,6 +36,16 @@ BOUNDARY_VALUE_R3 = -0.3720465637437932
 @pytest.fixture(scope="module")
 def lin_r3(disk3, radial_r3):
     return solve_linearized(disk3, radial_r3)
+
+
+def centred_solve(disk, nr, **kwargs):
+    """``(field, report)`` of the centred unit vortex on ``nr x nr``."""
+    return solve_taubes_2d(disk, VortexConfiguration.centered(1), build_grid(disk, nr, nr), **kwargs)
+
+
+@pytest.fixture(scope="module")
+def centred64(disk3):
+    return centred_solve(disk3, 64)
 
 
 @pytest.fixture(scope="module")
@@ -358,19 +368,18 @@ class TestBoundaryTerm:
         assert boundary_metric_term(lin_r3) > 0.0
 
     def test_loop_integral_matches_closed_form(self, disk3, lin_r3):
-        grid = build_grid(disk3, 96, 96)
-        rho, _, dxh, dyh = boundary_ring_position_derivatives(disk3, grid)
+        rho, _, dxh, dyh = boundary_ring_position_derivatives(*centred_solve(disk3, 96))
         direct = ring_metric_integral(dxh, dyh)
         closed = math.pi * (lin_r3.a_at(rho) - 2.0 / rho) ** 2
         assert direct == pytest.approx(closed, rel=0.05)
 
 
 class TestPositionTangents:
-    def test_matches_finite_difference_oracle(self, disk3):
+    def test_matches_finite_difference_oracle(self, disk3, centred64):
         # The oracle's delta^2 error: measured 7.7e-5 at delta = R/100, then
         # 1.93e-5 at R/200.
-        grid = build_grid(disk3, 64, 64)
-        rho, theta, dxh, dyh = boundary_ring_position_derivatives(disk3, grid)
+        grid = centred64[0].grid
+        rho, theta, dxh, dyh = boundary_ring_position_derivatives(*centred64)
         tangent = (dxh + 2.0 * np.cos(theta) / rho, dyh + 2.0 * np.sin(theta) / rho)
         gaps = []
         for delta in (disk3.radius / 100.0, disk3.radius / 200.0):
@@ -389,39 +398,54 @@ class TestPositionTangents:
             disk, lin = radial_table[0], solve_linearized(*radial_table)
         errors = []
         for nr in (64, 128):
-            grid = build_grid(disk, nr, nr)
-            u_x, _ = _position_tangents(disk, grid, 1e-8, 50)
+            field, report = centred_solve(disk, nr)
+            grid = field.grid
+            u_x, _ = _position_tangents(field, report)
             errors.append(np.max(np.abs(u_x - lin.a_at(grid.r)[:, None] * np.cos(grid.theta))))
         assert errors[1] <= 6e-5
         assert errors[0] >= 3.5 * errors[1]
 
-    def test_quarter_turn_equivariance(self, disk3):
-        grid = build_grid(disk3, 64, 64)
-        u_x, u_y = _position_tangents(disk3, grid, 1e-8, 50)
+    def test_quarter_turn_equivariance(self, centred64):
+        grid = centred64[0].grid
+        u_x, u_y = _position_tangents(*centred64)
         assert np.max(np.abs(u_y - np.roll(u_x, grid.ntheta // 4, axis=1))) <= 1e-12
 
-    def test_one_field_solve_and_one_iteration_each(self, disk3, monkeypatch):
-        solves, iterations = [], []
-        real_solve, real_spd = moduli.solve_taubes_2d, moduli._solve_spd
+    def test_no_field_solve_and_one_iteration_each(self, centred64, monkeypatch):
+        iterations = []
+        real_spd = moduli._solve_spd
 
-        def counting_solve(disk, config, *args, **kwargs):
-            solves.append(config)
-            return real_solve(disk, config, *args, **kwargs)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the position tangents must not solve the field")
 
         def counting_spd(*args):
             x, count = real_spd(*args)
             iterations.append(count)
             return x, count
 
-        monkeypatch.setattr(moduli, "solve_taubes_2d", counting_solve)
+        monkeypatch.setattr(solver2d, "_solve", no_solve)
         monkeypatch.setattr(moduli, "_solve_spd", counting_spd)
-        _position_tangents(disk3, build_grid(disk3, 32, 32), 1e-8, 50)
-        assert solves == [VortexConfiguration.centered(1)]
+        _position_tangents(*centred64)
         assert iterations == [1, 1]
 
     def test_unconverged_field_solve_names_termination(self, disk3):
-        with pytest.raises(RuntimeError, match=r"did not converge \(line_search\)"):
-            boundary_ring_position_derivatives(disk3, build_grid(disk3, 32, 32), tol=0.0)
+        field, report = centred_solve(disk3, 32, tol=0.0)
+        with pytest.raises(ValueError, match=r"did not converge \(line_search\)"):
+            _position_tangents(field, report)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            VortexConfiguration(interior=((0.3 + 0j, 1),)),
+            VortexConfiguration.centered(2),
+            VortexConfiguration.boundary_point(0.0),
+        ],
+        ids=["off-centre", "N=2", "boundary"],
+    )
+    def test_other_configuration_rejected(self, disk3, cfg):
+        field, report = solve_taubes_2d(disk3, cfg, build_grid(disk3, 32, 32))
+        assert report.converged
+        with pytest.raises(ValueError, match="one unit vortex at the origin"):
+            _position_tangents(field, report)
 
 
 class TestCoreCoefficient:
@@ -475,7 +499,7 @@ class TestMetricReport:
         def no_solve(*args, **kwargs):
             raise AssertionError("metric_coefficient must not solve the 2-D field")
 
-        monkeypatch.setattr("nvortex.moduli.solve_taubes_2d", no_solve)
+        monkeypatch.setattr(solver2d, "_solve", no_solve)
         assert metric_coefficient(disk3, radial_steps=20_000) == metric_r3
 
     def test_matches_finite_difference_oracle_on_flat_disk(self, disk3, metric_r3):

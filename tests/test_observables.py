@@ -12,7 +12,6 @@ from nvortex import (
     ScalarField,
     VortexConfiguration,
     build_grid,
-    build_singular_part,
     compute_observables,
     magnetic_field,
     solve_taubes_2d,
@@ -31,7 +30,6 @@ from nvortex.observables import (
     solution_summary,
 )
 from nvortex.shooting import RadialProfile, shoot
-from nvortex.solver2d import reconstruct_h
 
 #: Values whose ``%.17g`` spelling is easy to get wrong: signed zero, the
 #: smallest subnormal, exponent switch-overs and near-overflow magnitudes.
@@ -106,9 +104,7 @@ def solved96(disk3):
         ("boundary", VortexConfiguration.boundary_point(0.0)),
     ):
         field, report = solve_taubes_2d(disk3, cfg, grid)
-        singular = build_singular_part(cfg, disk3, grid)
-        obs = compute_observables(field, singular, disk3, grid, report.bc_residual)
-        out[key] = (cfg, field, singular, obs)
+        out[key] = (cfg, field, report, compute_observables(field, report))
     return grid, out
 
 
@@ -145,9 +141,7 @@ class TestEnergyDensity:
     def test_double_vortex_core_density_is_b_squared(self, disk3):
         grid = build_grid(disk3, 48, 48)
         cfg = VortexConfiguration.centered(2)
-        field, _ = solve_taubes_2d(disk3, cfg, grid)
-        singular = build_singular_part(cfg, disk3, grid)
-        obs = compute_observables(field, singular, disk3, grid)
+        obs = compute_observables(*solve_taubes_2d(disk3, cfg, grid))
         assert obs.energy_density.values[0, 0] == pytest.approx(0.25, abs=5e-3)
 
     def test_centered_density_peaks_at_core(self, disk3, radial_r3):
@@ -168,6 +162,13 @@ class TestQuantization:
         assert obs.flux == pytest.approx(math.pi, rel=1e-3)
         assert obs.energy == pytest.approx(0.5 * math.pi, rel=2e-3)
 
+    def test_h_and_bc_residual_come_from_the_solve(self, solved96):
+        grid, out = solved96
+        for _, field, report, obs in out.values():
+            assert obs.h.grid is grid
+            assert np.array_equal(obs.h.values, field.values + report.singular.v0.values)
+            assert obs.bc_residual == report.bc_residual
+
     def test_energy_is_half_flux(self, solved96):
         _, out = solved96
         for _, _, _, obs in out.values():
@@ -185,10 +186,7 @@ class TestQuantization:
         _, out = solved96
         cfg, _, _, obs96 = out["centered"]
         grid48 = build_grid(disk3, 48, 48)
-        field48, rep48 = solve_taubes_2d(disk3, cfg, grid48)
-        obs48 = compute_observables(
-            field48, build_singular_part(cfg, disk3, grid48), disk3, grid48
-        )
+        obs48 = compute_observables(*solve_taubes_2d(disk3, cfg, grid48))
         err48 = abs(obs48.energy - math.pi)
         err96 = abs(obs96.energy - math.pi)
         assert math.log2(err48 / err96) / math.log2(96 / 48) >= 1.5
@@ -278,10 +276,9 @@ class TestG17Formatter:
 class TestExport:
     def test_field_csv_schema(self, tmp_path, solved96):
         grid, out = solved96
-        _, field, singular, obs = out["centered"]
-        h = reconstruct_h(field, singular)
+        _, field, _, obs = out["centered"]
         path = export_field_csv(
-            tmp_path / "field.csv", grid, field, h, obs.B, obs.energy_density
+            tmp_path / "field.csv", grid, field, obs.h, obs.B, obs.energy_density
         )
         with open(path) as fh:
             header = fh.readline().strip()

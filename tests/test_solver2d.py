@@ -11,7 +11,6 @@ from nvortex import (
     build_grid,
     build_singular_part,
     compute_observables,
-    reconstruct_h,
     solve_taubes_2d,
     solver2d,
 )
@@ -201,8 +200,8 @@ class TestNestedStart:
         assert len(report.residual_history) == report.iterations + 1
         # Both stop at residual tol; their quantization agrees far below
         # its own discretisation error (about 1e-4 here).
-        obs = compute_observables(field, report.singular, disk3, grid)
-        ref = compute_observables(oracle, oracle_report.singular, disk3, grid)
+        obs = compute_observables(field, report)
+        ref = compute_observables(oracle, oracle_report)
         assert obs.flux == pytest.approx(ref.flux, rel=1e-8)
         assert obs.energy == pytest.approx(ref.energy, rel=1e-8)
 
@@ -327,16 +326,14 @@ class TestSymmetries:
 
 
 class TestReconstruction:
-    def test_field_modulus_below_one(self, disk3, centered64):
-        grid, field, _ = centered64
-        singular = build_singular_part(VortexConfiguration.centered(1), disk3, grid)
-        h = reconstruct_h(field, singular)
+    def test_field_modulus_below_one(self, centered64):
+        _, field, report = centered64
+        h = compute_observables(field, report).h
         assert np.max(h.values) <= 1e-6
 
-    def test_core_suppression(self, disk3, centered64):
-        grid, field, _ = centered64
-        singular = build_singular_part(VortexConfiguration.centered(1), disk3, grid)
-        h = reconstruct_h(field, singular)
+    def test_core_suppression(self, centered64):
+        _, field, report = centered64
+        h = compute_observables(field, report).h
         assert np.all(np.exp(h.values[0]) < 1e-2)  # nodes adjacent to the core
 
     def test_far_field_approaches_vacuum_on_large_disk(self):
@@ -344,17 +341,9 @@ class TestReconstruction:
         grid = build_grid(disk, 96, 96)
         field, report = solve_taubes_2d(disk, VortexConfiguration.centered(1), grid)
         assert report.converged
-        singular = build_singular_part(VortexConfiguration.centered(1), disk, grid)
-        h = reconstruct_h(field, singular)
+        h = compute_observables(field, report).h
         mid = grid.nr // 2
         assert np.exp(h.values[mid, 0]) > 0.9
-
-    def test_grid_mismatch_rejected(self, disk3, centered64):
-        _, field, _ = centered64
-        other = build_grid(disk3, 32, 32)
-        singular = build_singular_part(VortexConfiguration.centered(1), disk3, other)
-        with pytest.raises(ValueError):
-            reconstruct_h(field, singular)
 
     def test_solve_on_curved_disk_converges(self):
         r = np.linspace(0.0, 3.0, 61)
