@@ -12,7 +12,6 @@ reports.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -43,24 +42,30 @@ EXIT_METRIC = 5
 EXIT_VERIFY = 6
 
 
+#: The overrides of configuration values; each command registers those it honours.
+_OVERRIDES = {
+    "--nr": {"type": int, "help": "override radial resolution"},
+    "--ntheta": {"type": int, "help": "override angular resolution"},
+    "--tol": {"type": float, "help": "override solver tolerance"},
+    "--out": {"help": "override output directory"},
+}
+
+
 def _check_overrides(args) -> None:
     """Apply the configuration rules to the command-line overrides."""
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
-    if any(v is not None and v < 8 for v in (args.nr, args.ntheta)):
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
+    if any(v is not None and v < 8 for v in (getattr(args, "nr", None), getattr(args, "ntheta", None))):
         raise ConfigError("grid overrides must keep nr, ntheta >= 8")
 
 
 def _load(args) -> RunConfig:
+    """The configuration with the overrides that the command takes applied."""
     cfg = load_run_config(args.config)
-    if args.nr is not None:
-        cfg.nr = args.nr
-    if args.ntheta is not None:
-        cfg.ntheta = args.ntheta
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.out is not None:
-        cfg.out_dir = args.out
+    for option, field in (("nr", "nr"), ("ntheta", "ntheta"), ("tol", "tol"), ("out", "out_dir")):
+        if getattr(args, option, None) is not None:
+            setattr(cfg, field, getattr(args, option))
     return cfg
 
 
@@ -125,21 +130,9 @@ def _cmd_solve_2d(args) -> int:
         cfg.disk, cfg.vortices, grid, tol=cfg.tol, max_iter=cfg.max_iter
     )
     observables = compute_observables(field, report)
-    summary = solution_summary(
-        observables,
-        cfg.vortices.N,
-        cfg.vortices.M,
-        margin,
-        report.iterations,
-        report.converged,
-    )
-    summary["residual_history"] = report.residual_history
-    summary["damping_events"] = report.damping_events
+    summary = solution_summary(observables, report, margin)
     if "csv" in cfg.formats:
-        export_field_csv(
-            _out_path(cfg, "field.csv"), grid, field, observables.h, observables.B,
-            observables.energy_density,
-        )
+        export_field_csv(_out_path(cfg, "field.csv"), field, observables)
     if "json" in cfg.formats:
         export_json(_out_path(cfg, "report.json"), summary)
     print(json.dumps(summary, sort_keys=True))
@@ -170,10 +163,9 @@ def _cmd_metric(args) -> int:
     except Exception as exc:
         print(f"metric pipeline failed: {exc}", file=sys.stderr)
         return EXIT_METRIC
-    if cfg.metric_delta is not None:  # echoed into metric.json, unused
-        report = dataclasses.replace(report, delta=cfg.metric_delta)
     document = report.to_dict()
-    export_json(_out_path(cfg, "metric.json"), document)
+    if "json" in cfg.formats:
+        export_json(_out_path(cfg, "metric.json"), document)
     print(json.dumps(document, sort_keys=True))
     return EXIT_OK
 
@@ -229,19 +221,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
-        "check": ("evaluate the existence bound for a configuration", _cmd_check, True),
-        "solve-radial": ("shoot the centered-vortex radial profile", _cmd_solve_radial, True),
-        "solve-2d": ("solve the full field equation on the disk", _cmd_solve_2d, True),
-        "metric": ("compute the one-vortex moduli-metric report", _cmd_metric, True),
-        "verify": ("run the acceptance verification suite", _cmd_verify, False),
+        "check": ("evaluate the existence bound for a configuration", _cmd_check, ()),
+        "solve-radial": ("shoot the centered-vortex radial profile", _cmd_solve_radial, ("--out",)),
+        "solve-2d": (
+            "solve the full field equation on the disk",
+            _cmd_solve_2d,
+            ("--nr", "--ntheta", "--tol", "--out"),
+        ),
+        "metric": ("compute the one-vortex moduli-metric report", _cmd_metric, ("--out",)),
+        # verify writes no files; it takes --out because perfbench/jobs.py
+        # passes --config and --out to each command it runs.
+        "verify": ("run the acceptance verification suite", _cmd_verify, ("--nr", "--tol", "--out")),
     }
-    for name, (help_text, handler, config_required) in specs.items():
+    for name, (help_text, handler, overrides) in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=config_required, help="path to a JSON configuration")
-        p.add_argument("--nr", type=int, default=None, help="override radial resolution")
-        p.add_argument("--ntheta", type=int, default=None, help="override angular resolution")
-        p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
-        p.add_argument("--out", default=None, help="override output directory")
+        p.add_argument("--config", required=name != "verify", help="path to a JSON configuration")
+        for option in overrides:
+            p.add_argument(option, **_OVERRIDES[option])
         p.set_defaults(handler=handler)
     return parser
 

@@ -6,7 +6,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from .geometry import ConformalDisk, VortexConfiguration
 from .shooting import DEFAULT_STEPS
@@ -18,17 +17,16 @@ class ConfigError(Exception):
     """A configuration document is malformed or inconsistent."""
 
 
-_TOP_KEYS = {"radius", "omega", "interior", "boundary", "grid", "solver", "outputs", "radial", "metric"}
+_TOP_KEYS = {"radius", "omega", "interior", "boundary", "grid", "solver", "outputs", "radial"}
 _GRID_KEYS = {"nr", "ntheta"}
 _SOLVER_KEYS = {"tol", "max_iter"}
 _OUTPUT_KEYS = {"dir", "formats"}
 _RADIAL_KEYS = {"steps", "eps", "tol"}
-_METRIC_KEYS = {"delta"}
 _INTERIOR_KEYS = {"x", "y", "n"}
 _BOUNDARY_KEYS = {"theta", "m"}
 #: JSON type of each optional section: an object of fields or a list of entries.
 _SECTION_TYPES = {
-    "grid": dict, "solver": dict, "outputs": dict, "radial": dict, "metric": dict,
+    "grid": dict, "solver": dict, "outputs": dict, "radial": dict,
     "interior": list, "boundary": list,
 }
 
@@ -48,7 +46,6 @@ class RunConfig:
     radial_steps: int = DEFAULT_STEPS
     radial_eps: float = 1e-8
     radial_tol: float = 1e-6
-    metric_delta: Optional[float] = None
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -69,8 +66,6 @@ def _finite(value, label: str):
 
 def _number(section: dict, key: str, default, where: str, *, minimum=None, integer=False):
     value = section.get(key, default)
-    if value is None:
-        return None
     _finite(value, f"{where}.{key}")
     if integer and int(value) != value:
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
@@ -140,12 +135,6 @@ def parse_run_config(doc: dict) -> RunConfig:
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
     radial = doc.get("radial", {})
     _reject_unknown(radial, _RADIAL_KEYS, "radial")
-    metric = doc.get("metric", {})
-    _reject_unknown(metric, _METRIC_KEYS, "metric")
-
-    metric_delta = _number(metric, "delta", None, "metric")
-    if metric_delta is not None and not 0.0 < metric_delta < radius:
-        raise ConfigError(f"metric.delta must lie in (0, radius={radius}), got {metric_delta!r}")
     radial_eps = _number(radial, "eps", 1e-8, "radial")
     if not 0.0 < radial_eps < radius:
         raise ConfigError(f"radial.eps must lie in (0, radius={radius}), got {radial_eps!r}")
@@ -169,7 +158,6 @@ def parse_run_config(doc: dict) -> RunConfig:
         radial_steps=_number(radial, "steps", DEFAULT_STEPS, "radial", minimum=1_000, integer=True),
         radial_eps=radial_eps,
         radial_tol=_number(radial, "tol", 1e-6, "radial", minimum=0.0),
-        metric_delta=metric_delta,
     )
 
 

@@ -317,17 +317,15 @@ class MetricReport:
     ``total_coefficient = boundary_term + local_term`` multiplies the squared
     modulus of the vortex velocity.  ``db_dZ = a'(0)/2 - Omega(0)/4`` comes
     from the radial linearized solve (see the module docstring), so it is
-    real, ``db_dZ_coarse`` equals it, and ``samols_b``, the core coefficient
-    ``b(0)``, is exactly zero by rotational symmetry.  ``delta`` is the
-    configured position step (default ``R/100``), kept in the report for its
-    schema; nothing is differenced with it.
+    real.  ``to_dict`` keeps the schema's keys of the finite-difference
+    pipeline this replaced: ``samols_b_*``, the core coefficient ``b(0)``, is
+    exactly zero by rotational symmetry, ``db_dZ_coarse_*`` repeats ``db_dZ``
+    and ``delta`` is ``R/100``, with which nothing is differenced.
     """
 
     boundary_value: float
     boundary_term: float
-    samols_b: complex
     db_dZ: complex
-    db_dZ_coarse: complex
     local_term: float
     total_coefficient: float
     delta: float
@@ -338,12 +336,12 @@ class MetricReport:
             "schema_version": 1,
             "boundary_value": self.boundary_value,
             "boundary_term": self.boundary_term,
-            "samols_b_re": self.samols_b.real,
-            "samols_b_im": self.samols_b.imag,
+            "samols_b_re": 0.0,
+            "samols_b_im": 0.0,
             "db_dZ_re": self.db_dZ.real,
             "db_dZ_im": self.db_dZ.imag,
-            "db_dZ_coarse_re": self.db_dZ_coarse.real,
-            "db_dZ_coarse_im": self.db_dZ_coarse.imag,
+            "db_dZ_coarse_re": self.db_dZ.real,
+            "db_dZ_coarse_im": self.db_dZ.imag,
             "local_term": self.local_term,
             "total_coefficient": self.total_coefficient,
             "delta": self.delta,
@@ -377,9 +375,7 @@ def metric_coefficient(
     return MetricReport(
         boundary_value=lin.boundary_value,
         boundary_term=bterm,
-        samols_b=0j,
         db_dZ=db,
-        db_dZ_coarse=db,
         local_term=local,
         total_coefficient=bterm + local,
         delta=disk.radius / 100.0,

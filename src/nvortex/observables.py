@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import ConformalDisk, PolarGrid, ScalarField
+from .geometry import ConformalDisk, ScalarField
 from .shooting import RadialProfile
 from .solver2d import SolveReport
 
@@ -77,7 +77,6 @@ class ObservableSet:
     energy_density: ScalarField
     flux: float
     energy: float
-    bc_residual: float
 
 
 def magnetic_field(h: ScalarField) -> ScalarField:
@@ -105,8 +104,8 @@ def compute_observables(htilde: ScalarField, report: SolveReport) -> ObservableS
     """``h``, ``B``, the energy density and their quantization integrals.
 
     Takes the pair that ``solve_taubes_2d`` returns: the grid is
-    ``htilde.grid``, the core logarithms ``v0`` and the disk come from
-    ``report.singular`` and ``bc_residual`` is the report's.
+    ``htilde.grid``, and the core logarithms ``v0`` and the disk come from
+    ``report.singular``.
 
     The energy density is per unit metric volume.  The gradient of ``h``
     splits into finite differences of the smooth ``htilde`` plus the exact
@@ -137,7 +136,6 @@ def compute_observables(htilde: ScalarField, report: SolveReport) -> ObservableS
         energy_density=density,
         flux=float(np.sum(B.values * w)),
         energy=float(np.sum(density.values * w)),
-        bc_residual=report.bc_residual,
     )
 
 
@@ -279,22 +277,18 @@ def _g17_cells(values: np.ndarray, seps) -> np.ndarray:
     return out
 
 
-def export_field_csv(
-    path,
-    grid: PolarGrid,
-    htilde: ScalarField,
-    h: ScalarField,
-    B: ScalarField,
-    density: ScalarField,
-) -> str:
+def export_field_csv(path, htilde: ScalarField, observables: ObservableSet) -> str:
     """Write the node table ``r,theta,x,y,htilde,h,exp_h,B,energy_density``.
 
-    Raises ``ValueError`` when a field's shape is not ``grid.shape``.
+    ``observables`` is ``compute_observables`` of the solve that gave
+    ``htilde``.  Raises ``ValueError`` when its fields are not on
+    ``htilde.grid``.
     """
     path = _require_path(path)
-    for name, f in (("htilde", htilde), ("h", h), ("B", B), ("density", density)):
-        if f.values.shape != grid.shape:
-            raise ValueError(f"{name} has shape {f.values.shape}, grid has {grid.shape}")
+    grid = htilde.grid
+    h, B, density = observables.h, observables.B, observables.energy_density
+    if any(f.grid != grid for f in (h, B, density)):
+        raise ValueError(f"observables are not on the grid of htilde, {grid}")
     z = grid.nodes_complex
     with np.errstate(over="ignore"):
         e_h = np.exp(h.values)
@@ -348,23 +342,23 @@ def export_json(path, document: dict) -> str:
     return path
 
 
-def solution_summary(
-    observables: ObservableSet,
-    n_interior: int,
-    m_boundary: int,
-    bradlow_margin: float,
-    iterations: int,
-    converged: bool,
-) -> dict:
-    """Quantization summary for one solve (JSON-ready)."""
+def solution_summary(observables: ObservableSet, report: SolveReport, bradlow_margin: float) -> dict:
+    """The ``report.json`` document of one solve (JSON-ready).
+
+    ``observables`` is ``compute_observables`` of the solve that gave
+    ``report``; ``N`` and ``M`` come from ``report.singular.config``.
+    """
+    config = report.singular.config
     return {
         "schema_version": SCHEMA_VERSION,
         "flux": observables.flux,
         "energy": observables.energy,
-        "expected_flux": (2 * n_interior + m_boundary) * math.pi,
-        "expected_energy": (n_interior + 0.5 * m_boundary) * math.pi,
-        "bc_residual": observables.bc_residual,
+        "expected_flux": (2 * config.N + config.M) * math.pi,
+        "expected_energy": (config.N + 0.5 * config.M) * math.pi,
+        "bc_residual": report.bc_residual,
         "bradlow_margin": bradlow_margin,
-        "iterations": iterations,
-        "converged": converged,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "residual_history": report.residual_history,
+        "damping_events": report.damping_events,
     }

@@ -238,20 +238,25 @@ class TestMetric:
         doc = json.loads((out / "metric.json").read_text())
         assert doc["total_coefficient"] == pytest.approx(math.pi, abs=1e-7)
 
-    def test_grid_does_not_change_metric_json(self, tmp_path, capsys):
-        # metric solves nothing in 2-D: the grid overrides leave every byte alone.
-        cfg = write_config(tmp_path, base_doc(radial={"steps": 10000}))
-        for n in ("16", "48"):
-            out = str(tmp_path / n)
-            assert cli.main(["metric", "--config", cfg, "--nr", n, "--ntheta", n, "--out", out]) == cli.EXIT_OK
-        assert (tmp_path / "16" / "metric.json").read_bytes() == (tmp_path / "48" / "metric.json").read_bytes()
-
-    @pytest.mark.parametrize("metric, delta", [({}, 0.03), ({"metric": {"delta": 0.05}}, 0.05)])
-    def test_delta_is_echoed(self, tmp_path, capsys, metric, delta):
+    def test_metric_json_keys(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, base_doc(**metric))
+        cfg = write_config(tmp_path, base_doc())
         assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
-        assert json.loads((out / "metric.json").read_text())["delta"] == delta
+        doc = json.loads((out / "metric.json").read_text())
+        assert set(doc) == {
+            "schema_version", "boundary_value", "boundary_term", "samols_b_re", "samols_b_im",
+            "db_dZ_re", "db_dZ_im", "db_dZ_coarse_re", "db_dZ_coarse_im", "local_term",
+            "total_coefficient", "delta", "nonlocal_boundary_term",
+        }
+        assert doc["delta"] == 0.03  # R/100; nothing is differenced with it
+        assert json.loads(capsys.readouterr().out) == doc
+
+    def test_formats_without_json_write_no_metric_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(outputs={"dir": str(out), "formats": ["csv"]}))
+        assert cli.main(["metric", "--config", cfg]) == cli.EXIT_OK
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().out)["nonlocal_boundary_term"] is True
 
     def test_metric_independent_of_blas_threads(self, tmp_path, run_python):
         cfg = write_config(tmp_path, base_doc())
@@ -266,8 +271,9 @@ class TestMetric:
         [
             ({"solver": {"tol": float("nan")}}, "solver.tol must be finite"),
             ({"radius": float("inf")}, "configuration.radius must be finite"),
-            ({"metric": {"delta": 0.0}}, "metric.delta must lie in"),
-            ({"metric": {"delta": 5.0}}, "metric.delta must lie in"),
+            # a metric section is not part of the schema, whatever its delta
+            ({"metric": {"delta": 0.0}}, "unknown field(s) ['metric'] in configuration"),
+            ({"metric": {"delta": 5.0}}, "unknown field(s) ['metric'] in configuration"),
             ({"radial": {"eps": 5.0}}, "radial.eps must lie in"),
         ],
         ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk", "eps-outside-disk"],
@@ -344,6 +350,22 @@ class TestModuleEntry:
         assert done.stdout.strip() == "False"
 
 
+#: The options each command takes; every other option is a usage error.
+HONOURED = {
+    "check": {"--config"},
+    "solve-radial": {"--config", "--out"},
+    "solve-2d": {"--config", "--nr", "--ntheta", "--tol", "--out"},
+    "metric": {"--config", "--out"},
+    "verify": {"--config", "--nr", "--tol", "--out"},
+}
+UNHONOURED = [
+    (command, option)
+    for command, honoured in HONOURED.items()
+    for option in ("--nr", "--ntheta", "--tol", "--out")
+    if option not in honoured
+]
+
+
 class TestUsageErrors:
     # argparse would exit with 2, the code of a violated existence bound.
     @pytest.mark.parametrize(
@@ -358,6 +380,35 @@ class TestUsageErrors:
     def test_usage_error_is_config_error(self, capsys, argv, message):
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert f"configuration error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", UNHONOURED, ids=[f"{c}-{o[2:]}" for c, o in UNHONOURED])
+    def test_option_a_command_ignores_is_unrecognised(self, tmp_path, capsys, monkeypatch, command, option):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the option must be refused before any solve")
+
+        for name in ("shoot", "solve_taubes_2d", "metric_coefficient", "run_acceptance", "bradlow_margin"):
+            monkeypatch.setattr(cli, name, no_solve)
+        value = str(tmp_path / "out") if option == "--out" else "16"
+        argv = [command, "--config", write_config(tmp_path, base_doc()), option, value]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: nvortex: unrecognized arguments: {option} {value}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-2d", "--config", "c.json", "--out", "o"],
+            ["solve-2d", "--config", "c.json", "--nr", "24", "--ntheta", "24", "--out", "o"],
+            ["metric", "--config", "c.json", "--out", "o"],
+            ["verify", "--config", "c.json", "--out", "o", "--nr", "64"],
+        ],
+        ids=["solve-2d", "solve-2d-grid", "metric", "verify"],
+    )
+    def test_benchmark_argv_is_accepted(self, argv):
+        # perfbench/jobs.py passes --config and --out to each command it runs.
+        args = cli._build_parser().parse_args(argv)
+        assert args.config == "c.json" and args.out == "o"
 
     @pytest.mark.parametrize("argv", [["--help"], ["metric", "--help"]], ids=["top", "subcommand"])
     def test_help_exits_zero(self, capsys, argv):

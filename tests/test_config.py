@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,6 @@ class TestParsing:
         assert cfg.tol == 1e-8
         assert cfg.max_iter == 50
         assert cfg.out_dir == "out"
-        assert cfg.metric_delta is None
 
     def test_full_document(self):
         doc = {
@@ -33,7 +34,6 @@ class TestParsing:
             "solver": {"tol": 1e-9, "max_iter": 30},
             "outputs": {"dir": "results", "formats": ["json"]},
             "radial": {"steps": 20000, "eps": 1e-7, "tol": 1e-5},
-            "metric": {"delta": 0.05},
         }
         cfg = parse_run_config(doc)
         assert cfg.disk != ConformalDisk.flat(3.0)
@@ -42,7 +42,6 @@ class TestParsing:
         assert (cfg.nr, cfg.ntheta) == (64, 128)
         assert cfg.formats == ("json",)
         assert cfg.radial_steps == 20000
-        assert cfg.metric_delta == 0.05
 
     def test_missing_radius(self):
         with pytest.raises(ConfigError, match="radius"):
@@ -91,24 +90,25 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_run_config(doc)
 
+    # A metric section is not part of the schema, whatever its delta.
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, message",
         [
-            ("solver", "tol", float("nan")),
-            (None, "radius", float("inf")),
-            ("metric", "delta", 0.0),
-            ("metric", "delta", 5.0),
-            (None, "radius", 10**400),
-            (None, "radius", 3 * 10**299),
-            ("radial", "eps", 0.0),
-            ("radial", "eps", 5.0),
+            ("solver", "tol", float("nan"), r"\.tol must"),
+            (None, "radius", float("inf"), r"\.radius must"),
+            ("metric", "delta", 0.0, r"unknown field\(s\) \['metric'\] in configuration"),
+            ("metric", "delta", 5.0, r"unknown field\(s\) \['metric'\] in configuration"),
+            (None, "radius", 10**400, r"\.radius must"),
+            (None, "radius", 3 * 10**299, r"\.radius must"),
+            ("radial", "eps", 0.0, r"\.eps must"),
+            ("radial", "eps", 5.0, r"\.eps must"),
         ],
         ids=[
             "tol-nan", "radius-inf", "delta-zero", "delta-outside-disk",
             "radius-beyond-float", "radius-area-overflow", "eps-zero", "eps-outside-disk",
         ],
     )
-    def test_unusable_number_rejected(self, tmp_path, section, key, value):
+    def test_unusable_number_rejected(self, tmp_path, section, key, value, message):
         doc = minimal()
         if section is None:
             doc[key] = value
@@ -116,7 +116,7 @@ class TestParsing:
             doc[section] = {key: value}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
-        with pytest.raises(ConfigError, match=rf"\.{key} must"):
+        with pytest.raises(ConfigError, match=message):
             load_run_config(str(path))
 
     @pytest.mark.parametrize(
@@ -141,6 +141,34 @@ class TestParsing:
         doc["omega"] = omega
         with pytest.raises(ConfigError, match="omega"):
             parse_run_config(doc)
+
+    def test_metric_section_rejected(self):
+        doc = minimal()
+        doc["metric"] = {"delta": 0.03}
+        with pytest.raises(ConfigError, match=r"unknown field\(s\) \['metric'\] in configuration"):
+            parse_run_config(doc)
+
+    @pytest.mark.parametrize(
+        "path",
+        [("radius",), ("interior", 0, "x"), ("interior", 0, "n"), ("boundary", 0, "theta"), ("grid", "nr")],
+        ids=["radius", "interior-x", "interior-n", "boundary-theta", "grid-nr"],
+    )
+    def test_null_number_rejected(self, path):
+        doc = {"radius": 3.0, "interior": [{"x": 0.0}], "boundary": [{"theta": 1.0}], "grid": {}}
+        *parents, key = path
+        section = doc
+        for step in parents:
+            section = section[step]
+        section[key] = None
+        with pytest.raises(ConfigError, match=rf"\.{key} must be a number, got None"):
+            parse_run_config(doc)
+
+    def test_readme_example_parses(self):
+        # A field removed from the schema must not linger in the documentation.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"Example configuration:\n\n```json\n(.*?)```", readme, re.S)
+        cfg = parse_run_config(json.loads(example))
+        assert cfg.vortices.N == 1 and cfg.vortices.M == 1
 
     def test_grid_too_small(self):
         doc = minimal()
@@ -170,7 +198,7 @@ class TestLoading:
 #: Every field name the schema knows, so generated documents reach the nested checks.
 FIELD_NAMES = sorted(
     config._TOP_KEYS | config._GRID_KEYS | config._SOLVER_KEYS | config._OUTPUT_KEYS
-    | config._RADIAL_KEYS | config._METRIC_KEYS | config._INTERIOR_KEYS | config._BOUNDARY_KEYS
+    | config._RADIAL_KEYS | config._INTERIOR_KEYS | config._BOUNDARY_KEYS
 )
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats()
