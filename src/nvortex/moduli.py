@@ -156,12 +156,10 @@ def solve_linear_bvp(
     p = (1.0 + r_half**2 * f_half)[index]
     s = (-2.0 * r_half * f_half)[index]
 
-    def rhs(j, y):
-        k = np.empty_like(y)
+    def rhs(j, y, k):
         k[::2] = y[1::2]
-        k[1] = p[j] * y[0] + s[j]
-        k[3::2] = p[j] * y[2::2]
-        return k
+        np.multiply(p[j], y[::2], out=k[1::2])
+        k[1] += s[j]
 
     y, ys = _sweep(rhs, dt, np.zeros((2, index.shape[1])))
     overflow = ConditioningError("linearized integration overflowed before the boundary")

@@ -8,8 +8,9 @@ radial two-point boundary value problem
 
 which is solved by multiple shooting on the core value ``h0 = htilde(0)``
 from a seed point ``eps`` with a fixed-step classical 4th-order method.  The
-steps are cut into about ``4 sqrt(steps)`` segments whose start states are
-unknowns beside ``h0``; one vectorised sweep steps every segment and its 2x2
+steps are cut into about ``16 sqrt(steps)`` segments of about
+``sqrt(steps) / 16`` steps (``_segments``) whose start states are unknowns
+beside ``h0``; one vectorised sweep steps every segment and its 2x2
 variational matrix, and Newton on continuity at the joints plus the outer
 slope is one banded solve per sweep (Keller, "Numerical Methods for
 Two-Point Boundary-Value Problems", 1968; Ascher, Mattheij & Russell, SIAM
@@ -57,8 +58,12 @@ SCAN_HIGH = 5.0
 #: ``steps``; also the least step count ``shoot`` accepts.
 COARSE_STEPS = 1_000
 #: Largest step of the coarse mesh.  Its segments must stay short where the
-#: closed-form start is far from the flow: at 1,000 steps the first sweep
-#: overflows on flat disks with n >= 5 and R >= 95.
+#: closed-form start is far from the flow.  At 1,000 steps, in segments of
+#: 2 steps, the coarse Newton converges on flat disks with n <= 10 up to
+#: R = 320 and first stalls at R = 340 (n = 10), 360 (n = 8), 400 (n = 6) and
+#: 500 (n = 5); in the earlier segments of 8 steps it stalled from R = 95-100
+#: for n >= 6, its first sweep overflowing from R = 105-120.  The cap stays
+#: as a margin for larger disks and multiplicities.
 COARSE_MAX_STEP = 0.025
 #: Core value of the coarse stage's closed-form start.
 START_H0 = -1.0
@@ -162,9 +167,21 @@ def _segments(x0, x1, steps, breaks=()):
     shape ``(2 * size + 1, segments)``, at which a caller gathers its
     coefficients; and the step sizes, shape ``(size, segments)``, zero on the
     padding after the last node (an identity step).  ``_sweep`` pays numpy's
-    per-call cost once per position in a segment, so segments are short:
-    about ``sqrt(steps) / 4`` steps (on a 2-vCPU VM a 10k-step sweep takes
-    2.6 ms in 400 segments of 25 steps, 10.9 ms in 100 of 100).
+    per-call cost once per position in a segment and its arithmetic once per
+    step, while the banded solve and the per-segment bookkeeping grow with
+    the segment count, so ``size`` grows like ``sqrt(steps)``:
+    ``isqrt(steps - 1) // 16 + 1`` steps (2 at 1k steps, 6 at 7k, 7 at 10k,
+    8 at 16k, 20 at 100k).  Least CPU time of a flat R = 3 ``shoot`` on a
+    2-vCPU VM, with ``// 4``, ``// 8``, ``// 16`` and ``// 32`` in the rule:
+
+        steps    // 4      // 8     // 16     // 32
+        1k      3.6 ms    2.6 ms    2.1 ms    2.3 ms
+        7k      5.9 ms    4.5 ms    3.5 ms    4.1 ms
+        10k     7.0 ms    5.0 ms    4.3 ms    4.7 ms
+        16k    10.7 ms    6.5 ms    5.7 ms    7.2 ms
+        100k   41.7 ms   34.6 ms   35.1 ms   39.8 ms
+
+    Shorter segments (``// 32``) lose at every size, most at 16k and 100k.
 
     A node falls on each of the increasing coordinates ``breaks`` where the
     coefficients have a kink, so that no RK4 step straddles one (Hairer,
@@ -173,7 +190,7 @@ def _segments(x0, x1, steps, breaks=()):
     uniform.  A breakpoint nearest ``x0``, ``x1`` or the node of the one
     before it gets no node.  Without breakpoints the steps are uniform.
     """
-    size = math.isqrt(steps - 1) // 4 + 1
+    size = math.isqrt(steps - 1) // 16 + 1
     count = -(-steps // size)
     step = (x1 - x0) / steps
     knots, nodes = [x0], [0]
@@ -199,24 +216,38 @@ def _sweep(rhs, dx, starts):
 
     Vectorised over segments, it steps a 2-component state and the 2x2
     matrix of its derivatives by the start state, rows
-    ``(y0, y1, x00, x10, x01, x11)``, with the same stages; ``rhs(j, y)``
-    gives their derivatives at half-node row ``j`` of ``_segments``' index
-    table.  The matrix is then the exact Jacobian of the discrete segment
-    map.  Returns ``(y, ys)``: the six rows at the segment ends, and the list
-    of the six rows after each step (one array per step keeps every block
-    small).  Overflow shows as non-finite values.
+    ``(y0, y1, x00, x10, x01, x11)``, with the same stages; ``rhs(j, y, k)``
+    writes their derivatives at half-node row ``j`` of ``_segments``' index
+    table into ``k``.  The matrix is then the exact Jacobian of the discrete
+    segment map.  Returns ``(y, ys)``: the six rows at the segment ends, and
+    the list of the six rows after each step (one array per step keeps every
+    block small).  Overflow shows as non-finite values.
     """
     y = np.zeros((6, starts.shape[1]))
     y[:2] = starts
     y[2] = y[5] = 1.0
+    half, sixth = 0.5 * dx, dx / 6.0
+    k1, k2, k3, k4, z = (np.empty_like(y) for _ in range(5))
     ys = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, h in enumerate(dx):
-            k1 = rhs(2 * i, y)
-            k2 = rhs(2 * i + 1, y + 0.5 * h * k1)
-            k3 = rhs(2 * i + 1, y + 0.5 * h * k2)
-            k4 = rhs(2 * i + 2, y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            rhs(2 * i, y, k1)
+            np.multiply(half[i], k1, out=z)
+            z += y
+            rhs(2 * i + 1, z, k2)
+            np.multiply(half[i], k2, out=z)
+            z += y
+            rhs(2 * i + 1, z, k3)
+            np.multiply(h, k3, out=z)
+            z += y
+            rhs(2 * i + 2, z, k4)
+            # In place, rounded as y + h/6 (k1 + 2 (k2 + k3) + k4).
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= sixth[i]
+            y = y + k2
             ys.append(y)
     return y, ys
 
@@ -253,13 +284,12 @@ def _newton(disk, n, eps, steps, h0, starts):
     r = r_half[index]
     r_2n, w = r ** (2 * n), disk.omega_at(r)
 
-    def rhs(j, y):
+    def rhs(j, y, k):
         t = r_2n[j] * np.exp(y[0])
-        k = np.empty_like(y)
         k[::2] = y[1::2]
-        k[1] = w[j] * (t - 1.0) - y[1] / r[j]
-        k[3::2] = (w[j] * t) * y[2::2] - y[3::2] / r[j]
-        return k
+        np.divide(y[1::2], r[j], out=k[1::2])  # the -y'/r terms, subtracted next
+        np.subtract(w[j] * (t - 1.0), k[1], out=k[1])
+        np.subtract((w[j] * t) * y[2::2], k[3::2], out=k[3::2])
 
     starts = starts(r[0, 1:])
     omega0 = float(disk.omega_at(0.0))

@@ -213,8 +213,8 @@ class TestShoot:
     def test_far_from_the_closed_form_start(self, disk, n):
         # h0 is 3.2 on the steep table: a full first Newton step from -1
         # leaves the scan range, so steps are capped at MAX_H0_STEP.  For
-        # n = 6 at R >= 100 a 1,000-step coarse sweep from the closed form
-        # overflows, so the coarse mesh step is capped at COARSE_MAX_STEP.
+        # n = 6 at R >= 100 the coarse mesh step is capped at COARSE_MAX_STEP
+        # (see its comment for where a 1,000-step coarse Newton stalls).
         profile = shoot(disk, n=n, steps=5_000)
         assert profile.converged
         assert profile.h0 == pytest.approx(single_stage_h0(disk, n, 5_000), abs=1e-12)
@@ -261,16 +261,21 @@ class TestShoot:
         assert np.max(np.abs(ends - profile.htilde[[0, 0, 0, -1, -1]])) <= 1e-14
 
 
+def cut(x_half, step_sizes, size):
+    """``_segments``' output for the half-nodes ``x_half`` in segments of ``size`` steps."""
+    steps = step_sizes.size
+    count = -(-steps // size)
+    index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
+    dx = np.zeros(count * size)
+    dx[:steps] = step_sizes
+    return x_half, index, dx.reshape(count, size).T
+
+
 def uniform_layout(x0, x1, steps):
     """``_segments``' node layout before breakpoints: uniform steps, zero-padded."""
-    size = math.isqrt(steps - 1) // 4 + 1
-    count = -(-steps // size)
     step = (x1 - x0) / steps
     x_half = x0 + 0.5 * step * np.arange(2 * steps + 1)
-    index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
-    dx = np.full(count * size, step)
-    dx[steps:] = 0.0
-    return x_half, index, dx.reshape(count, size).T
+    return cut(x_half, np.full(steps, step), math.isqrt(steps - 1) // 16 + 1)
 
 
 class TestSegments:
@@ -339,6 +344,39 @@ class TestSegments:
         lin = moduli.solve_linearized(disk, profile, steps=2_000)
         for b in disk.breakpoints:
             assert np.min(np.abs(lin.r - b)) <= 1e-15 * b
+
+    @pytest.mark.parametrize(
+        "disk, n",
+        [(ConformalDisk.flat(3.0), 1), (ConformalDisk.flat(3.0), 2), (table_disk(), 1), (ConformalDisk.flat(25.0), 1)],
+        ids=["R3", "R3-n2", "table", "R25"],
+    )
+    def test_segment_length_is_a_solver_detail(self, monkeypatch, disk, n):
+        # Multiple shooting solves the same discrete RK4 equations whatever
+        # the segments: the same nodes cut into the earlier, about four times
+        # longer segments give the same solution up to rounding.
+        short = shoot(disk, n=n)
+        real_segments = shooting._segments
+        cuts = []
+
+        def long_segments(x0, x1, steps, breaks=()):
+            x_half, index, dx = real_segments(x0, x1, steps, breaks)
+            size = math.isqrt(steps - 1) // 4 + 1
+            cuts.append((index.shape[1], -(-steps // size)))
+            return cut(x_half, dx.T.ravel()[:steps], size)
+
+        monkeypatch.setattr(shooting, "_segments", long_segments)
+        monkeypatch.setattr(moduli, "_segments", long_segments)
+        long = shoot(disk, n=n)
+        assert cuts and all(segments > 3 * fewer for segments, fewer in cuts)
+        assert long.converged and short.converged
+        assert long.passes == short.passes
+        assert long.h0 == pytest.approx(short.h0, abs=1e-12)
+        if n == 1:
+            lin_long = moduli.solve_linearized(disk, long)
+            monkeypatch.setattr(moduli, "_segments", real_segments)
+            lin_short = moduli.solve_linearized(disk, short)
+            assert lin_long.slope0 == pytest.approx(lin_short.slope0, abs=1e-12)
+            assert lin_long.boundary_value == pytest.approx(lin_short.boundary_value, abs=1e-12)
 
 
 @st.composite
