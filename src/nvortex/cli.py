@@ -18,7 +18,14 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_run_config
-from .geometry import BradlowViolation, VortexConfiguration, bradlow_margin, build_grid, check_bradlow
+from .geometry import (
+    MIN_GRID_POINTS,
+    BradlowViolation,
+    VortexConfiguration,
+    bradlow_margin,
+    build_grid,
+    check_bradlow,
+)
 from .moduli import metric_coefficient
 from .observables import (
     compute_observables,
@@ -28,8 +35,8 @@ from .observables import (
     solution_summary,
 )
 from .shooting import DEFAULT_STEPS, shoot
-from .solver2d import LinearSolveError, solve_taubes_2d
-from .verification import run_acceptance
+from .solver2d import DEFAULT_TOL, LinearSolveError, solve_taubes_2d
+from .verification import BASE_NR, run_acceptance
 
 __all__ = ["main", "run"]
 
@@ -56,8 +63,9 @@ def _check_overrides(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
-    if any(v is not None and v < 8 for v in (getattr(args, "nr", None), getattr(args, "ntheta", None))):
-        raise ConfigError("grid overrides must keep nr, ntheta >= 8")
+    sizes = (getattr(args, "nr", None), getattr(args, "ntheta", None))
+    if any(v is not None and v < MIN_GRID_POINTS for v in sizes):
+        raise ConfigError(f"grid overrides must keep nr, ntheta >= {MIN_GRID_POINTS}")
 
 
 def _load(args) -> RunConfig:
@@ -99,9 +107,7 @@ def _require_centered(cfg: RunConfig, command: str) -> int:
 def _cmd_solve_radial(args) -> int:
     cfg = _load(args)
     n = _require_centered(cfg, "solve-radial")
-    profile = shoot(
-        cfg.disk, n=n, tol=cfg.radial_tol, eps=cfg.radial_eps, steps=cfg.radial_steps
-    )
+    profile = shoot(cfg.disk, n=n, steps=cfg.radial_steps)
     report = {
         "schema_version": 1,
         "h0": profile.h0,
@@ -117,7 +123,7 @@ def _cmd_solve_radial(args) -> int:
         export_json(_out_path(cfg, "report.json"), report)
     print(json.dumps(report, sort_keys=True))
     if not profile.converged:
-        print(profile.failure_reason(cfg.radial_tol), file=sys.stderr)
+        print(profile.failure_reason(), file=sys.stderr)
         return EXIT_SHOOT
     return EXIT_OK
 
@@ -152,12 +158,7 @@ def _cmd_metric(args) -> int:
     if n != 1:
         raise ConfigError(f"metric needs one unit vortex at the origin, got N={n}")
     try:
-        report = metric_coefficient(
-            cfg.disk,
-            radial_steps=cfg.radial_steps,
-            radial_eps=cfg.radial_eps,
-            radial_tol=cfg.radial_tol,
-        )
+        report = metric_coefficient(cfg.disk, radial_steps=cfg.radial_steps)
     except BradlowViolation:
         raise
     except Exception as exc:
@@ -171,8 +172,8 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    nr = args.nr if args.nr is not None else 256
-    tol = args.tol if args.tol is not None else 1e-8
+    nr = args.nr if args.nr is not None else BASE_NR
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     radial_steps = DEFAULT_STEPS
     gate_note = None
     if args.config:
@@ -185,8 +186,8 @@ def _cmd_verify(args) -> int:
                 f"configured domain violates the existence bound (margin {margin:.4f}); "
                 "gate behaviour verified, domain solves skipped"
             )
-    if nr < 32:  # the refinement study also solves at nr/4, which needs >= 8
-        raise ConfigError(f"verify needs nr >= 32 (it also solves at nr/4), got {nr}")
+    if nr < 4 * MIN_GRID_POINTS:  # the refinement study also solves at nr/4
+        raise ConfigError(f"verify needs nr >= {4 * MIN_GRID_POINTS} (it also solves at nr/4), got {nr}")
     results = run_acceptance(nr=nr, tol=tol, radial_steps=radial_steps, log=print)
     print()
     print(f"{'criterion':>9}  {'status':6}  check")
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"configuration error: input too large to allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BradlowViolation as exc:
         print(f"existence bound violated: {exc} (margin {exc.margin:.6g})", file=sys.stderr)

@@ -7,8 +7,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .geometry import ConformalDisk, VortexConfiguration
-from .shooting import DEFAULT_STEPS
+from .geometry import MIN_GRID_POINTS, ConformalDisk, VortexConfiguration
+from .shooting import COARSE_STEPS, DEFAULT_STEPS, SEED_RADIUS
+from .solver2d import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "load_run_config"]
 
@@ -21,7 +22,7 @@ _TOP_KEYS = {"radius", "omega", "interior", "boundary", "grid", "solver", "outpu
 _GRID_KEYS = {"nr", "ntheta"}
 _SOLVER_KEYS = {"tol", "max_iter"}
 _OUTPUT_KEYS = {"dir", "formats"}
-_RADIAL_KEYS = {"steps", "eps", "tol"}
+_RADIAL_KEYS = {"steps"}
 _INTERIOR_KEYS = {"x", "y", "n"}
 _BOUNDARY_KEYS = {"theta", "m"}
 #: JSON type of each optional section: an object of fields or a list of entries.
@@ -39,13 +40,11 @@ class RunConfig:
     vortices: VortexConfiguration
     nr: int = 256
     ntheta: int = 256
-    tol: float = 1e-8
-    max_iter: int = 50
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
     radial_steps: int = DEFAULT_STEPS
-    radial_eps: float = 1e-8
-    radial_tol: float = 1e-6
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -75,7 +74,10 @@ def _number(section: dict, key: str, default, where: str, *, minimum=None, integ
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    """Build a ``RunConfig`` from a parsed JSON document, rejecting unknown fields."""
+    """Build a ``RunConfig`` from a parsed JSON document, rejecting unknown fields.
+
+    Absent fields take ``RunConfig``'s defaults.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "configuration")
@@ -85,7 +87,11 @@ def parse_run_config(doc: dict) -> RunConfig:
             raise ConfigError(f"configuration.{key} must be {expected}, got {doc[key]!r}")
     if "radius" not in doc:
         raise ConfigError("configuration is missing the required field 'radius'")
-    radius = _number(doc, "radius", None, "configuration", minimum=1e-12)
+    radius = _number(doc, "radius", None, "configuration")
+    if not radius > SEED_RADIUS:  # where the radial shoot starts
+        raise ConfigError(
+            f"configuration.radius must exceed the radial seed radius {SEED_RADIUS}, got {radius!r}"
+        )
 
     omega = doc.get("omega", "euclidean")
     try:
@@ -135,29 +141,26 @@ def parse_run_config(doc: dict) -> RunConfig:
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
     radial = doc.get("radial", {})
     _reject_unknown(radial, _RADIAL_KEYS, "radial")
-    radial_eps = _number(radial, "eps", 1e-8, "radial")
-    if not 0.0 < radial_eps < radius:
-        raise ConfigError(f"radial.eps must lie in (0, radius={radius}), got {radial_eps!r}")
 
-    formats = outputs.get("formats", ["csv", "json"])
+    formats = outputs.get("formats", list(RunConfig.formats))
     if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
         raise ConfigError("outputs.formats must be a list drawn from ['csv', 'json']")
-    out_dir = outputs.get("dir", "out")
+    out_dir = outputs.get("dir", RunConfig.out_dir)
     if not isinstance(out_dir, str) or not out_dir.strip():
         raise ConfigError("outputs.dir must be a non-empty string")
 
     return RunConfig(
         disk=disk,
         vortices=vortices,
-        nr=_number(grid, "nr", 256, "grid", minimum=8, integer=True),
-        ntheta=_number(grid, "ntheta", 256, "grid", minimum=8, integer=True),
-        tol=_number(solver, "tol", 1e-8, "solver", minimum=0.0),
-        max_iter=_number(solver, "max_iter", 50, "solver", minimum=1, integer=True),
+        nr=_number(grid, "nr", RunConfig.nr, "grid", minimum=MIN_GRID_POINTS, integer=True),
+        ntheta=_number(grid, "ntheta", RunConfig.ntheta, "grid", minimum=MIN_GRID_POINTS, integer=True),
+        tol=_number(solver, "tol", RunConfig.tol, "solver", minimum=0.0),
+        max_iter=_number(solver, "max_iter", RunConfig.max_iter, "solver", minimum=1, integer=True),
         out_dir=out_dir,
         formats=tuple(formats),
-        radial_steps=_number(radial, "steps", DEFAULT_STEPS, "radial", minimum=1_000, integer=True),
-        radial_eps=radial_eps,
-        radial_tol=_number(radial, "tol", 1e-6, "radial", minimum=0.0),
+        radial_steps=_number(
+            radial, "steps", RunConfig.radial_steps, "radial", minimum=COARSE_STEPS, integer=True
+        ),
     )
 
 

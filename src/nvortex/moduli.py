@@ -40,7 +40,6 @@ from .geometry import (
 )
 from .operators import assemble_neumann_laplacian
 from .shooting import (
-    DEFAULT_EPS,
     DEFAULT_STEPS,
     RadialProfile,
     _hermite,
@@ -89,7 +88,6 @@ class LinearizedProfile:
     r: np.ndarray
     a: np.ndarray
     da: np.ndarray  # a'(r) at the nodes, from the sweep's q = r a'
-    aR: float
     slope0: float  # a'(0), the coefficient of the regular branch a ~ c r
     boundary_value: float  # d_X h(R; 0) = a(R) - 2/R
     bc_defect: float  # |a'(R) + 2/R^2|, zero up to roundoff by construction
@@ -188,7 +186,6 @@ def solve_linear_bvp(
     q[1:] = rows[:, 1].T.ravel()[:steps]
     if not np.isfinite(a).all():
         raise overflow
-    a_end = float(a[-1])
     q_end = x10[-1] * start_a[-1] + x11[-1] * start_q[-1] + d1[-1]
     bc_defect = abs(q_end / radius + 2.0 / radius**2)
     r = r_half[::2].copy()
@@ -196,9 +193,8 @@ def solve_linear_bvp(
         r=r,
         a=a,
         da=q / r,
-        aR=a_end,
         slope0=slope0,
-        boundary_value=a_end - 2.0 / radius,
+        boundary_value=float(a[-1]) - 2.0 / radius,
         bc_defect=bc_defect,
     )
 
@@ -351,20 +347,17 @@ def metric_coefficient(
     disk: ConformalDisk,
     *,
     radial_steps: int = DEFAULT_STEPS,
-    radial_eps: float = DEFAULT_EPS,
-    radial_tol: float = 1e-6,
 ) -> MetricReport:
     """Full metric pipeline for a unit vortex at the origin.
 
-    Runs the radial shoot (``radial_steps``, ``radial_eps`` and ``radial_tol``
-    are ``shoot``'s ``steps``, ``eps`` and ``tol``) and the linearized
+    Runs the radial shoot at ``radial_steps`` steps and the linearized
     boundary-value solve, which gives both the boundary term and ``a'(0)``
     for the local term; no 2-D field is solved.  Raises ``RuntimeError`` if
     the shoot does not converge.
     """
-    radial = shoot(disk, n=1, tol=radial_tol, eps=radial_eps, steps=radial_steps)
+    radial = shoot(disk, n=1, steps=radial_steps)
     if not radial.converged:
-        raise RuntimeError(radial.failure_reason(radial_tol))
+        raise RuntimeError(radial.failure_reason())
     lin = solve_linearized(disk, radial)
     bterm = boundary_metric_term(lin)
     omega0 = float(disk.omega_at(0.0))

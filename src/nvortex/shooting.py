@@ -7,17 +7,17 @@ radial two-point boundary value problem
     htilde'(0) = 0,   htilde'(R) = -2n/R,
 
 which is solved by multiple shooting on the core value ``h0 = htilde(0)``
-from a seed point ``eps`` with a fixed-step classical 4th-order method.  The
-steps are cut into about ``16 sqrt(steps)`` segments of about
-``sqrt(steps) / 16`` steps (``_segments``) whose start states are unknowns
-beside ``h0``; one vectorised sweep steps every segment and its 2x2
+from the fixed seed radius ``SEED_RADIUS`` with a fixed-step classical
+4th-order method.  The steps are cut into about ``16 sqrt(steps)`` segments
+of about ``sqrt(steps) / 16`` steps (``_segments``) whose start states are
+unknowns beside ``h0``; one vectorised sweep steps every segment and its 2x2
 variational matrix, and Newton on continuity at the joints plus the outer
 slope is one banded solve per sweep (Keller, "Numerical Methods for
 Two-Point Boundary-Value Problems", 1968; Ascher, Mattheij & Russell, SIAM
 1995, ch. 4).  Short segments keep the solve well conditioned where one
-march across ``[eps, R]`` amplifies errors like e^R.  The same Newton runs
-twice: on a coarse mesh from a closed-form guess, then at the requested
-step count from the coarse solution.  The segmentation (``_segments``), the
+march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
+Newton runs twice: on a coarse mesh from a closed-form guess, then at the
+requested step count from the coarse solution.  The segmentation (``_segments``), the
 sweep (``_sweep``) and the banded solve (``_solve_joints``) also serve the
 linearised radial problem of ``moduli.solve_linear_bvp``.  Both solves stay
 fourth order end to end: a step node sits on every kink of a sampled Omega
@@ -42,7 +42,9 @@ __all__ = [
     "shoot",
 ]
 
-DEFAULT_EPS = 1e-8
+#: Radius where the integration starts from ``taylor_seed``'s series.  The
+#: terms the series leaves out are below double precision here.
+SEED_RADIUS = 1e-8
 #: The least multiple of 500 steps whose ``h0``, and whose ``slope0`` and
 #: ``boundary_value`` with ``moduli.DEFAULT_LIN_STEPS``, stay within 1e-11 of
 #: 1M-step solves on flat disks of radius 3, 12 and 25, a sampled and a
@@ -73,6 +75,10 @@ START_H0 = -1.0
 MAX_H0_STEP = 3.0
 #: Cap on the multiple-shooting Newton sweeps of each stage of ``shoot``.
 MAX_SWEEPS = 20
+#: A shoot whose Newton settled has converged if its outer slope is within
+#: this of ``-2n/R``.  A safety check only: every settled Newton measured
+#: (flat and sampled disks, n = 1-3, 1k-16k steps) met the slope to 2.2e-16.
+SLOPE_TOL = 1e-6
 #: Newton stops at the sweep after a correction no larger than this in every
 #: unknown: convergence is quadratic, so that sweep is off by about its square.
 SETTLED_STEP = 1e-8
@@ -107,32 +113,25 @@ class RadialProfile:
         """
         return _hermite(np.asarray(r, dtype=float), self.r, self.htilde, self.dhtilde)
 
-    def failure_reason(self, tol: float) -> str:
-        """Why a shoot to ``tol`` did not converge, for error messages."""
+    def failure_reason(self) -> str:
+        """Why the shoot did not converge, for error messages."""
         if self.stalled:
             how = (f"Newton stalled after {self.passes[1]} sweeps "
                    f"(largest joint defect {self.joint_defect:.3g})")
         else:
-            how = f"boundary-slope residual {self.residual:.3g} > tol {tol:.3g}"
+            how = f"boundary-slope residual {self.residual:.3g} > tol {SLOPE_TOL:.3g}"
         return f"radial shoot did not converge: {how} at {self.steps} steps, h0 = {self.h0!r}"
 
 
-def taylor_seed(h0: float, eps: float, n: int, omega0: float) -> tuple[float, float]:
+def taylor_seed(h0: float, eps: float, omega0: float) -> tuple[float, float]:
     """Series values ``(htilde(eps), htilde'(eps))`` seeding the integration.
 
-    For the unit-multiplicity flat case the quartic term is kept,
-
-        htilde = h0 - eps^2/4 + exp(h0) * eps^4/16,
-
-    otherwise only the universal leading term ``h0 - Omega(0) * eps^2 / 4``
-    (the higher correction is below double precision at the default ``eps``).
+    Only the universal leading term ``h0 - Omega(0) * eps^2 / 4`` is kept;
+    the next terms, of order ``Omega'(0) eps^3`` and ``eps^4``, are below
+    double precision at ``SEED_RADIUS``.
     """
     if eps <= 0:
         raise ValueError(f"seed radius must be positive, got {eps}")
-    if n == 1 and omega0 == 1.0:
-        e = math.exp(h0)
-        return (h0 - 0.25 * eps * eps + e * eps**4 / 16.0,
-                -0.5 * eps + 0.25 * e * eps**3)
     return (h0 - 0.25 * omega0 * eps * eps, -0.5 * omega0 * eps)
 
 
@@ -266,7 +265,7 @@ def _hermite(x, xs, ys, dys):
             + t**3 * (2.0 * (y0 - y1) + d * (s0 + s1)))
 
 
-def _newton(disk, n, eps, steps, h0, starts):
+def _newton(disk, n, steps, h0, starts):
     """Newton on the multiple-shooting system at ``steps`` steps from core value ``h0``.
 
     ``starts(r)`` gives the first guess of ``(htilde, htilde')`` at the
@@ -280,7 +279,7 @@ def _newton(disk, n, eps, steps, h0, starts):
     ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1, Omega(0)))``.
     Returns the profile with ``converged`` unset and ``passes = (0, sweeps)``.
     """
-    r_half, index, dx = _segments(eps, disk.radius, steps, disk.breakpoints)
+    r_half, index, dx = _segments(SEED_RADIUS, disk.radius, steps, disk.breakpoints)
     r = r_half[index]
     r_2n, w = r ** (2 * n), disk.omega_at(r)
 
@@ -293,11 +292,10 @@ def _newton(disk, n, eps, steps, h0, starts):
 
     starts = starts(r[0, 1:])
     omega0 = float(disk.omega_at(0.0))
-    quartic = n == 1 and omega0 == 1.0
     high = SCAN_HIGH + n * math.log(max(1.0, omega0))
     settled = False
     for sweeps in range(1, MAX_SWEEPS + 1):
-        seed = taylor_seed(h0, eps, n, omega0)
+        seed = taylor_seed(h0, SEED_RADIUS, omega0)
         y, ys = _sweep(rhs, dx, np.column_stack((seed, starts)))
         defect = np.empty(2 * y.shape[1] - 1)
         defect[0:-1:2] = y[0, :-1] - starts[0]
@@ -305,12 +303,9 @@ def _newton(disk, n, eps, steps, h0, starts):
         defect[-1] = y[1, -1] + 2.0 * n / disk.radius
         if settled or sweeps == MAX_SWEEPS or not np.isfinite(y).all():
             break
-        # The first segment's end per unit h0, through d(seed)/d(h0), which
-        # is exact for both branches of ``taylor_seed``.
-        e4 = 0.0625 * math.exp(h0) * eps**4 if quartic else 0.0
-        lead = y[2:4, 0] * (1.0 + e4) + y[4:6, 0] * (4.0 * e4 / eps)
+        # The first segment's end per unit h0: d(seed)/d(h0) = (1, 0).
         try:
-            step = _solve_joints(lead, (y[2], y[4], y[3], y[5]), -defect)
+            step = _solve_joints(y[2:4, 0], (y[2], y[4], y[3], y[5]), -defect)
         except np.linalg.LinAlgError:
             break
         if abs(step[0]) > MAX_H0_STEP:
@@ -342,8 +337,6 @@ def _newton(disk, n, eps, steps, h0, starts):
 def shoot(
     disk: ConformalDisk,
     n: int = 1,
-    tol: float = 1e-6,
-    eps: float = DEFAULT_EPS,
     steps: int = DEFAULT_STEPS,
 ) -> RadialProfile:
     """Find the core value ``h0`` meeting the outer Neumann slope ``-2n/R``.
@@ -356,7 +349,7 @@ def shoot(
     coarse solution, cubic-Hermite interpolated to the segment starts (slopes
     from the equation).  ``passes`` counts the sweeps of both stages.  The
     result is converged when the second Newton settled and the outer slope
-    is within ``tol``; a Newton that stalls is flagged ``stalled``.
+    is within ``SLOPE_TOL``; a Newton that stalls is flagged ``stalled``.
 
     Raises
     ------
@@ -364,17 +357,15 @@ def shoot(
         If ``(N=n, M=0)`` violates the area bound on ``disk`` (checked after
         the arguments, before any sweep).
     ValueError
-        For ``tol`` not finite and ``>= 0``, ``steps`` not an integer of at
-        least ``COARSE_STEPS``, ``n < 1`` or ``eps`` outside ``(0, radius)``.
+        For ``steps`` not an integer of at least ``COARSE_STEPS``, ``n < 1``
+        or a disk no wider than ``SEED_RADIUS``.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < COARSE_STEPS:
         raise ValueError(f"steps must be an integer of at least {COARSE_STEPS}, got {steps!r}")
     if n < 1:
         raise ValueError(f"multiplicity must be >= 1, got {n}")
-    if not 0.0 < eps < disk.radius:
-        raise ValueError(f"eps must lie in (0, radius={disk.radius}), got {eps}")
+    if not SEED_RADIUS < disk.radius:
+        raise ValueError(f"radius must exceed the seed radius {SEED_RADIUS}, got {disk.radius}")
     check_bradlow(VortexConfiguration.centered(n), disk)
     n, steps = int(n), int(steps)
 
@@ -383,16 +374,16 @@ def shoot(
         return np.array([-np.log(t), -2.0 * n * r ** (2 * n - 1) / t])
 
     coarse_steps = max(COARSE_STEPS, math.ceil(disk.radius / COARSE_MAX_STEP))
-    coarse = _newton(disk, n, eps, coarse_steps, START_H0, closed_form)
+    coarse = _newton(disk, n, coarse_steps, START_H0, closed_form)
     r, h, p = coarse.r, coarse.htilde, coarse.dhtilde
     dp = disk.omega_at(r) * (r ** (2 * n) * np.exp(h) - 1.0) - p / r
 
     def interpolated(r_starts):
         return np.array([_hermite(r_starts, r, h, p), _hermite(r_starts, r, p, dp)])
 
-    fine = _newton(disk, n, eps, steps, coarse.h0, interpolated)
+    fine = _newton(disk, n, steps, coarse.h0, interpolated)
     return dataclasses.replace(
         fine,
-        converged=not fine.stalled and fine.residual <= tol,
+        converged=not fine.stalled and fine.residual <= SLOPE_TOL,
         passes=(coarse.passes[1], fine.passes[1]),
     )

@@ -157,8 +157,8 @@ def run_acceptance(
         )
 
     with _stage(say, f"radial shoot at {radial_steps} and {2 * radial_steps} steps"):
-        profile = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=radial_steps)
-        profile_fine = shoot(disk, n=1, tol=TOL_SHOOT_SLOPE, steps=2 * radial_steps)
+        profile = shoot(disk, n=1, steps=radial_steps)
+        profile_fine = shoot(disk, n=1, steps=2 * radial_steps)
 
     centered_obs = compute_observables(centered, centered_report)
     boundary_obs = compute_observables(boundary_field, boundary_report)
@@ -240,9 +240,9 @@ def run_acceptance(
         f"orders {p1:.2f}, {p2:.2f} >= {MIN_CONV_ORDER}")
 
     # --- 6. shooting reproduces the radial setup ---------------------------
-    shoot_failure = None if profile.converged else profile.failure_reason(TOL_SHOOT_SLOPE)
+    shoot_failure = None if profile.converged else profile.failure_reason()
     fine_failure = shoot_failure or (
-        None if profile_fine.converged else profile_fine.failure_reason(TOL_SHOOT_SLOPE))
+        None if profile_fine.converged else profile_fine.failure_reason())
     add(6, "boundary slope -2/3 met", shoot_failure is None and profile.residual <= TOL_SHOOT_SLOPE,
         shoot_failure or f"|slope + 2/3| = {profile.residual:.2e} <= {TOL_SHOOT_SLOPE:.0e}")
     h0_shift = abs(profile.h0 - profile_fine.h0)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from nvortex.geometry import ConformalDisk
-from nvortex.shooting import DEFAULT_EPS, DEFAULT_STEPS, SCAN_HIGH, SCAN_LOW, RadialProfile, taylor_seed
+from nvortex.shooting import DEFAULT_STEPS, SCAN_HIGH, SCAN_LOW, SEED_RADIUS, RadialProfile, taylor_seed
 
 #: Treat the trajectory as blown up once htilde exceeds this value.
 DIVERGENCE_CAP = 500.0
@@ -75,7 +75,7 @@ def _integrate(h0, disk, n, eps, steps, record):
     r_2n = (r_half ** (2 * n)).tolist()
     w = disk.omega_at(r_half).tolist()
     exp = math.exp
-    h, p = taylor_seed(h0, eps, n, float(disk.omega_at(0.0)))
+    h, p = taylor_seed(h0, eps, float(disk.omega_at(0.0)))
     hs = np.full(steps + 1, h) if record else None
     ps = np.full(steps + 1, p) if record else None
     cap = DIVERGENCE_CAP  # a local: the step loop reads it every step
@@ -113,7 +113,7 @@ def integrate_radial(
     h0: float,
     disk: ConformalDisk,
     n: int = 1,
-    eps: float = DEFAULT_EPS,
+    eps: float = SEED_RADIUS,
     steps: int = DEFAULT_STEPS,
 ) -> RadialProfile:
     """Integrate the radial equation outward from ``eps`` for core value ``h0``.
@@ -170,7 +170,7 @@ def _illinois(f, lo, hi, f_lo, f_hi, width) -> float:
     return 0.5 * (lo + hi)
 
 
-def single_stage_h0(disk, n, steps, eps=DEFAULT_EPS):
+def single_stage_h0(disk, n, steps, eps=SEED_RADIUS):
     """Core value from one Illinois search at full resolution over the scan range.
 
     Every pass is one march from ``eps`` at ``steps`` steps; the slope

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -5,7 +7,7 @@ import pkgutil
 import pytest
 
 import nvortex
-from nvortex import cli, config, moduli, shooting, verification
+from nvortex import cli, config, geometry, moduli, shooting, solver2d, verification
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(nvortex.__path__) if info.name != "__main__")
 
@@ -40,6 +42,39 @@ def test_default_radial_steps_have_one_source(monkeypatch):
     ):
         assert inspect.signature(function).parameters[name].default == shooting.DEFAULT_STEPS
     seen = []
-    monkeypatch.setattr(cli, "run_acceptance", lambda **kw: seen.append(kw["radial_steps"]) or [])
+    monkeypatch.setattr(cli, "run_acceptance", lambda **kw: seen.append(kw) or [])
     assert cli.main(["verify", "--nr", "32"]) == 0
-    assert seen == [shooting.DEFAULT_STEPS]
+    assert [kw["radial_steps"] for kw in seen] == [shooting.DEFAULT_STEPS]
+
+    # The other defaults and bounds have one spelling each too.  RunConfig's
+    # field defaults fill every absent field:
+    fields = {"nr": 40, "ntheta": 48, "tol": 1e-5, "max_iter": 7, "out_dir": "elsewhere",
+              "formats": ("json",), "radial_steps": 3_000}
+    for name, value in fields.items():
+        monkeypatch.setattr(config.RunConfig, name, value)
+    parsed = config.parse_run_config(doc)
+    assert {name: getattr(parsed, name) for name in fields} == fields
+    defaults = {f.name: f.default for f in dataclasses.fields(config.RunConfig)}
+    assert (defaults["tol"], defaults["max_iter"]) == (solver2d.DEFAULT_TOL, solver2d.DEFAULT_MAX_ITER)
+    # verify's grid and tolerance default to BASE_NR and the solver's own:
+    assert (cli.BASE_NR, cli.DEFAULT_TOL) == (verification.BASE_NR, solver2d.DEFAULT_TOL)
+    seen.clear()
+    monkeypatch.setattr(cli, "BASE_NR", 40)
+    monkeypatch.setattr(cli, "DEFAULT_TOL", 1e-5)
+    assert cli.main(["verify"]) == 0
+    assert [(kw["nr"], kw["tol"]) for kw in seen] == [(40, 1e-5)]
+    # and the least grid and step counts are geometry's and shooting's:
+    assert config.MIN_GRID_POINTS == cli.MIN_GRID_POINTS == geometry.MIN_GRID_POINTS
+    assert config.COARSE_STEPS == shooting.COARSE_STEPS
+    for module in (config, cli):
+        monkeypatch.setattr(module, "MIN_GRID_POINTS", 41)
+    monkeypatch.setattr(config, "COARSE_STEPS", 3_001)
+    for section, values, message in (
+        ("grid", {"nr": 40, "ntheta": 41}, "grid.nr must be >= 41"),
+        ("grid", {"nr": 41, "ntheta": 40}, "grid.ntheta must be >= 41"),
+        ("radial", {"steps": 3_000}, "radial.steps must be >= 3001"),
+    ):
+        with pytest.raises(config.ConfigError, match=message):
+            config.parse_run_config({**doc, "grid": {"nr": 41, "ntheta": 41}, section: values})
+    with pytest.raises(config.ConfigError, match="grid overrides must keep nr, ntheta >= 41"):
+        cli._check_overrides(argparse.Namespace(nr=40, ntheta=None))

@@ -31,9 +31,9 @@ def base_doc(**overrides):
     return doc
 
 
-def _unconverged_shoot(disk, *, n, tol, eps, steps):
-    """A real profile at ``h0 = -1``, off the root, so its outer slope misses ``tol``."""
-    return integrate_radial(-1.0, disk, n, eps, steps)
+def _unconverged_shoot(disk, *, n, steps):
+    """A real profile at ``h0 = -1``, off the root, so its outer slope misses ``SLOPE_TOL``."""
+    return integrate_radial(-1.0, disk, n, steps=steps)
 
 
 def _assert_shoot_reason(err):
@@ -274,9 +274,11 @@ class TestMetric:
             # a metric section is not part of the schema, whatever its delta
             ({"metric": {"delta": 0.0}}, "unknown field(s) ['metric'] in configuration"),
             ({"metric": {"delta": 5.0}}, "unknown field(s) ['metric'] in configuration"),
-            ({"radial": {"eps": 5.0}}, "radial.eps must lie in"),
+            # nor are a seed radius and a slope tolerance for the shoot
+            ({"radial": {"eps": 5.0}}, "unknown field(s) ['eps'] in radial"),
+            ({"radial": {"tol": 1e-6}}, "unknown field(s) ['tol'] in radial"),
         ],
-        ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk", "eps-outside-disk"],
+        ids=["tol-nan", "radius-inf", "delta-zero", "delta-outside-disk", "eps-outside-disk", "radial-tol"],
     )
     def test_unusable_number_is_config_error(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "out"
@@ -320,7 +322,7 @@ class TestMetric:
         _assert_shoot_reason(err)
         assert not (out / "metric.json").exists()
 
-    def test_radial_eps_and_tol_reach_the_shoot(self, tmp_path, capsys, monkeypatch):
+    def test_radial_steps_reach_the_shoot(self, tmp_path, capsys, monkeypatch):
         seen = []
         real_shoot = moduli.shoot
 
@@ -329,10 +331,9 @@ class TestMetric:
             return real_shoot(*args, **kwargs)
 
         monkeypatch.setattr(moduli, "shoot", recorded)
-        doc = base_doc(radial={"steps": 2000, "eps": 1e-6, "tol": 1e-5})
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, base_doc())
         assert cli.main(["metric", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-        assert seen == [{"n": 1, "tol": 1e-5, "eps": 1e-6, "steps": 2000}]
+        assert seen == [{"n": 1, "steps": 2000}]
 
 
 class TestModuleEntry:
@@ -364,6 +365,17 @@ UNHONOURED = [
     for option in ("--nr", "--ntheta", "--tol", "--out")
     if option not in honoured
 ]
+
+
+#: ``nvortex *sys.argv[1:]`` with the address space capped at 1 TiB.
+CAPPED_CLI = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 40 if hard == resource.RLIM_INFINITY else min(1 << 40, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from nvortex.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 class TestUsageErrors:
@@ -416,6 +428,28 @@ class TestUsageErrors:
             cli.main(argv)
         assert stop.value.code == 0
         assert "usage: nvortex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            # 7.28 TiB for PolarGrid.r_faces
+            (["solve-2d"], base_doc(grid={"nr": 1e12})),
+            # 14.2 PiB for the half-node radii of shooting._segments
+            (["solve-radial"], base_doc(radial={"steps": 1e15})),
+            # 7.28 TiB for the grid of the first solve
+            (["verify", "--nr", "1000000000000"], None),
+        ],
+        ids=["solve-2d-nr", "solve-radial-steps", "verify-nr"],
+    )
+    def test_oversized_input_is_config_error(self, tmp_path, run_python, argv, document):
+        # The address space is capped at 1 TiB, so the allocation fails at
+        # once even where the kernel would overcommit it.
+        if document is not None:
+            argv = argv + ["--config", write_config(tmp_path, document), "--out", str(tmp_path / "out")]
+        done = run_python("-c", CAPPED_CLI, *argv, returncode=cli.EXIT_CONFIG)
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("configuration error: input too large to allocate: Unable to allocate")
+        assert done.stderr.count("\n") == 1
 
 
 class TestOverrides:

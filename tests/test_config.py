@@ -33,7 +33,7 @@ class TestParsing:
             "grid": {"nr": 64, "ntheta": 128},
             "solver": {"tol": 1e-9, "max_iter": 30},
             "outputs": {"dir": "results", "formats": ["json"]},
-            "radial": {"steps": 20000, "eps": 1e-7, "tol": 1e-5},
+            "radial": {"steps": 20000},
         }
         cfg = parse_run_config(doc)
         assert cfg.disk != ConformalDisk.flat(3.0)
@@ -100,12 +100,16 @@ class TestParsing:
             ("metric", "delta", 5.0, r"unknown field\(s\) \['metric'\] in configuration"),
             (None, "radius", 10**400, r"\.radius must"),
             (None, "radius", 3 * 10**299, r"\.radius must"),
-            ("radial", "eps", 0.0, r"\.eps must"),
-            ("radial", "eps", 5.0, r"\.eps must"),
+            # nor are a seed radius and a slope tolerance for the shoot
+            ("radial", "eps", 0.0, r"unknown field\(s\) \['eps'\] in radial"),
+            ("radial", "eps", 5.0, r"unknown field\(s\) \['eps'\] in radial"),
+            ("radial", "tol", 1e-6, r"unknown field\(s\) \['tol'\] in radial"),
+            (None, "radius", 1e-8, r"\.radius must exceed the radial seed radius 1e-08"),
         ],
         ids=[
             "tol-nan", "radius-inf", "delta-zero", "delta-outside-disk",
-            "radius-beyond-float", "radius-area-overflow", "eps-zero", "eps-outside-disk",
+            "radius-beyond-float", "radius-area-overflow", "eps-zero", "eps-outside-disk", "radial-tol",
+            "radius-at-seed-radius",
         ],
     )
     def test_unusable_number_rejected(self, tmp_path, section, key, value, message):
