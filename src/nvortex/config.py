@@ -73,11 +73,25 @@ def _number(section: dict, key: str, default, where: str, *, minimum=None, integ
     return int(value) if integer else float(value)
 
 
-def parse_run_config(doc: dict) -> RunConfig:
+def _set_fields(doc, fields: dict):
+    """A copy of ``doc`` with each ``"section.key": value`` of ``fields`` set."""
+    if not isinstance(doc, dict):  # left for parse_run_config to reject, as is a bad section
+        return doc
+    doc = dict(doc)
+    for path, value in fields.items():
+        section, key = path.split(".")
+        if isinstance(doc.get(section, {}), dict):
+            doc[section] = {**doc.get(section, {}), key: value}
+    return doc
+
+
+def parse_run_config(doc: dict, fields: dict | None = None) -> RunConfig:
     """Build a ``RunConfig`` from a parsed JSON document, rejecting unknown fields.
 
-    Absent fields take ``RunConfig``'s defaults.
+    ``fields`` (``"section.key": value``) are set in the document first, so
+    the document's rules check them.  Absent fields take ``RunConfig``'s defaults.
     """
+    doc = _set_fields(doc, fields or {})
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "configuration")
@@ -164,8 +178,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     )
 
 
-def load_run_config(path: str) -> RunConfig:
-    """Read and validate a JSON configuration file."""
+def load_run_config(path: str, fields: dict | None = None) -> RunConfig:
+    """Read and validate a JSON configuration file, with ``fields`` set as in ``parse_run_config``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -173,4 +187,4 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration file {path} is not valid JSON: {exc}") from exc
-    return parse_run_config(doc)
+    return parse_run_config(doc, fields)

@@ -49,6 +49,9 @@ from .shooting import (
     shoot,
 )
 from .solver2d import CG_RTOL, SolveReport, _solve_spd
+# After .operators: observables loads scipy.linalg (through .shooting), and
+# loading it before scipy.sparse adds about 30 ms to `import nvortex`.
+from .observables import SCHEMA_VERSION
 
 __all__ = [
     "LinearizedProfile",
@@ -63,10 +66,6 @@ __all__ = [
     "metric_coefficient",
 ]
 
-#: Sized like ``shooting.DEFAULT_STEPS``.  Driven by a 1M-step shoot,
-#: ``boundary_value`` on the flat R = 25 disk is off by 1.1e-11 at 6,500
-#: steps and by 8.0e-12 at 7,000; the other disks are within 1e-11 from 6,000.
-DEFAULT_LIN_STEPS = 7_000
 #: Inner start of the linearized integration, as a fraction of the radius;
 #: the regular branch ``a ~ c r`` is imposed there (the 1/r branch is excluded
 #: by smoothness of the position derivative at the origin).
@@ -103,7 +102,7 @@ class LinearizedProfile:
 def solve_linear_bvp(
     f_of_r,
     radius: float,
-    steps: int = DEFAULT_LIN_STEPS,
+    steps: int = DEFAULT_STEPS,
     *,
     breakpoints=(),
 ) -> LinearizedProfile:
@@ -202,7 +201,7 @@ def solve_linear_bvp(
 def solve_linearized(
     disk: ConformalDisk,
     radial: RadialProfile,
-    steps: int = DEFAULT_LIN_STEPS,
+    steps: int = DEFAULT_STEPS,
 ) -> LinearizedProfile:
     """Linearized profile driven by a converged unit-vortex radial solution.
 
@@ -327,7 +326,7 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "boundary_value": self.boundary_value,
             "boundary_term": self.boundary_term,
             "samols_b_re": 0.0,

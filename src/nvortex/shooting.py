@@ -46,10 +46,11 @@ __all__ = [
 #: terms the series leaves out are below double precision here.
 SEED_RADIUS = 1e-8
 #: The least multiple of 500 steps whose ``h0``, and whose ``slope0`` and
-#: ``boundary_value`` with ``moduli.DEFAULT_LIN_STEPS``, stay within 1e-11 of
-#: 1M-step solves on flat disks of radius 3, 12 and 25, a sampled and a
-#: smooth Omega on radius 3.  The flat R = 25 disk sets it: its ``h0`` is off
-#: by 1.0e-11 at 6,500 steps and by 7.6e-12 at 7,000.
+#: ``boundary_value`` from the linearised solve at as many steps, stay within
+#: 1e-11 of 1M-step solves on flat disks of radius 3, 12 and 25, a sampled
+#: and a smooth Omega on radius 3.  Both radial solves default to it.  The
+#: flat R = 25 disk sets it: its ``h0`` is off by 1.0e-11 at 6,500 steps and
+#: by 7.6e-12 at 7,000, its ``boundary_value`` by 1.1e-11 and 8.0e-12.
 DEFAULT_STEPS = 7_000
 #: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW`` or above
 #: ``SCAN_HIGH + n log(max(1, Omega(0)))``: the core value grows like
@@ -64,8 +65,9 @@ COARSE_STEPS = 1_000
 #: 2 steps, the coarse Newton converges on flat disks with n <= 10 up to
 #: R = 320 and first stalls at R = 340 (n = 10), 360 (n = 8), 400 (n = 6) and
 #: 500 (n = 5); in the earlier segments of 8 steps it stalled from R = 95-100
-#: for n >= 6, its first sweep overflowing from R = 105-120.  The cap stays
-#: as a margin for larger disks and multiplicities.
+#: for n >= 6, its first sweep overflowing from R = 105-120.  Without the
+#: cap, shoots on the flat R = 400 disk with n = 6 and n = 10 stall at both
+#: 7k and 16k steps; R = 50-320 and R = 600 converge with or without it.
 COARSE_MAX_STEP = 0.025
 #: Core value of the coarse stage's closed-form start.
 START_H0 = -1.0

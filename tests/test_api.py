@@ -1,8 +1,9 @@
-import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ import nvortex
 from nvortex import cli, config, geometry, moduli, shooting, solver2d, verification
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(nvortex.__path__) if info.name != "__main__")
+SOURCES = sorted(Path(nvortex.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", ["nvortex"] + [f"nvortex.{name}" for name in MODULES])
@@ -28,9 +30,9 @@ def test_removed_radial_names_are_gone(name):
     assert name not in nvortex.__all__
 
 
-def test_default_radial_steps_have_one_source(monkeypatch):
+def test_default_radial_steps_have_one_source(monkeypatch, capsys):
     # Resizing shooting.DEFAULT_STEPS must be a single edit: the config,
-    # verify and the metric pipeline read it.
+    # verify, the metric pipeline and both radial solves read it.
     disk, vortices = nvortex.ConformalDisk.flat(3.0), nvortex.VortexConfiguration.centered(1)
     assert config.RunConfig(disk, vortices).radial_steps == shooting.DEFAULT_STEPS
     doc = {"radius": 3.0, "interior": [{"x": 0.0, "y": 0.0, "n": 1}]}
@@ -38,6 +40,8 @@ def test_default_radial_steps_have_one_source(monkeypatch):
     for function, name in (
         (verification.run_acceptance, "radial_steps"),
         (moduli.metric_coefficient, "radial_steps"),
+        (moduli.solve_linear_bvp, "steps"),
+        (moduli.solve_linearized, "steps"),
         (shooting.shoot, "steps"),
     ):
         assert inspect.signature(function).parameters[name].default == shooting.DEFAULT_STEPS
@@ -56,13 +60,13 @@ def test_default_radial_steps_have_one_source(monkeypatch):
     assert {name: getattr(parsed, name) for name in fields} == fields
     defaults = {f.name: f.default for f in dataclasses.fields(config.RunConfig)}
     assert (defaults["tol"], defaults["max_iter"]) == (solver2d.DEFAULT_TOL, solver2d.DEFAULT_MAX_ITER)
-    # verify's grid and tolerance default to BASE_NR and the solver's own:
-    assert (cli.BASE_NR, cli.DEFAULT_TOL) == (verification.BASE_NR, solver2d.DEFAULT_TOL)
+    # verify without --config runs verification's reference document, whose
+    # grid is BASE_NR; its tolerance and steps are RunConfig's:
+    assert verification.REFERENCE_CONFIG["grid"] == {"nr": verification.BASE_NR}
+    monkeypatch.setitem(verification.REFERENCE_CONFIG, "grid", {"nr": 40})
     seen.clear()
-    monkeypatch.setattr(cli, "BASE_NR", 40)
-    monkeypatch.setattr(cli, "DEFAULT_TOL", 1e-5)
     assert cli.main(["verify"]) == 0
-    assert [(kw["nr"], kw["tol"]) for kw in seen] == [(40, 1e-5)]
+    assert [(kw["nr"], kw["tol"], kw["radial_steps"]) for kw in seen] == [(40, 1e-5, 3_000)]
     # and the least grid and step counts are geometry's and shooting's:
     assert config.MIN_GRID_POINTS == cli.MIN_GRID_POINTS == geometry.MIN_GRID_POINTS
     assert config.COARSE_STEPS == shooting.COARSE_STEPS
@@ -76,5 +80,25 @@ def test_default_radial_steps_have_one_source(monkeypatch):
     ):
         with pytest.raises(config.ConfigError, match=message):
             config.parse_run_config({**doc, "grid": {"nr": 41, "ntheta": 41}, section: values})
-    with pytest.raises(config.ConfigError, match="grid overrides must keep nr, ntheta >= 41"):
-        cli._check_overrides(argparse.Namespace(nr=40, ntheta=None))
+    # A command-line grid is checked by the same rule.
+    capsys.readouterr()
+    assert cli.main(["verify", "--nr", "40"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: grid.nr must be >= 41, got 40\n"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by ``path``'s module-level imports that it never reads or lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read - exported)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

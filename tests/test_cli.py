@@ -436,10 +436,12 @@ class TestUsageErrors:
             (["solve-2d"], base_doc(grid={"nr": 1e12})),
             # 14.2 PiB for the half-node radii of shooting._segments
             (["solve-radial"], base_doc(radial={"steps": 1e15})),
+            # the same for the shoot of the metric pipeline
+            (["metric"], base_doc(radial={"steps": 1e15})),
             # 7.28 TiB for the grid of the first solve
             (["verify", "--nr", "1000000000000"], None),
         ],
-        ids=["solve-2d-nr", "solve-radial-steps", "verify-nr"],
+        ids=["solve-2d-nr", "solve-radial-steps", "metric-steps", "verify-nr"],
     )
     def test_oversized_input_is_config_error(self, tmp_path, run_python, argv, document):
         # The address space is capped at 1 TiB, so the allocation fails at
@@ -453,29 +455,49 @@ class TestUsageErrors:
 
 
 class TestOverrides:
+    # Each override is a field of the document, checked by the parser's rule.
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["solve-2d", "--tol", "nan"], "--tol must be finite"),
-            (["solve-2d", "--tol", "-1"], "--tol must be finite and >= 0"),
-            (["solve-2d", "--nr", "4"], "nr, ntheta >= 8"),
-            (["verify", "--nr", "0"], "nr, ntheta >= 8"),
-            (["verify", "--nr", "8"], "verify needs nr >= 32"),
-            (["verify", "--tol", "inf"], "--tol must be finite"),
+            (["solve-2d", "--tol", "nan"], "solver.tol must be finite, got nan"),
+            (["solve-2d", "--tol", "-1"], "solver.tol must be >= 0.0, got -1.0"),
+            (["solve-2d", "--nr", "4"], "grid.nr must be >= 8, got 4"),
+            (["verify", "--nr", "0"], "grid.nr must be >= 8, got 0"),
+            (["verify", "--nr", "8"], "verify needs nr >= 32 (it also solves at nr/4), got 8"),
+            (["verify", "--tol", "inf"], "solver.tol must be finite, got inf"),
+            (["solve-radial", "--out", ""], "outputs.dir must be a non-empty string"),
+            (["solve-2d", "--out", ""], "outputs.dir must be a non-empty string"),
+            (["metric", "--out", ""], "outputs.dir must be a non-empty string"),
         ],
-        ids=["tol-nan", "tol-negative", "nr-4", "verify-nr-0", "verify-nr-8", "verify-tol-inf"],
+        ids=["tol-nan", "tol-negative", "nr-4", "verify-nr-0", "verify-nr-8", "verify-tol-inf",
+             "solve-radial-out-empty", "solve-2d-out-empty", "metric-out-empty"],
     )
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_solve(*args, **kwargs):
             raise AssertionError("overrides must be checked before any solve")
 
-        monkeypatch.setattr(cli, "solve_taubes_2d", no_solve)
-        monkeypatch.setattr(cli, "run_acceptance", no_solve)
+        for name in ("shoot", "solve_taubes_2d", "metric_coefficient", "run_acceptance"):
+            monkeypatch.setattr(cli, name, no_solve)
+        monkeypatch.chdir(tmp_path)  # where the default output directory would go
         if argv[0] != "verify":
             argv = [*argv, "--config", write_config(tmp_path, base_doc())]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "configuration error" in err and message in err
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ([] if argv[0] == "verify" else ["run.json"])
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([1, 2], "configuration document must be a JSON object"),
+            ({"radius": 3.0, "grid": 5}, "configuration.grid must be an object, got 5"),
+        ],
+        ids=["top-level-list", "grid-number"],
+    )
+    def test_malformed_document_stays_a_config_error(self, tmp_path, capsys, document, message):
+        cfg = write_config(tmp_path, document)
+        for command in ("solve-2d", "verify"):
+            assert cli.main([command, "--config", cfg, "--nr", "32"]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 class TestVerify:
@@ -503,6 +525,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "violates the existence bound" in out
         assert "domain solves skipped" in out
+
+    def test_each_check_printed_once(self, capsys, monkeypatch):
+        records = []
+        real = cli.run_acceptance
+        monkeypatch.setattr(cli, "run_acceptance", lambda **kw: records.extend(real(**kw)) or records)
+        assert cli.main(["verify", "--nr", "32"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(records) == 28
+        for rec in records:
+            assert [line for line in lines if f"  {rec.name} (" in line] == [rec.line()]
+        # the stage lines, one table with its header, and the summary
+        stages = [line for line in lines if line.endswith(" s")]
+        assert len(stages) == 7 and lines[: len(stages)] == stages
+        assert lines[len(stages):] == ["", "criterion  status  check", *(r.line() for r in records),
+                                       "", "28/28 checks passed at 32x32"]
+        assert verification.REFERENCE_CONFIG["grid"] == {"nr": verification.BASE_NR}  # not overwritten
 
     def test_odd_grid_passes(self, capsys):
         # The 33^2 grid has nodes at radius 1/2, where the N=2 check puts its

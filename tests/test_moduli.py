@@ -16,7 +16,6 @@ from nvortex import (
 )
 from nvortex import moduli, solver2d
 from nvortex.moduli import (
-    DEFAULT_LIN_STEPS,
     EPS_FRACTION,
     ConditioningError,
     _fit_b,
@@ -24,6 +23,7 @@ from nvortex.moduli import (
     boundary_ring_position_derivatives,
     ring_metric_integral,
 )
+from nvortex.shooting import DEFAULT_STEPS
 from nvortex.solver2d import solve_taubes_2d
 from nvortex.geometry import VortexConfiguration
 from radial_oracle import aligned_nodes, integrate_radial, single_stage_h0
@@ -201,7 +201,7 @@ class TestLinearizedSolve:
         lin12 = solve_linearized(*radial_r12)
         assert abs(lin12.boundary_value) < abs(lin_r3.boundary_value)
 
-    @pytest.mark.parametrize("steps", ORACLE_STEPS + [DEFAULT_LIN_STEPS, 100_000])
+    @pytest.mark.parametrize("steps", ORACLE_STEPS + [DEFAULT_STEPS, 100_000])
     @pytest.mark.parametrize("case", ["flat", "table"])
     def test_matches_two_pass_oracle(self, disk3, radial_r3, radial_table, case, steps):
         disk, radial = (disk3, radial_r3) if case == "flat" else radial_table
