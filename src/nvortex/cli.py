@@ -64,9 +64,21 @@ def _load(args) -> RunConfig:
     return load_run_config(args.config, fields)
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+def _outputs(cfg: RunConfig, files: dict) -> dict:
+    """The paths of the files that ``cfg.formats`` selects from ``files``.
+
+    ``files`` maps a format to a file name.  The output directory is made
+    here, before any solve, and only if a file will go into it, so an
+    unusable directory is a configuration error, not a traceback after the
+    work.
+    """
+    paths = {fmt: os.path.join(cfg.out_dir, name) for fmt, name in files.items() if fmt in cfg.formats}
+    if paths:
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"outputs.dir {cfg.out_dir!r} is not a usable directory: {exc.strerror}") from exc
+    return paths
 
 
 def _cmd_check(args) -> int:
@@ -94,6 +106,7 @@ def _require_centered(cfg: RunConfig, command: str) -> int:
 def _cmd_solve_radial(args) -> int:
     cfg = _load(args)
     n = _require_centered(cfg, "solve-radial")
+    paths = _outputs(cfg, {"csv": "profile.csv", "json": "report.json"})
     profile = shoot(cfg.disk, n=n, steps=cfg.radial_steps)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -104,10 +117,10 @@ def _cmd_solve_radial(args) -> int:
         "steps": profile.steps,
         "boundary_slope": float(profile.dhtilde[-1]),
     }
-    if "csv" in cfg.formats:
-        export_profile_csv(_out_path(cfg, "profile.csv"), profile, cfg.disk)
-    if "json" in cfg.formats:
-        export_json(_out_path(cfg, "report.json"), report)
+    if "csv" in paths:
+        export_profile_csv(paths["csv"], profile, cfg.disk)
+    if "json" in paths:
+        export_json(paths["json"], report)
     print(json.dumps(report, sort_keys=True))
     if not profile.converged:
         print(profile.failure_reason(), file=sys.stderr)
@@ -119,15 +132,16 @@ def _cmd_solve_2d(args) -> int:
     cfg = _load(args)
     grid = build_grid(cfg.disk, cfg.nr, cfg.ntheta)
     margin = check_bradlow(cfg.vortices, cfg.disk)
+    paths = _outputs(cfg, {"csv": "field.csv", "json": "report.json"})
     field, report = solve_taubes_2d(
         cfg.disk, cfg.vortices, grid, tol=cfg.tol, max_iter=cfg.max_iter
     )
     observables = compute_observables(field, report)
     summary = solution_summary(observables, report, margin)
-    if "csv" in cfg.formats:
-        export_field_csv(_out_path(cfg, "field.csv"), field, observables)
-    if "json" in cfg.formats:
-        export_json(_out_path(cfg, "report.json"), summary)
+    if "csv" in paths:
+        export_field_csv(paths["csv"], field, observables)
+    if "json" in paths:
+        export_json(paths["json"], summary)
     print(json.dumps(summary, sort_keys=True))
     if not report.converged:
         print(
@@ -144,14 +158,15 @@ def _cmd_metric(args) -> int:
     n = _require_centered(cfg, "metric")
     if n != 1:
         raise ConfigError(f"metric needs one unit vortex at the origin, got N={n}")
+    paths = _outputs(cfg, {"json": "metric.json"})
     try:
         report = metric_coefficient(cfg.disk, radial_steps=cfg.radial_steps)
     except RuntimeError as exc:  # a shoot that did not converge, or a ConditioningError
         print(f"metric pipeline failed: {exc}", file=sys.stderr)
         return EXIT_METRIC
     document = report.to_dict()
-    if "json" in cfg.formats:
-        export_json(_out_path(cfg, "metric.json"), document)
+    if "json" in paths:
+        export_json(paths["json"], document)
     print(json.dumps(document, sort_keys=True))
     return EXIT_OK
 

@@ -16,10 +16,14 @@ any float64 uniquely, so reading a table back gives the same doubles
 per-value call, not the decimal conversion, sets the cost of ``%``, so one
 numpy formatter (``_g17_cells``) writes the same bytes for a whole block of
 values at once, into fixed-width cells padded with bytes that one
-``bytes.translate`` then deletes.  In the node table ``r`` and ``theta`` are
-formatted once per call and their cells copied into each block of rings.
-Blocks are a few thousand values, so no text or column stack is held for
-the whole grid.
+``bytes.translate`` then deletes.  It scales each value to 17 digits in
+float64 double-double arithmetic, with an error below ``2**-47``, and puts
+each part of the text at a fixed byte of the cell; ``%`` itself formats
+only zeros, non-finite values, magnitudes beyond ``1e290`` or below
+``1e-290``, and values within ``2**-40`` of a rounding tie.  In the node
+table ``r`` and ``theta`` are formatted once per call and their cells copied
+into each block of rings.  Blocks are a few thousand values, so no text or
+column stack is held for the whole grid.
 """
 
 from __future__ import annotations
@@ -60,12 +64,19 @@ _FIELD_SEPS = np.frombuffer(b",,,,,,\n", dtype=np.uint8)
 _PROFILE_SEPS = np.frombuffer(b",,,,,\n", dtype=np.uint8)
 #: Values formatted at a time: the temporaries (about 2 MB) stay in cache.
 _BLOCK_VALUES = 8192
-#: Error bound of the long-double scaling in ``_g17_cells``, in units of
-#: ``np.finfo(np.longdouble).eps`` relative to the scaled value: the table
-#: power and the product each round by at most half of it.
-_TIE_MARGIN = 2.0
-#: Decimal exponents of the nonzero float64 values.
-_KMIN, _KMAX = -324, 308
+#: Magnitudes outside ``[1/_LIMIT, _LIMIT]`` go to ``%``: beyond them the
+#: split of ``|v|`` in ``_scaled`` could overflow, or the low part of the
+#: scaling underflow.
+_LIMIT = 1e290
+#: Decimal exponents in the tables: those of ``[1/_LIMIT, _LIMIT]``, and one
+#: below, where ``floor(log10)`` may round down.
+_KMIN, _KMAX = -291, 290
+#: Veltkamp's constant ``2**27 + 1``: it splits a double into two halves
+#: whose products with each other's halves are exact.
+_SPLIT = 134217729.0
+#: A scaled value is certified when its fraction is farther than this from
+#: one half; ``_scaled`` bounds the scaling error by ``2**-47``.
+_TIE_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -163,55 +174,88 @@ def _g17_tables() -> SimpleNamespace:
     """Lookup tables of ``_g17_cells``, built on first use.
 
     ``by k`` means indexed by ``k - _KMIN`` for the decimal exponent ``k``;
-    ``[w, q]`` is word ``w`` of a 3-word mask over the digit bytes for the
-    digit position ``q``, where ``q = 18`` means none:
+    ``[w, n]`` is word ``w`` of a mask over words 0 to 2 of a cell:
 
-    - ``eps``: ``np.finfo(np.longdouble).eps``;
-    - ``scale``, by k: ``10**(16 - k)`` in long double, parsed by the C
-      library's ``strtold`` and so correctly rounded;
+    - ``hi`` and ``lo``, by k: ``10**(16 - k)`` as the sum of two doubles.
+      ``hi`` is the correctly rounded power (``float("1e...")``), and ``lo``
+      the correctly rounded rest, found with exact integers.  ``hi_h`` and
+      ``hi_l`` are Veltkamp's split of ``hi``;
     - ``group``, by ``g < 10**4``: the word whose 4 low bytes spell ``%04d``;
+      ``group_hi`` holds the same in its 4 high bytes;
     - ``sig[i, g]``: how many leading digits end at group ``i``'s last
-      nonzero digit;
-    - ``point``, by k: the digit position of the decimal point (18: none);
-    - ``frac``, by k: the first digit that may be dropped as a trailing zero;
-    - ``head``, by k and then by k again for negatives: the sign and the
-      ``0.00`` lead, from byte 1;
-    - ``expo``, by k: ``e-05`` and the like, from byte 2 of the last word;
-    - ``before[w, q]`` and ``after[w, q]``: the bytes before and after ``q``;
-    - ``dot[w, q]``: a ``.`` at byte ``q``.
+      nonzero digit (1 for ``g = 0``);
+    - ``head``, by k and then by k again for negatives: word 0 of the cell,
+      a ``0`` at byte 6 where ``d0`` goes, and before it the sign and the
+      ``0.00`` lead, or after it the point;
+    - ``expo``, by k: word 3, ``e-05`` and the like from its first byte;
+    - ``keep[w, n]``: the bytes up to digit ``n - 1``, without the point
+      when ``n = 1``;
+    - ``shift[k]``, for ``0 < k < 17``: the byte order that moves the point
+      from byte 7 to just after digit ``k``.
     """
-    ks = np.arange(_KMIN, _KMAX + 1)
+    ks = range(_KMIN, _KMAX + 1)
+    hi = np.array([float(f"1e{16 - k}") for k in ks])
+    mantissa, exponent = np.frexp(hi)
+    c = _SPLIT * mantissa
+    hi_h = np.ldexp(c - (c - mantissa), exponent)
     g = np.arange(10_000)
     chars = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10]) + ord("0")
     shifts = np.arange(0, 32, 8, dtype=np.uint64)[:, None]
+    group = np.bitwise_or.reduce(chars.astype(np.uint64) << shifts)
     nonzero = chars > ord("0")
     last = np.where(nonzero[3], 4, np.where(nonzero[2], 3, np.where(nonzero[1], 2, 1)))
-    fixed = (ks >= -4) & (ks < 17)
-    point = np.where(fixed, np.where(ks < 0, 18, ks + 1), 1)
-    lead = [_word(b"0." + b"0" * (-k - 1), 1) if -4 <= k < 0 else 0 for k in ks.tolist()]
-    expo = [0 if f else _word(b"e%+03d" % k, 2) for k, f in zip(ks.tolist(), fixed)]
-
-    def words(masks):
-        return np.array([[(m >> (64 * w)) % 2**64 for m in masks] for w in range(3)], dtype=np.uint64)
-
+    lead = [b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in ks]
     return SimpleNamespace(
-        eps=float(np.finfo(np.longdouble).eps),
-        scale=np.array([f"1e{16 - k}" for k in ks.tolist()], dtype=np.longdouble),
-        group=np.bitwise_or.reduce(chars.astype(np.uint64) << shifts),
+        hi=hi,
+        hi_h=hi_h,
+        hi_l=hi - hi_h,
+        lo=np.array([_low_part(16 - k, h) for k, h in zip(ks, hi.tolist())]),
+        group=group,
+        group_hi=group << np.uint64(32),
         sig=np.stack([np.where(g == 0, 1, 1 + 4 * i + last) for i in range(4)]).astype(np.int8),
-        point=point,
-        frac=np.where(point == 18, 0, point),
-        head=np.array(lead + [w | ord("-") for w in lead], dtype=np.uint64),
-        expo=np.array(expo, dtype=np.uint64),
-        before=words([(1 << (8 * q)) - 1 for q in range(19)]),
-        after=words([(1 << 192) - (1 << (8 * (q + 1))) for q in range(19)]),
-        dot=words([ord(".") << (8 * q) if q < 18 else 0 for q in range(19)]),
+        head=_words([(s + x).rjust(6, b"\0") + (b"0" if x else b"0.") for s in (b"", b"-") for x in lead]),
+        expo=_words([b"" if -4 <= k < 17 else b"e%+03d" % k for k in ks]),
+        keep=_words([b"\xff" * (6 + n + (n > 1)) for n in range(18)], 24).reshape(18, 3).T,
+        shift=np.array([[*range(7), *range(8, 8 + k), 7, *range(8 + k, _CELL)] for k in range(17)]),
     )
 
 
-def _word(text: bytes, at: int) -> int:
-    """The integer whose little-endian bytes hold ``text`` from byte ``at``."""
-    return int.from_bytes(b"\0" * at + text, "little")
+def _low_part(p: int, hi: float) -> float:
+    """``10**p - hi``, correctly rounded: Python rounds ``int / int`` once."""
+    num, den = hi.as_integer_ratio()
+    top, bottom = (10**p, 1) if p >= 0 else (1, 10**-p)
+    return (top * den - num * bottom) / (bottom * den)
+
+
+def _words(texts, width: int = 8) -> np.ndarray:
+    """The 8-byte words that hold ``texts``, each NUL-padded to ``width`` bytes."""
+    return np.array(texts, dtype=f"S{width}").view("<u8")
+
+
+def _scaled(ax: np.ndarray, ki: np.ndarray, t: SimpleNamespace) -> tuple:
+    """``y = ax 10**(16 - k)`` as an integer part and a fraction, ``(whole, frac)``.
+
+    ``ki`` is ``k - _KMIN``, and ``1/_LIMIT <= ax <= _LIMIT``.  Where
+    ``y < 1e17 < 2**57``, ``whole + frac`` is within ``2**-47`` of ``y``:
+
+    - Dekker's product gives ``ax hi = s + e`` exactly, and ``s`` is then an
+      integer (``s >= 2**53`` once ``y >= 1e16``), with ``|e| <= ulp(s)/2 <= 8``;
+    - ``|lo| <= 2**-53 hi``, so ``|ax lo| < 16``, and rounding ``ax lo`` costs
+      at most ``2**-49``;
+    - ``lo`` itself is off by at most ``2**-53 |lo|``, ``2**-49`` after
+      scaling by ``ax``;
+    - rounding the sum ``low`` of ``e`` and ``ax lo`` (below 32) costs at
+      most ``2**-49``, and ``low - floor(low)`` at most ``2**-54``.
+    """
+    # Veltkamp splits ax = ah + al into halves whose products with hi's are exact
+    c = _SPLIT * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    bh, bl = t.hi_h[ki], t.hi_l[ki]
+    s = ax * t.hi[ki]
+    low = (((ah * bh - s) + ah * bl + al * bh) + al * bl) + ax * t.lo[ki]
+    below = np.floor(low)
+    return s.astype(np.int64) + below.astype(np.int64), low - below
 
 
 def _g17_cells(values: np.ndarray, seps) -> np.ndarray:
@@ -222,59 +266,81 @@ def _g17_cells(values: np.ndarray, seps) -> np.ndarray:
     followed by its byte of ``seps`` (broadcast to ``values.shape``) for each
     value in order, so cells of several calls can be interleaved first.
 
-    A nonzero finite value with decimal exponent ``k`` is scaled to
-    ``y = |v| 10**(16 - k)`` in long double.  Its 17 digits are ``round(y)``
-    when ``y`` is farther from a rounding tie than the scaling's error bound;
-    table lookups then spell them out and place the point, the trailing zeros
-    dropped, the sign, the ``0.`` lead and the exponent.  The rest are
-    formatted by ``%`` itself: zero, inf, nan, near-ties and values whose
-    ``k`` came out wrong (about 2% of field data), and every value where long
-    double is no wider than double.
+    A value with ``1/_LIMIT <= |v| <= _LIMIT`` and decimal exponent ``k`` is
+    scaled to ``y = |v| 10**(16 - k)`` in double-double arithmetic, where
+    ``10**(16 - k)`` is the sum ``hi + lo`` of two doubles: Dekker's exact
+    product of ``|v|`` and ``hi`` plus the product with ``lo`` give ``y`` as
+    an integer part and a fraction, within ``2**-47`` (``_scaled`` derives
+    the bound).  Its 17 digits ``d = round(y)`` are certified when the
+    fraction is farther than ``_TIE_MARGIN`` from one half.  Each cell is
+    four words of 8 bytes, and every part of the text has a fixed place:
+
+    - word 0: the sign and the ``0.000`` lead, ``d0`` at byte 6 and the
+      point at byte 7;
+    - words 1 and 2: ``d1..d8`` and ``d9..d16``, each from two lookups of a
+      group of 4 digits;
+    - word 3: the exponent from byte 24 and the separator at byte 31.
+
+    One mask, looked up by the number of significant digits, clears the
+    trailing zeros, and the point when no digit follows it; the last group
+    of digits gives that number unless it is zero.  For
+    ``10 <= |v| < 1e17`` the point falls among the digits: those cells alone
+    have their bytes permuted.  The rest are formatted by ``%`` itself: zero,
+    inf, nan, magnitudes outside the range, values within the margin of a
+    tie (exact ties included) and values whose ``k`` came out wrong.  In
+    256^2 field tables that is 0.05% of the values, all of them zeros.
     """
     t = _g17_tables()
     v = np.asarray(values, dtype=np.float64).ravel()
     ax = np.abs(v)
-    ok = np.isfinite(ax) & (ax > 0)
+    ok = (ax >= 1.0 / _LIMIT) & (ax <= _LIMIT)  # false for zero, inf and nan
     ax = np.where(ok, ax, 1.0)
     ki = np.floor(np.log10(ax)).astype(np.intp) - _KMIN
-    y = ax.astype(np.longdouble) * t.scale[ki]
-    whole = y.astype(np.int64)
-    frac = (y - whole.astype(np.longdouble)).astype(np.float64)
+    whole, frac = _scaled(ax, ki, t)
     d = whole + (frac > 0.5)
-    # a wrong k shows as a 16- or 18-digit ``whole``; a carry to 10**17 changes k
-    ok &= (np.abs(frac - 0.5) > (_TIE_MARGIN * t.eps) * whole) & (whole >= 10**16) & (d < 10**17)
+    # a wrong k shows as whole < 1e16 or d >= 1e17; a carry to 1e17 would change k
+    ok &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (whole >= 10**16) & (d < 10**17)
+
+    q = d // 10**8
+    lo8 = d - q * 10**8
+    d0 = q // 10**8
+    hi8 = q - d0 * 10**8
+    g0, g2 = hi8 // 10**4, lo8 // 10**4
+    g1, g3 = hi8 - g0 * 10**4, lo8 - g2 * 10**4
+    nsig = t.sig[3][g3].astype(np.intp)  # an index: gathers by int8 are slower
+    zero = np.flatnonzero(g3 == 0)
+    nsig[zero] = np.maximum(np.maximum(t.sig[0][g0[zero]], t.sig[1][g1[zero]]), t.sig[2][g2[zero]])
+    # 10 <= |v| < 1e17: the integer digits stay, and the point moves after digit k
+    inside = np.flatnonzero(ok & (ki > -_KMIN) & (ki <= 16 - _KMIN))
+    k = ki[inside] + _KMIN
+    point = nsig[inside] > k + 1
+    nsig[inside] = np.maximum(nsig[inside], k + 1)
 
     cells = np.empty((v.size, _CELL // 8), dtype="<u8")
-    # none is certified in a block of zeros and nans, nor where long double is no
-    # wider than double: then ``%`` formats every value
-    if ok.any():
-        d0, rest = np.divmod(d, 10**16)
-        hi, lo = np.divmod(rest, 10**8)
-        g = (hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
-        nsig = np.maximum(np.maximum(t.sig[0][g[0]], t.sig[1][g[1]]), np.maximum(t.sig[2][g[2]], t.sig[3][g[3]]))
-        # digit bytes d0..d16 in three words, trailing fraction zeros cleared
-        w = [t.group[x] for x in g]
-        keep = np.maximum(t.frac[ki], nsig)
-        u8, u24, u40, u56 = (np.uint64(s) for s in (8, 24, 40, 56))
-        a0 = ((d0.astype(np.uint64) + np.uint64(ord("0"))) | (w[0] << u8) | (w[1] << u40)) & t.before[0][keep]
-        a1 = ((w[1] >> u24) | (w[2] << u8) | (w[3] << u40)) & t.before[1][keep]
-        a2 = (w[3] >> u24) & t.before[2][keep]
-        # the bytes from the point on move up one place; the point stays if a digit follows
-        p = t.point[ki]
-        q = np.where(nsig > p, p, 18)
-        cells[:, 0] = t.head[ki + (v < 0) * (_KMAX - _KMIN + 1)]
-        cells[:, 1] = (a0 & t.before[0][p]) | ((a0 << u8) & t.after[0][p]) | t.dot[0][q]
-        cells[:, 2] = (a1 & t.before[1][p]) | (((a1 << u8) | (a0 >> u56)) & t.after[1][p]) | t.dot[1][q]
-        cells[:, 3] = (a2 & t.before[2][p]) | (((a2 << u8) | (a1 >> u56)) & t.after[2][p]) | t.dot[2][q] | t.expo[ki]
-
+    # the head holds "0" at byte 6, so or-ing d0 in there spells it
+    head = t.head[ki + (v < 0) * (_KMAX - _KMIN + 1)] | (d0.view(np.uint64) << np.uint64(48))
+    cells[:, 0] = head & t.keep[0][nsig]
+    cells[:, 1] = (t.group[g0] | t.group_hi[g1]) & t.keep[1][nsig]
+    cells[:, 2] = (t.group[g2] | t.group_hi[g3]) & t.keep[2][nsig]
+    cells[:, 3] = t.expo[ki]
     flat = cells.view(np.uint8)
+    if inside.size:
+        rows = flat[inside]
+        rows[~point, 7] = 0
+        flat[inside] = np.take_along_axis(rows, t.shift[k], axis=1)
+
     exact = np.flatnonzero(~ok)
     if exact.size:
-        text = (_EXACT_FMT * exact.size) % tuple(v[exact].tolist())
-        flat[exact, :-1] = np.frombuffer(text, dtype=np.uint8).reshape(exact.size, _CELL - 1)
+        flat[exact, :-1] = _exact_text(v[exact])
     out = flat.reshape(np.shape(values) + (_CELL,))
     out[..., -1] = seps
     return out
+
+
+def _exact_text(values: np.ndarray) -> np.ndarray:
+    """``%`` itself: each value's ``%.17g`` text, padded with spaces to a cell."""
+    text = (_EXACT_FMT * values.size) % tuple(values.tolist())
+    return np.frombuffer(text, dtype=np.uint8).reshape(values.size, _CELL - 1)
 
 
 def export_field_csv(path, htilde: ScalarField, observables: ObservableSet) -> str:

@@ -485,6 +485,36 @@ class TestOverrides:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert sorted(os.listdir(tmp_path)) == ([] if argv[0] == "verify" else ["run.json"])
 
+    @pytest.mark.parametrize("command", ["solve-2d", "solve-radial", "metric"])
+    @pytest.mark.parametrize(
+        "out, reason",
+        [("afile", "File exists"), ("afile/sub", "Not a directory"), ("/proc/nope", "No such file or directory")],
+        ids=["existing-file", "under-a-file", "proc"],
+    )
+    def test_unusable_output_dir_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, command, out, reason):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the output directory must be checked before any solve")
+
+        for name in ("shoot", "solve_taubes_2d", "metric_coefficient"):
+            monkeypatch.setattr(cli, name, no_solve)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        argv = [command, "--config", write_config(tmp_path, base_doc()), "--out", out]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: outputs.dir {out!r} is not a usable directory: {reason}\n"
+
+    def test_output_dir_unused_when_no_file_goes_there(self, tmp_path, capsys, monkeypatch):
+        # metric writes only JSON: with CSV alone it writes nothing, so its solve runs
+        def failing_metric(*args, **kwargs):
+            raise RuntimeError("stub")
+
+        monkeypatch.setattr(cli, "metric_coefficient", failing_metric)
+        (tmp_path / "afile").write_text("")
+        doc = base_doc(outputs={"formats": ["csv"]})
+        argv = ["metric", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "afile")]
+        assert cli.main(argv) == cli.EXIT_METRIC
+        assert capsys.readouterr().err == "metric pipeline failed: stub\n"
+
     @pytest.mark.parametrize(
         "document, message",
         [

@@ -107,6 +107,7 @@ def solved96(disk3):
     for key, cfg in (
         ("centered", VortexConfiguration.centered(1)),
         ("boundary", VortexConfiguration.boundary_point(0.0)),
+        ("mixed", VortexConfiguration(interior=((0.9 + 0.5j, 1),), boundary=((2.0, 1),))),
     ):
         field, report = solve_taubes_2d(disk3, cfg, grid)
         out[key] = (cfg, field, report, compute_observables(field, report))
@@ -222,6 +223,45 @@ _PINNED = np.concatenate(
 )
 
 
+#: Cases of the fixed layout: the point among the digits, mid-range exact ties
+#: and 1 to 16 trailing zeros (``1 + 2**-j`` has ``j + 1`` significant digits).
+_SPELLED = {
+    12.5: b"12.5",
+    123456.78901234567: b"123456.78901234567",
+    9999999999999998.0: b"9999999999999998",
+    100000000000000.125: b"100000000000000.12",
+    1000000000000000.75: b"1000000000000000.8",
+    0.5: b"0.5",
+    3e20: b"3e+20",
+    5e-05: b"5.0000000000000002e-05",
+    0.000125: b"0.000125",
+    -1.2345678901234567e123: b"-1.2345678901234567e+123",
+    -1.6021766339999999e-119: b"-1.6021766339999999e-119",
+}
+_LAYOUT = np.concatenate(
+    [
+        list(_SPELLED),
+        [1.5e-7, 1e16 + 2.0, 12345678901234568.0, 10.0, 99.5],
+        1.0 + 2.0 ** -np.arange(17),
+        (1.0 + 2.0 ** -np.arange(17)) * 2.0 ** np.arange(-20, 57, 8)[:, None],
+    ],
+    axis=None,
+)
+
+
+def _record_exact_values(monkeypatch) -> list:
+    """A list to which ``_g17_cells`` then appends each array of values it formats by ``%``."""
+    sent = []
+    exact_text = observables._exact_text
+
+    def spy(values):
+        sent.append(values.copy())
+        return exact_text(values)
+
+    monkeypatch.setattr(observables, "_exact_text", spy)
+    return sent
+
+
 class TestG17Formatter:
     """``_g17_cells`` spells every float64 as ``b"%.17g" % v`` does."""
 
@@ -257,25 +297,76 @@ class TestG17Formatter:
         with np.errstate(all="raise"):
             assert _g17_text(values, ord(",")) == b"nan,nan,inf,-inf,0,-0,4.9406564584124654e-324,"
 
+    @pytest.mark.parametrize("values", [_LAYOUT, -_LAYOUT], ids=["positive", "negative"])
+    def test_fixed_layout_cases(self, values):
+        seps = np.full(values.shape, ord(","), dtype=np.uint8)
+        with np.errstate(all="raise"):
+            assert _g17_text(values, seps) == _percent_text(values, seps)
+
+    def test_fixed_layout_spellings(self):
+        # the point among the digits, a mid-range exact tie and trailing zeros
+        values = np.array(list(_SPELLED))
+        assert _g17_text(values, ord(",")) == b"".join(text + b"," for text in _SPELLED.values())
+
+    def test_range_limits(self, monkeypatch):
+        limit = observables._LIMIT
+        edges = [limit, 1e-290]  # 1/limit rounds to just below 1e-290
+        beyond = [np.nextafter(limit, math.inf), np.nextafter(1.0 / limit, 0.0)]
+        # just below a power of ten ``floor(log10)`` rounds up, so ``%`` formats these too
+        below_power = [np.nextafter(limit, 0.0), 1.0 / limit]
+        values = np.array(edges + beyond + below_power)
+        values = np.concatenate([values, -values])
+        sent = _record_exact_values(monkeypatch)
+        seps = np.full(values.shape, ord(","), dtype=np.uint8)
+        with np.errstate(all="raise"):
+            assert _g17_text(values, seps) == _percent_text(values, seps)
+        assert sorted(np.abs(np.concatenate(sent)).tolist()) == sorted(2 * (beyond + below_power))
+
     def test_exact_path_alone_gives_the_same_bytes(self, monkeypatch):
-        # where long double is no wider than double no value is certified
+        # no fraction lies farther than 1/2 from one half, so ``%`` formats every value
         rng = np.random.default_rng(3)
         values = np.concatenate([_PINNED, rng.standard_normal(500) * 10.0 ** rng.integers(-30, 30, 500)])
         seps = np.full(values.shape, ord(","), dtype=np.uint8)
         expected = _g17_text(values, seps)
-        monkeypatch.setattr(observables, "_TIE_MARGIN", math.inf)
+        monkeypatch.setattr(observables, "_TIE_MARGIN", 0.5)
         cells = _g17_cells(values, seps)
         # every cell holds the text that ``%`` padded with spaces
         assert [c[:-1].tobytes().rstrip(b" ") for c in cells] == [b"%.17g" % v for v in values.tolist()]
         assert cells.tobytes().translate(None, observables._PAD) == expected == _percent_text(values, seps)
 
-    def test_powers_of_ten_are_correctly_rounded(self):
-        # the certification bound assumes at most half an ulp of error per power
+    def test_scaling_table_is_exact_to_2_pow_104(self):
+        # the error bound in ``_scaled`` takes hi + lo within 2**-104 of the power,
+        # and Veltkamp's halves of hi of at most 26 significant bits
         t = _g17_tables()
-        unit_roundoff = Fraction(t.eps) / 2
-        for k, power in zip(range(observables._KMIN, observables._KMAX + 1), t.scale):
+        rows = zip(range(observables._KMIN, observables._KMAX + 1), t.hi, t.lo, t.hi_h, t.hi_l)
+        for k, hi, lo, hi_h, hi_l in rows:
             exact = Fraction(10) ** (16 - k)
-            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= unit_roundoff * exact
+            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104
+            assert hi_h + hi_l == hi
+            for half in (hi_h, hi_l):
+                assert math.ldexp(math.frexp(half)[0], 26).is_integer()
+
+    def test_scaling_error_within_the_bound(self):
+        # values are certified only where the margin exceeds the scaling error
+        bound = Fraction(1, 2**47)
+        assert observables._TIE_MARGIN > bound
+        rng = np.random.default_rng(5)
+        ax = np.ldexp(rng.random(3000) + 0.5, rng.integers(-960, 960, 3000))
+        ax = ax[(ax >= 1.0 / observables._LIMIT) & (ax <= observables._LIMIT)]
+        k = np.floor(np.log10(ax)).astype(np.intp)
+        whole, frac = observables._scaled(ax, k - observables._KMIN, _g17_tables())
+        for a, p, w, f in zip(ax.tolist(), (16 - k).tolist(), whole.tolist(), frac.tolist()):
+            y = Fraction(a) * Fraction(10) ** p
+            assert y >= 10**17 or abs(w + Fraction(f) - y) <= bound
+
+    def test_few_values_reach_percent(self, monkeypatch, tmp_path, solved96):
+        # zeros (theta = 0, and y on that ray) are spelled by ``%``; of the other values
+        # only those within the certification margin of a tie are
+        grid, out = solved96
+        _, field, _, obs = out["mixed"]
+        sent = _record_exact_values(monkeypatch)
+        export_field_csv(tmp_path / "field.csv", field, obs)
+        assert np.count_nonzero(np.concatenate(sent)) <= 1e-3 * 9 * grid.size
 
 
 class TestExport:
