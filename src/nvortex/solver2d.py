@@ -24,12 +24,18 @@ products are ``operators.inner``, not threaded BLAS, so the result does not
 depend on the BLAS thread count.  This is the only linear-solver path;
 the tests keep a SuperLU Newton step as the oracle it is checked against.
 
-Newton does not start from zero on grids that halve to at least
-``NESTED_MIN_POINTS`` per direction: the same solve on the half grid,
-prolonged (trigonometric in theta, cubic in r), starts it, and one fine step
-then usually meets the tolerance (nested iteration; Allgower, Boehmer, Potra
-& Rheinboldt, "A mesh-independence principle for operator equations and
-their discretizations", SIAM J. Numer. Anal. 23, 1986).
+Newton's first iterate is a product of single-vortex profiles
+(``_product_start``; Jaffe & Taubes, "Vortices and Monopoles", 1980):
+``exp(h) = prod (|z - X|^2 / (|z - X|^2 + a^2))^n`` with ``a^2 = ANSATZ_A2``,
+which lies in [0, 1] and is vacuum away from the cores (``exp(v0)`` alone
+grows like ``|z|^(2N)``).  On grids that
+halve to at least ``NESTED_MIN_POINTS`` per direction the same solve on the
+half grid, prolonged (trigonometric in theta, cubic in r), starts Newton
+instead when its residual is lower, and one fine step then usually meets the
+tolerance (nested iteration; Allgower, Boehmer, Potra & Rheinboldt, "A
+mesh-independence principle for operator equations and their
+discretizations", SIAM J. Numer. Anal. 23, 1986).  Each half grid is solved
+only to ``HALF_GRID_TOL_RATIO`` times the tolerance of the grid above it.
 """
 
 from __future__ import annotations
@@ -65,8 +71,20 @@ FORCING_EXACT_BELOW = 1e-2
 #: CG iterations allowed per Newton step before it counts as a failed solve.
 CG_MAX_ITER = 500
 #: Least ``nr`` and ``ntheta`` of a half grid that starts the Newton of a
-#: finer one (see ``_solve``); smaller grids start from zero.
+#: finer one (see ``_solve``); smaller grids take the product-ansatz start.
 NESTED_MIN_POINTS = 64
+#: Each half grid of a nested start is solved to this many times the
+#: tolerance of the grid above it: its prolongation leaves a fine-grid
+#: residual of 1.7e-4 to 4.6e-3 (128^2 and 256^2) however far it is solved.
+#: At 100 the energy of a half grid stays within 5e-8 relative of the same
+#: grid solved to ``tol``, far below its discretisation error.
+HALF_GRID_TOL_RATIO = 100.0
+#: Core constant ``a**2`` of the product-ansatz start (``_product_start``).
+#: It stands for ``exp(-h0)``, the core coefficient of the unit vortex
+#: (3.03 on the flat disk of radius 3, 2.75 from radius 6 on, 2.50 on a
+#: table disk with Omega from 1 to 1.5); Newton's step count is flat for
+#: ``a**2`` from 2 to 4, so the round value is kept.
+ANSATZ_A2 = 2.0
 
 
 @dataclass
@@ -84,6 +102,8 @@ class SolveReport:
     the position tangents of ``moduli`` take.  ``coarse`` holds one
     ``(nr, ntheta, newton_steps, cg_iterations)`` per half-grid level of the
     nested start, coarsest first; the other fields describe this grid only.
+    ``start`` names this grid's first Newton iterate: ``"half grid"`` (the
+    prolonged half-grid solution) or ``"product ansatz"`` (``_product_start``).
     """
 
     iterations: int
@@ -96,6 +116,7 @@ class SolveReport:
     forcing: list = dataclass_field(default_factory=list)
     singular: SingularPart | None = None
     coarse: list = dataclass_field(default_factory=list)
+    start: str = ""
 
 
 def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, rtol: float):
@@ -138,6 +159,25 @@ def _forcing(history: list) -> float:
     if len(history) == 1:
         return FORCING_MAX
     return max(CG_RTOL, min(FORCING_MAX, FORCING_GAMMA * (norm / history[-2]) ** 2))
+
+
+def _product_start(singular: SingularPart) -> np.ndarray:
+    """Product-ansatz first iterate of Newton, flattened.
+
+    ``htilde0 = -sum_k n_k log(|z - X_k|^2 + a^2) - sum_j m_j log(|z - W_j|^2 + a^2)``
+    with ``a^2 = ANSATZ_A2``, so that ``exp(htilde0 + v0)`` is the product of
+    ``(|z - X|^2 / (|z - X|^2 + a^2))^n`` over the cores (Jaffe & Taubes,
+    "Vortices and Monopoles", 1980): it lies in [0, 1], vanishes at each core
+    like ``|z - X|^2 / a^2`` and is vacuum far from the cores.
+    """
+    grid = singular.v0.grid
+    z = grid.nodes_complex.reshape(grid.size)
+    radius = singular.disk.radius
+    cores = [*singular.config.interior, *((radius * np.exp(1j * t), m) for t, m in singular.config.boundary)]
+    start = np.zeros(grid.size)
+    for pos, n in cores:
+        start -= n * np.log(np.abs(z - pos) ** 2 + ANSATZ_A2)
+    return start
 
 
 def _prolong(coarse: np.ndarray, grid: PolarGrid) -> np.ndarray:
@@ -187,8 +227,11 @@ def solve_taubes_2d(
 
     Where ``nr`` and ``ntheta`` are even and their halves at least
     ``NESTED_MIN_POINTS``, Newton starts from the same problem solved on the
-    half grid (recursively) and prolonged; otherwise, or when that start
-    fails or does not lower the residual, from zero.
+    half grid (recursively, each level to ``HALF_GRID_TOL_RATIO`` times the
+    tolerance of the level above) and prolonged; otherwise, or when that
+    start fails or has the larger residual, from the product of
+    single-vortex profiles (see the module docstring).  ``report.start``
+    says which.
 
     Parameters
     ----------
@@ -215,12 +258,12 @@ def solve_taubes_2d(
     ------
     ValueError
         For a ``linear_solver`` other than ``"cg"``, a ``tol`` not finite
-        and ``>= 0`` or a vortex on a node of ``grid`` (only a node of a
-        half grid gives a zero start instead).
+        and ``>= 0`` or a vortex on a node of ``grid`` (a node of a half
+        grid only drops the half-grid start).
     LinearSolveError
         If the linear solve of a Newton step on ``grid`` fails; the message
         names the step and the residual it started from.  A failure on a
-        half grid gives a zero start instead.
+        half grid only drops the half-grid start.
 
     Notes
     -----
@@ -240,7 +283,13 @@ def solve_taubes_2d(
 
 
 def _solve(disk, config, grid, tol, max_iter, nested):
-    """``solve_taubes_2d``; ``nested=False`` always starts Newton from zero."""
+    """``solve_taubes_2d`` on ``grid`` to ``tol``.
+
+    Newton starts from ``_product_start``, or from the prolonged solution of
+    this same function on the half grid (to ``HALF_GRID_TOL_RATIO * tol``)
+    when ``nested`` is true, the grid qualifies and that start has the lower
+    residual.  ``nested=False`` takes no half-grid start.
+    """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     check_bradlow(config, disk)
@@ -262,26 +311,33 @@ def _solve(disk, config, grid, tol, max_iter, nested):
         F = (matrix @ hvec + b) / w - omega * (e - 1.0)
         return F, e, float(np.max(np.abs(F * norm_scale)))
 
-    h = np.zeros(grid.size)
+    h = _product_start(singular)
     F, e_h, norm = residual(h)
+    start = "product ansatz"
     coarse = []
     half = (grid.nr // 2, grid.ntheta // 2)
     if nested and grid.nr % 2 == grid.ntheta % 2 == 0 and min(half) >= NESTED_MIN_POINTS:
         try:
             coarse_field, coarse_report = _solve(
-                disk, config, PolarGrid(grid.radius, *half), tol, max_iter, nested=True
+                disk, config, PolarGrid(grid.radius, *half), HALF_GRID_TOL_RATIO * tol, max_iter, nested=True
             )
         except (ValueError, LinearSolveError):
             pass  # a vortex on a half-grid node, or a failed half-grid step
         else:
             levels = coarse_report.iterations, sum(coarse_report.linear_iterations)
             coarse = coarse_report.coarse + [(*half, *levels)]
-            start = _prolong(coarse_field.values, grid)
-            F_start, e_start, norm_start = residual(start)
+            prolonged = _prolong(coarse_field.values, grid)
+            F_start, e_start, norm_start = residual(prolonged)
             if norm_start < norm:
-                h, F, e_h, norm = start, F_start, e_start, norm_start
+                h, F, e_h, norm = prolonged, F_start, e_start, norm_start
+                start = "half grid"
     report = SolveReport(
-        iterations=0, residual_history=[norm], termination="max_iter", singular=singular, coarse=coarse
+        iterations=0,
+        residual_history=[norm],
+        termination="max_iter",
+        singular=singular,
+        coarse=coarse,
+        start=start,
     )
 
     while norm > tol and report.iterations < max_iter:

@@ -174,8 +174,8 @@ class TestForcing:
         assert sum(inexact.linear_iterations) < sum(exact.linear_iterations)
 
 
-def _zero_start(disk, cfg, grid):
-    """Oracle: the same Newton on ``grid`` alone, started from ``htilde = 0``."""
+def _without_half_grid_start(disk, cfg, grid):
+    """Oracle: the same Newton on ``grid`` alone, started from the product ansatz."""
     return solver2d._solve(disk, cfg, grid, solver2d.DEFAULT_TOL, solver2d.DEFAULT_MAX_ITER, nested=False)
 
 
@@ -186,17 +186,58 @@ def _refuse(*args):
 _NESTED_CASES = {**_CASES, "off-centre N=2": VortexConfiguration(interior=((1.1 + 0.4j, 1), (-0.7 - 1.2j, 1)))}
 
 
+@pytest.fixture(scope="module")
+def nested256(disk3):
+    """Each ``_NESTED_CASES`` solve at 256^2 as ``(nr, tol, field, report)`` per level, coarsest first."""
+    solve = solver2d._solve
+    levels = {}
+    for name, cfg in _NESTED_CASES.items():
+        calls = levels[name] = []
+
+        def record(disk, config, grid, tol, max_iter, nested):
+            result = solve(disk, config, grid, tol, max_iter, nested)
+            calls.append((grid.nr, tol, *result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver2d, "_solve", record)
+            solve_taubes_2d(disk3, cfg, build_grid(disk3, 256, 256))
+    return levels
+
+
 class TestNestedStart:
+    @pytest.mark.parametrize("name", _NESTED_CASES)
+    def test_one_newton_step_above_the_coarsest_level(self, nested256, name):
+        levels = nested256[name]
+        assert [(nr, tol) for nr, tol, _, _ in levels] == [
+            (64, pytest.approx(1e-4)), (128, pytest.approx(1e-6)), (256, solver2d.DEFAULT_TOL)
+        ]
+        *_, report = levels[-1]
+        assert report.converged and report.start == "half grid"
+        assert [steps for _, _, steps, _ in report.coarse[1:]] + [report.iterations] == [1, 1]
+
+    @pytest.mark.parametrize("name", _NESTED_CASES)
+    def test_half_grid_energy_as_if_solved_to_tol(self, disk3, nested256, name):
+        # The 128^2 level, solved to 100 tol, keeps the energy of 128^2 solved
+        # to tol far below its discretisation error (1.6e-6 at the least), so
+        # a Richardson estimate from the two grids stays valid.
+        nr, _, field, report = nested256[name][1]
+        assert nr == 128 and report.converged
+        reference = solve_taubes_2d(disk3, _NESTED_CASES[name], build_grid(disk3, 128, 128))
+        energy = compute_observables(field, report).energy
+        assert energy == pytest.approx(compute_observables(*reference).energy, rel=5e-8)
+
     @pytest.mark.parametrize("nr", [128, 256])
     @pytest.mark.parametrize("cfg", _NESTED_CASES.values(), ids=_NESTED_CASES.keys())
     def test_matches_zero_start_oracle(self, disk3, cfg, nr):
         grid = build_grid(disk3, nr, nr)
         field, report = solve_taubes_2d(disk3, cfg, grid)
-        oracle, oracle_report = _zero_start(disk3, cfg, grid)
+        oracle, oracle_report = _without_half_grid_start(disk3, cfg, grid)
         assert report.converged and oracle_report.converged
         assert np.max(np.abs(field.values - oracle.values)) <= 1e-8
         assert [level[:2] for level in report.coarse] == [(64, 64), (128, 128)][: nr // 128]
         assert report.iterations < oracle_report.iterations
+        assert report.start == "half grid" and oracle_report.start == "product ansatz"
         assert len(report.residual_history) == report.iterations + 1
         # Both stop at residual tol; their quantization agrees far below
         # its own discretisation error (about 1e-4 here).
@@ -212,14 +253,15 @@ class TestNestedStart:
         with pytest.raises(ValueError, match="coincides with a grid node"):
             build_singular_part(cfg, disk3, build_grid(disk3, 64, 64))
         field, report = solve_taubes_2d(disk3, cfg, grid)
-        oracle, _ = _zero_start(disk3, cfg, grid)
+        oracle, _ = _without_half_grid_start(disk3, cfg, grid)
         assert report.converged and report.coarse == []
+        assert report.start == "product ansatz"
         assert np.array_equal(field.values, oracle.values)
 
-    def test_half_grid_linear_failure_starts_from_zero(self, disk3, monkeypatch):
+    def test_half_grid_linear_failure_solves_without_a_half_grid_start(self, disk3, monkeypatch):
         grid = build_grid(disk3, 128, 128)
         cfg = _CASES["N=1+M=1"]
-        oracle, oracle_report = _zero_start(disk3, cfg, grid)
+        oracle, oracle_report = _without_half_grid_start(disk3, cfg, grid)
         spd = solver2d._solve_spd
 
         def fail_on_half_grid(lap, shift, rhs, rtol):
@@ -230,16 +272,18 @@ class TestNestedStart:
         monkeypatch.setattr(solver2d, "_solve_spd", fail_on_half_grid)
         field, report = solve_taubes_2d(disk3, cfg, grid)
         assert report.converged and report.coarse == []
+        assert report.start == "product ansatz"
         assert report.iterations == oracle_report.iterations
         assert np.array_equal(field.values, oracle.values)
 
     def test_start_that_raises_the_residual_is_dropped(self, disk3, monkeypatch):
         grid = build_grid(disk3, 128, 128)
         cfg = _CASES["boundary"]
-        oracle, _ = _zero_start(disk3, cfg, grid)
+        oracle, _ = _without_half_grid_start(disk3, cfg, grid)
         monkeypatch.setattr(solver2d, "_prolong", lambda coarse, fine: np.full(fine.size, 50.0))
         field, report = solve_taubes_2d(disk3, cfg, grid)
         assert report.converged and len(report.coarse) == 1
+        assert report.start == "product ansatz"
         assert np.array_equal(field.values, oracle.values)
 
     def test_fine_grid_validated_before_half_grid(self, disk3, monkeypatch):
@@ -256,10 +300,10 @@ class TestNestedStart:
         assert built == [grid]
 
     @pytest.mark.parametrize("shape", [(64, 64), (126, 126), (128, 127)])
-    def test_small_or_odd_grids_start_from_zero(self, disk3, monkeypatch, shape):
+    def test_small_or_odd_grids_solve_without_a_half_grid_start(self, disk3, monkeypatch, shape):
         grid = build_grid(disk3, *shape)
         cfg = _CASES["N=1+M=1"]
-        oracle, oracle_report = _zero_start(disk3, cfg, grid)
+        oracle, oracle_report = _without_half_grid_start(disk3, cfg, grid)
         monkeypatch.setattr(solver2d, "_prolong", _refuse)
         field, report = solve_taubes_2d(disk3, cfg, grid)
         assert report.coarse == []
@@ -276,6 +320,67 @@ class TestNestedStart:
         coarse, fine = build_grid(disk3, 32, 20), build_grid(disk3, 64, 40)
         err = np.max(np.abs(solver2d._prolong(cubic(coarse), fine) - cubic(fine).ravel()))
         assert err <= 1e-12
+
+
+def _from_zero(disk, cfg, grid):
+    """Oracle: ``_without_half_grid_start`` with Newton started from ``htilde = 0``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver2d, "_product_start", lambda singular: np.zeros(singular.v0.grid.size))
+        return _without_half_grid_start(disk, cfg, grid)
+
+
+def _outcome(solve, disk, cfg, grid):
+    """``(exit code, (field, report) or None)``: 0 converged, else the CLI's code."""
+    try:
+        field, report = solve(disk, cfg, grid)
+    except BradlowViolation:
+        return 2, None
+    except LinearSolveError:
+        return 4, None
+    except ValueError:  # a vortex on a grid node
+        return 1, None
+    return (0 if report.converged else 4), (field, report)
+
+
+_START_DISKS = (
+    ConformalDisk.flat(3.0),
+    ConformalDisk.flat(12.0),
+    ConformalDisk.from_samples(3.0, (0.0, 0.75, 1.5, 2.25, 3.0), (1.0, 1.1, 1.25, 1.4, 1.5)),
+)
+
+
+@st.composite
+def _start_problems(draw):
+    """A disk, a 32-48 grid, 1-3 interior vortices (n = 1, 2; some within 3% of the rim), 0-2 boundary ones."""
+    disk = draw(st.sampled_from(_START_DISKS))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    fraction = st.one_of(st.floats(0.0, 0.97), st.floats(0.97, 0.999))
+    interior = draw(st.lists(st.tuples(fraction, angle, st.sampled_from((1, 2))), min_size=1, max_size=3))
+    boundary = draw(st.lists(angle, max_size=2))
+    cfg = VortexConfiguration(
+        interior=tuple((disk.radius * rho * complex(math.cos(phi), math.sin(phi)), n) for rho, phi, n in interior),
+        boundary=tuple((t, 1) for t in boundary),
+    )
+    return disk, cfg, build_grid(disk, draw(st.integers(32, 48)), draw(st.integers(32, 48)))
+
+
+class TestProductStart:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(problem=_start_problems())
+    def test_product_start_against_zero_start(self, problem):
+        # Both starts end the same way; the product start takes no more Newton
+        # steps and, converged, the same quantization to far below its
+        # discretisation error.
+        code, solved = _outcome(solve_taubes_2d, *problem)
+        oracle_code, oracle = _outcome(_from_zero, *problem)
+        assert code == oracle_code
+        if code == 0:
+            (field, report), (oracle_field, oracle_report) = solved, oracle
+            assert report.start == "product ansatz"
+            assert report.iterations <= oracle_report.iterations
+            obs, ref = compute_observables(field, report), compute_observables(oracle_field, oracle_report)
+            assert obs.flux == pytest.approx(ref.flux, rel=1e-7)
+            assert obs.energy == pytest.approx(ref.energy, rel=1e-7)
 
 
 class TestFluxBalance:
