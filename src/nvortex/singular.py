@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+def vortex_cores(config: VortexConfiguration, radius: float) -> list[tuple[complex, int]]:
+    """Every core as ``(position, multiplicity)``, the interior vortices first.
+
+    Boundary vortices sit at ``radius * exp(i theta)`` on the circle.
+    """
+    return [*config.interior, *((radius * np.exp(1j * theta), m) for theta, m in config.boundary)]
+
+
 @dataclass(frozen=True)
 class SingularPart:
     """Core logarithms ``v0`` on the grid plus the outer Neumann data they induce.
@@ -55,13 +63,9 @@ class SingularPart:
         grid = self.v0.grid
         z = grid.nodes_complex
         gc = np.zeros(grid.shape, dtype=complex)
-        for pos, n in self.config.interior:
+        for pos, n in vortex_cores(self.config, self.disk.radius):
             d = z - pos
             gc += (2.0 * n) * d / np.abs(d) ** 2
-        radius = self.disk.radius
-        for theta_w, m in self.config.boundary:
-            d = z - radius * np.exp(1j * theta_w)
-            gc += (2.0 * m) * d / np.abs(d) ** 2
         phase = np.exp(-1j * grid.theta)[None, :]
         local = phase * gc
         return local.real.copy(), local.imag.copy()
@@ -81,21 +85,19 @@ def build_singular_part(
     radius = disk.radius
     theta = grid.theta
 
-    g = np.zeros(grid.ntheta)
-    for pos, n in config.interior:
+    for pos, n in vortex_cores(config, radius):
         d2 = np.abs(z - pos) ** 2
         if np.any(d2 == 0.0):
             raise ValueError(f"vortex at {pos} coincides with a grid node")
         v0 += n * np.log(d2)
+
+    g = np.zeros(grid.ntheta)
+    for pos, n in config.interior:
         rho = abs(pos)
         alpha = np.angle(pos) if rho > 0 else 0.0
         boundary_d2 = radius * radius - 2.0 * radius * rho * np.cos(theta - alpha) + rho * rho
         g -= n * (2.0 * radius - 2.0 * rho * np.cos(theta - alpha)) / boundary_d2
-    for theta_w, m in config.boundary:
-        d2 = np.abs(z - radius * np.exp(1j * theta_w)) ** 2
-        if np.any(d2 == 0.0):
-            raise ValueError(f"boundary vortex at angle {theta_w} coincides with a grid node")
-        v0 += m * np.log(d2)
+    for _, m in config.boundary:
         g -= m / radius
 
     return SingularPart(

@@ -31,10 +31,11 @@ which lies in [0, 1] and is vacuum away from the cores (``exp(v0)`` alone
 grows like ``|z|^(2N)``).  On grids that
 halve to at least ``NESTED_MIN_POINTS`` per direction the same solve on the
 half grid, prolonged (trigonometric in theta, cubic in r), starts Newton
-instead when its residual is lower, and one fine step then usually meets the
-tolerance (nested iteration; Allgower, Boehmer, Potra & Rheinboldt, "A
-mesh-independence principle for operator equations and their
-discretizations", SIAM J. Numer. Anal. 23, 1986).  Each half grid is solved
+instead whenever that half-grid solve converged, and one fine step then
+usually meets the tolerance (nested iteration; Allgower, Boehmer, Potra &
+Rheinboldt, "A mesh-independence principle for operator equations and their
+discretizations", SIAM J. Numer. Anal. 23, 1986, which assumes the coarse
+iterate solves the coarse problem).  Each half grid is solved
 only to ``HALF_GRID_TOL_RATIO`` times the tolerance of the grid above it.
 """
 
@@ -53,7 +54,7 @@ from .geometry import (
     check_bradlow,
 )
 from .operators import LinearSolveError, NeumannLaplacian, PolarModeSolver, assemble_neumann_laplacian, inner
-from .singular import SingularPart, build_singular_part
+from .singular import SingularPart, build_singular_part, vortex_cores
 
 __all__ = ["SolveReport", "solve_taubes_2d"]
 
@@ -172,10 +173,8 @@ def _product_start(singular: SingularPart) -> np.ndarray:
     """
     grid = singular.v0.grid
     z = grid.nodes_complex.reshape(grid.size)
-    radius = singular.disk.radius
-    cores = [*singular.config.interior, *((radius * np.exp(1j * t), m) for t, m in singular.config.boundary)]
     start = np.zeros(grid.size)
-    for pos, n in cores:
+    for pos, n in vortex_cores(singular.config, singular.disk.radius):
         start -= n * np.log(np.abs(z - pos) ** 2 + ANSATZ_A2)
     return start
 
@@ -228,10 +227,9 @@ def solve_taubes_2d(
     Where ``nr`` and ``ntheta`` are even and their halves at least
     ``NESTED_MIN_POINTS``, Newton starts from the same problem solved on the
     half grid (recursively, each level to ``HALF_GRID_TOL_RATIO`` times the
-    tolerance of the level above) and prolonged; otherwise, or when that
-    start fails or has the larger residual, from the product of
-    single-vortex profiles (see the module docstring).  ``report.start``
-    says which.
+    tolerance of the level above) and prolonged, provided that half-grid
+    solve converged; otherwise from the product of single-vortex profiles
+    (see the module docstring).  ``report.start`` says which.
 
     Parameters
     ----------
@@ -279,16 +277,16 @@ def solve_taubes_2d(
     # The keyword stays only because perfbench's warm-up passes linear_solver="cg".
     if linear_solver != "cg":
         raise ValueError(f"unknown linear_solver {linear_solver!r}")
-    return _solve(disk, config, grid, tol, max_iter, nested=True)
+    return _solve(disk, config, grid, tol, max_iter)
 
 
-def _solve(disk, config, grid, tol, max_iter, nested):
+def _solve(disk, config, grid, tol, max_iter):
     """``solve_taubes_2d`` on ``grid`` to ``tol``.
 
-    Newton starts from ``_product_start``, or from the prolonged solution of
-    this same function on the half grid (to ``HALF_GRID_TOL_RATIO * tol``)
-    when ``nested`` is true, the grid qualifies and that start has the lower
-    residual.  ``nested=False`` takes no half-grid start.
+    Where ``grid`` halves to at least ``NESTED_MIN_POINTS`` per direction,
+    this same function first solves the half grid to
+    ``HALF_GRID_TOL_RATIO * tol``.  Newton starts from that solution,
+    prolonged, if it converged, and from ``_product_start`` otherwise.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -308,29 +306,26 @@ def _solve(disk, config, grid, tol, max_iter, nested):
     def residual(hvec):
         with np.errstate(over="ignore"):
             e = np.exp(hvec + v0)
-        F = (matrix @ hvec + b) / w - omega * (e - 1.0)
-        return F, e, float(np.max(np.abs(F * norm_scale)))
+            F = (matrix @ hvec + b) / w - omega * (e - 1.0)
+            return F, e, float(np.max(np.abs(F * norm_scale)))
 
-    h = _product_start(singular)
-    F, e_h, norm = residual(h)
-    start = "product ansatz"
-    coarse = []
+    h, start, coarse = None, "product ansatz", []
     half = (grid.nr // 2, grid.ntheta // 2)
-    if nested and grid.nr % 2 == grid.ntheta % 2 == 0 and min(half) >= NESTED_MIN_POINTS:
+    if grid.nr % 2 == grid.ntheta % 2 == 0 and min(half) >= NESTED_MIN_POINTS:
         try:
             coarse_field, coarse_report = _solve(
-                disk, config, PolarGrid(grid.radius, *half), HALF_GRID_TOL_RATIO * tol, max_iter, nested=True
+                disk, config, PolarGrid(grid.radius, *half), HALF_GRID_TOL_RATIO * tol, max_iter
             )
         except (ValueError, LinearSolveError):
             pass  # a vortex on a half-grid node, or a failed half-grid step
         else:
             levels = coarse_report.iterations, sum(coarse_report.linear_iterations)
             coarse = coarse_report.coarse + [(*half, *levels)]
-            prolonged = _prolong(coarse_field.values, grid)
-            F_start, e_start, norm_start = residual(prolonged)
-            if norm_start < norm:
-                h, F, e_h, norm = prolonged, F_start, e_start, norm_start
-                start = "half grid"
+            if coarse_report.converged:
+                h, start = _prolong(coarse_field.values, grid), "half grid"
+    if h is None:
+        h = _product_start(singular)
+    F, e_h, norm = residual(h)
     report = SolveReport(
         iterations=0,
         residual_history=[norm],

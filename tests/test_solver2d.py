@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nvortex import (
     BradlowViolation,
@@ -77,6 +77,23 @@ class TestNewtonSolve:
         assert report.termination == "line_search"
         assert report.iterations == 0
         assert report.linear_iterations == [7]
+        assert report.damping_events == solver2d.MAX_HALVINGS + 1
+
+    def test_overflowing_trial_is_rejected(self, disk3, monkeypatch):
+        # A first step to h + v0 = 709.5 at one rim node: exp is finite there
+        # (1.6e308), its residual in mean-cell units is not.  No other node
+        # moves, so no step length lowers the residual.
+        grid = build_grid(disk3, 32, 32)
+        node = grid.size - 1
+
+        def spike(lap, shift, rhs, rtol):
+            delta = np.zeros_like(rhs)
+            delta[node] = 709.5 - math.log(shift[node] / lap.weights[node])
+            return delta, 0
+
+        monkeypatch.setattr(solver2d, "_solve_spd", spike)
+        _, report = solve_taubes_2d(disk3, VortexConfiguration.centered(1), grid)
+        assert report.termination == "line_search" and report.iterations == 0
         assert report.damping_events == solver2d.MAX_HALVINGS + 1
 
     def test_unknown_linear_solver_rejected(self, disk3):
@@ -176,7 +193,21 @@ class TestForcing:
 
 def _without_half_grid_start(disk, cfg, grid):
     """Oracle: the same Newton on ``grid`` alone, started from the product ansatz."""
-    return solver2d._solve(disk, cfg, grid, solver2d.DEFAULT_TOL, solver2d.DEFAULT_MAX_ITER, nested=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver2d, "NESTED_MIN_POINTS", max(grid.shape) + 1)
+        return solve_taubes_2d(disk, cfg, grid)
+
+
+def _record_levels(calls):
+    """A stand-in for ``solver2d._solve`` that appends ``(nr, tol, field, report)`` to ``calls`` per grid solved."""
+    solve = solver2d._solve
+
+    def record(disk, config, grid, tol, max_iter):
+        result = solve(disk, config, grid, tol, max_iter)
+        calls.append((grid.nr, tol, *result))
+        return result
+
+    return record
 
 
 def _refuse(*args):
@@ -184,23 +215,18 @@ def _refuse(*args):
 
 
 _NESTED_CASES = {**_CASES, "off-centre N=2": VortexConfiguration(interior=((1.1 + 0.4j, 1), (-0.7 - 1.2j, 1)))}
+#: On the flat disk of radius 3 its 64^2 solve ends in line_search: the
+#: Neumann data's boundary peak is narrower than the angular spacing.
+_NEAR_RIM = VortexConfiguration(interior=((2.99 + 0.0123j, 1),))
 
 
 @pytest.fixture(scope="module")
 def nested256(disk3):
     """Each ``_NESTED_CASES`` solve at 256^2 as ``(nr, tol, field, report)`` per level, coarsest first."""
-    solve = solver2d._solve
     levels = {}
     for name, cfg in _NESTED_CASES.items():
-        calls = levels[name] = []
-
-        def record(disk, config, grid, tol, max_iter, nested):
-            result = solve(disk, config, grid, tol, max_iter, nested)
-            calls.append((grid.nr, tol, *result))
-            return result
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver2d, "_solve", record)
+            patch.setattr(solver2d, "_solve", _record_levels(levels.setdefault(name, [])))
             solve_taubes_2d(disk3, cfg, build_grid(disk3, 256, 256))
     return levels
 
@@ -276,14 +302,41 @@ class TestNestedStart:
         assert report.iterations == oracle_report.iterations
         assert np.array_equal(field.values, oracle.values)
 
-    def test_start_that_raises_the_residual_is_dropped(self, disk3, monkeypatch):
+    def test_unconverged_half_grid_is_not_prolonged(self, disk3, monkeypatch):
         grid = build_grid(disk3, 128, 128)
-        cfg = _CASES["boundary"]
-        oracle, _ = _without_half_grid_start(disk3, cfg, grid)
-        monkeypatch.setattr(solver2d, "_prolong", lambda coarse, fine: np.full(fine.size, 50.0))
+        cfg = _CASES["N=1+M=1"]
+        oracle, oracle_report = _without_half_grid_start(disk3, cfg, grid)
+        solve = solver2d._solve
+
+        def one_step_on_half_grid(disk, config, g, tol, max_iter):
+            return solve(disk, config, g, tol, 1 if g.nr < grid.nr else max_iter)
+
+        monkeypatch.setattr(solver2d, "_solve", one_step_on_half_grid)
+        monkeypatch.setattr(solver2d, "_prolong", _refuse)
         field, report = solve_taubes_2d(disk3, cfg, grid)
-        assert report.converged and len(report.coarse) == 1
-        assert report.start == "product ansatz"
+        assert [level[:3] for level in report.coarse] == [(64, 64, 1)]
+        assert report.converged and report.start == "product ansatz"
+        assert report.residual_history == oracle_report.residual_history
+        assert np.array_equal(field.values, oracle.values)
+
+    def test_near_rim_vortex_whose_half_grid_fails(self, disk3):
+        # The 64^2 level fails, so 128^2 starts from the product ansatz and
+        # 256^2 from the converged 128^2.  Solved as single grids, 128^2 and
+        # 256^2 converge in 5 steps with flux/2pi 1.4647 and 1.0385: wrong by
+        # the same boundary defect, so the flux is not asserted here.
+        levels = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver2d, "_solve", _record_levels(levels))
+            solve_taubes_2d(disk3, _NEAR_RIM, build_grid(disk3, 256, 256))
+        assert [(nr, report.termination) for nr, _, _, report in levels] == [
+            (64, "line_search"), (128, "converged"), (256, "converged")
+        ]
+        assert [report.start for *_, report in levels[1:]] == ["product ansatz", "half grid"]
+
+        grid = build_grid(disk3, 128, 128)
+        field, report = solve_taubes_2d(disk3, _NEAR_RIM, grid)
+        oracle, _ = _without_half_grid_start(disk3, _NEAR_RIM, grid)
+        assert report.converged and report.start == "product ansatz"
         assert np.array_equal(field.values, oracle.values)
 
     def test_fine_grid_validated_before_half_grid(self, disk3, monkeypatch):
@@ -350,8 +403,8 @@ _START_DISKS = (
 
 
 @st.composite
-def _start_problems(draw):
-    """A disk, a 32-48 grid, 1-3 interior vortices (n = 1, 2; some within 3% of the rim), 0-2 boundary ones."""
+def _start_problems(draw, sizes=st.integers(32, 48)):
+    """A disk, a grid of ``sizes``, 1-3 interior vortices (n = 1, 2; some within 3% of the rim), 0-2 boundary ones."""
     disk = draw(st.sampled_from(_START_DISKS))
     angle = st.floats(0.0, 2.0 * math.pi)
     fraction = st.one_of(st.floats(0.0, 0.97), st.floats(0.97, 0.999))
@@ -361,7 +414,7 @@ def _start_problems(draw):
         interior=tuple((disk.radius * rho * complex(math.cos(phi), math.sin(phi)), n) for rho, phi, n in interior),
         boundary=tuple((t, 1) for t in boundary),
     )
-    return disk, cfg, build_grid(disk, draw(st.integers(32, 48)), draw(st.integers(32, 48)))
+    return disk, cfg, build_grid(disk, draw(sizes), draw(sizes))
 
 
 class TestProductStart:
@@ -381,6 +434,21 @@ class TestProductStart:
             obs, ref = compute_observables(field, report), compute_observables(oracle_field, oracle_report)
             assert obs.flux == pytest.approx(ref.flux, rel=1e-7)
             assert obs.energy == pytest.approx(ref.energy, rel=1e-7)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(problem=_start_problems(sizes=st.just(128)))
+    @example(problem=(_START_DISKS[0], _NEAR_RIM, build_grid(_START_DISKS[0], 128, 128)))
+    def test_half_grid_start_exactly_when_half_grid_converged(self, problem):
+        *_, grid = problem
+        levels = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver2d, "_solve", _record_levels(levels))
+            _, solved = _outcome(solve_taubes_2d, *problem)
+        half = [report.converged for nr, *_, report in levels if nr < grid.nr]
+        if solved is not None:
+            _, report = solved
+            assert len(report.coarse) == len(half)
+            assert (report.start == "half grid") == (half == [True])
 
 
 class TestFluxBalance:
