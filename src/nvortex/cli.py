@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 ok, 1 configuration or usage error, 2
 existence bound violated, 3 radial shoot did not converge, 4 Newton
-non-convergence or a failed inner linear solve, 5 metric pipeline failure, 6
-verification failure.
+stopped without converging (``SolveReport.termination`` says why), 5 metric
+pipeline failure, 6 verification failure.
 Outputs land under ``--out`` with fixed filenames (profile.csv, field.csv,
 report.json, metric.json); identical configurations produce bit-identical
 reports.
@@ -28,7 +28,7 @@ from .observables import (
     solution_summary,
 )
 from .shooting import shoot
-from .solver2d import LinearSolveError, solve_taubes_2d
+from .solver2d import solve_taubes_2d
 from .verification import REFERENCE_CONFIG, run_acceptance
 
 __all__ = ["main", "run"]
@@ -146,7 +146,8 @@ def _cmd_solve_2d(args) -> int:
     if not report.converged:
         print(
             f"Newton solve stopped without converging: {report.termination} "
-            f"after {report.iterations} iterations (residual {report.residual_history[-1]:.3g})",
+            f"after {report.iterations} iterations (residual {report.residual_history[-1]:.3g})"
+            + (f": {report.detail}" if report.detail else ""),
             file=sys.stderr,
         )
         return EXIT_NEWTON
@@ -245,11 +246,8 @@ def main(argv=None) -> int:
         print(f"configuration error: input too large to allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BradlowViolation as exc:
-        print(f"existence bound violated: {exc} (margin {exc.margin:.6g})", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_BRADLOW
-    except LinearSolveError as exc:
-        print(f"linear solve failed: {exc}", file=sys.stderr)
-        return EXIT_NEWTON
 
 
 def run() -> None:

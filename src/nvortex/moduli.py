@@ -352,13 +352,19 @@ def metric_coefficient(
     Runs the radial shoot at ``radial_steps`` steps and the linearized
     boundary-value solve, which gives both the boundary term and ``a'(0)``
     for the local term; no 2-D field is solved.  Raises ``RuntimeError`` if
-    the shoot does not converge.
+    the shoot does not converge, and ``ConditioningError`` if the boundary
+    term overflows.
     """
     radial = shoot(disk, n=1, steps=radial_steps)
     if not radial.converged:
         raise RuntimeError(radial.failure_reason())
     lin = solve_linearized(disk, radial)
-    bterm = boundary_metric_term(lin)
+    try:
+        bterm = boundary_metric_term(lin)
+    except OverflowError:
+        raise ConditioningError(
+            f"boundary term overflows: the linearized boundary value is {lin.boundary_value:.3g}"
+        ) from None
     omega0 = float(disk.omega_at(0.0))
     db = complex(0.5 * lin.slope0 - 0.25 * omega0, 0.0)
     local = math.pi * (0.5 * omega0 + lin.slope0)

@@ -153,12 +153,12 @@ def compute_observables(htilde: ScalarField, report: SolveReport) -> ObservableS
 def radial_observables(profile: RadialProfile, disk: ConformalDisk) -> dict:
     """Profile observables: ``|phi|^2 = r^{2n} exp(htilde)``, ``B`` and density."""
     r = profile.r
-    with np.errstate(over="ignore"):
-        phi_sq = r ** (2 * profile.n) * np.exp(profile.htilde)
-    B = 0.5 * (1.0 - phi_sq)
     dh = profile.dhtilde + 2.0 * profile.n / r
     omega = disk.omega_at(r)
-    dens = B * B + 0.25 * phi_sq * dh * dh / omega
+    with np.errstate(over="ignore", invalid="ignore"):  # an unconverged profile may overflow
+        phi_sq = r ** (2 * profile.n) * np.exp(profile.htilde)
+        B = 0.5 * (1.0 - phi_sq)
+        dens = B * B + 0.25 * phi_sq * dh * dh / omega
     return {"r": r, "phi_sq": phi_sq, "B": B, "energy_density": dens}
 
 

@@ -378,7 +378,8 @@ def shoot(
     coarse_steps = max(COARSE_STEPS, math.ceil(disk.radius / COARSE_MAX_STEP))
     coarse = _newton(disk, n, coarse_steps, START_H0, closed_form)
     r, h, p = coarse.r, coarse.htilde, coarse.dhtilde
-    dp = disk.omega_at(r) * (r ** (2 * n) * np.exp(h) - 1.0) - p / r
+    with np.errstate(over="ignore", invalid="ignore"):  # a stalled coarse stage leaves h huge
+        dp = disk.omega_at(r) * (r ** (2 * n) * np.exp(h) - 1.0) - p / r
 
     def interpolated(r_starts):
         return np.array([_hermite(r_starts, r, h, p), _hermite(r_starts, r, p, dp)])

@@ -93,8 +93,11 @@ class SolveReport:
     """Newton convergence record for one field solve.
 
     ``termination`` says why the iteration stopped: ``"converged"``,
-    ``"max_iter"`` (iteration budget spent) or ``"line_search"`` (no step
-    length down to ``2**-MAX_HALVINGS`` reduced the residual).
+    ``"max_iter"`` (iteration budget spent), ``"line_search"`` (no step
+    length down to ``2**-MAX_HALVINGS`` reduced the residual) or
+    ``"linear_solve"`` (the linear solve of a Newton step failed; ``detail``
+    holds its message).  ``converged`` and ``iterations`` (accepted Newton
+    steps) are read off ``termination`` and ``residual_history``.
     ``linear_iterations`` holds the CG iteration count of each Newton step
     and ``forcing`` the relative CG tolerance it was solved to (``CG_RTOL``
     for an exact step).  ``singular`` is the singular part the solve split
@@ -107,17 +110,24 @@ class SolveReport:
     prolonged half-grid solution) or ``"product ansatz"`` (``_product_start``).
     """
 
-    iterations: int
     residual_history: list = dataclass_field(default_factory=list)
     bc_residual: float = 0.0
-    converged: bool = False
     damping_events: int = 0
     termination: str = ""
+    detail: str = ""
     linear_iterations: list = dataclass_field(default_factory=list)
     forcing: list = dataclass_field(default_factory=list)
     singular: SingularPart | None = None
     coarse: list = dataclass_field(default_factory=list)
     start: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
 
 
 def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, rtol: float):
@@ -239,8 +249,7 @@ def solve_taubes_2d(
     tol
         Convergence threshold on the infinity norm of the nonlinear residual.
     max_iter
-        Maximum Newton iterations; on exhaustion a not-converged report is
-        returned (no exception).
+        Maximum Newton iterations.
     linear_solver
         Only ``"cg"``: conjugate gradients with the separable polar
         preconditioner, the one linear-solver path.
@@ -248,7 +257,9 @@ def solve_taubes_2d(
     Returns
     -------
     (ScalarField, SolveReport)
-        The field ``htilde`` and the convergence record.  ``bc_residual`` is
+        The field ``htilde`` and the convergence record.  Every stop of
+        Newton, converged or not, returns the last accepted iterate, and
+        ``report.termination`` says which stop it was.  ``bc_residual`` is
         the discrete flux-balance defect
         ``|sum Omega (exp(htilde+v0) - 1) r dr dtheta - R * sum g dtheta|``.
 
@@ -258,10 +269,6 @@ def solve_taubes_2d(
         For a ``linear_solver`` other than ``"cg"``, a ``tol`` not finite
         and ``>= 0`` or a vortex on a node of ``grid`` (a node of a half
         grid only drops the half-grid start).
-    LinearSolveError
-        If the linear solve of a Newton step on ``grid`` fails; the message
-        names the step and the residual it started from.  A failure on a
-        half grid only drops the half-grid start.
 
     Notes
     -----
@@ -286,7 +293,9 @@ def _solve(disk, config, grid, tol, max_iter):
     Where ``grid`` halves to at least ``NESTED_MIN_POINTS`` per direction,
     this same function first solves the half grid to
     ``HALF_GRID_TOL_RATIO * tol``.  Newton starts from that solution,
-    prolonged, if it converged, and from ``_product_start`` otherwise.
+    prolonged, if it converged, and from ``_product_start`` otherwise.  A
+    ``LinearSolveError`` of a Newton step ends the loop as the termination
+    ``"linear_solve"``.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -316,8 +325,8 @@ def _solve(disk, config, grid, tol, max_iter):
             coarse_field, coarse_report = _solve(
                 disk, config, PolarGrid(grid.radius, *half), HALF_GRID_TOL_RATIO * tol, max_iter
             )
-        except (ValueError, LinearSolveError):
-            pass  # a vortex on a half-grid node, or a failed half-grid step
+        except ValueError:
+            pass  # a vortex on a half-grid node
         else:
             levels = coarse_report.iterations, sum(coarse_report.linear_iterations)
             coarse = coarse_report.coarse + [(*half, *levels)]
@@ -327,12 +336,7 @@ def _solve(disk, config, grid, tol, max_iter):
         h = _product_start(singular)
     F, e_h, norm = residual(h)
     report = SolveReport(
-        iterations=0,
-        residual_history=[norm],
-        termination="max_iter",
-        singular=singular,
-        coarse=coarse,
-        start=start,
+        residual_history=[norm], termination="max_iter", singular=singular, coarse=coarse, start=start
     )
 
     while norm > tol and report.iterations < max_iter:
@@ -340,7 +344,8 @@ def _solve(disk, config, grid, tol, max_iter):
         try:
             delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), rtol)
         except LinearSolveError as exc:
-            raise LinearSolveError(f"Newton step {report.iterations + 1} (residual {norm:.3g}): {exc}") from exc
+            report.termination, report.detail = "linear_solve", str(exc)
+            break
         report.linear_iterations.append(cg_iterations)
         report.forcing.append(rtol)
         lam = 1.0
@@ -357,11 +362,9 @@ def _solve(disk, config, grid, tol, max_iter):
             report.termination = "line_search"
             break
         h, F, e_h, norm = trial, F_new, e_new, norm_new
-        report.iterations += 1
         report.residual_history.append(norm)
 
-    report.converged = norm <= tol
-    if report.converged:
+    if norm <= tol:
         report.termination = "converged"
     flux_in = float(np.sum(w * omega * (e_h - 1.0)))
     flux_bc = float(grid.radius * grid.dtheta * np.sum(singular.neumann_data))

@@ -102,3 +102,26 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _handler_sites(path: Path, name: str) -> set[str]:
+    """The module-level functions of ``path`` holding an ``except`` clause that names ``name``."""
+    sites = set()
+    for function in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                named |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
+                if name in named:
+                    sites.add(f"{path.stem}.{getattr(function, 'name', '<module>')}")
+    return sites
+
+
+def test_linear_solve_errors_have_one_channel():
+    # A failed Newton-step linear solve becomes the termination "linear_solve"
+    # in solver2d._solve, and a failed tangent solve a failed verify row;
+    # any other handler would be a second way for a solve to stop.
+    sites = set().union(*(_handler_sites(path, "LinearSolveError") for path in SOURCES))
+    assert sites == {"solver2d._solve", "verification.run_acceptance"}
+    cli_source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert "LinearSolveError" not in cli_source

@@ -10,6 +10,7 @@ import pytest
 from nvortex import build_grid, cli, compute_observables, moduli, solver2d, verification
 from nvortex.config import load_run_config
 from nvortex.observables import FIELD_CSV_HEADER
+from nvortex.operators import LinearSolveError
 from nvortex.verification import CheckResult
 from radial_oracle import integrate_radial
 
@@ -34,6 +35,11 @@ def base_doc(**overrides):
 def _unconverged_shoot(disk, *, n, steps):
     """A real profile at ``h0 = -1``, off the root, so its outer slope misses ``SLOPE_TOL``."""
     return integrate_radial(-1.0, disk, n, steps=steps)
+
+
+def _failed_linear_solve(*args, **kwargs):
+    """A stand-in for ``_solve_spd`` whose every solve fails."""
+    raise LinearSolveError("injected failure")
 
 
 def _assert_shoot_reason(err):
@@ -110,6 +116,16 @@ class TestSolveRadial:
         _assert_shoot_reason(captured.err)
 
 
+    def test_stalled_shoot_exits_without_warnings(self, tmp_path, capsys):
+        # The stalled coarse stage leaves exp(h) overflowing in the hand-off
+        # and in the profile's observables; the suite turns warnings into errors.
+        out = tmp_path / "out"
+        doc = base_doc(radius=800.0, interior=[{"x": 0, "y": 0, "n": 25}], radial={"steps": 1000})
+        assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_SHOOT
+        assert "Newton stalled" in capsys.readouterr().err
+        assert (out / "profile.csv").exists()
+
+
 class TestSolve2d:
     def test_writes_field_and_report(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -174,15 +190,16 @@ class TestSolve2d:
         assert cli.main(["solve-2d", "--config", cfg]) == cli.EXIT_BRADLOW
 
     def test_linear_solve_failure_exit(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise solver2d.LinearSolveError("injected failure")
-
-        monkeypatch.setattr(solver2d, "_solve_spd", fail)
+        # A failed linear solve is a Newton stop like the others: the files
+        # are written and the exit code is 4.
+        monkeypatch.setattr(solver2d, "_solve_spd", _failed_linear_solve)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(grid={"nr": 16, "ntheta": 16}))
         assert cli.main(["solve-2d", "--config", cfg, "--out", str(out)]) == cli.EXIT_NEWTON
-        assert "injected failure" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert "linear_solve" in err and "injected failure" in err
+        assert json.loads((out / "report.json").read_text())["converged"] is False
+        assert (out / "field.csv").exists()
 
     def test_linear_solve_failure_names_newton_step(self, tmp_path, capsys):
         # 0.01 from the boundary at dr ~ 0.047: exp(h) collapses over the
@@ -191,7 +208,7 @@ class TestSolve2d:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["solve-2d", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_NEWTON
         err = capsys.readouterr().err
-        assert re.search(r"linear solve failed: Newton step \d+ \(residual [^)]+\): polar mode 0 is singular", err)
+        assert re.search(r"linear_solve after \d+ iterations \(residual [^)]+\): polar mode 0 is singular", err)
 
     def test_reports_independent_of_blas_threads(self, tmp_path, run_python):
         # At 128^2 (16,384 nodes) OpenBLAS splits a ddot across threads; at
@@ -322,6 +339,17 @@ class TestMetric:
         _assert_shoot_reason(err)
         assert not (out / "metric.json").exists()
 
+    def test_overflowing_boundary_term_is_a_metric_failure(self, tmp_path, capsys):
+        # On flat R = 3000 the linearised boundary value is about 1e271, so
+        # its square overflows.
+        out = tmp_path / "out"
+        doc = {"radius": 3000.0, "interior": [{"x": 0.0, "y": 0.0, "n": 1}]}
+        assert cli.main(["metric", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_METRIC
+        err = capsys.readouterr().err
+        assert err.startswith("metric pipeline failed: boundary term overflows: the linearized boundary value is ")
+        assert err.count("\n") == 1
+        assert not (out / "metric.json").exists()
+
     def test_radial_steps_reach_the_shoot(self, tmp_path, capsys, monkeypatch):
         seen = []
         real_shoot = moduli.shoot
@@ -334,6 +362,22 @@ class TestMetric:
         cfg = write_config(tmp_path, base_doc())
         assert cli.main(["metric", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
         assert seen == [{"n": 1, "steps": 2000}]
+
+
+class TestExistenceBound:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("solve-2d", base_doc(interior=[{"x": 0, "y": 0, "n": 3}])),
+            ("solve-radial", base_doc(interior=[{"x": 0, "y": 0, "n": 3}])),
+            ("metric", base_doc(radius=1.0)),
+        ],
+        ids=["solve-2d", "solve-radial", "metric"],
+    )
+    def test_violation_message_printed_once(self, tmp_path, capsys, command, doc):
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_BRADLOW
+        assert capsys.readouterr().err == "existence bound violated: margin A/(4*pi) - N - M/2 = -0.75 <= 0\n"
 
 
 class TestModuleEntry:
@@ -530,6 +574,17 @@ class TestOverrides:
             assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
+#: The checks of ``verify`` that read a 2-D solve: the centred one, the
+#: boundary one, the N = 2 one and the refinement levels.
+ROWS_READING_A_SOLVE = (
+    "interior flux = 2*pi", "interior energy = pi", "energy = flux/2 (interior)", "solver converges N=1 at R=3",
+    "core coefficient b(0) = 0", "rotational symmetry of centered solve",
+    "boundary flux = pi", "boundary energy = pi/2", "energy = flux/2 (boundary)",
+    "reflection symmetry of boundary solve", "energy maximum strictly inside the disk",
+    "solver converges N=2 at R=3", "2d field matches radial profile", "observed convergence order",
+)
+
+
 class TestVerify:
     def _stub(self, passed):
         return [
@@ -611,3 +666,27 @@ class TestVerify:
             (line,) = [line for line in out.splitlines() if f"FAIL    {name} (" in line]
             assert reason in line and "at 2000 steps" in line
         assert "PASS    vacuum closed form a = -2r/R^2" in out
+
+    def test_failed_newton_linear_solves_fail_the_rows_that_read_them(self, capsys, monkeypatch):
+        # Every 2-D solve stops at its first Newton step with linear_solve;
+        # its field, the product-ansatz start, passes some checks by itself.
+        monkeypatch.setattr(solver2d, "_solve_spd", _failed_linear_solve)
+        assert cli.main(["verify", "--nr", "64"]) == cli.EXIT_VERIFY
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if re.match(r" +\d+  (PASS|FAIL)  ", line)]) == 28
+        failed = [line for line in lines if re.match(r" +\d+  FAIL  ", line)]
+        assert len(failed) == len(ROWS_READING_A_SOLVE) + 1
+        for name in ROWS_READING_A_SOLVE:
+            (line,) = [line for line in failed if f"FAIL    {name} (" in line]
+            assert line.endswith("; solve not converged (linear_solve))")
+        (loop,) = [line for line in failed if "FAIL    loop integral matches closed form (" in line]
+        assert loop.endswith("(centred field solve did not converge (linear_solve))")
+        assert lines[-1] == "13/28 checks passed at 64x64"
+
+    def test_failed_tangent_solve_fails_the_loop_integral_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(moduli, "_solve_spd", _failed_linear_solve)
+        assert cli.main(["verify", "--nr", "64"]) == cli.EXIT_VERIFY
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if re.match(r" +\d+  FAIL  ", line)]
+        assert failed == [CheckResult(7, "loop integral matches closed form", False, "injected failure").line()]
+        assert lines[-1] == "27/28 checks passed at 64x64"

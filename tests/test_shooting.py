@@ -180,6 +180,12 @@ class TestShoot:
         assert profile.passes[1] == 1
         assert "Newton stalled after 1 sweeps" in profile.failure_reason()
 
+    def test_stalled_coarse_stage_hands_off_without_warnings(self):
+        # The coarse stage stalls with a huge h, whose exp overflows in the
+        # slopes handed to the fine stage; the suite turns warnings into errors.
+        profile = shoot(ConformalDisk.flat(800.0), n=25, steps=1_000)
+        assert not profile.converged and profile.stalled
+
     @pytest.mark.parametrize(
         "radius, steps", [(25.0, 50_000), (30.0, 100_000), (60.0, 100_000)], ids=["R25", "R30", "R60"]
     )

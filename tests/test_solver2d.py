@@ -154,11 +154,13 @@ class TestFastPathAgainstDirect:
         assert report.converged
         assert 1 <= max(report.linear_iterations) <= 3
 
-    def test_cg_stagnation_raises(self, disk3, monkeypatch):
+    def test_cg_stagnation_ends_newton(self, disk3, monkeypatch):
         monkeypatch.setattr(solver2d, "CG_MAX_ITER", 1)
         grid = build_grid(disk3, 32, 32)
-        with pytest.raises(LinearSolveError, match="conjugate gradient"):
-            solve_taubes_2d(disk3, VortexConfiguration.boundary_point(0.3), grid)
+        _, report = solve_taubes_2d(disk3, VortexConfiguration.boundary_point(0.3), grid)
+        assert not report.converged
+        assert report.termination == "linear_solve"
+        assert "conjugate gradient" in report.detail
 
 
 _CASES = {
@@ -297,7 +299,7 @@ class TestNestedStart:
 
         monkeypatch.setattr(solver2d, "_solve_spd", fail_on_half_grid)
         field, report = solve_taubes_2d(disk3, cfg, grid)
-        assert report.converged and report.coarse == []
+        assert report.converged and report.coarse == [(64, 64, 0, 0)]
         assert report.start == "product ansatz"
         assert report.iterations == oracle_report.iterations
         assert np.array_equal(field.values, oracle.values)
@@ -388,8 +390,6 @@ def _outcome(solve, disk, cfg, grid):
         field, report = solve(disk, cfg, grid)
     except BradlowViolation:
         return 2, None
-    except LinearSolveError:
-        return 4, None
     except ValueError:  # a vortex on a grid node
         return 1, None
     return (0 if report.converged else 4), (field, report)
