@@ -2,8 +2,8 @@
 
 The same operator backs the nonlinear field solver and the discrete
 Green-function solves, so all modules discretise the Laplacian identically.
-The field solver uses it assembled, as a seven-diagonal CSR matrix built
-band by band; the Green functions need only its couplings.
+The field solver uses it assembled, as a CSR matrix written row by row,
+five entries a row; the Green functions need only its couplings.
 Its couplings depend on the radius only, so a discrete Fourier transform in
 theta splits it into independent tridiagonal systems in r, one per angular
 mode; ``PolarModeSolver`` solves the operator (with a ring-constant diagonal
@@ -102,28 +102,42 @@ def assemble_neumann_laplacian(grid: PolarGrid, disk: ConformalDisk) -> NeumannL
     with the inner face of the first ring at ``r = 0`` (zero flux, no pole
     special case) and the outer face carrying the prescribed Neumann flux.
     The matrix is assembled in the volume-weighted symmetric form, directly
-    as seven CSR diagonals (offsets 0, +-1, +-(ntheta-1), +-ntheta); each
+    as CSR rows of five entries in ascending column order: the south
+    neighbour (``i >= 1``), the three nodes ``j - 1, j, j + 1`` of the ring
+    (``0, 1, nt - 1`` at ``j = 0`` and ``0, nt - 2, nt - 1`` at
+    ``j = nt - 1``) and the north neighbour (``i <= nr - 2``).  Each
     diagonal entry is minus its row's off-diagonal sum, so row sums vanish.
     """
     c_rad, c_ang = polar_couplings(grid, disk)
     nr, nt = grid.nr, grid.ntheta
-    ring = np.repeat(c_ang, nt)
-    first = np.arange(grid.size) % nt == 0
-    # Diagonal k (offset > 0) holds row k's coupling to node k + offset; the
-    # matrix is symmetric, so offset -k holds the same values.  Angular
-    # neighbours j + 1 sit at offset 1 (none from the last node of a ring)
-    # and the periodic wrap from j = 0 to j = nt - 1 at offset nt - 1.
-    east = np.where(first[1:], 0.0, ring[:-1])
-    wrap = np.where(first[: 1 - nt], ring[: 1 - nt], 0.0)
-    north = np.repeat(c_rad, nt)
-    radial = np.concatenate([c_rad, [0.0]]) + np.concatenate([[0.0], c_rad])
-    diagonal = -np.repeat(2.0 * c_ang + radial, nt)
-    matrix = sp.diags(
-        [diagonal, east, east, wrap, wrap, north, north],
-        [0, 1, -1, nt - 1, 1 - nt, nt, -nt],
-        shape=(grid.size, grid.size),
-        format="csr",
-    )
+    south = np.concatenate([[0.0], c_rad])
+    north = np.concatenate([c_rad, [0.0]])
+    # Per ring: the south, angular, diagonal and north entries of its rows.
+    entries = np.column_stack([south, c_ang, -(2.0 * c_ang + (north + south)), north])
+    # Per node j of a ring, the five columns of its row relative to the
+    # ring's first node, and which entry each takes.
+    columns = np.arange(nt, dtype=np.int32)[:, None] + np.array([-nt, -1, 0, 1, nt], dtype=np.int32)
+    columns[0, 1:4] = 0, 1, nt - 1
+    columns[-1, 1:4] = 0, nt - 2, nt - 1
+    kinds = np.tile([0, 1, 2, 1, 3], (nt, 1))
+    kinds[0, 1:4] = 2, 1, 1
+    kinds[-1, 1:4] = 1, 1, 2
+    # The first ring has no south neighbour and the last no north one, so
+    # the rows come in up to three blocks of rings with equal row lengths.
+    edges = sorted({0, 1, nr - 1, nr})
+    widths = 3 + (np.arange(nr) >= 1) + (np.arange(nr) <= nr - 2)
+    indptr = np.zeros(grid.size + 1, dtype=np.int32)
+    np.cumsum(np.repeat(widths, nt), out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = slice(indptr[lo * nt], indptr[hi * nt])
+        slots = slice(int(lo == 0), 4 + int(hi < nr))
+        shape = (hi - lo, nt, widths[lo])
+        first_nodes = np.arange(lo * nt, hi * nt, nt, dtype=np.int32)[:, None, None]
+        np.add(first_nodes, columns[:, slots], out=indices[rows].reshape(shape))
+        data[rows].reshape(shape)[...] = entries[lo:hi, kinds[:, slots]]
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(grid.size, grid.size))
     weights = grid.flat_weights()
     weights.setflags(write=False)
     return NeumannLaplacian(grid=grid, matrix=matrix, weights=weights, c_rad=c_rad, c_ang=c_ang)

@@ -17,12 +17,16 @@ vortex makes the shift ring-constant and CG converges in one or two
 iterations.  The steps are inexact Newton steps (Eisenstat & Walker, "Choosing
 the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17, 1996,
 choice 2): CG stops at a relative residual of ``FORCING_MAX`` on the first
-step and of ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2``, clipped to
-``[CG_RTOL, FORCING_MAX]``, on later ones; once the Newton residual is below
-``FORCING_EXACT_BELOW`` every step is solved to ``CG_RTOL``.  The CG inner
-products are ``operators.inner``, not threaded BLAS, so the result does not
-depend on the BLAS thread count.  This is the only linear-solver path;
-the tests keep a SuperLU Newton step as the oracle it is checked against.
+step and of ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2`` on later ones, never
+below the floor ``FORCING_TOL_SHARE * tol / |F_k|`` for the grid's own
+``tol``, clipped to ``[CG_RTOL, FORCING_MAX]`` (Kelley, "Iterative Methods
+for Linear and Nonlinear Equations", SIAM 1995, 6.3); once the Newton
+residual is below ``FORCING_EXACT_BELOW`` a step is solved to that floor.
+So the half grids of a nested solve, solved to looser tolerances, stop CG
+early.  The CG inner products are ``operators.inner``, not threaded BLAS, so
+the result does not depend on the BLAS thread count.  This is the only
+linear-solver path; the tests keep a SuperLU Newton step as the oracle it is
+checked against.
 
 Newton's first iterate is a product of single-vortex profiles
 (``_product_start``; Jaffe & Taubes, "Vortices and Monopoles", 1980):
@@ -67,8 +71,12 @@ CG_RTOL = 1e-12
 FORCING_MAX = 1e-3
 #: Later steps stop CG at ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2``.
 FORCING_GAMMA = 0.01
-#: Below this Newton residual norm every step is solved to ``CG_RTOL``.
+#: Below this Newton residual norm a step is solved to its floor (``_forcing``).
 FORCING_EXACT_BELOW = 1e-2
+#: A Newton step's CG stops no earlier than at this share of the grid's
+#: ``tol`` over the Newton residual: CG measures a weighted 2-norm while
+#: Newton stops on the scaled infinity norm, so the share leaves a margin.
+FORCING_TOL_SHARE = 1e-2
 #: CG iterations allowed per Newton step before it counts as a failed solve.
 CG_MAX_ITER = 500
 #: Least ``nr`` and ``ntheta`` of a half grid that starts the Newton of a
@@ -99,11 +107,12 @@ class SolveReport:
     holds its message).  ``converged`` and ``iterations`` (accepted Newton
     steps) are read off ``termination`` and ``residual_history``.
     ``linear_iterations`` holds the CG iteration count of each Newton step
-    and ``forcing`` the relative CG tolerance it was solved to (``CG_RTOL``
-    for an exact step).  ``singular`` is the singular part the solve split
-    off; it holds the core logarithms ``v0``, the configuration and the disk,
-    so the field and this report are all that ``compute_observables`` and
-    the position tangents of ``moduli`` take.  ``coarse`` holds one
+    and ``forcing`` the relative CG tolerance it was solved to (its floor,
+    at least ``CG_RTOL``, for a step below ``FORCING_EXACT_BELOW``).
+    ``singular`` is the singular part the solve split off; it holds the core
+    logarithms ``v0``, the configuration and the disk, so the field and this
+    report are all that ``compute_observables`` and the position tangents of
+    ``moduli`` take.  ``coarse`` holds one
     ``(nr, ntheta, newton_steps, cg_iterations)`` per half-grid level of the
     nested start, coarsest first; the other fields describe this grid only.
     ``start`` names this grid's first Newton iterate: ``"half grid"`` (the
@@ -162,14 +171,23 @@ def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, rtol: 
     raise LinearSolveError(f"conjugate gradient did not converge in {CG_MAX_ITER} iterations")
 
 
-def _forcing(history: list) -> float:
-    """Relative CG tolerance of the Newton step from the residual ``history[-1]``."""
+def _forcing(history: list, tol: float) -> float:
+    """Relative CG tolerance of the Newton step from ``history[-1]`` on a grid solved to ``tol``.
+
+    The floor ``FORCING_TOL_SHARE * tol / |F_k|``, clipped to
+    ``[CG_RTOL, FORCING_MAX]``, stops CG once the step's linear residual is
+    a small share of what Newton must still remove; below
+    ``FORCING_EXACT_BELOW`` the step is solved to that floor, above it to
+    the Eisenstat-Walker value clipped below by it.  ``tol = 0`` leaves the
+    floor at ``CG_RTOL``.
+    """
     norm = history[-1]
+    floor = max(CG_RTOL, min(FORCING_MAX, FORCING_TOL_SHARE * tol / norm))
     if norm < FORCING_EXACT_BELOW:
-        return CG_RTOL
+        return floor
     if len(history) == 1:
         return FORCING_MAX
-    return max(CG_RTOL, min(FORCING_MAX, FORCING_GAMMA * (norm / history[-2]) ** 2))
+    return max(floor, min(FORCING_MAX, FORCING_GAMMA * (norm / history[-2]) ** 2))
 
 
 def _product_start(singular: SingularPart) -> np.ndarray:
@@ -340,7 +358,7 @@ def _solve(disk, config, grid, tol, max_iter):
     )
 
     while norm > tol and report.iterations < max_iter:
-        rtol = _forcing(report.residual_history)
+        rtol = _forcing(report.residual_history, tol)
         try:
             delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), rtol)
         except LinearSolveError as exc:

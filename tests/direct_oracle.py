@@ -6,16 +6,47 @@ This module keeps the direct path that CG is checked against: the Newton
 system ``(lap.matrix - diag(shift)) x = rhs`` factored and solved exactly by
 SuperLU (``superlu_step``), and the library's own Newton loop run with that
 step in place of CG (``solve_direct``), so the tests hold no second copy of
-the Newton iteration.
+the Newton iteration.  It also keeps the band build of the Laplacian
+(``band_laplacian``), the oracle of ``operators.assemble_neumann_laplacian``'s
+row-by-row CSR build.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nvortex import solver2d
+from nvortex.operators import polar_couplings
+
+
+def band_laplacian(grid, disk):
+    """The weighted Laplacian's matrix built band by band with ``sp.diags``.
+
+    Seven diagonals, offsets 0, +-1, +-(ntheta-1) and +-ntheta; each
+    diagonal entry is minus its row's off-diagonal sum.
+    """
+    c_rad, c_ang = polar_couplings(grid, disk)
+    nt = grid.ntheta
+    ring = np.repeat(c_ang, nt)
+    first = np.arange(grid.size) % nt == 0
+    # Diagonal k (offset > 0) holds row k's coupling to node k + offset; the
+    # matrix is symmetric, so offset -k holds the same values.  Angular
+    # neighbours j + 1 sit at offset 1 (none from the last node of a ring)
+    # and the periodic wrap from j = 0 to j = nt - 1 at offset nt - 1.
+    east = np.where(first[1:], 0.0, ring[:-1])
+    wrap = np.where(first[: 1 - nt], ring[: 1 - nt], 0.0)
+    north = np.repeat(c_rad, nt)
+    radial = np.concatenate([c_rad, [0.0]]) + np.concatenate([[0.0], c_rad])
+    diagonal = -np.repeat(2.0 * c_ang + radial, nt)
+    return sp.diags(
+        [diagonal, east, east, wrap, wrap, north, north],
+        [0, 1, -1, nt - 1, 1 - nt, nt, -nt],
+        shape=(grid.size, grid.size),
+        format="csr",
+    )
 
 
 def superlu_step(lap, shift, rhs, rtol=0.0):

@@ -157,9 +157,10 @@ def test_green_functions_need_no_sparse_assembly(disk3, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sparse assembly called")
 
-    # The Laplacian is built band by band with ``sp.diags``; refusing that
-    # constructor makes any assembly fail, as the first check shows.
-    monkeypatch.setattr(operators.sp, "diags", refuse)
+    # The Laplacian is built straight into CSR with ``sp.csr_matrix``;
+    # refusing that constructor makes any assembly fail, as the first check
+    # shows.
+    monkeypatch.setattr(operators.sp, "csr_matrix", refuse)
     with pytest.raises(AssertionError, match="sparse assembly"):
         assemble_neumann_laplacian(grid, disk3)
     got = (neumann_green(disk3, grid, (5, 3)), boundary_neumann_green(disk3, grid, 0.0))

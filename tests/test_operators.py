@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from nvortex import ConformalDisk, build_grid
 from nvortex.operators import LinearSolveError, PolarModeSolver, assemble_neumann_laplacian, polar_couplings
 
-from direct_oracle import superlu_step
+from direct_oracle import band_laplacian, superlu_step
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,18 @@ def test_band_assembly_matches_coo_reference(disk3, shape):
     reference = _coo_laplacian(grid, disk3)
     assert matrix.format == "csr" and matrix.nnz == reference.nnz
     assert abs(matrix - reference).max() <= 1e-14 * abs(reference).max()
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8), (33, 47), (64, 64), (256, 256), (320, 320)])
+def test_csr_rows_are_the_band_build_bit_for_bit(disk3, shape):
+    # Same entries in the same order, so every CSR matvec gives the same bits.
+    grid = build_grid(disk3, *shape)
+    matrix = assemble_neumann_laplacian(grid, disk3).matrix
+    reference = band_laplacian(grid, disk3)
+    for name in ("indptr", "indices", "data"):
+        got, expected = getattr(matrix, name), getattr(reference, name)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 def test_radius_mismatch_rejected(disk3):

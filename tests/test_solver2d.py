@@ -172,14 +172,15 @@ _CASES = {
 
 class TestForcing:
     @pytest.mark.parametrize("cfg", _CASES.values(), ids=_CASES.keys())
-    def test_forcing_bounded_and_final_step_exact(self, disk3, cfg):
+    def test_forcing_bounded_and_final_step_at_tol_floor(self, disk3, cfg):
         grid = build_grid(disk3, 64, 64)
         _, report = solve_taubes_2d(disk3, cfg, grid)
         assert report.converged
         assert len(report.forcing) == len(report.linear_iterations) == report.iterations
         assert all(solver2d.CG_RTOL <= eta <= solver2d.FORCING_MAX for eta in report.forcing)
         assert report.forcing[0] == solver2d.FORCING_MAX
-        assert report.forcing[-1] == solver2d.CG_RTOL
+        share = solver2d.FORCING_TOL_SHARE * solver2d.DEFAULT_TOL / report.residual_history[-2]
+        assert report.forcing[-1] == max(solver2d.CG_RTOL, min(solver2d.FORCING_MAX, share))
 
     def test_forcing_saves_cg_iterations_not_newton_steps(self, disk3, monkeypatch):
         grid = build_grid(disk3, 64, 64)
@@ -243,6 +244,26 @@ class TestNestedStart:
         *_, report = levels[-1]
         assert report.converged and report.start == "half grid"
         assert [steps for _, _, steps, _ in report.coarse[1:]] + [report.iterations] == [1, 1]
+
+    @pytest.mark.parametrize("name", _NESTED_CASES)
+    def test_tol_floor_keeps_newton_steps_and_saves_cg(self, disk3, nested256, name):
+        # The same nested solve with every step below FORCING_EXACT_BELOW
+        # solved to CG_RTOL, whatever its grid's tol.
+        levels = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver2d, "FORCING_TOL_SHARE", 0.0)
+            patch.setattr(solver2d, "_solve", _record_levels(levels))
+            solve_taubes_2d(disk3, _NESTED_CASES[name], build_grid(disk3, 256, 256))
+        floored = nested256[name]
+        assert [(nr, report.iterations) for nr, _, _, report in floored] == [
+            (nr, report.iterations) for nr, _, _, report in levels
+        ]
+        assert all(report.converged for *_, report in floored)
+        assert np.max(np.abs(floored[-1][2].values - levels[-1][2].values)) <= 1e-10
+        cg = [sum(sum(report.linear_iterations) for *_, report in run) for run in (floored, levels)]
+        assert cg[0] <= cg[1]
+        if name != "centred":
+            assert cg[0] < cg[1]
 
     @pytest.mark.parametrize("name", _NESTED_CASES)
     def test_half_grid_energy_as_if_solved_to_tol(self, disk3, nested256, name):
