@@ -17,7 +17,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_run_config, parse_run_config
-from .geometry import MIN_GRID_POINTS, BradlowViolation, bradlow_margin, build_grid, check_bradlow
+from .geometry import BradlowViolation, bradlow_margin, build_grid, check_bradlow
 from .moduli import metric_coefficient
 from .observables import (
     SCHEMA_VERSION,
@@ -174,8 +174,6 @@ def _cmd_metric(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    if cfg.nr < 4 * MIN_GRID_POINTS:  # the refinement study also solves at nr/4
-        raise ConfigError(f"verify needs nr >= {4 * MIN_GRID_POINTS} (it also solves at nr/4), got {cfg.nr}")
     margin = bradlow_margin(cfg.vortices, cfg.disk)
     results = run_acceptance(nr=cfg.nr, tol=cfg.tol, radial_steps=cfg.radial_steps, log=print)
     print()

@@ -143,7 +143,8 @@ class VortexConfiguration:
             merged_i[z] = merged_i.get(z, 0) + _as_multiplicity(n)
         merged_b: dict[float, int] = {}
         for theta, m in self.boundary:
-            t = float(theta) % (2.0 * np.pi)
+            # A tiny negative angle rounds up to 2*pi itself; the second ``%`` maps it to 0.
+            t = float(theta) % math.tau % math.tau
             if not math.isfinite(t):
                 raise ValueError(f"boundary angle must be finite, got {theta!r}")
             merged_b[t] = merged_b.get(t, 0) + _as_multiplicity(m)

@@ -154,7 +154,10 @@ def boundary_neumann_green(disk: ConformalDisk, grid: PolarGrid, theta_q: float)
     """
     if not math.isfinite(theta_q):
         raise ValueError(f"theta_q must be finite, got {theta_q}")
-    j = int(round((float(theta_q) % (2.0 * np.pi)) / grid.dtheta)) % grid.ntheta
-    if abs((float(theta_q) % (2.0 * np.pi)) - j * grid.dtheta) > 1e-10:
+    theta = float(theta_q) % math.tau
+    # The nearest node, counted up to ntheta so that an angle just below 2*pi
+    # is measured against 2*pi, which is node 0.
+    j = round(theta / grid.dtheta)
+    if abs(theta - j * grid.dtheta) > 1e-10:
         raise ValueError(f"theta_q={theta_q} does not coincide with an angular node")
-    return _green_for_source(disk, grid, (grid.nr - 1) * grid.ntheta + j)
+    return _green_for_source(disk, grid, (grid.nr - 1) * grid.ntheta + j % grid.ntheta)

@@ -6,28 +6,28 @@ convergence model: quadrature-type checks scale with ``(256/nr)^1.5`` and the
 cross-solver field comparison with ``(256/nr)^2`` (second-order scheme).
 Exact-arithmetic and solver-tolerance checks never scale.  The Green-function
 and loop-integral checks run on fixed auxiliary grids chosen for their own
-resolution needs, independent of ``nr``.  The centred unit vortex is solved
-once per grid size; the refinement study and the loop-integral check reuse
-those solves.  A check that reads a 2-D solve fails when that solve did not
-converge, and its detail names the solve's termination.  The loop-integral
-check takes the vortex-position derivative of the centred field from the
-tangent-linear solve at it (``moduli.boundary_ring_position_derivatives``);
-when that field solve did not converge or the tangent solve fails, the check
-is recorded as failed with the reason.  So are the checks that need a
-converged radial shoot when it does not converge.
+resolution needs, independent of ``nr``.
+
+The checks read inputs: 2-D solves, radial shoots, the vacuum, linearised
+and tangent solves, and four Green functions.  Each is made once, when a
+check first needs it, and logged as ``<input> ... <seconds> s``.  A check
+fails, naming the input and why, when an input it reads, or one that input
+is made from, did not converge (a 2-D solve's ``termination``, a shoot's
+``failure_reason()``) or raised in the tangent solve.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
+from collections import namedtuple
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cache
 
 import numpy as np
 
 from .geometry import (
+    MIN_GRID_POINTS,
     BradlowViolation,
     ConformalDisk,
     VortexConfiguration,
@@ -98,23 +98,35 @@ class CheckResult:
         return f"{self.criterion:>9}  {status:6}  {self.name} ({self.detail})"
 
 
-def _rel(value: float, target: float) -> float:
-    return abs(value - target) / abs(target)
+_Solved = namedtuple("_Solved", "field report obs")  # a 2-D solve input's value; obs() is computed once
 
 
-@contextmanager
-def _stage(say, label):
-    """Run the block, then log ``label ... <elapsed> s``; the yielded record gets ``seconds``."""
-    stage = SimpleNamespace()
-    t0 = time.perf_counter()
-    yield stage
-    stage.seconds = time.perf_counter() - t0
-    say(f"{label} ... {stage.seconds:.2f} s")
+def _quantized(kind: str, value: float, target: float, tol: float):
+    """``(passed, detail)`` of a quantized ``value``: within relative ``tol`` of ``target``."""
+    err = abs(value - target) / abs(target)
+    return err <= tol, f"{kind}={value:.6f} rel_err={err:.2e} tol={tol:.2e}"
 
 
-def _log_slope(distances, values):
-    slope, _ = np.polyfit(np.log(distances), values, 1)
-    return float(slope)
+def _at_most(value: float, tol: float, detail: str):
+    """``(passed, detail)`` of the check ``value <= tol``; ``detail`` formats ``value`` and ``tol``."""
+    return value <= tol, detail.format(value, tol)
+
+
+def _read(inputs, made: dict, say):
+    """The values of ``inputs``, each made once into ``made``, and the first failure among them, or ``None``."""
+    values = []
+    for label, make, *sources in inputs:
+        args, failure = _read(sources, made, say)
+        if failure is None and label not in made:
+            t0 = time.perf_counter()
+            value, reason = make(*args)
+            made[label] = value, None if reason is None else f"{label}: {reason}", time.perf_counter() - t0
+            say(f"{label} ... {made[label][2]:.2f} s")
+        value, failure, _ = made[label] if failure is None else (None, failure, None)
+        if failure is not None:
+            return values, failure
+        values.append(value)
+    return values, None
 
 
 def run_acceptance(
@@ -123,201 +135,188 @@ def run_acceptance(
     radial_steps: int = DEFAULT_STEPS,
     log=None,
 ) -> list[CheckResult]:
-    """Run all acceptance checks at resolution ``nr``; ``log`` gets a line per timed stage."""
+    """Run all acceptance checks at resolution ``nr``; ``log`` gets a line per input made."""
+    if nr < 4 * MIN_GRID_POINTS:  # the refinement study also solves at nr/4
+        raise ValueError(f"verify needs nr >= {4 * MIN_GRID_POINTS} (it also solves at nr/4), got {nr}")
     say = log if log is not None else (lambda _msg: None)
     results: list[CheckResult] = []
+    made = {}  # label -> (value, failure, seconds)
 
-    def add(criterion, name, passed, detail, *solves):
-        """Record a check; it fails, naming the termination, if a report in ``solves`` did not converge."""
-        stops = [report.termination for report in solves if not report.converged]
-        if stops:
-            passed, detail = False, f"{detail}; solve not converged ({', '.join(dict.fromkeys(stops))})"
+    def add(criterion, name, check, *inputs):
+        """Record ``check``'s ``(passed, detail)`` on the values of ``inputs``, or the failure of one."""
+        values, failure = _read(inputs, made, say)
+        passed, detail = check(*values) if failure is None else (False, failure)
         results.append(CheckResult(criterion, name, bool(passed), detail))
 
     scale = (BASE_NR / nr) ** 1.5 if nr < BASE_NR else 1.0
     cross_scale = (BASE_NR / nr) ** 2.0 if nr < BASE_NR else 1.0
-
     disk = ConformalDisk.flat(REFERENCE_CONFIG["radius"])
-    centred = {}
 
-    def centred_solve(level):
-        """``(field, report)`` of the centred unit vortex on ``level x level``, solved once."""
-        if level not in centred:
-            centred[level] = solve_taubes_2d(
-                disk, VortexConfiguration.centered(1), build_grid(disk, level, level), tol=tol
-            )
-        return centred[level]
+    # An input is (label, make, *sources): ``make(*values of sources)`` gives (value, failure or None).
+    def solved(n, config=VortexConfiguration.centered(1), name="centred vortex"):
+        def make():
+            field, report = solve_taubes_2d(disk, config, build_grid(disk, n, n), tol=tol)
+            failure = None if report.converged else f"solve not converged ({report.termination})"
+            return _Solved(field, report, cache(lambda: compute_observables(field, report))), failure
+        return f"{name} at {n}x{n}", make
 
-    # --- shared solves -----------------------------------------------------
-    with _stage(say, f"solving centered vortex at {nr}x{nr}") as centered_stage:
-        centered, centered_report = centred_solve(nr)
-    grid = centered.grid
+    def shot(steps):
+        def make():
+            profile = shoot(disk, n=1, steps=steps)
+            return profile, None if profile.converged else profile.failure_reason()
+        return f"radial shoot at {steps} steps", make
 
-    with _stage(say, f"solving boundary vortex at {nr}x{nr}") as boundary_stage:
-        boundary_field, boundary_report = solve_taubes_2d(
-            disk, VortexConfiguration.boundary_point(0.0, 1), grid, tol=tol
-        )
+    def green(n, nt, source, make=neumann_green, name="Green function at node"):
+        return f"{name} {source} on {n}x{nt}", lambda: (make(disk, build_grid(disk, n, nt), source), None)
 
-    with _stage(say, f"radial shoot at {radial_steps} and {2 * radial_steps} steps"):
-        profile = shoot(disk, n=1, steps=radial_steps)
-        profile_fine = shoot(disk, n=1, steps=2 * radial_steps)
+    centred = solved(nr)
+    boundary = solved(nr, VortexConfiguration.boundary_point(0.0, 1), "boundary vortex")
+    # An even grid has no node at radius 1/2: (i + 1/2) * 3/n = 1/2 needs n = 6i + 3.
+    n2_cfg = VortexConfiguration(interior=((0.5 + 0j, 1), (-0.5 + 0j, 1)))
+    n2 = solved(min(nr, 128) // 2 * 2, n2_cfg, "N=2 configuration")
+    profile, profile_fine = shot(radial_steps), shot(2 * radial_steps)
+    linearised = "linearized solve", lambda p: (solve_linearized(disk, p), None), profile
 
-    centered_obs = compute_observables(centered, centered_report)
-    boundary_obs = compute_observables(boundary_field, boundary_report)
+    def runtime(label, *_):  # of an input that a row before has read
+        seconds = made[label][2]
+        return seconds < RUNTIME_LIMIT, f"{seconds:.1f}s < {RUNTIME_LIMIT:.0f}s"
 
     # --- 1. flux quantization, interior vortex -----------------------------
-    err = _rel(centered_obs.flux, 2.0 * math.pi)
-    add(1, "interior flux = 2*pi", err <= TOL_FLUX_INTERIOR * scale,
-        f"flux={centered_obs.flux:.6f} rel_err={err:.2e} tol={TOL_FLUX_INTERIOR * scale:.2e}", centered_report)
-    add(1, "interior solve runtime", centered_stage.seconds < RUNTIME_LIMIT,
-        f"{centered_stage.seconds:.1f}s < {RUNTIME_LIMIT:.0f}s")
+    add(1, "interior flux = 2*pi",
+        lambda s: _quantized("flux", s.obs().flux, 2.0 * math.pi, TOL_FLUX_INTERIOR * scale), centred)
+    add(1, "interior solve runtime", lambda: runtime(*centred))
 
     # --- 2. flux quantization, boundary half-vortex ------------------------
-    err = _rel(boundary_obs.flux, math.pi)
-    add(2, "boundary flux = pi", err <= TOL_FLUX_BOUNDARY * scale,
-        f"flux={boundary_obs.flux:.6f} rel_err={err:.2e} tol={TOL_FLUX_BOUNDARY * scale:.2e}", boundary_report)
-    add(2, "boundary solve runtime", boundary_stage.seconds < RUNTIME_LIMIT,
-        f"{boundary_stage.seconds:.1f}s < {RUNTIME_LIMIT:.0f}s")
+    add(2, "boundary flux = pi",
+        lambda s: _quantized("flux", s.obs().flux, math.pi, TOL_FLUX_BOUNDARY * scale), boundary)
+    add(2, "boundary solve runtime", lambda: runtime(*boundary))
 
     # --- 3. energy quantization and the flux identity ----------------------
-    err = _rel(centered_obs.energy, math.pi)
-    add(3, "interior energy = pi", err <= TOL_ENERGY_INTERIOR * scale,
-        f"energy={centered_obs.energy:.6f} rel_err={err:.2e} tol={TOL_ENERGY_INTERIOR * scale:.2e}",
-        centered_report)
-    err = _rel(boundary_obs.energy, 0.5 * math.pi)
-    add(3, "boundary energy = pi/2", err <= TOL_ENERGY_BOUNDARY * scale,
-        f"energy={boundary_obs.energy:.6f} rel_err={err:.2e} tol={TOL_ENERGY_BOUNDARY * scale:.2e}",
-        boundary_report)
-    for label, obs, report in (("interior", centered_obs, centered_report),
-                               ("boundary", boundary_obs, boundary_report)):
-        defect = abs(obs.energy - 0.5 * obs.flux) / obs.flux
-        add(3, f"energy = flux/2 ({label})", defect <= TOL_BOGOMOLNY * scale,
-            f"|E - Phi/2|/Phi = {defect:.2e} tol={TOL_BOGOMOLNY * scale:.2e}", report)
+    add(3, "interior energy = pi",
+        lambda s: _quantized("energy", s.obs().energy, math.pi, TOL_ENERGY_INTERIOR * scale), centred)
+    add(3, "boundary energy = pi/2",
+        lambda s: _quantized("energy", s.obs().energy, 0.5 * math.pi, TOL_ENERGY_BOUNDARY * scale), boundary)
+    for label, solve in (("interior", centred), ("boundary", boundary)):
+        add(3, f"energy = flux/2 ({label})",
+            lambda s: _at_most(abs(s.obs().energy - 0.5 * s.obs().flux) / s.obs().flux, TOL_BOGOMOLNY * scale,
+                               "|E - Phi/2|/Phi = {:.2e} tol={:.2e}"), solve)
 
     # --- 4. existence gate equivalence --------------------------------------
     margin3 = bradlow_margin(VortexConfiguration.centered(3), disk)
-    add(4, "gate rejects N=3 at R=3", abs(margin3 + 0.75) <= TOL_GATE_MARGIN,
-        f"margin={margin3:.12f} (expected -0.75)")
+    add(4, "gate rejects N=3 at R=3",
+        lambda: (abs(margin3 + 0.75) <= TOL_GATE_MARGIN, f"margin={margin3:.12f} (expected -0.75)"))
     disk1 = ConformalDisk.flat(1.0)
     margin_r1 = bradlow_margin(VortexConfiguration.centered(1), disk1)
-    add(4, "gate rejects N=1 at R=1", margin_r1 <= 0.0, f"margin={margin_r1:.12f} <= 0")
-    for bad_cfg, bad_disk, lbl in (
-        (VortexConfiguration.centered(3), disk, "N=3, R=3"),
-        (VortexConfiguration.centered(1), disk1, "N=1, R=1"),
-    ):
+    add(4, "gate rejects N=1 at R=1", lambda: (margin_r1 <= 0.0, f"margin={margin_r1:.12f} <= 0"))
+
+    def refused(bad_disk, n):
         try:
-            solve_taubes_2d(bad_disk, bad_cfg, build_grid(bad_disk, 16, 16))
-            refused = False
+            solve_taubes_2d(bad_disk, VortexConfiguration.centered(n), build_grid(bad_disk, 16, 16))
         except BradlowViolation:
-            refused = True
-        add(4, f"solver refuses {lbl}", refused, "gate raised before iterating")
-    add(4, "solver converges N=1 at R=3", True, f"{centered_report.iterations} Newton iterations",
-        centered_report)
-    with _stage(say, "solving N=2 configuration"):
-        # An even grid has no node at radius 1/2: (i + 1/2) * 3/n = 1/2 needs n = 6i + 3.
-        n2_nr = min(nr, 128) // 2 * 2
-        n2_cfg = VortexConfiguration(interior=((0.5 + 0j, 1), (-0.5 + 0j, 1)))
-        _, n2_report = solve_taubes_2d(disk, n2_cfg, build_grid(disk, n2_nr, n2_nr), tol=tol)
-    add(4, "solver converges N=2 at R=3", True,
-        f"{n2_report.iterations} Newton iterations (margin {bradlow_margin(n2_cfg, disk):.2f})", n2_report)
+            return True, "gate raised before iterating"
+        return False, "gate raised before iterating"
+    add(4, "solver refuses N=3, R=3", lambda: refused(disk, 3))
+    add(4, "solver refuses N=1, R=1", lambda: refused(disk1, 1))
+    add(4, "solver converges N=1 at R=3", lambda s: (True, f"{s.report.iterations} Newton iterations"), centred)
+    add(4, "solver converges N=2 at R=3", lambda s: (
+        True, f"{s.report.iterations} Newton iterations (margin {bradlow_margin(n2_cfg, disk):.2f})"), n2)
 
     # --- 5. cross-solver agreement and grid convergence --------------------
-    errors, refinement = {}, []
-    with _stage(say, "grid refinement study"):
-        for level in (nr // 4, nr // 2, nr):
-            fld, level_report = centred_solve(level)
-            refinement.append(level_report)
-            oracle = profile.htilde_at(fld.grid.r)
-            errors[level] = float(np.max(np.abs(fld.values - oracle[:, None])))
-    e_coarse, e_mid, e_fine = (errors[k] for k in (nr // 4, nr // 2, nr))
-    add(5, "2d field matches radial profile", e_fine <= TOL_CROSS_FIELD * cross_scale,
-        f"max_err={e_fine:.2e} tol={TOL_CROSS_FIELD * cross_scale:.2e}", *refinement)
-    p1 = math.log2(e_coarse / e_mid)
-    p2 = math.log2(e_mid / e_fine)
-    add(5, "observed convergence order", min(p1, p2) >= MIN_CONV_ORDER,
-        f"orders {p1:.2f}, {p2:.2f} >= {MIN_CONV_ORDER}", *refinement)
+    levels = [solved(level) for level in (nr // 4, nr // 2, nr)]
+
+    def field_errors(p, *solves):  # max |2-D field - radial profile p| on each grid
+        return [float(np.max(np.abs(s.field.values - p.htilde_at(s.field.grid.r)[:, None]))) for s in solves]
+
+    def orders(*values):
+        e_coarse, e_mid, e_fine = field_errors(*values)
+        p1 = math.log2(e_coarse / e_mid)
+        p2 = math.log2(e_mid / e_fine)
+        return min(p1, p2) >= MIN_CONV_ORDER, f"orders {p1:.2f}, {p2:.2f} >= {MIN_CONV_ORDER}"
+    add(5, "2d field matches radial profile",
+        lambda *values: _at_most(field_errors(*values)[-1], TOL_CROSS_FIELD * cross_scale,
+                                 "max_err={:.2e} tol={:.2e}"), profile, *levels)
+    add(5, "observed convergence order", orders, profile, *levels)
 
     # --- 6. shooting reproduces the radial setup ---------------------------
-    shoot_failure = None if profile.converged else profile.failure_reason()
-    fine_failure = shoot_failure or (
-        None if profile_fine.converged else profile_fine.failure_reason())
-    add(6, "boundary slope -2/3 met", shoot_failure is None and profile.residual <= TOL_SHOOT_SLOPE,
-        shoot_failure or f"|slope + 2/3| = {profile.residual:.2e} <= {TOL_SHOOT_SLOPE:.0e}")
-    h0_shift = abs(profile.h0 - profile_fine.h0)
-    add(6, "h0 stable under step halving", fine_failure is None and h0_shift < TOL_H0_STABILITY,
-        fine_failure or f"|h0({radial_steps}) - h0({2 * radial_steps})| = {h0_shift:.2e} "
-                        f"< {TOL_H0_STABILITY:.0e}")
+    add(6, "boundary slope -2/3 met",
+        lambda p: _at_most(p.residual, TOL_SHOOT_SLOPE, "|slope + 2/3| = {:.2e} <= {:.0e}"), profile)
+
+    def h0_stable(coarse, fine):
+        shift = abs(coarse.h0 - fine.h0)
+        return shift < TOL_H0_STABILITY, (f"|h0({radial_steps}) - h0({2 * radial_steps})| = {shift:.2e} "
+                                          f"< {TOL_H0_STABILITY:.0e}")
+    add(6, "h0 stable under step halving", h0_stable, profile, profile_fine)
 
     # --- 7. moduli nonlocality witness --------------------------------------
-    loop_nr = min(LOOP_CHECK_NR, nr)
-    loop_failure = shoot_failure
-    with _stage(say, "linearized solve and loop-integral check"):
-        vacuum = solve_linear_bvp(lambda r: np.zeros_like(r), disk.radius)
-        if shoot_failure is None:
-            lin = solve_linearized(disk, profile)
-            loop_field, loop_report = centred_solve(loop_nr)
-            try:
-                rho, _, dxh, dyh = boundary_ring_position_derivatives(loop_field, loop_report)
-            except (ValueError, LinearSolveError) as exc:
-                loop_failure = str(exc)
-    vac_err = float(np.max(np.abs(vacuum.a + 2.0 * vacuum.r / disk.radius**2)))
-    add(7, "vacuum closed form a = -2r/R^2", vac_err <= TOL_VACUUM_ORACLE,
-        f"max_err={vac_err:.2e} <= {TOL_VACUUM_ORACLE:.0e}")
+    add(7, "vacuum closed form a = -2r/R^2",
+        lambda vac: _at_most(float(np.max(np.abs(vac.a + 2.0 * vac.r / disk.radius**2))), TOL_VACUUM_ORACLE,
+                             "max_err={:.2e} <= {:.0e}"),
+        ("vacuum solve", lambda: (solve_linear_bvp(lambda r: np.zeros_like(r), disk.radius), None)))
     add(7, "nonlocality witness |d_X h(R;0)| > 1e-2",
-        shoot_failure is None and abs(lin.boundary_value) > MIN_BOUNDARY_VALUE,
-        shoot_failure or f"d_X h(R;0) = {lin.boundary_value:.6f}")
-    if loop_failure is not None:
-        add(7, "loop integral matches closed form", False, loop_failure)
-    else:
+        lambda lin: (abs(lin.boundary_value) > MIN_BOUNDARY_VALUE, f"d_X h(R;0) = {lin.boundary_value:.6f}"),
+        linearised)
+    loop_nr = min(LOOP_CHECK_NR, nr)
+
+    def ring_derivatives(solve):  # of the rim ring, from the tangent solve; it fails if that raises
+        try:
+            return boundary_ring_position_derivatives(solve.field, solve.report), None
+        except (ValueError, LinearSolveError) as exc:
+            return None, str(exc)
+
+    def loop_integral(lin, ring):
         loop_tol = TOL_LOOP_INTEGRAL * ((LOOP_CHECK_NR / loop_nr) ** 1.5)
+        rho, _, dxh, dyh = ring
         direct = ring_metric_integral(dxh, dyh)
         closed = math.pi * (lin.a_at(rho) - 2.0 / rho) ** 2
         loop_err = abs(direct - closed) / abs(closed)
-        add(7, "loop integral matches closed form", loop_err <= loop_tol,
-            f"direct={direct:.6f} closed={closed:.6f} rel_err={loop_err:.2e} tol={loop_tol:.2e}")
+        return loop_err <= loop_tol, (f"direct={direct:.6f} closed={closed:.6f} rel_err={loop_err:.2e} "
+                                      f"tol={loop_tol:.2e}")
+    add(7, "loop integral matches closed form", loop_integral,
+        linearised, (f"tangent solve at {loop_nr}x{loop_nr}", ring_derivatives, solved(loop_nr)))
 
     # --- 8. symmetry suite ---------------------------------------------------
-    b0 = _fit_b(centered, 0j)
-    add(8, "core coefficient b(0) = 0", abs(b0) <= TOL_B_ORIGIN, f"|b(0)| = {abs(b0):.2e}", centered_report)
-    variance = float(np.max(np.ptp(centered.values, axis=1)))
-    add(8, "rotational symmetry of centered solve", variance <= TOL_ROTATIONAL,
-        f"max angular spread = {variance:.2e}", centered_report)
-    flipped = boundary_field.values[:, (-np.arange(grid.ntheta)) % grid.ntheta]
-    refl = float(np.max(np.abs(boundary_field.values - flipped)))
-    add(8, "reflection symmetry of boundary solve", refl <= TOL_REFLECTION,
-        f"max asymmetry = {refl:.2e}", boundary_report)
+    add(8, "core coefficient b(0) = 0",
+        lambda s: _at_most(abs(_fit_b(s.field, 0j)), TOL_B_ORIGIN, "|b(0)| = {:.2e}"), centred)
+    add(8, "rotational symmetry of centered solve",
+        lambda s: _at_most(float(np.max(np.ptp(s.field.values, axis=1))), TOL_ROTATIONAL,
+                           "max angular spread = {:.2e}"), centred)
+
+    def reflection(s):  # theta -> -theta takes node j to node -j mod ntheta
+        flipped = s.field.values[:, (-np.arange(s.field.grid.ntheta)) % s.field.grid.ntheta]
+        asymmetry = float(np.max(np.abs(s.field.values - flipped)))
+        return asymmetry <= TOL_REFLECTION, f"max asymmetry = {asymmetry:.2e}"
+    add(8, "reflection symmetry of boundary solve", reflection, boundary)
 
     # --- 9. boundary-vortex energy peaks inside ----------------------------
-    i_max, _ = np.unravel_index(np.argmax(boundary_obs.energy_density.values), grid.shape)
-    add(9, "energy maximum strictly inside the disk", i_max < grid.nr - 1,
-        f"argmax radius {grid.r[i_max]:.4f} < R - dr = {disk.radius - grid.dr:.4f}", boundary_report)
+    def peak_inside(s):
+        grid = s.field.grid
+        i_max, _ = np.unravel_index(np.argmax(s.obs().energy_density.values), grid.shape)
+        return i_max < grid.nr - 1, f"argmax radius {grid.r[i_max]:.4f} < R - dr = {disk.radius - grid.dr:.4f}"
+    add(9, "energy maximum strictly inside the disk", peak_inside, boundary)
 
     # --- 10. Green-function suite -------------------------------------------
+    def log_slope(distances, values, k, tol):  # the slope against log(distances) is +-1/k
+        slope, _ = np.abs(np.polyfit(np.log(distances), values, 1))
+        rel_err = abs(slope - 1.0 / k) * k
+        return rel_err <= tol, f"|slope|={slope:.5f} vs {1 / k:.5f} rel_err={rel_err:.2e}"
+
     qa, qb = (10, 7), (30, 29)
-    with _stage(say, "Green-function checks"):
-        sym_grid = build_grid(disk, GREEN_SYMMETRY_NR, GREEN_SYMMETRY_NR)
-        ga = neumann_green(disk, sym_grid, qa)
-        gb = neumann_green(disk, sym_grid, qb)
-        gi_grid = build_grid(disk, GREEN_INTERIOR_NR, GREEN_INTERIOR_NR)
-        gq = neumann_green(disk, gi_grid, (0, 0))
-        gb_grid = build_grid(disk, GREEN_BOUNDARY_NR, GREEN_BOUNDARY_NTHETA)
-        hq = boundary_neumann_green(disk, gb_grid, 0.0)
-    sym_err = abs(ga.values[qb] - gb.values[qa])
-    add(10, "Green symmetry G_Q(Q') = G_Q'(Q)", sym_err <= TOL_GREEN_SYMMETRY,
-        f"|diff| = {sym_err:.2e} <= {TOL_GREEN_SYMMETRY:.0e}")
-
+    add(10, "Green symmetry G_Q(Q') = G_Q'(Q)",
+        lambda ga, gb: _at_most(abs(ga.values[qb] - gb.values[qa]), TOL_GREEN_SYMMETRY,
+                                "|diff| = {:.2e} <= {:.0e}"),
+        green(GREEN_SYMMETRY_NR, GREEN_SYMMETRY_NR, qa), green(GREEN_SYMMETRY_NR, GREEN_SYMMETRY_NR, qb))
     i_fit = np.arange(4, 9)
-    slope = _log_slope(i_fit * gi_grid.dr, gq.values[i_fit, 0])
-    rel_err = abs(abs(slope) - 1.0 / (2.0 * math.pi)) * 2.0 * math.pi
-    add(10, "interior Green log slope 1/(2*pi)", rel_err <= TOL_GREEN_INTERIOR_SLOPE,
-        f"|slope|={abs(slope):.5f} vs {1/(2*math.pi):.5f} rel_err={rel_err:.2e}")
+    add(10, "interior Green log slope 1/(2*pi)",
+        lambda g: log_slope(i_fit * g.grid.dr, g.values[i_fit, 0], 2.0 * math.pi, TOL_GREEN_INTERIOR_SLOPE),
+        green(GREEN_INTERIOR_NR, GREEN_INTERIOR_NR, (0, 0)))
 
-    spacing = max(gb_grid.dr, disk.radius * gb_grid.dtheta)
-    depth = disk.radius - gb_grid.r
-    sel = np.where((depth >= 4.0 * spacing) & (depth <= 8.0 * spacing))[0]
-    slope = _log_slope(depth[sel], hq.values[sel, 0])
-    rel_err = abs(abs(slope) - 1.0 / math.pi) * math.pi
-    add(10, "boundary Green log slope 1/pi", rel_err <= TOL_GREEN_BOUNDARY_SLOPE,
-        f"|slope|={abs(slope):.5f} vs {1/math.pi:.5f} rel_err={rel_err:.2e}")
+    def boundary_slope(h):
+        spacing = max(h.grid.dr, disk.radius * h.grid.dtheta)
+        depth = disk.radius - h.grid.r
+        sel = np.where((depth >= 4.0 * spacing) & (depth <= 8.0 * spacing))[0]
+        return log_slope(depth[sel], h.values[sel, 0], math.pi, TOL_GREEN_BOUNDARY_SLOPE)
+    add(10, "boundary Green log slope 1/pi", boundary_slope,
+        green(GREEN_BOUNDARY_NR, GREEN_BOUNDARY_NTHETA, 0.0, boundary_neumann_green,
+              "boundary Green function at angle"))
 
     return results

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from nvortex import VortexConfiguration, run_acceptance, solver2d
+from nvortex import VortexConfiguration, run_acceptance, solver2d, verification
 
 
 @pytest.fixture(scope="module")
@@ -84,24 +84,51 @@ def test_summary_all_criteria_pass(records):
 
 
 def test_progress_lines_carry_stage_seconds(records, log):
-    # The log carries the timed stages only; the records are returned.
-    assert len(log) == 7
+    # The log carries one line per input, each label once; the records are returned.
+    labels = []
     for line in log:
-        assert re.fullmatch(r".+ \.\.\. \d+\.\d\d s", line), line
+        match = re.fullmatch(r"(.+) \.\.\. \d+\.\d\d s", line)
+        assert match, line
+        labels.append(match.group(1))
+    assert len(set(labels)) == len(labels) == 14
 
 
 def test_each_centred_grid_solved_once(monkeypatch):
-    # The refinement study and the loop-integral check reuse the centred
-    # solves by grid size; at nr = 64 the loop grid is the run's own.
-    solves = Counter()
-    real_solve = solver2d._solve
+    # Every input is made once: the refinement study and the loop-integral
+    # check reuse the centred solves by grid size (at nr = 64 the loop grid
+    # is the run's own), and each shoot, tangent solve and Green function is
+    # made once.
+    made = {}
 
-    def counting(disk, config, grid, *args, **kwargs):
-        solves[config, grid] += 1
-        return real_solve(disk, config, grid, *args, **kwargs)
+    def count(module, name, key):
+        real = getattr(module, name)
+        calls = made.setdefault(name, Counter())
 
-    monkeypatch.setattr(solver2d, "_solve", counting)
-    run_acceptance(nr=64)
-    centred = VortexConfiguration.centered(1)
-    counts = {grid.nr: n for (config, grid), n in solves.items() if config == centred and grid.radius == 3.0}
-    assert counts == {64: 1, 32: 1, 16: 1}
+        def counting(*args, **kwargs):
+            calls[key(*args, **kwargs)] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(solver2d, "_solve", lambda disk, config, grid, *args, **kwargs: (config, grid.radius, grid.nr))
+    count(verification, "shoot", lambda disk, n, steps: steps)
+    count(verification, "solve_linear_bvp", lambda f, radius: radius)
+    count(verification, "solve_linearized", lambda disk, profile: profile.steps)
+    count(verification, "boundary_ring_position_derivatives", lambda field, report: field.grid.nr)
+    count(verification, "neumann_green", lambda disk, grid, node: (grid.nr, node))
+    count(verification, "boundary_neumann_green", lambda disk, grid, theta: (grid.nr, grid.ntheta, theta))
+    run_acceptance(nr=64, radial_steps=2000)
+    centred, boundary = VortexConfiguration.centered(1), VortexConfiguration.boundary_point(0.0, 1)
+    pair = VortexConfiguration(interior=((0.5 + 0j, 1), (-0.5 + 0j, 1)))
+    # On R = 3; the N = 3 solve is the gate check's, refused before it iterates.
+    solves = {(config, nr): n for (config, radius, nr), n in made.pop("_solve").items() if radius == 3.0}
+    assert solves == {(centred, 64): 1, (centred, 32): 1, (centred, 16): 1, (boundary, 64): 1, (pair, 64): 1,
+                      (VortexConfiguration.centered(3), 16): 1}
+    assert made == {
+        "shoot": {2000: 1, 4000: 1},
+        "solve_linear_bvp": {3.0: 1},
+        "solve_linearized": {2000: 1},
+        "boundary_ring_position_derivatives": {64: 1},
+        "neumann_green": {(48, (10, 7)): 1, (48, (30, 29)): 1, (96, (0, 0)): 1},
+        "boundary_neumann_green": {(64, 402, 0.0): 1},
+    }

@@ -69,9 +69,9 @@ def test_default_radial_steps_have_one_source(monkeypatch, capsys):
     assert cli.main(["verify"]) == 0
     assert [(kw["nr"], kw["tol"], kw["radial_steps"]) for kw in seen] == [(40, 1e-5, 3_000)]
     # and the least grid and step counts are geometry's and shooting's:
-    assert config.MIN_GRID_POINTS == cli.MIN_GRID_POINTS == geometry.MIN_GRID_POINTS
+    assert config.MIN_GRID_POINTS == verification.MIN_GRID_POINTS == geometry.MIN_GRID_POINTS
     assert config.COARSE_STEPS == shooting.COARSE_STEPS
-    for module in (config, cli):
+    for module in (config, verification):
         monkeypatch.setattr(module, "MIN_GRID_POINTS", 41)
     monkeypatch.setattr(config, "COARSE_STEPS", 3_001)
     for section, values, message in (

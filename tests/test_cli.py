@@ -520,8 +520,12 @@ class TestOverrides:
         def no_solve(*args, **kwargs):
             raise AssertionError("overrides must be checked before any solve")
 
-        for name in ("shoot", "solve_taubes_2d", "metric_coefficient", "run_acceptance"):
+        for name in ("shoot", "solve_taubes_2d", "metric_coefficient"):
             monkeypatch.setattr(cli, name, no_solve)
+        # verify's own bound on nr is run_acceptance's, so patch what it solves with
+        for name in ("shoot", "solve_taubes_2d", "solve_linear_bvp", "solve_linearized",
+                     "boundary_ring_position_derivatives", "neumann_green", "boundary_neumann_green"):
+            monkeypatch.setattr(verification, name, no_solve)
         monkeypatch.chdir(tmp_path)  # where the default output directory would go
         if argv[0] != "verify":
             argv = [*argv, "--config", write_config(tmp_path, base_doc())]
@@ -574,15 +578,20 @@ class TestOverrides:
             assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
-#: The checks of ``verify`` that read a 2-D solve: the centred one, the
-#: boundary one, the N = 2 one and the refinement levels.
-ROWS_READING_A_SOLVE = (
-    "interior flux = 2*pi", "interior energy = pi", "energy = flux/2 (interior)", "solver converges N=1 at R=3",
-    "core coefficient b(0) = 0", "rotational symmetry of centered solve",
-    "boundary flux = pi", "boundary energy = pi/2", "energy = flux/2 (boundary)",
-    "reflection symmetry of boundary solve", "energy maximum strictly inside the disk",
-    "solver converges N=2 at R=3", "2d field matches radial profile", "observed convergence order",
-)
+#: The checks of ``verify`` that read a 2-D solve (the centred one, the
+#: boundary one, the N = 2 one and the refinement levels), each with the
+#: first solve it reads at ``--nr 64``.
+ROWS_READING_A_SOLVE = {
+    **dict.fromkeys(("interior flux = 2*pi", "interior energy = pi", "energy = flux/2 (interior)",
+                     "solver converges N=1 at R=3", "core coefficient b(0) = 0",
+                     "rotational symmetry of centered solve", "loop integral matches closed form"),
+                    "centred vortex at 64x64"),
+    **dict.fromkeys(("boundary flux = pi", "boundary energy = pi/2", "energy = flux/2 (boundary)",
+                     "reflection symmetry of boundary solve", "energy maximum strictly inside the disk"),
+                    "boundary vortex at 64x64"),
+    "solver converges N=2 at R=3": "N=2 configuration at 64x64",
+    **dict.fromkeys(("2d field matches radial profile", "observed convergence order"), "centred vortex at 16x16"),
+}
 
 
 class TestVerify:
@@ -620,10 +629,11 @@ class TestVerify:
         assert len(records) == 28
         for rec in records:
             assert [line for line in lines if f"  {rec.name} (" in line] == [rec.line()]
-        # the stage lines, one table with its header, and the summary
-        stages = [line for line in lines if line.endswith(" s")]
-        assert len(stages) == 7 and lines[: len(stages)] == stages
-        assert lines[len(stages):] == ["", "criterion  status  check", *(r.line() for r in records),
+        # one line per input, each label once, then the table with its header, and the summary
+        inputs = [line for line in lines if re.fullmatch(r".+ \.\.\. \d+\.\d\d s", line)]
+        labels = [line.rsplit(" ... ", 1)[0] for line in inputs]
+        assert len(set(labels)) == len(labels) == 14 and lines[: len(inputs)] == inputs
+        assert lines[len(inputs):] == ["", "criterion  status  check", *(r.line() for r in records),
                                        "", "28/28 checks passed at 32x32"]
         assert verification.REFERENCE_CONFIG["grid"] == {"nr": verification.BASE_NR}  # not overwritten
 
@@ -634,23 +644,25 @@ class TestVerify:
         assert "28/28 checks passed at 33x33" in capsys.readouterr().out
 
     def test_unconverged_loop_check_is_a_failure(self, capsys):
-        # tol = 0 cannot be met: the loop-integral check records why and
-        # the run ends as a verification failure, not a traceback.
+        # tol = 0 cannot be met: the loop-integral check names the solve it
+        # reads and why, and the run ends as a verification failure, not a
+        # traceback.
         assert cli.main(["verify", "--nr", "32", "--tol", "0"]) == cli.EXIT_VERIFY
         out = capsys.readouterr().out
         assert (
             "FAIL    loop integral matches closed form "
-            "(centred field solve did not converge (line_search))" in out
+            "(centred vortex at 32x32: solve not converged (line_search))" in out
         )
-        # The flux errors are within tolerance; the lines say why they fail.
-        for name in ("interior flux = 2*pi", "boundary flux = pi"):
+        # The flux errors are within tolerance; the rows fail on the solve they read.
+        for name, solve in (("interior flux = 2*pi", "centred"), ("boundary flux = pi", "boundary")):
             (line,) = [line for line in out.splitlines() if f"FAIL    {name} (" in line]
-            assert line.endswith("; solve not converged (line_search))")
+            assert line.endswith(f"({solve} vortex at 32x32: solve not converged (line_search))")
 
     def test_unconverged_shoot_is_a_failure(self, tmp_path, capsys, monkeypatch):
-        # The checks that need the radial profile say why it is unusable,
-        # and the run ends as a verification failure, not a configuration
-        # error from the linearised solve.
+        # The checks that read the radial profile, or the linearised solve
+        # made from it, name the shoot and say why it is unusable, and the
+        # run ends as a verification failure, not a configuration error from
+        # the linearised solve.
         real_shoot = verification.shoot
 
         def unconverged(*args, **kwargs):
@@ -660,11 +672,12 @@ class TestVerify:
         cfg = write_config(tmp_path, base_doc())
         assert cli.main(["verify", "--config", cfg]) == cli.EXIT_VERIFY
         out = capsys.readouterr().out
-        reason = "radial shoot did not converge: boundary-slope residual "
-        for name in ("boundary slope -2/3 met", "h0 stable under step halving",
+        reason = "(radial shoot at 2000 steps: radial shoot did not converge: boundary-slope residual "
+        for name in ("2d field matches radial profile", "observed convergence order",
+                     "boundary slope -2/3 met", "h0 stable under step halving",
                      "nonlocality witness |d_X h(R;0)| > 1e-2", "loop integral matches closed form"):
             (line,) = [line for line in out.splitlines() if f"FAIL    {name} (" in line]
-            assert reason in line and "at 2000 steps" in line
+            assert f"FAIL    {name} {reason}" in line and "at 2000 steps, h0 = " in line
         assert "PASS    vacuum closed form a = -2r/R^2" in out
 
     def test_failed_newton_linear_solves_fail_the_rows_that_read_them(self, capsys, monkeypatch):
@@ -675,12 +688,10 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len([line for line in lines if re.match(r" +\d+  (PASS|FAIL)  ", line)]) == 28
         failed = [line for line in lines if re.match(r" +\d+  FAIL  ", line)]
-        assert len(failed) == len(ROWS_READING_A_SOLVE) + 1
-        for name in ROWS_READING_A_SOLVE:
+        assert len(failed) == len(ROWS_READING_A_SOLVE)
+        for name, solve in ROWS_READING_A_SOLVE.items():
             (line,) = [line for line in failed if f"FAIL    {name} (" in line]
-            assert line.endswith("; solve not converged (linear_solve))")
-        (loop,) = [line for line in failed if "FAIL    loop integral matches closed form (" in line]
-        assert loop.endswith("(centred field solve did not converge (linear_solve))")
+            assert line.endswith(f"({solve}: solve not converged (linear_solve))")
         assert lines[-1] == "13/28 checks passed at 64x64"
 
     def test_failed_tangent_solve_fails_the_loop_integral_only(self, capsys, monkeypatch):
@@ -688,5 +699,6 @@ class TestVerify:
         assert cli.main(["verify", "--nr", "64"]) == cli.EXIT_VERIFY
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if re.match(r" +\d+  FAIL  ", line)]
-        assert failed == [CheckResult(7, "loop integral matches closed form", False, "injected failure").line()]
+        detail = "tangent solve at 64x64: injected failure"
+        assert failed == [CheckResult(7, "loop integral matches closed form", False, detail).line()]
         assert lines[-1] == "27/28 checks passed at 64x64"

@@ -50,6 +50,8 @@ class TestVortexConfiguration:
     def test_boundary_angles_normalised(self):
         cfg = VortexConfiguration(boundary=((2.0 * math.pi + 0.5, 1),))
         assert cfg.boundary[0][0] == pytest.approx(0.5)
+        # -1e-17 rounds to 2*pi under %; it is angle 0, inside [0, 2*pi).
+        assert VortexConfiguration(boundary=((0.0, 1), (-1e-17, 1))).boundary == ((0.0, 2),)
 
     def test_totals(self):
         cfg = VortexConfiguration(

@@ -134,6 +134,10 @@ class TestBoundaryGreen:
     def test_angle_must_sit_on_a_node(self, disk3, grid48):
         with pytest.raises(ValueError):
             boundary_neumann_green(disk3, grid48, 0.5 * grid48.dtheta)
+        # Node 0 is measured on the circle: from below 2*pi as well as from above 0.
+        node0 = boundary_neumann_green(disk3, grid48, 0.0).values
+        for theta in (-1e-13, 2.0 * math.pi - 1e-12, 2.0 * math.pi):
+            assert np.array_equal(boundary_neumann_green(disk3, grid48, theta).values, node0)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_angle_must_be_finite(self, disk3, grid48, theta):
