@@ -110,7 +110,8 @@ class ConformalDisk:
 
 
 def _as_multiplicity(value) -> int:
-    n = float(value)
+    # float() would take True as 1 and "2" as 2.
+    n = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
     if not n.is_integer() or n < 1:
         raise ValueError(f"multiplicity must be an integer >= 1, got {value!r}")
     return int(n)

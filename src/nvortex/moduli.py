@@ -158,7 +158,9 @@ def solve_linear_bvp(
         np.multiply(p[j], y[::2], out=k[1::2])
         k[1] += s[j]
 
-    y, ys = _sweep(rhs, dt, np.zeros((2, index.shape[1])))
+    start = np.zeros((6, index.shape[1]))
+    start[2::3] = 1.0  # the variational matrix starts at the identity
+    y, ys = _sweep(rhs, dt, start)
     overflow = ConditioningError("linearized integration overflowed before the boundary")
     if not np.isfinite(y).all():
         raise overflow

@@ -14,7 +14,9 @@ unknowns beside ``h0``; one vectorised sweep steps every segment and its 2x2
 variational matrix, and Newton on continuity at the joints plus the outer
 slope is one banded solve per sweep (Keller, "Numerical Methods for
 Two-Point Boundary-Value Problems", 1968; Ascher, Mattheij & Russell, SIAM
-1995, ch. 4).  Short segments keep the solve well conditioned where one
+1995, ch. 4).  The last sweep, which records the profile, steps the state
+alone: nothing reads its matrix.  The banded solve hands LAPACK's band to
+``dgbsv`` itself.  Short segments keep the solve well conditioned where one
 march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
 Newton runs twice: on a coarse mesh from a closed-form guess, then at the
 requested step count from the coarse solution.  The segmentation (``_segments``), the
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .geometry import ConformalDisk, VortexConfiguration, check_bradlow
 
@@ -144,20 +146,24 @@ def _solve_joints(lead, maps, rhs) -> np.ndarray:
     ``k`` maps its start by ``maps = (x00, x01, x10, x11)`` (arrays over
     blocks); ``lead`` is the first block's end per unit parameter.  Equations
     (``rhs``): continuity at each joint, then the second component of the
-    last block's end.  Two sub- and one superdiagonal, solved by LAPACK
-    ``gbsv``, which raises ``numpy.linalg.LinAlgError`` on a singular factor.
+    last block's end.  Two sub- and one superdiagonal, stored as LAPACK's
+    band with two rows for the fill-in above it and solved by ``dgbsv``
+    itself; a singular factor raises ``numpy.linalg.LinAlgError``.
     """
     x00, x01, x10, x11 = maps
-    ab = np.zeros((4, rhs.size))
-    ab[0, 1:] = -1.0  # minus the next block's start
-    ab[1, 0], ab[2, 0] = lead
+    ab = np.zeros((6, rhs.size))
+    ab[2, 1:] = -1.0  # minus the next block's start
+    ab[3, 0], ab[4, 0] = lead
     if rhs.size == 1:  # one block: its end's second component is the only equation
-        ab[1, 0] = lead[1]
+        ab[3, 0] = lead[1]
     else:
-        ab[2, 1::2], ab[1, 2::2] = x00[1:], x01[1:]
-        ab[3, 1:-3:2], ab[2, 2:-1:2] = x10[1:-1], x11[1:-1]
-        ab[2, -2], ab[1, -1] = x10[-1], x11[-1]
-    return solve_banded((2, 1), ab, rhs)
+        ab[4, 1::2], ab[3, 2::2] = x00[1:], x01[1:]
+        ab[5, 1:-3:2], ab[4, 2:-1:2] = x10[1:-1], x11[1:-1]
+        ab[4, -2], ab[3, -1] = x10[-1], x11[-1]
+    _, _, x, info = dgbsv(2, 1, ab, rhs, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"the banded factor is singular at row {info}")
+    return x
 
 
 def _segments(x0, x1, steps, breaks=()):
@@ -173,7 +179,9 @@ def _segments(x0, x1, steps, breaks=()):
     the segment count, so ``size`` grows like ``sqrt(steps)``:
     ``isqrt(steps - 1) // 16 + 1`` steps (2 at 1k steps, 6 at 7k, 7 at 10k,
     8 at 16k, 20 at 100k).  Least CPU time of a flat R = 3 ``shoot`` on a
-    2-vCPU VM, with ``// 4``, ``// 8``, ``// 16`` and ``// 32`` in the rule:
+    2-vCPU VM, with ``// 4``, ``// 8``, ``// 16`` and ``// 32`` in the rule,
+    measured at commit e23f91d, before the recording sweep stepped the state
+    alone:
 
         steps    // 4      // 8     // 16     // 32
         1k      3.6 ms    2.6 ms    2.1 ms    2.3 ms
@@ -183,6 +191,9 @@ def _segments(x0, x1, steps, breaks=()):
         100k   41.7 ms   34.6 ms   35.1 ms   39.8 ms
 
     Shorter segments (``// 32``) lose at every size, most at 16k and 100k.
+    With ``// 16`` and the state-only recording sweep, a 2-vCPU VM on a later,
+    slower day read 2.0, 3.7, 4.7, 6.3 and 30.7 ms, against 2.3, 4.5, 5.8,
+    7.8 and 39.2 ms for the code before it, timed alternately with it.
 
     A node falls on each of the increasing coordinates ``breaks`` where the
     coefficients have a kink, so that no RK4 step straddles one (Hairer,
@@ -212,21 +223,19 @@ def _segments(x0, x1, steps, breaks=()):
     return x_half, index, dx.reshape(count, size).T
 
 
-def _sweep(rhs, dx, starts):
-    """RK4 across every segment from ``starts`` (shape ``(2, segments)``).
+def _sweep(rhs, dx, y):
+    """RK4 across every segment from the start rows ``y`` (shape ``(rows, segments)``).
 
-    Vectorised over segments, it steps a 2-component state and the 2x2
+    Vectorised over segments, it steps the rows it is given, with the same
+    stages: a 2-component state ``(y0, y1)``, optionally followed by the 2x2
     matrix of its derivatives by the start state, rows
-    ``(y0, y1, x00, x10, x01, x11)``, with the same stages; ``rhs(j, y, k)``
-    writes their derivatives at half-node row ``j`` of ``_segments``' index
-    table into ``k``.  The matrix is then the exact Jacobian of the discrete
-    segment map.  Returns ``(y, ys)``: the six rows at the segment ends, and
-    the list of the six rows after each step (one array per step keeps every
-    block small).  Overflow shows as non-finite values.
+    ``(x00, x10, x01, x11)``; started at the identity, that matrix is the
+    exact Jacobian of the discrete segment map.  ``rhs(j, y, k)``
+    writes the derivatives of the rows ``y`` at half-node row ``j`` of
+    ``_segments``' index table into ``k``.  Returns ``(y, ys)``: the rows at
+    the segment ends, and the list of the rows after each step (one array per
+    step keeps every block small).  Overflow shows as non-finite values.
     """
-    y = np.zeros((6, starts.shape[1]))
-    y[:2] = starts
-    y[2] = y[5] = 1.0
     half, sixth = 0.5 * dx, dx / 6.0
     k1, k2, k3, k4, z = (np.empty_like(y) for _ in range(5))
     ys = []
@@ -253,13 +262,27 @@ def _sweep(rhs, dx, starts):
     return y, ys
 
 
+def _interval(x, xs):
+    """Each ``x``'s interval among the ``n`` increasing ``xs``: ``clip(searchsorted(xs, x) - 1, 0, n - 2)``.
+
+    ``np.interp`` of the node index finds it by a guided search, cheaper than
+    ``searchsorted``'s bisections for the mostly sorted queries of a
+    hand-off.  The floor of that index is the interval or the one after it;
+    one exact comparison with the node decides.  NaN queries get ``n - 2``.
+    """
+    n = len(xs)
+    j = np.fmin(np.interp(x, xs, np.arange(n, dtype=float)), n - 1).astype(np.intp)  # NaN: n - 1
+    return np.clip(j - (xs[j] >= x), 0, n - 2)
+
+
 def _hermite(x, xs, ys, dys):
     """Cubic Hermite interpolation of values ``ys`` and slopes ``dys`` at ``xs``.
 
-    Outside ``[xs[0], xs[-1]]`` it holds the end values, as ``np.interp`` does.
+    Outside ``[xs[0], xs[-1]]`` it holds the end values, as ``np.interp`` does;
+    NaN queries give NaN.
     """
     x = np.clip(x, xs[0], xs[-1])
-    j = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
+    j = _interval(x, xs)
     x0, y0, y1, s0, s1 = xs[j], ys[j], ys[j + 1], dys[j], dys[j + 1]
     d = xs[j + 1] - x0
     t = (x - x0) / d
@@ -275,7 +298,8 @@ def _newton(disk, n, steps, h0, starts):
     (``_sweep``) steps every segment from its start, and one banded solve
     (``_solve_joints``) corrects ``h0`` and the starts.  Newton runs until
     the sweep after a correction below ``SETTLED_STEP``, at most
-    ``MAX_SWEEPS`` sweeps; that sweep records the profile.  A step that
+    ``MAX_SWEEPS`` sweeps; that sweep records the profile and, known to be
+    the last, steps the state without the variational matrix.  A step that
     changes ``h0`` by more than ``MAX_H0_STEP`` is scaled down.  It stalls on
     the cap, a non-finite sweep, a singular band or a step that takes
     ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1, Omega(0)))``.
@@ -298,12 +322,16 @@ def _newton(disk, n, steps, h0, starts):
     settled = False
     for sweeps in range(1, MAX_SWEEPS + 1):
         seed = taylor_seed(h0, SEED_RADIUS, omega0)
-        y, ys = _sweep(rhs, dx, np.column_stack((seed, starts)))
+        last = settled or sweeps == MAX_SWEEPS
+        y = np.zeros((2 if last else 6, starts.shape[1] + 1))
+        y[:2, 0], y[:2, 1:] = seed, starts
+        y[2::3] = 1.0  # the variational matrix starts at the identity, if stepped
+        y, ys = _sweep(rhs, dx, y)
         defect = np.empty(2 * y.shape[1] - 1)
         defect[0:-1:2] = y[0, :-1] - starts[0]
         defect[1:-1:2] = y[1, :-1] - starts[1]
         defect[-1] = y[1, -1] + 2.0 * n / disk.radius
-        if settled or sweeps == MAX_SWEEPS or not np.isfinite(y).all():
+        if last or not np.isfinite(y).all():
             break
         # The first segment's end per unit h0: d(seed)/d(h0) = (1, 0).
         try:

@@ -91,11 +91,14 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    #: Seconds of the check call, not of making the inputs it reads (0 when one
+    #: failed); the first check to read a solve's observables computes them.
+    seconds: float = 0.0
 
     def line(self) -> str:
         """The record's row of ``verify``'s table."""
         status = "PASS" if self.passed else "FAIL"
-        return f"{self.criterion:>9}  {status:6}  {self.name} ({self.detail})"
+        return f"{self.criterion:>9}  {status:6}  {self.name} ({self.detail}) {self.seconds:.6f} s"
 
 
 _Solved = namedtuple("_Solved", "field report obs")  # a 2-D solve input's value; obs() is computed once
@@ -143,10 +146,14 @@ def run_acceptance(
     made = {}  # label -> (value, failure, seconds)
 
     def add(criterion, name, check, *inputs):
-        """Record ``check``'s ``(passed, detail)`` on the values of ``inputs``, or the failure of one."""
+        """Record ``check``'s ``(passed, detail)`` and seconds on the values of ``inputs``, or a failure."""
         values, failure = _read(inputs, made, say)
-        passed, detail = check(*values) if failure is None else (False, failure)
-        results.append(CheckResult(criterion, name, bool(passed), detail))
+        if failure is not None:
+            results.append(CheckResult(criterion, name, False, failure))
+            return
+        t0 = time.perf_counter()
+        passed, detail = check(*values)
+        results.append(CheckResult(criterion, name, bool(passed), detail, time.perf_counter() - t0))
 
     scale = (BASE_NR / nr) ** 1.5 if nr < BASE_NR else 1.0
     cross_scale = (BASE_NR / nr) ** 2.0 if nr < BASE_NR else 1.0

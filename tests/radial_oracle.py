@@ -8,6 +8,11 @@ false position on that mismatch over ``[SCAN_LOW, SCAN_HIGH]``
 (``single_stage_h0``), every pass at the full step count.  The march puts
 a node on each of the disk's breakpoints as ``shoot`` does
 (``aligned_nodes``), so both discretise the same problem.
+
+It also keeps the library calls that the radial kernels replaced:
+``scipy.linalg.solve_banded`` for the joint solve (``banded_joints``) and
+``np.searchsorted`` for the Hermite interval (``searchsorted_interval``,
+``searchsorted_hermite``).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from nvortex.geometry import ConformalDisk
 from nvortex.shooting import DEFAULT_STEPS, SCAN_HIGH, SCAN_LOW, SEED_RADIUS, RadialProfile, taylor_seed
@@ -182,3 +188,34 @@ def single_stage_h0(disk, n, steps, eps=SEED_RADIUS):
     f_lo, f_hi = mismatch(SCAN_LOW), mismatch(SCAN_HIGH)
     assert f_lo < 0.0 <= f_hi
     return _illinois(mismatch, SCAN_LOW, SCAN_HIGH, f_lo, f_hi, H0_BRACKET_WIDTH)
+
+
+def banded_joints(lead, maps, rhs) -> np.ndarray:
+    """``shooting._solve_joints`` through ``solve_banded((2, 1), ...)`` on the unpadded ``(4, n)`` band."""
+    x00, x01, x10, x11 = maps
+    ab = np.zeros((4, rhs.size))
+    ab[0, 1:] = -1.0
+    ab[1, 0], ab[2, 0] = lead
+    if rhs.size == 1:
+        ab[1, 0] = lead[1]
+    else:
+        ab[2, 1::2], ab[1, 2::2] = x00[1:], x01[1:]
+        ab[3, 1:-3:2], ab[2, 2:-1:2] = x10[1:-1], x11[1:-1]
+        ab[2, -2], ab[1, -1] = x10[-1], x11[-1]
+    return solve_banded((2, 1), ab, rhs)
+
+
+def searchsorted_interval(x, xs) -> np.ndarray:
+    """The interval ``shooting._interval`` must find: by bisection, clipped to ``[0, n - 2]``."""
+    return np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
+
+
+def searchsorted_hermite(x, xs, ys, dys) -> np.ndarray:
+    """``shooting._hermite`` on the interval of ``searchsorted_interval``."""
+    x = np.clip(x, xs[0], xs[-1])
+    j = searchsorted_interval(x, xs)
+    x0, y0, y1, s0, s1 = xs[j], ys[j], ys[j + 1], dys[j], dys[j + 1]
+    d = xs[j + 1] - x0
+    t = (x - x0) / d
+    return (y0 + t * d * s0 + t * t * (3.0 * (y1 - y0) - d * (2.0 * s0 + s1))
+            + t**3 * (2.0 * (y0 - y1) + d * (s0 + s1)))

@@ -177,3 +177,23 @@ def test_sparse_matrices_have_one_assembly_path():
     calls = [call for path in SOURCES for call in _sparse_constructor_calls(path)]
     assert {site for site, _ in calls} == {"operators.assemble_neumann_laplacian"}
     assert "diags" not in {name for _, name in calls}
+
+
+def _names(path: Path) -> set[str]:
+    """Every name that ``path`` imports, reads or calls, attribute names included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_banded_joint_solve_calls_lapack_directly():
+    # solve_banded checks, copies and batches its arguments on every call;
+    # shooting._solve_joints hands LAPACK's band to gbsv itself.
+    assert [path.name for path in SOURCES if "solve_banded" in _names(path)] == []
+    assert [path.name for path in SOURCES if "dgbsv" in _names(path)] == ["shooting.py"]

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -637,6 +638,34 @@ class TestVerify:
                                        "", "28/28 checks passed at 32x32"]
         assert verification.REFERENCE_CONFIG["grid"] == {"nr": verification.BASE_NR}  # not overwritten
 
+    @pytest.mark.parametrize("nr", [64, 256])
+    def test_every_row_carries_its_check_seconds(self, capsys, nr):
+        assert cli.main(["verify", "--nr", str(nr)]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if re.match(r" +\d+  (PASS|FAIL)  ", line)]
+        assert len(rows) == 28 and all(re.search(r"\) \d+\.\d{6} s$", row) for row in rows)
+        assert lines[-1] == f"28/28 checks passed at {nr}x{nr}"
+
+    def test_row_seconds_leave_out_the_inputs(self, capsys, monkeypatch):
+        # Each shoot takes at least 0.2 s more; the input lines carry that,
+        # the rows that read the shoots do not.
+        real_shoot = verification.shoot
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return real_shoot(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "shoot", slow)
+        records = verification.run_acceptance(nr=32, radial_steps=2000, log=print)
+        out = capsys.readouterr().out
+        for steps in (2000, 4000):
+            seconds = float(re.search(rf"^radial shoot at {steps} steps \.\.\. (\S+) s$", out, re.M).group(1))
+            assert seconds >= 0.2
+        rows = {rec.name: rec for rec in records}
+        for name in ("boundary slope -2/3 met", "h0 stable under step halving"):
+            assert rows[name].passed and 0.0 < rows[name].seconds < 0.1
+        assert all(rec.line().endswith(f" {rec.seconds:.6f} s") for rec in records)
+
     def test_odd_grid_passes(self, capsys):
         # The 33^2 grid has nodes at radius 1/2, where the N=2 check puts its
         # vortices; that check solves on the even grid below.
@@ -656,7 +685,8 @@ class TestVerify:
         # The flux errors are within tolerance; the rows fail on the solve they read.
         for name, solve in (("interior flux = 2*pi", "centred"), ("boundary flux = pi", "boundary")):
             (line,) = [line for line in out.splitlines() if f"FAIL    {name} (" in line]
-            assert line.endswith(f"({solve} vortex at 32x32: solve not converged (line_search))")
+            # A row whose input failed runs no check, so it takes no time.
+            assert line.endswith(f"({solve} vortex at 32x32: solve not converged (line_search)) 0.000000 s")
 
     def test_unconverged_shoot_is_a_failure(self, tmp_path, capsys, monkeypatch):
         # The checks that read the radial profile, or the linearised solve
@@ -691,7 +721,7 @@ class TestVerify:
         assert len(failed) == len(ROWS_READING_A_SOLVE)
         for name, solve in ROWS_READING_A_SOLVE.items():
             (line,) = [line for line in failed if f"FAIL    {name} (" in line]
-            assert line.endswith(f"({solve}: solve not converged (linear_solve))")
+            assert line.endswith(f"({solve}: solve not converged (linear_solve)) 0.000000 s")
         assert lines[-1] == "13/28 checks passed at 64x64"
 
     def test_failed_tangent_solve_fails_the_loop_integral_only(self, capsys, monkeypatch):

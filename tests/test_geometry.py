@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ class TestVortexConfiguration:
     def test_multiplicity_validation(self, bad):
         with pytest.raises(ValueError):
             VortexConfiguration(interior=((0j, bad),))
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "2", "1", b"2"])
+    def test_multiplicity_must_be_a_number(self, bad):
+        # float() reads these as 1, 0 or 2; a bool or a string is no multiplicity.
+        message = re.escape(f"multiplicity must be an integer >= 1, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            VortexConfiguration(interior=((0j, bad),))
+        with pytest.raises(ValueError, match=message):
+            VortexConfiguration(boundary=((0.0, bad),))
+
+    def test_centered_refuses_a_bool(self):
+        with pytest.raises(ValueError, match="multiplicity must be an integer >= 1, got True"):
+            VortexConfiguration.centered(True)
+
+    @pytest.mark.parametrize("n", [2.0, np.float64(2.0), np.int64(2)])
+    def test_integer_valued_numbers_kept(self, n):
+        cfg = VortexConfiguration(interior=((0j, n),))
+        assert cfg.interior == ((0j, 2),) and type(cfg.interior[0][1]) is int
 
     def test_position_outside_disk_rejected(self, disk3):
         cfg = VortexConfiguration(interior=((3.5 + 0j, 1),))

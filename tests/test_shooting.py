@@ -14,7 +14,14 @@ from nvortex import (
     taylor_seed,
 )
 from nvortex.geometry import VortexConfiguration, bradlow_margin
-from radial_oracle import _mismatch, integrate_radial, single_stage_h0
+from radial_oracle import (
+    _mismatch,
+    banded_joints,
+    integrate_radial,
+    searchsorted_hermite,
+    searchsorted_interval,
+    single_stage_h0,
+)
 
 #: Core value of the radius-3 unit vortex at 1e5 integration steps,
 #: regression-locked after the cross-check against the 2d solver.
@@ -76,6 +83,11 @@ class TestIntegrateRadial:
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"multiplicity must be >= 1, got {n}"):
                 shoot(disk3, n=n, steps=2_000)
+
+    def test_bool_multiplicity_refused(self, disk3):
+        # True would run as n = 1, as steps=True would as 1 step.
+        with pytest.raises(ValueError, match="multiplicity must be an integer >= 1, got True"):
+            shoot(disk3, n=True, steps=2_000)
 
     @pytest.mark.parametrize("eps", [0.0, 3.0, 5.0, -1e-8, math.nan])
     def test_seed_radius_inside_disk(self, disk3, eps):
@@ -149,10 +161,10 @@ class TestShoot:
         real_sweep = shooting._sweep
         calls = []
 
-        def flickering(rhs, dx, starts):
+        def flickering(rhs, dx, y):
             # Every other sweep ends each segment 1e-3 too high: no Newton
             # step can settle that.
-            y, ys = real_sweep(rhs, dx, starts)
+            y, ys = real_sweep(rhs, dx, y)
             calls.append(None)
             y[0] += 1e-3 * (len(calls) % 2)
             return y, ys
@@ -270,6 +282,110 @@ class TestShoot:
         assert radial_r3.r[0] == shooting.SEED_RADIUS
         ends = radial_r3.htilde_at([0.0, 0.5 * shooting.SEED_RADIUS, 3.0, 3.5])
         assert np.max(np.abs(ends - radial_r3.htilde[[0, 0, -1, -1]])) <= 1e-14
+
+
+def random_joint_system(rng, blocks):
+    """``(lead, maps, rhs)`` of a random multiple-shooting system with ``blocks`` blocks."""
+    maps = tuple(rng.normal(size=blocks) for _ in range(4))
+    return tuple(rng.normal(size=2)), maps, rng.normal(size=2 * blocks - 1)
+
+
+def same_bits(a, b):
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestKernelsAgainstOracles:
+    """The joint solve, the Hermite interval and the state-only sweep give the replaced paths' bits."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 17, 1_000])
+    def test_joint_solve_is_solve_banded(self, blocks):
+        rng = np.random.default_rng(blocks)
+        for _ in range(20):
+            lead, maps, rhs = random_joint_system(rng, blocks)
+            assert same_bits(shooting._solve_joints(lead, maps, rhs), banded_joints(lead, maps, rhs))
+
+    @pytest.mark.parametrize("steps", [1, 2, 2_000])
+    def test_linear_bvp_is_solve_banded(self, monkeypatch, steps):
+        # steps=1 is one block: the one-equation system a'(R) = -2/R^2.
+        def solve(**kwargs):
+            return moduli.solve_linear_bvp(lambda r: 1.0 + 0.1 * r, 3.0, steps=steps, **kwargs)
+
+        lin = solve()
+        monkeypatch.setattr(moduli, "_solve_joints", banded_joints)
+        oracle = solve()
+        for name in ("r", "a", "da", "slope0", "boundary_value", "bc_defect"):
+            assert same_bits(getattr(lin, name), getattr(oracle, name)), name
+
+    def test_shoot_is_solve_banded(self, monkeypatch):
+        profile = shoot(table_disk(), steps=2_000)
+        monkeypatch.setattr(shooting, "_solve_joints", banded_joints)
+        oracle = shoot(table_disk(), steps=2_000)
+        for name in ("r", "htilde", "dhtilde", "h0", "residual", "joint_defect", "passes"):
+            assert same_bits(getattr(profile, name), getattr(oracle, name)), name
+
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_singular_band_raises(self, blocks):
+        # The first block does not depend on the parameter: the first column is zero.
+        _, maps, rhs = random_joint_system(np.random.default_rng(0), blocks)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            shooting._solve_joints((0.0, 0.0), maps, rhs)
+
+    @pytest.fixture(scope="class")
+    def node_sets(self):
+        lin = moduli.solve_linear_bvp(lambda r: np.ones_like(r), 3.0, steps=1_000)
+        return {
+            "shoot": shoot(table_disk(), steps=2_000).r,  # uniform, with nodes on the breakpoints
+            "linear": lin.r,  # geometric
+            "two": np.array([-1.0, 2.0]),
+            "ragged": np.cumsum(np.random.default_rng(1).exponential(size=300)),
+        }
+
+    def queries(self, xs):
+        rng = np.random.default_rng(xs.size)
+        inside = rng.uniform(xs[0], xs[-1], size=2_000)
+        near = np.concatenate((np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)))
+        out = np.array([xs[0] - 1.0, xs[-1] + 1.0, -np.inf, np.inf, np.nan, xs[0], xs[-1]])
+        hits = rng.permutation(np.concatenate((inside, near, out)))  # unsorted
+        return {"inside": np.sort(inside), "near nodes": near, "ends and outside": out, "unsorted": hits,
+                "scalar": np.float64(xs[len(xs) // 2]), "nan": np.full(3, np.nan)}
+
+    @pytest.mark.parametrize("nodes", ["shoot", "linear", "two", "ragged"])
+    def test_interval_is_searchsorted(self, node_sets, nodes):
+        xs = node_sets[nodes]
+        for kind, x in self.queries(xs).items():
+            assert np.array_equal(shooting._interval(x, xs), searchsorted_interval(x, xs)), kind
+
+    @pytest.mark.parametrize("nodes", ["shoot", "linear", "two", "ragged"])
+    def test_hermite_is_searchsorted_hermite(self, node_sets, nodes):
+        xs = node_sets[nodes]
+        rng = np.random.default_rng(7)
+        ys, dys = rng.normal(size=xs.size), rng.normal(size=xs.size)
+        for kind, x in self.queries(xs).items():
+            y = shooting._hermite(x, xs, ys, dys)
+            assert same_bits(y, searchsorted_hermite(x, xs, ys, dys)), kind
+            assert np.array_equal(np.isnan(y), np.isnan(x)), kind
+
+    def test_recording_sweep_steps_the_state_rows_only(self, monkeypatch):
+        real_sweep = shooting._sweep
+        calls = []
+
+        def recording(rhs, dx, y):
+            calls.append((rhs, dx, y.copy()))
+            return real_sweep(rhs, dx, y)
+
+        monkeypatch.setattr(shooting, "_sweep", recording)
+        profile = shoot(table_disk(), steps=2_000)
+        assert profile.converged
+        n_coarse, n_fine = profile.passes
+        rows = [y.shape[0] for _, _, y in calls]
+        assert rows == [6] * (n_coarse - 1) + [2] + [6] * (n_fine - 1) + [2]
+        # Each Newton sweep's state rows, stepped alone, are the full sweep's bit for bit.
+        for rhs, dx, y in calls:
+            if y.shape[0] == 6:
+                full_end, full_steps = real_sweep(rhs, dx, y)
+                end, states = real_sweep(rhs, dx, y[:2])
+                assert same_bits(end, full_end[:2])
+                assert all(same_bits(s, f[:2]) for s, f in zip(states, full_steps))
 
 
 def cut(x_half, step_sizes, size):
