@@ -9,7 +9,7 @@ where the radial factor ``a`` solves the linear two-point problem
     a'' + a'/r - a/r^2 = f(r) * (a - 2/r),   f = Omega * exp(h),
 
 regular at the origin with ``a'(R) = -2/R^2``; ``solve_linear_bvp`` solves
-it by multiple shooting with the radial shoot's segments, RK4 sweep and
+it by multiple shooting on the radial shoot's own mesh, RK4 sweep and
 banded joint solve (``shooting._segments``, ``_sweep``, ``_solve_joints``).
 The kinetic-energy coefficient of a moving vortex combines a boundary term,
 ``(1/2) * pi * (d_X h(R; 0))^2`` with ``d_X h(R; 0) = a(R) - 2/R``, and the
@@ -41,6 +41,7 @@ from .geometry import (
 from .operators import assemble_neumann_laplacian
 from .shooting import (
     DEFAULT_STEPS,
+    SEED_RADIUS,
     RadialProfile,
     _hermite,
     _segments,
@@ -66,12 +67,6 @@ __all__ = [
     "metric_coefficient",
 ]
 
-#: Inner start of the linearized integration, as a fraction of the radius;
-#: the regular branch ``a ~ c r`` is imposed there (the 1/r branch is excluded
-#: by smoothness of the position derivative at the origin).
-EPS_FRACTION = 1e-6
-
-
 class ConditioningError(RuntimeError):
     """The block system for the linearized profile overflowed or is singular."""
 
@@ -86,7 +81,7 @@ class LinearizedProfile:
 
     r: np.ndarray
     a: np.ndarray
-    da: np.ndarray  # a'(r) at the nodes, from the sweep's q = r a'
+    da: np.ndarray  # a'(r) at the nodes, from the sweep
     slope0: float  # a'(0), the coefficient of the regular branch a ~ c r
     boundary_value: float  # d_X h(R; 0) = a(R) - 2/R
     bc_defect: float  # |a'(R) + 2/R^2|, zero up to roundoff by construction
@@ -100,7 +95,7 @@ class LinearizedProfile:
 
 
 def solve_linear_bvp(
-    f_of_r,
+    f,
     radius: float,
     steps: int = DEFAULT_STEPS,
     *,
@@ -108,118 +103,108 @@ def solve_linear_bvp(
 ) -> LinearizedProfile:
     """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by multiple shooting.
 
-    Integrates in ``t = log r`` (keeping the Euler-type coefficients bounded
-    near the core) with ``steps`` classical RK4 steps from
-    ``eps = EPS_FRACTION * radius``; ``f_of_r`` is evaluated once, at the
-    ``2 * steps + 1`` half-node radii.  The steps are cut into segments as
-    for ``shoot`` (``_segments``), with a node on each of the increasing
-    radii ``breakpoints`` where ``f`` has a kink (``ConformalDisk.breakpoints``;
-    uniform steps without), and one ``_sweep`` steps every segment
-    from a zero start with an identity variational matrix.  The system is
-    linear, so that sweep's rows after each step are exactly the affine map
-    of the segment so far: ``a = y0 + x00 a_b + x01 q_b`` from the segment's
-    start state ``(a_b, q_b)``.  One banded solve (``_solve_joints``) gives
-    ``a'(0)`` (``slope0``; the regular branch is seeded as
-    ``a = slope0 * r``) and every segment-start state from continuity at the
-    joints and ``a'(R) = -2/R^2``.  Short segments keep it well conditioned
-    on large disks, where both solutions of the equation grow like ``e^r``.
-    The vacuum case ``f == 0`` has the closed form ``a = -2 r / R^2``.
+    Steps ``(a, a')`` in ``r`` on the radial shoot's mesh: ``steps`` RK4
+    steps of ``shooting._segments`` from ``SEED_RADIUS``, graded at the
+    centre, with a node on each of the increasing radii ``breakpoints``
+    where ``f`` has a kink.  ``f`` holds the coefficient at the
+    ``2 * steps + 1`` half-node radii; a scalar broadcasts, and 0 is the
+    vacuum, ``a = -2 r / R^2``.  The system is linear, so one ``_sweep``
+    from a zero start with an identity variational matrix gives each
+    segment's affine map (the first segment's from the seed
+    ``(a, a') = slope0 * (SEED_RADIUS, 1)``), and one banded solve
+    (``_solve_joints``) gives ``a'(0)`` (``slope0``) and every segment start
+    from continuity at the joints and ``a'(R) = -2/R^2``.  Short segments
+    keep it well conditioned where both solutions grow like ``e^r``.
 
     Raises ``ValueError`` unless ``steps`` is a positive integer, ``radius``
-    is positive and finite and ``f_of_r`` returns finite values
+    is finite and exceeds ``SEED_RADIUS`` and ``f`` is finite and
     broadcastable to the half-node radii; ``ConditioningError`` if the
     sweep overflows or the banded factor is singular.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    eps = EPS_FRACTION * radius
-    breaks = [math.log(b) for b in breakpoints if b > 0.0]
-    r_half, index, dt = _segments(math.log(eps), math.log(radius), steps, breaks)
-    np.exp(r_half, out=r_half)  # the half-node radii, from their values of t = log r
-    f_half = np.asarray(f_of_r(r_half), dtype=float)
+    if not (math.isfinite(radius) and radius > SEED_RADIUS):
+        raise ValueError(f"radius must be positive and finite, above {SEED_RADIUS}, got {radius!r}")
+    r_half, index, dr = _segments(SEED_RADIUS, radius, steps, breakpoints)
+    f_half = np.asarray(f, dtype=float)
     try:
         f_half = np.broadcast_to(f_half, r_half.shape)
     except ValueError:
         raise ValueError(
-            f"f_of_r must return values broadcastable to the half-node radii, shape "
-            f"{r_half.shape}; got shape {f_half.shape}"
+            f"f must be broadcastable to the half-node radii, shape {r_half.shape}; got shape {f_half.shape}"
         ) from None
     bad = np.count_nonzero(~np.isfinite(f_half))
     if bad:
         raise ValueError(f"coefficient f is not finite at {bad} of {f_half.size} half-node radii")
-    # In t the system reads a_t = q, q_t = P(t) a + s(t).
-    p = (1.0 + r_half**2 * f_half)[index]
-    s = (-2.0 * r_half * f_half)[index]
+    # a'' = p(r) a + w(r) a' + s(r), w = -1/r
+    w = -1.0 / r_half
+    p, s, w = (w * w + f_half)[index], (2.0 * w * f_half)[index], w[index]
+    pa = np.empty((3, index.shape[1]))
 
     def rhs(j, y, k):
         k[::2] = y[1::2]
-        np.multiply(p[j], y[::2], out=k[1::2])
+        np.multiply(w[j], y[1::2], out=k[1::2])
+        k[1::2] += np.multiply(p[j], y[::2], out=pa)
         k[1] += s[j]
 
     start = np.zeros((6, index.shape[1]))
-    start[2::3] = 1.0  # the variational matrix starts at the identity
-    y, ys = _sweep(rhs, dt, start)
+    start[2::3] = 1.0  # the variational matrix starts at the identity,
+    start[2:4, 0] = SEED_RADIUS, 1.0  # but the first block's first column at the seed
+    y, ys = _sweep(rhs, dr, start)
     overflow = ConditioningError("linearized integration overflowed before the boundary")
     if not np.isfinite(y).all():
         raise overflow
     d0, d1, x00, x10, x01, x11 = y
     # Continuity X_b s_b + d_b = s_{b+1} at each joint, then the outer
-    # condition q(T) = R a'(R) = -2/R; the seed is (a, q) = slope0 * (eps, eps).
+    # condition a'(R) = -2/R^2; the seed is (a, a') = slope0 * (SEED_RADIUS, 1).
     rhs_joints = np.empty(2 * d0.size - 1)
     rhs_joints[0:-1:2], rhs_joints[1:-1:2] = -d0[:-1], -d1[:-1]
-    rhs_joints[-1] = -2.0 / radius - d1[-1]
-    lead = ((x00[0] + x01[0]) * eps, (x10[0] + x11[0]) * eps)
+    rhs_joints[-1] = -2.0 / radius**2 - d1[-1]
     try:
-        x = _solve_joints(lead, (x00, x01, x10, x11), rhs_joints)
+        x = _solve_joints((x00[0], x10[0]), (x00, x01, x10, x11), rhs_joints)
     except np.linalg.LinAlgError:
         raise ConditioningError("the banded block system for the linearized profile is singular") from None
     slope0 = float(x[0])
-    start_a = np.concatenate(([slope0 * eps], x[1::2]))
-    start_q = np.concatenate(([slope0 * eps], x[2::2]))
-    a, q = np.empty(steps + 1), np.empty(steps + 1)
-    a[0] = q[0] = slope0 * eps
+    start_a = np.concatenate(([slope0], x[1::2]))  # the first block's in units of the seed
+    start_da = np.concatenate(([0.0], x[2::2]))
+    a, da = np.empty(steps + 1), np.empty(steps + 1)
+    a[0], da[0] = slope0 * SEED_RADIUS, slope0
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.array([(state[0] + state[2] * start_a + state[4] * start_q,
-                          state[1] + state[3] * start_a + state[5] * start_q) for state in ys])
+        rows = np.array([(state[0] + state[2] * start_a + state[4] * start_da,
+                          state[1] + state[3] * start_a + state[5] * start_da) for state in ys])
     a[1:] = rows[:, 0].T.ravel()[:steps]
-    q[1:] = rows[:, 1].T.ravel()[:steps]
+    da[1:] = rows[:, 1].T.ravel()[:steps]
     if not np.isfinite(a).all():
         raise overflow
-    q_end = x10[-1] * start_a[-1] + x11[-1] * start_q[-1] + d1[-1]
-    bc_defect = abs(q_end / radius + 2.0 / radius**2)
-    r = r_half[::2].copy()
+    da_end = x10[-1] * start_a[-1] + x11[-1] * start_da[-1] + d1[-1]
     return LinearizedProfile(
-        r=r,
+        r=r_half[::2].copy(),
         a=a,
-        da=q / r,
+        da=da,
         slope0=slope0,
         boundary_value=float(a[-1]) - 2.0 / radius,
-        bc_defect=bc_defect,
+        bc_defect=abs(da_end + 2.0 / radius**2),
     )
 
 
-def solve_linearized(
-    disk: ConformalDisk,
-    radial: RadialProfile,
-    steps: int = DEFAULT_STEPS,
-) -> LinearizedProfile:
+def solve_linearized(disk: ConformalDisk, radial: RadialProfile) -> LinearizedProfile:
     """Linearized profile driven by a converged unit-vortex radial solution.
 
-    The coefficient reads ``htilde`` off ``radial`` by cubic Hermite
-    interpolation at the half-node radii, and the steps fall on the disk's
-    breakpoints, so the solve stays fourth order in both step counts.
+    Steps on the shoot's own mesh, so ``f = Omega r^2 e^htilde`` reads the
+    recorded ``htilde`` at the nodes and, at each midpoint, the cubic Hermite
+    value ``(h_i + h_{i+1})/2 + d_i (h'_i - h'_{i+1})/8`` (``d_i`` the step).
     """
     if radial.n != 1:
         raise ValueError("the linearized problem is defined for a unit vortex")
     if not radial.converged:
         raise ValueError("radial profile must be converged")
-
-    def f_of_r(r):
-        return disk.omega_at(r) * r**2 * np.exp(radial.htilde_at(r))
-
-    return solve_linear_bvp(f_of_r, disk.radius, steps=steps, breakpoints=disk.breakpoints)
+    r, h, dh = radial.r, radial.htilde, radial.dhtilde
+    d = np.diff(r)
+    r_half, h_half = np.empty(2 * r.size - 1), np.empty(2 * r.size - 1)
+    r_half[::2], r_half[1::2] = r, r[:-1] + 0.5 * d  # the half-node radii of ``_segments``
+    h_half[::2], h_half[1::2] = h, 0.5 * (h[:-1] + h[1:]) + 0.125 * d * (dh[:-1] - dh[1:])
+    f = disk.omega_at(r_half) * r_half**2 * np.exp(h_half)
+    return solve_linear_bvp(f, disk.radius, radial.steps, breakpoints=disk.breakpoints)
 
 
 def boundary_metric_term(lin: LinearizedProfile) -> float:

@@ -8,8 +8,9 @@ radial two-point boundary value problem
 
 which is solved by multiple shooting on the core value ``h0 = htilde(0)``
 from the fixed seed radius ``SEED_RADIUS`` with a fixed-step classical
-4th-order method.  The steps are cut into about ``16 sqrt(steps)`` segments
-of about ``sqrt(steps) / 16`` steps (``_segments``) whose start states are
+4th-order method.  The mesh (``_segments``) is graded in a centre zone and
+uniform after it, and its steps are cut into about ``16 sqrt(steps)``
+segments whose start states are
 unknowns beside ``h0``; one vectorised sweep steps every segment and its 2x2
 variational matrix, and Newton on continuity at the joints plus the outer
 slope is one banded solve per sweep (Keller, "Numerical Methods for
@@ -19,12 +20,12 @@ alone: nothing reads its matrix.  The banded solve hands LAPACK's band to
 ``dgbsv`` itself.  Short segments keep the solve well conditioned where one
 march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
 Newton runs twice: on a coarse mesh from a closed-form guess, then at the
-requested step count from the coarse solution.  The segmentation (``_segments``), the
-sweep (``_sweep``) and the banded solve (``_solve_joints``) also serve the
-linearised radial problem of ``moduli.solve_linear_bvp``.  Both solves stay
-fourth order end to end: a step node sits on every kink of a sampled Omega
-(``ConformalDisk.breakpoints``), and the profile hands ``htilde`` on by cubic
-Hermite interpolation of its values and slopes (``RadialProfile.htilde_at``).
+requested step count from the coarse solution.  The mesh, the sweep
+(``_sweep``) and the banded solve (``_solve_joints``) also serve the
+linearised radial problem of ``moduli.solve_linear_bvp``, on the same nodes.
+Both solves stay fourth order end to end: the centre zone holds the order
+against the ``1/r`` coefficients, and a node sits on every kink of a
+sampled Omega (``ConformalDisk.breakpoints``).
 """
 
 from __future__ import annotations
@@ -47,12 +48,15 @@ __all__ = [
 #: Radius where the integration starts from ``taylor_seed``'s series.  The
 #: terms the series leaves out are below double precision here.
 SEED_RADIUS = 1e-8
-#: The least multiple of 500 steps whose ``h0``, and whose ``slope0`` and
-#: ``boundary_value`` from the linearised solve at as many steps, stay within
-#: 1e-11 of 1M-step solves on flat disks of radius 3, 12 and 25, a sampled
-#: and a smooth Omega on radius 3.  Both radial solves default to it.  The
-#: flat R = 25 disk sets it: its ``h0`` is off by 1.0e-11 at 6,500 steps and
-#: by 7.6e-12 at 7,000, its ``boundary_value`` by 1.1e-11 and 8.0e-12.
+#: The graded centre zone of ``_segments``: ``ZONE_SHARE`` of the steps on
+#: ``[SEED_RADIUS, ZONE_RADIUS]``, chosen among 12 pairs by the errors at 7k
+#: steps on five small and three large disks (``BENCH_radial_mesh.json``).
+ZONE_RADIUS = 1.0
+ZONE_SHARE = 0.2
+#: Default step count of both radial solves.  On flat disks of radius 3, 12
+#: and 25 and a sampled and a smooth Omega on radius 3, ``h0``, ``slope0``
+#: and ``boundary_value`` are within 2.2e-13 of 224k-step solves at 7,000;
+#: 3,000 would keep them within 1e-11 (table ``slope0``: 1.1e-11 at 2,500).
 DEFAULT_STEPS = 7_000
 #: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW`` or above
 #: ``SCAN_HIGH + n log(max(1, Omega(0)))``: the core value grows like
@@ -62,14 +66,13 @@ SCAN_HIGH = 5.0
 #: Least steps of the coarse Newton stage, which starts the one at
 #: ``steps``; also the least step count ``shoot`` accepts.
 COARSE_STEPS = 1_000
-#: Largest step of the coarse mesh.  Its segments must stay short where the
-#: closed-form start is far from the flow.  At 1,000 steps, in segments of
-#: 2 steps, the coarse Newton converges on flat disks with n <= 10 up to
-#: R = 320 and first stalls at R = 340 (n = 10), 360 (n = 8), 400 (n = 6) and
-#: 500 (n = 5); in the earlier segments of 8 steps it stalled from R = 95-100
-#: for n >= 6, its first sweep overflowing from R = 105-120.  Without the
-#: cap, shoots on the flat R = 400 disk with n = 6 and n = 10 stall at both
-#: 7k and 16k steps; R = 50-320 and R = 600 converge with or without it.
+#: The coarse mesh takes at least ``R / COARSE_MAX_STEP`` steps.  Its
+#: segments must stay short where the closed-form start is far from the
+#: flow.  On a uniform mesh of 1,000 steps the coarse Newton converged on
+#: flat disks with n <= 10 up to R = 320 and first stalled at R = 340
+#: (n = 10), 360 (n = 8), 400 (n = 6) and 500 (n = 5).  Without the cap,
+#: shoots on the flat R = 400 disk with n = 6 and n = 10 stalled at both 7k
+#: and 16k steps; R = 50-320 and R = 600 converged with or without it.
 COARSE_MAX_STEP = 0.025
 #: Core value of the coarse stage's closed-form start.
 START_H0 = -1.0
@@ -98,16 +101,23 @@ class RadialProfile:
     h0: float
     n: int
     residual: float
-    converged: bool
+    #: ``converged``; a Newton stalled on ``max_sweeps``, ``non_finite``,
+    #: ``singular_band`` or ``h0_range`` (see ``_newton``); or
+    #: ``slope_residual``, settled but off the outer slope by over ``SLOPE_TOL``.
+    termination: str
     steps: int = DEFAULT_STEPS
     #: ``shoot``'s Newton sweeps on the coarse mesh and at ``steps``.
     passes: tuple[int, int] = (0, 0)
     #: Largest state mismatch at a segment joint in the recorded sweep.
     joint_defect: float = 0.0
-    #: The Newton sweeps hit ``MAX_SWEEPS``, a non-finite state, a singular
-    #: band or a step out of the ``h0`` range (``SCAN_LOW``, ``SCAN_HIGH``)
-    #: before settling.
-    stalled: bool = False
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
+
+    @property
+    def stalled(self) -> bool:
+        return self.termination not in ("converged", "slope_residual")
 
     def htilde_at(self, r) -> np.ndarray:
         """Cubic Hermite interpolation of ``htilde`` and ``dhtilde`` onto radii ``r``.
@@ -118,13 +128,14 @@ class RadialProfile:
         return _hermite(np.asarray(r, dtype=float), self.r, self.htilde, self.dhtilde)
 
     def failure_reason(self) -> str:
-        """Why the shoot did not converge, for error messages."""
+        """Why the shoot did not converge, led by its ``termination``, for error messages."""
         if self.stalled:
             how = (f"Newton stalled after {self.passes[1]} sweeps "
                    f"(largest joint defect {self.joint_defect:.3g})")
         else:
             how = f"boundary-slope residual {self.residual:.3g} > tol {SLOPE_TOL:.3g}"
-        return f"radial shoot did not converge: {how} at {self.steps} steps, h0 = {self.h0!r}"
+        return (f"radial shoot did not converge ({self.termination}): {how} at {self.steps} steps, "
+                f"h0 = {self.h0!r}")
 
 
 def taylor_seed(h0: float, eps: float, omega0: float) -> tuple[float, float]:
@@ -170,55 +181,56 @@ def _segments(x0, x1, steps, breaks=()):
     """``steps`` RK4 steps from ``x0`` to ``x1`` cut into segments, for ``_sweep``.
 
     Returns ``(x_half, index, dx)``: the ``2 * steps + 1`` half-node
-    coordinates; per segment (columns) the indices of its half-nodes, with
-    shape ``(2 * size + 1, segments)``, at which a caller gathers its
-    coefficients; and the step sizes, shape ``(size, segments)``, zero on the
-    padding after the last node (an identity step).  ``_sweep`` pays numpy's
-    per-call cost once per position in a segment and its arithmetic once per
-    step, while the banded solve and the per-segment bookkeeping grow with
-    the segment count, so ``size`` grows like ``sqrt(steps)``:
-    ``isqrt(steps - 1) // 16 + 1`` steps (2 at 1k steps, 6 at 7k, 7 at 10k,
-    8 at 16k, 20 at 100k).  Least CPU time of a flat R = 3 ``shoot`` on a
-    2-vCPU VM, with ``// 4``, ``// 8``, ``// 16`` and ``// 32`` in the rule,
-    measured at commit e23f91d, before the recording sweep stepped the state
-    alone:
+    coordinates, each odd one halfway between its nodes; per segment
+    (columns) the indices of its half-nodes, shape ``(2 * size + 1, segments)``,
+    at which a caller gathers its coefficients; and the step sizes, shape
+    ``(size, segments)``, zero on the padding after the last node (an
+    identity step).  ``size`` is ``isqrt(steps - 1) // 16 + 1`` (6 at 7k
+    steps): of ``// 4``, ``// 8``, ``// 16`` and ``// 32``, the CPU time of a
+    flat R = 3 ``shoot`` is least or within 2% of it from 1k to 100k steps
+    (``BENCH_radial_segments.json``).
 
-        steps    // 4      // 8     // 16     // 32
-        1k      3.6 ms    2.6 ms    2.1 ms    2.3 ms
-        7k      5.9 ms    4.5 ms    3.5 ms    4.1 ms
-        10k     7.0 ms    5.0 ms    4.3 ms    4.7 ms
-        16k    10.7 ms    6.5 ms    5.7 ms    7.2 ms
-        100k   41.7 ms   34.6 ms   35.1 ms   39.8 ms
-
-    Shorter segments (``// 32``) lose at every size, most at 16k and 100k.
-    With ``// 16`` and the state-only recording sweep, a 2-vCPU VM on a later,
-    slower day read 2.0, 3.7, 4.7, 6.3 and 30.7 ms, against 2.3, 4.5, 5.8,
-    7.8 and 39.2 ms for the code before it, timed alternately with it.
-
-    A node falls on each of the increasing coordinates ``breaks`` where the
-    coefficients have a kink, so that no RK4 step straddles one (Hairer,
-    Norsett & Wanner, "Solving ODEs I", II.6): each moves the uniform node
-    nearest it onto itself, and the steps between two such nodes are
-    uniform.  A breakpoint nearest ``x0``, ``x1`` or the node of the one
-    before it gets no node.  Without breakpoints the steps are uniform.
+    A graded centre zone comes first: ``int(ZONE_SHARE * steps)`` steps (all
+    of them if ``x1 <= ZONE_RADIUS``, none below 5 steps) up to
+    ``min(ZONE_RADIUS, x1)``, on nodes ``r = ZONE_RADIUS s^2`` with ``s``
+    uniform.  Against the ``y'/r`` terms of the radial equations uniform
+    steps lose an order of RK4 where the solution has an ``r^3`` term (de
+    Hoog & Weiss, SIAM J. Numer. Anal. 15, 1978); these keep it.  The steps
+    after the zone are uniform.  A node falls on each of the increasing
+    ``breaks`` where the coefficients have a kink, so that no step straddles
+    one (Hairer, Norsett & Wanner, "Solving ODEs I", II.6): it moves the
+    node nearest it (in ``s`` in the zone) onto itself, the steps between
+    such nodes staying uniform.  A breakpoint nearest ``x0``, ``x1``, the
+    zone's end or the node of the one before gets no node.
     """
+    zone, m = min(ZONE_RADIUS, x1), int(ZONE_SHARE * steps)
+    if zone == x1:
+        m = steps
+    elif m == 0:
+        zone = x0  # too few steps for a zone: uniform throughout
+    s0 = math.sqrt(x0 / zone) if m else 0.0
+    marks = {0: x0, m: zone, steps: x1}  # node index: coordinate
+    for b in breaks:
+        if x0 < b < x1:
+            k = (round((math.sqrt(b / zone) - s0) / (1.0 - s0) * m) if b < zone
+                 else m + round((b - zone) / (x1 - zone) * (steps - m)))
+            marks.setdefault(k, b)
     size = math.isqrt(steps - 1) // 16 + 1
     count = -(-steps // size)
-    step = (x1 - x0) / steps
-    knots, nodes = [x0], [0]
-    for b in breaks:
-        k = round((b - x0) / step)
-        if nodes[-1] < k < steps:
-            knots.append(b)
-            nodes.append(k)
-    knots.append(x1)
-    nodes.append(steps)
+    nodes, dx = np.empty(steps + 1), np.zeros(count * size)
+    ends = sorted(marks.items())
+    for (ka, a), (kb, b) in zip(ends, ends[1:]):
+        if b <= zone:
+            sa = math.sqrt(a / zone)
+            nodes[ka:kb] = zone * (sa + (math.sqrt(b / zone) - sa) * np.arange(kb - ka) / (kb - ka)) ** 2
+            nodes[ka], nodes[kb] = a, b
+            dx[ka:kb] = np.diff(nodes[ka:kb + 1])
+        else:
+            dx[ka:kb] = (b - a) / (kb - ka)
+            nodes[ka:kb] = a + dx[ka] * np.arange(kb - ka)
+    nodes[steps] = x1
     x_half = np.empty(2 * steps + 1)
-    dx = np.zeros(count * size)
-    for a, b, ka, kb in zip(knots, knots[1:], nodes, nodes[1:]):
-        h = (b - a) / (kb - ka)
-        x_half[2 * ka:2 * kb + 1] = a + 0.5 * h * np.arange(2 * (kb - ka) + 1)
-        dx[ka:kb] = h
+    x_half[::2], x_half[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
     index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
     return x_half, index, dx.reshape(count, size).T
 
@@ -300,10 +312,11 @@ def _newton(disk, n, steps, h0, starts):
     the sweep after a correction below ``SETTLED_STEP``, at most
     ``MAX_SWEEPS`` sweeps; that sweep records the profile and, known to be
     the last, steps the state without the variational matrix.  A step that
-    changes ``h0`` by more than ``MAX_H0_STEP`` is scaled down.  It stalls on
-    the cap, a non-finite sweep, a singular band or a step that takes
-    ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1, Omega(0)))``.
-    Returns the profile with ``converged`` unset and ``passes = (0, sweeps)``.
+    changes ``h0`` by more than ``MAX_H0_STEP`` is scaled down.  It stalls,
+    as its ``termination`` says, on the cap (``max_sweeps``), a non-finite
+    sweep (``non_finite``), a singular band (``singular_band``) or a step
+    taking ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1,
+    Omega(0)))`` (``h0_range``); ``passes`` is ``(0, sweeps)``.
     """
     r_half, index, dx = _segments(SEED_RADIUS, disk.radius, steps, disk.breakpoints)
     r = r_half[index]
@@ -331,17 +344,20 @@ def _newton(disk, n, steps, h0, starts):
         defect[0:-1:2] = y[0, :-1] - starts[0]
         defect[1:-1:2] = y[1, :-1] - starts[1]
         defect[-1] = y[1, -1] + 2.0 * n / disk.radius
-        if last or not np.isfinite(y).all():
+        termination = "non_finite" if not np.isfinite(y).all() else "converged" if settled else "max_sweeps"
+        if last or termination == "non_finite":
             break
         # The first segment's end per unit h0: d(seed)/d(h0) = (1, 0).
         try:
             step = _solve_joints(y[2:4, 0], (y[2], y[4], y[3], y[5]), -defect)
         except np.linalg.LinAlgError:
+            termination = "singular_band"
             break
         if abs(step[0]) > MAX_H0_STEP:
             step *= MAX_H0_STEP / abs(step[0])
         if not SCAN_LOW <= h0 + step[0] <= high:
-            break  # diverging: the root is inside the scan range
+            termination = "h0_range"  # diverging: the root is inside the scan range
+            break
         h0 += float(step[0])
         starts = starts + np.vstack((step[1::2], step[2::2]))
         settled = bool(np.max(np.abs(step)) <= SETTLED_STEP)
@@ -356,11 +372,10 @@ def _newton(disk, n, steps, h0, starts):
         h0=h0,
         n=n,
         residual=residual,
-        converged=False,
+        termination=termination,
         steps=steps,
         passes=(0, sweeps),
         joint_defect=joint,
-        stalled=not settled or joint == math.inf or residual == math.inf,
     )
 
 
@@ -379,7 +394,7 @@ def shoot(
     coarse solution, cubic-Hermite interpolated to the segment starts (slopes
     from the equation).  ``passes`` counts the sweeps of both stages.  The
     result is converged when the second Newton settled and the outer slope
-    is within ``SLOPE_TOL``; a Newton that stalls is flagged ``stalled``.
+    is within ``SLOPE_TOL``; otherwise ``termination`` names the cause.
 
     Raises
     ------
@@ -415,6 +430,6 @@ def shoot(
     fine = _newton(disk, n, steps, coarse.h0, interpolated)
     return dataclasses.replace(
         fine,
-        converged=not fine.stalled and fine.residual <= SLOPE_TOL,
+        termination="slope_residual" if fine.converged and fine.residual > SLOPE_TOL else fine.termination,
         passes=(coarse.passes[1], fine.passes[1]),
     )

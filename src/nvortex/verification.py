@@ -258,7 +258,7 @@ def run_acceptance(
     add(7, "vacuum closed form a = -2r/R^2",
         lambda vac: _at_most(float(np.max(np.abs(vac.a + 2.0 * vac.r / disk.radius**2))), TOL_VACUUM_ORACLE,
                              "max_err={:.2e} <= {:.0e}"),
-        ("vacuum solve", lambda: (solve_linear_bvp(lambda r: np.zeros_like(r), disk.radius), None)))
+        ("vacuum solve", lambda: (solve_linear_bvp(0.0, disk.radius), None)))
     add(7, "nonlocality witness |d_X h(R;0)| > 1e-2",
         lambda lin: (abs(lin.boundary_value) > MIN_BOUNDARY_VALUE, f"d_X h(R;0) = {lin.boundary_value:.6f}"),
         linearised)

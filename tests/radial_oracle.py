@@ -5,9 +5,10 @@ segments.  This module keeps the slow path it replaced as the reference:
 one fixed-step classical RK4 march of ``(htilde, htilde')`` from ``eps``
 to ``R`` (``integrate_radial``), its outer-slope mismatch, and Illinois
 false position on that mismatch over ``[SCAN_LOW, SCAN_HIGH]``
-(``single_stage_h0``), every pass at the full step count.  The march puts
-a node on each of the disk's breakpoints as ``shoot`` does
-(``aligned_nodes``), so both discretise the same problem.
+(``single_stage_h0``), every pass at the full step count.  The march
+steps on ``shoot``'s own nodes (``shooting._segments``: the graded centre
+zone, then uniform steps, a node on each of the disk's breakpoints), so
+both discretise the same problem.
 
 It also keeps the library calls that the radial kernels replaced:
 ``scipy.linalg.solve_banded`` for the joint solve (``banded_joints``) and
@@ -23,39 +24,22 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from nvortex.geometry import ConformalDisk
-from nvortex.shooting import DEFAULT_STEPS, SCAN_HIGH, SCAN_LOW, SEED_RADIUS, RadialProfile, taylor_seed
+from nvortex.shooting import (
+    DEFAULT_STEPS,
+    SCAN_HIGH,
+    SCAN_LOW,
+    SEED_RADIUS,
+    SLOPE_TOL,
+    RadialProfile,
+    _segments,
+    taylor_seed,
+)
 
 #: Treat the trajectory as blown up once htilde exceeds this value.
 DIVERGENCE_CAP = 500.0
 #: False position stops once the bracket on ``h0`` is this narrow, so the
 #: oracle's ``h0`` is pinned by the integrator and its step count.
 H0_BRACKET_WIDTH = 1e-12
-
-
-def aligned_nodes(x0, x1, steps, breaks=()):
-    """Half-node coordinates and per-step sizes of ``steps`` steps with a node on each breakpoint.
-
-    Each breakpoint takes the place of the nearest node of the uniform mesh
-    from ``x0`` to ``x1``, unless that node is an end or not past the one
-    before; the steps between taken nodes are uniform.  Returns ``(x_half, dx)`` of
-    lengths ``2 * steps + 1`` and ``steps``.
-    """
-    uniform = (x1 - x0) / steps
-    knots, nodes = [x0], [0]
-    for b in breaks:
-        k = round((b - x0) / uniform)
-        if nodes[-1] < k < steps:
-            knots.append(b)
-            nodes.append(k)
-    knots.append(x1)
-    nodes.append(steps)
-    x_half = np.empty(2 * steps + 1)
-    dx = np.empty(steps)
-    for a, b, ka, kb in zip(knots, knots[1:], nodes, nodes[1:]):
-        h = (b - a) / (kb - ka)
-        x_half[2 * ka:2 * kb + 1] = a + 0.5 * h * np.arange(2 * (kb - ka) + 1)
-        dx[ka:kb] = h
-    return x_half, dx
 
 
 def _integrate(h0, disk, n, eps, steps, record):
@@ -75,8 +59,8 @@ def _integrate(h0, disk, n, eps, steps, record):
         raise ValueError(f"multiplicity must be >= 1, got {n}")
     if not 0.0 < eps < disk.radius:
         raise ValueError(f"eps must lie in (0, radius={disk.radius}), got {eps}")
-    r_half, dr = aligned_nodes(eps, disk.radius, steps, disk.breakpoints)
-    dr = dr.tolist()
+    r_half, _, dr = _segments(eps, disk.radius, steps, disk.breakpoints)
+    dr = dr.T.ravel()[:steps].tolist()
     r = r_half.tolist()
     r_2n = (r_half ** (2 * n)).tolist()
     w = disk.omega_at(r_half).tolist()
@@ -138,7 +122,7 @@ def integrate_radial(
         h0=h0,
         n=n,
         residual=residual,
-        converged=False,
+        termination="non_finite" if diverged else "converged" if residual <= SLOPE_TOL else "slope_residual",
         steps=steps,
     )
 

@@ -42,7 +42,6 @@ def test_default_radial_steps_have_one_source(monkeypatch, capsys):
         (verification.run_acceptance, "radial_steps"),
         (moduli.metric_coefficient, "radial_steps"),
         (moduli.solve_linear_bvp, "steps"),
-        (moduli.solve_linearized, "steps"),
         (shooting.shoot, "steps"),
     ):
         assert inspect.signature(function).parameters[name].default == shooting.DEFAULT_STEPS

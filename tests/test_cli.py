@@ -44,8 +44,8 @@ def _failed_linear_solve(*args, **kwargs):
 
 
 def _assert_shoot_reason(err):
-    match = re.search(r"radial shoot did not converge: boundary-slope residual (\S+) > tol (\S+) "
-                      r"at (\d+) steps, h0 = (\S+)", err)
+    match = re.search(r"radial shoot did not converge \(slope_residual\): boundary-slope residual (\S+) "
+                      r"> tol (\S+) at (\d+) steps, h0 = (\S+)", err)
     assert match, err
     assert float(match.group(1)) > 1e-6
     assert float(match.group(2)) == 1e-6
@@ -123,7 +123,8 @@ class TestSolveRadial:
         out = tmp_path / "out"
         doc = base_doc(radius=800.0, interior=[{"x": 0, "y": 0, "n": 25}], radial={"steps": 1000})
         assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_SHOOT
-        assert "Newton stalled" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("radial shoot did not converge (non_finite): Newton stalled after 1 sweeps ")
         assert (out / "profile.csv").exists()
 
 
@@ -340,16 +341,29 @@ class TestMetric:
         _assert_shoot_reason(err)
         assert not (out / "metric.json").exists()
 
-    def test_overflowing_boundary_term_is_a_metric_failure(self, tmp_path, capsys):
-        # On flat R = 3000 the linearised boundary value is about 1e271, so
-        # its square overflows.
+    def test_overflowing_boundary_term_is_a_metric_failure(self, tmp_path, capsys, monkeypatch):
+        # No disk is known to overflow the linearised boundary value (flat
+        # R = 3000 gives 1.6e-13), so a patched solve returns 1e200, whose
+        # square overflows.
+        real_solve = moduli.solve_linearized
+        monkeypatch.setattr(moduli, "solve_linearized",
+                            lambda *args: dataclasses.replace(real_solve(*args), boundary_value=1e200))
         out = tmp_path / "out"
-        doc = {"radius": 3000.0, "interior": [{"x": 0.0, "y": 0.0, "n": 1}]}
+        doc = base_doc()
         assert cli.main(["metric", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_METRIC
         err = capsys.readouterr().err
-        assert err.startswith("metric pipeline failed: boundary term overflows: the linearized boundary value is ")
-        assert err.count("\n") == 1
+        assert err == "metric pipeline failed: boundary term overflows: the linearized boundary value is 1e+200\n"
         assert not (out / "metric.json").exists()
+
+    @pytest.mark.parametrize("radius", [1500.0, 2000.0])
+    def test_very_large_flat_disks(self, tmp_path, capsys, radius):
+        # RK4 in log r at 7,000 steps was unstable here (boundary values
+        # 1.8e-6 and 1.66e51); the shoot's mesh in r is not.
+        out = tmp_path / "out"
+        doc = {"radius": radius, "interior": [{"x": 0.0, "y": 0.0, "n": 1}]}
+        assert cli.main(["metric", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads((out / "metric.json").read_text())
+        assert abs(report["boundary_value"]) < 1e-12
 
     def test_radial_steps_reach_the_shoot(self, tmp_path, capsys, monkeypatch):
         seen = []
@@ -696,13 +710,13 @@ class TestVerify:
         real_shoot = verification.shoot
 
         def unconverged(*args, **kwargs):
-            return dataclasses.replace(real_shoot(*args, **kwargs), converged=False)
+            return dataclasses.replace(real_shoot(*args, **kwargs), termination="slope_residual")
 
         monkeypatch.setattr(verification, "shoot", unconverged)
         cfg = write_config(tmp_path, base_doc())
         assert cli.main(["verify", "--config", cfg]) == cli.EXIT_VERIFY
         out = capsys.readouterr().out
-        reason = "(radial shoot at 2000 steps: radial shoot did not converge: boundary-slope residual "
+        reason = "(radial shoot at 2000 steps: radial shoot did not converge (slope_residual): boundary-slope residual "
         for name in ("2d field matches radial profile", "observed convergence order",
                      "boundary slope -2/3 met", "h0 stable under step halving",
                      "nonlocality witness |d_X h(R;0)| > 1e-2", "loop integral matches closed form"):

@@ -96,7 +96,7 @@ def _profiles(draw):
         h0=0.0,
         n=draw(st.integers(0, 2)),
         residual=0.0,
-        converged=True,
+        termination="converged",
     )
 
 

@@ -172,10 +172,11 @@ class TestShoot:
         monkeypatch.setattr(shooting, "_sweep", flickering)
         profile = shoot(disk3, steps=8_000)
         assert not profile.converged
-        assert profile.stalled
+        assert profile.stalled and profile.termination == "max_sweeps"
         assert profile.passes[1] == shooting.MAX_SWEEPS
         reason = profile.failure_reason()
-        assert f"Newton stalled after {shooting.MAX_SWEEPS} sweeps" in reason
+        assert reason.startswith("radial shoot did not converge (max_sweeps): ")
+        assert f"(max_sweeps): Newton stalled after {shooting.MAX_SWEEPS} sweeps (" in reason
         assert f"largest joint defect {profile.joint_defect:.3g}" in reason
         assert profile.joint_defect > 1e-4
 
@@ -190,13 +191,49 @@ class TestShoot:
         profile = shoot(disk3, steps=8_000)
         assert not profile.converged and profile.stalled
         assert profile.passes[1] == 1
-        assert "Newton stalled after 1 sweeps" in profile.failure_reason()
+        cause = {"singular": "singular_band", "diverging": "h0_range"}[failure]
+        assert profile.termination == cause
+        assert f"({cause}): Newton stalled after 1 sweeps (" in profile.failure_reason()
+
+    def test_overflowing_sweep_stalls(self, disk3, monkeypatch):
+        real_sweep = shooting._sweep
+
+        def overflowing(rhs, dx, y):
+            y, ys = real_sweep(rhs, dx, y)
+            y = y.copy()  # the recorded states stay finite
+            y[0, -1] = math.inf
+            return y, ys
+
+        monkeypatch.setattr(shooting, "_sweep", overflowing)
+        profile = shoot(disk3, steps=8_000)
+        assert not profile.converged and profile.stalled
+        assert profile.termination == "non_finite" and profile.passes == (1, 1)
+        assert "(non_finite): Newton stalled after 1 sweeps (" in profile.failure_reason()
+
+    def test_settled_newton_off_the_outer_slope(self, disk3, monkeypatch):
+        # The recording sweep, which steps the state rows alone, ends 1e-3
+        # off the outer slope: Newton settled, the slope check fails.
+        real_sweep = shooting._sweep
+
+        def tilted(rhs, dx, y):
+            y, ys = real_sweep(rhs, dx, y)
+            if y.shape[0] == 2:
+                y[1, -1] += 1e-3
+            return y, ys
+
+        monkeypatch.setattr(shooting, "_sweep", tilted)
+        profile = shoot(disk3, steps=8_000)
+        assert not profile.converged and not profile.stalled
+        assert profile.termination == "slope_residual"
+        assert profile.residual == pytest.approx(1e-3, rel=1e-6)
+        reason = profile.failure_reason()
+        assert reason.startswith("radial shoot did not converge (slope_residual): boundary-slope residual 0.001")
 
     def test_stalled_coarse_stage_hands_off_without_warnings(self):
         # The coarse stage stalls with a huge h, whose exp overflows in the
         # slopes handed to the fine stage; the suite turns warnings into errors.
         profile = shoot(ConformalDisk.flat(800.0), n=25, steps=1_000)
-        assert not profile.converged and profile.stalled
+        assert not profile.converged and profile.stalled and profile.termination == "non_finite"
 
     @pytest.mark.parametrize(
         "radius, steps", [(25.0, 50_000), (30.0, 100_000), (60.0, 100_000)], ids=["R25", "R30", "R60"]
@@ -243,7 +280,7 @@ class TestShoot:
     def test_core_value_past_scan_high_on_large_conformal_factor(self):
         # h0 is about h0_plane + n log Omega(0) = 5.9 at Omega = 1000, above
         # SCAN_HIGH; the guard on Newton's h0 grows with log Omega(0).  The
-        # RK4 error at 20k steps is about 2e-11.
+        # RK4 error at 20k steps is about 3e-13.
         disk = ConformalDisk.from_samples(3.0, (0.0, 3.0), (1000.0, 1000.0))
         profile = shoot(disk, n=1, steps=20_000)
         assert profile.converged
@@ -267,7 +304,7 @@ class TestShoot:
         # Why shoot takes no slope tolerance: a Newton that settles meets
         # -2n/R to roundoff, so SLOPE_TOL only guards a settled Newton.
         profile = shoot(disk, n=n)
-        assert profile.converged and not profile.stalled
+        assert profile.converged and not profile.stalled and profile.termination == "converged"
         assert profile.residual <= 1e-15
 
     def test_bradlow_violation_raised_before_scan(self):
@@ -307,8 +344,10 @@ class TestKernelsAgainstOracles:
     @pytest.mark.parametrize("steps", [1, 2, 2_000])
     def test_linear_bvp_is_solve_banded(self, monkeypatch, steps):
         # steps=1 is one block: the one-equation system a'(R) = -2/R^2.
-        def solve(**kwargs):
-            return moduli.solve_linear_bvp(lambda r: 1.0 + 0.1 * r, 3.0, steps=steps, **kwargs)
+        r_half = shooting._segments(shooting.SEED_RADIUS, 3.0, steps)[0]
+
+        def solve():
+            return moduli.solve_linear_bvp(1.0 + 0.1 * r_half, 3.0, steps=steps)
 
         lin = solve()
         monkeypatch.setattr(moduli, "_solve_joints", banded_joints)
@@ -332,10 +371,10 @@ class TestKernelsAgainstOracles:
 
     @pytest.fixture(scope="class")
     def node_sets(self):
-        lin = moduli.solve_linear_bvp(lambda r: np.ones_like(r), 3.0, steps=1_000)
+        lin = moduli.solve_linear_bvp(1.0, 3.0, steps=1_000)
         return {
-            "shoot": shoot(table_disk(), steps=2_000).r,  # uniform, with nodes on the breakpoints
-            "linear": lin.r,  # geometric
+            "shoot": shoot(table_disk(), steps=2_000).r,  # with nodes on the breakpoints
+            "linear": lin.r,  # the graded zone, then uniform
             "two": np.array([-1.0, 2.0]),
             "ragged": np.cumsum(np.random.default_rng(1).exponential(size=300)),
         }
@@ -398,23 +437,60 @@ def cut(x_half, step_sizes, size):
     return x_half, index, dx.reshape(count, size).T
 
 
+def zone_of(x0, x1, steps):
+    """``(zone end, zone steps)`` of ``_segments``' graded centre zone."""
+    if x1 <= shooting.ZONE_RADIUS:
+        return x1, steps
+    m = int(shooting.ZONE_SHARE * steps)
+    return (shooting.ZONE_RADIUS, m) if m else (x0, 0)
+
+
 def uniform_layout(x0, x1, steps):
-    """``_segments``' node layout before breakpoints: uniform steps, zero-padded."""
-    step = (x1 - x0) / steps
-    x_half = x0 + 0.5 * step * np.arange(2 * steps + 1)
-    return cut(x_half, np.full(steps, step), math.isqrt(steps - 1) // 16 + 1)
+    """``_segments``' nodes without breakpoints, as plain floats.
+
+    Uniform in ``s = sqrt(r / zone)`` on the graded centre zone, then uniform
+    in ``r``.
+    """
+    zone, m = zone_of(x0, x1, steps)
+    s0 = math.sqrt(x0 / zone) if m else 1.0
+    inner = [zone * (s0 + (1.0 - s0) * k / m) ** 2 for k in range(m)]
+    return np.array([x0] + inner[1:] + [zone + (x1 - zone) * k / (steps - m) for k in range(steps - m)] + [x1])
 
 
 class TestSegments:
     @pytest.mark.parametrize(
         "x0, x1, steps",
-        [(1e-8, 3.0, 7_000), (1e-8, 25.0, 1_000), (math.log(3e-6), math.log(3.0), 7_000), (0.0, 1.0, 1),
-         (0.0, 1.0, 99_991)],
+        [(1e-8, 3.0, 7_000), (1e-8, 25.0, 1_000), (0.0, 1.0, 1), (0.0, 1.0, 99_991)],
     )
     def test_no_breakpoints_keep_the_uniform_layout_bit_for_bit(self, x0, x1, steps):
-        for got, want in zip(shooting._segments(x0, x1, steps), uniform_layout(x0, x1, steps)):
+        # Uniform in s on the zone and in r after it; the half-nodes, steps
+        # and segment cut follow from the nodes bit for bit.
+        x_half, index, dx = shooting._segments(x0, x1, steps)
+        nodes = x_half[::2]
+        assert np.allclose(nodes, uniform_layout(x0, x1, steps), rtol=1e-14, atol=0.0)
+        zone, m = zone_of(x0, x1, steps)
+        assert (nodes[0], nodes[m], nodes[-1]) == (x0, zone, x1)
+        uniform = np.full(steps - m, (x1 - zone) / max(steps - m, 1))
+        want = cut(x_half, np.concatenate((np.diff(nodes[:m + 1]), uniform)), math.isqrt(steps - 1) // 16 + 1)
+        for got, want in zip((x_half, index, dx), want):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+        assert np.array_equal(x_half[1::2], nodes[:-1] + 0.5 * np.diff(nodes))
+
+    @pytest.mark.parametrize("steps", [1, 3, 4, 5, 1_000])
+    def test_zone_takes_its_share_of_the_steps(self, steps):
+        # 20% of the steps on [SEED_RADIUS, 1]; below 5 steps none, so one
+        # uniform step still spans the disk, as the linear oracle's 1 and 3 need.
+        x_half, _, dx = shooting._segments(shooting.SEED_RADIUS, 3.0, steps)
+        nodes, m = x_half[::2], int(shooting.ZONE_SHARE * steps)
+        assert nodes.size == steps + 1 and nodes[0] == shooting.SEED_RADIUS and nodes[-1] == 3.0
+        assert m == steps // 5
+        if m:
+            assert nodes[m] == shooting.ZONE_RADIUS
+            assert np.count_nonzero(nodes[1:] <= shooting.ZONE_RADIUS) == m
+        else:
+            assert np.allclose(dx.T.ravel()[:steps], (3.0 - shooting.SEED_RADIUS) / steps, rtol=1e-15, atol=0.0)
+        assert np.all(dx.T.ravel()[:steps] > 0.0)
 
     @pytest.mark.parametrize("steps", [1_000, 7_000, 12_345])
     @pytest.mark.parametrize("breaks", [(0.75, 1.5, 2.25), (0.7, 1.3, 2.2), (0.0101, 1.0, 1.0004, 2.9995)])
@@ -429,33 +505,46 @@ class TestSegments:
         assert np.allclose(np.diff(nodes), steps_of, rtol=1e-9, atol=0.0)
         assert np.allclose(x_half[1::2], nodes[:-1] + 0.5 * steps_of, rtol=1e-12, atol=0.0)
         assert nodes[-1] == pytest.approx(radius, rel=1e-14)
-        # A breakpoint takes the uniform node nearest it unless that is an
-        # end or not past the last one taken: at 1k and 7k steps 1.0004 shares
-        # 1.0's node, and at 1k 2.9995 is nearest the rim.
-        uniform = (radius - eps) / steps
-        expected, last = [], 0
+        # A breakpoint takes the node nearest it (in s = sqrt(r) on the zone
+        # [eps, 1]) unless that is an end, the zone's end or the node of the
+        # last one taken: 1.0 is the zone's end, at 1k steps 1.0004 shares its
+        # node, and at 1k 2.9995 is nearest the rim.
+        zone, m = zone_of(eps, radius, steps)
+        s0 = math.sqrt(eps)
+        taken = {0, m, steps}
+        expected = []
         for b in breaks:
-            k = round((b - eps) / uniform)
-            if last < k < steps:
+            k = (round((math.sqrt(b) - s0) / (1.0 - s0) * m) if b < zone
+                 else m + round((b - zone) / (radius - zone) * (steps - m)))
+            if k not in taken:
                 expected.append(b)
-                last = k
-        kept = [b for b in breaks if b in nodes]
+                taken.add(k)
+        kept = [b for b in breaks if b in nodes and b != zone]
         assert kept == expected
         if breaks[0] > 0.1:
             assert kept == list(breaks)
-        # Uniform between breakpoints, each end moved by at most half a step.
-        for a, b in zip([eps] + kept, kept + [radius]):
-            inside = steps_of[(nodes[:-1] >= a) & (nodes[:-1] < b)]
-            assert np.ptp(inside) <= 1e-12 * uniform
-            assert inside.size * uniform == pytest.approx(b - a, abs=uniform)
+        # Between taken nodes the steps are uniform, in s on the zone and in
+        # r after it, and each end moved by at most half a step.
+        knots = sorted(set([eps, zone, radius] + kept))
+        for a, b in zip(knots, knots[1:]):
+            inside = (nodes[:-1] >= a) & (nodes[:-1] < b)
+            if b <= zone:
+                ds, uniform = np.diff(np.sqrt(nodes))[inside], (1.0 - s0) / m
+            else:
+                ds, uniform = steps_of[inside], (radius - zone) / (steps - m)
+            assert np.ptp(ds) <= 1e-12 * uniform
+            span = math.sqrt(b) - math.sqrt(a) if b <= zone else b - a
+            assert ds.size * uniform == pytest.approx(span, abs=uniform)
 
     def test_breakpoints_nearest_an_end_get_no_node(self):
-        x_half, _, dx = shooting._segments(0.0, 1.0, 10, (-0.5, 0.04, 0.5, 0.52, 0.96, 1.5))
-        # Only 0.5 takes a node: -0.5 and 1.5 lie outside, 0.04 and 0.96 are
-        # nearest an end, 0.52 is nearest 0.5's node.  That is the uniform mesh.
-        assert x_half[10] == 0.5 and x_half[0] == 0.0
-        assert np.allclose(x_half, 0.05 * np.arange(21), rtol=0.0, atol=1e-15)
-        assert np.allclose(dx.T.ravel()[:10], 0.1, rtol=0.0, atol=1e-15)
+        # On [0, 1] the whole mesh is the graded zone: nodes (k/10)^2.
+        x_half, _, dx = shooting._segments(0.0, 1.0, 10, (-0.5, 0.0016, 0.25, 0.27, 0.9604, 1.5))
+        # Only 0.25 takes a node: -0.5 and 1.5 lie outside, 0.0016 (s = 0.04)
+        # and 0.9604 (s = 0.98) are nearest an end, 0.27 is nearest 0.25's
+        # node.  That is the plain graded mesh.
+        assert x_half[10] == 0.25 and x_half[0] == 0.0
+        assert np.allclose(x_half[::2], (0.1 * np.arange(11)) ** 2, rtol=0.0, atol=1e-15)
+        assert np.allclose(dx.T.ravel()[:10], np.diff((0.1 * np.arange(11)) ** 2), rtol=0.0, atol=1e-15)
 
     def test_disk_breakpoints(self):
         assert ConformalDisk.flat(3.0).breakpoints == ()
@@ -468,9 +557,8 @@ class TestSegments:
         disk = ConformalDisk.from_samples(3.0, (0.0, 0.7, 1.3, 2.2, 3.0), (1.0, 1.1, 1.25, 1.35, 1.5))
         profile = shoot(disk, n=1, steps=2_000)
         assert all(b in profile.r for b in disk.breakpoints)
-        lin = moduli.solve_linearized(disk, profile, steps=2_000)
-        for b in disk.breakpoints:
-            assert np.min(np.abs(lin.r - b)) <= 1e-15 * b
+        lin = moduli.solve_linearized(disk, profile)
+        assert np.array_equal(lin.r, profile.r)
 
     @pytest.mark.parametrize(
         "disk, n",
