@@ -118,7 +118,7 @@ def _cmd_solve_radial(args) -> int:
         "boundary_slope": float(profile.dhtilde[-1]),
     }
     if "csv" in paths:
-        export_profile_csv(paths["csv"], profile, cfg.disk)
+        export_profile_csv(paths["csv"], profile)
     if "json" in paths:
         export_json(paths["json"], report)
     print(json.dumps(report, sort_keys=True))

@@ -38,6 +38,7 @@ from .geometry import (
     ScalarField,
     VortexConfiguration,
 )
+from .observables import SCHEMA_VERSION
 from .operators import assemble_neumann_laplacian
 from .shooting import (
     DEFAULT_STEPS,
@@ -50,9 +51,6 @@ from .shooting import (
     shoot,
 )
 from .solver2d import CG_RTOL, SolveReport, _solve_spd
-# After .operators: observables loads scipy.linalg (through .shooting), and
-# loading it before scipy.sparse adds about 30 ms to `import nvortex`.
-from .observables import SCHEMA_VERSION
 
 __all__ = [
     "LinearizedProfile",
@@ -187,18 +185,18 @@ def solve_linear_bvp(
     )
 
 
-def solve_linearized(disk: ConformalDisk, radial: RadialProfile) -> LinearizedProfile:
+def solve_linearized(radial: RadialProfile) -> LinearizedProfile:
     """Linearized profile driven by a converged unit-vortex radial solution.
 
-    Steps on the shoot's own mesh, so ``f = Omega r^2 e^htilde`` reads the
-    recorded ``htilde`` at the nodes and, at each midpoint, the cubic Hermite
-    value ``(h_i + h_{i+1})/2 + d_i (h'_i - h'_{i+1})/8`` (``d_i`` the step).
+    Steps on the mesh and disk of the shoot, so ``f = Omega r^2 e^htilde``
+    reads the recorded ``htilde`` at the nodes and, at each midpoint, the cubic
+    Hermite value ``(h_i + h_{i+1})/2 + d_i (h'_i - h'_{i+1})/8`` (``d_i`` the step).
     """
     if radial.n != 1:
         raise ValueError("the linearized problem is defined for a unit vortex")
     if not radial.converged:
         raise ValueError("radial profile must be converged")
-    r, h, dh = radial.r, radial.htilde, radial.dhtilde
+    disk, r, h, dh = radial.disk, radial.r, radial.htilde, radial.dhtilde
     d = np.diff(r)
     r_half, h_half = np.empty(2 * r.size - 1), np.empty(2 * r.size - 1)
     r_half[::2], r_half[1::2] = r, r[:-1] + 0.5 * d  # the half-node radii of ``_segments``
@@ -345,7 +343,7 @@ def metric_coefficient(
     radial = shoot(disk, n=1, steps=radial_steps)
     if not radial.converged:
         raise RuntimeError(radial.failure_reason())
-    lin = solve_linearized(disk, radial)
+    lin = solve_linearized(radial)
     try:
         bterm = boundary_metric_term(lin)
     except OverflowError:

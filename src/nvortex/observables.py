@@ -37,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import ConformalDisk, ScalarField
+from .geometry import ScalarField
 from .shooting import RadialProfile
 from .solver2d import SolveReport
 
@@ -150,11 +150,11 @@ def compute_observables(htilde: ScalarField, report: SolveReport) -> ObservableS
     )
 
 
-def radial_observables(profile: RadialProfile, disk: ConformalDisk) -> dict:
-    """Profile observables: ``|phi|^2 = r^{2n} exp(htilde)``, ``B`` and density."""
+def radial_observables(profile: RadialProfile) -> dict:
+    """Profile observables on the profile's own disk: ``|phi|^2 = r^{2n} exp(htilde)``, ``B``, density."""
     r = profile.r
     dh = profile.dhtilde + 2.0 * profile.n / r
-    omega = disk.omega_at(r)
+    omega = profile.disk.omega_at(r)
     with np.errstate(over="ignore", invalid="ignore"):  # an unconverged profile may overflow
         phi_sq = r ** (2 * profile.n) * np.exp(profile.htilde)
         B = 0.5 * (1.0 - phi_sq)
@@ -376,10 +376,10 @@ def export_field_csv(path, htilde: ScalarField, observables: ObservableSet) -> s
     return path
 
 
-def export_profile_csv(path, profile: RadialProfile, disk: ConformalDisk) -> str:
+def export_profile_csv(path, profile: RadialProfile) -> str:
     """Write the radial table ``r,htilde,dhtilde,phi_sq,B,energy_density``."""
     path = _require_path(path)
-    obs = radial_observables(profile, disk)
+    obs = radial_observables(profile)
     cols = np.column_stack(
         [
             profile.r,

@@ -93,7 +93,7 @@ SETTLED_STEP = 1e-8
 
 @dataclass
 class RadialProfile:
-    """Radial solution: nodes, htilde, its derivative and the shooting data."""
+    """Radial solution: nodes, htilde, its derivative, the disk shot on and the shooting data."""
 
     r: np.ndarray
     htilde: np.ndarray
@@ -105,6 +105,7 @@ class RadialProfile:
     #: ``singular_band`` or ``h0_range`` (see ``_newton``); or
     #: ``slope_residual``, settled but off the outer slope by over ``SLOPE_TOL``.
     termination: str
+    disk: ConformalDisk
     steps: int = DEFAULT_STEPS
     #: ``shoot``'s Newton sweeps on the coarse mesh and at ``steps``.
     passes: tuple[int, int] = (0, 0)
@@ -373,6 +374,7 @@ def _newton(disk, n, steps, h0, starts):
         n=n,
         residual=residual,
         termination=termination,
+        disk=disk,
         steps=steps,
         passes=(0, sweeps),
         joint_defect=joint,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConformalDisk, PolarGrid, ScalarField, VortexConfiguration
-from .operators import PolarModeSolver, inner, polar_couplings
+from .operators import PolarModeSolver, assemble_neumann_laplacian, inner
 
 __all__ = [
     "SingularPart",
@@ -106,7 +106,7 @@ def build_singular_part(
 
 
 def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> ScalarField:
-    """Zero-mean solution of the weighted system ``matrix @ G = w_g / A - e_source``.
+    """Zero-mean solution of the weighted system ``lap.apply(G) = w_g / A - e_source``.
 
     ``source`` is the flat node index and ``A`` the discrete curved area, which
     makes the singular Neumann system exactly compatible.  The kernel of the
@@ -114,7 +114,7 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
     constant by a zero mean on the first ring, and the result is then shifted
     to zero curved-volume mean.
     """
-    c_rad, c_ang = polar_couplings(grid, disk)
+    lap = assemble_neumann_laplacian(grid, disk)
     w_g = grid.curved_weights(disk)
     area = float(np.sum(w_g))
     rhs = w_g / area
@@ -122,7 +122,7 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
     scale = float(np.max(np.abs(rhs))) or 1.0
     if abs(float(np.sum(rhs))) > 1e-9 * scale * rhs.size:
         raise ValueError("right-hand side is not compatible with the Neumann operator")
-    x = PolarModeSolver(grid, c_rad, c_ang).solve(rhs)
+    x = PolarModeSolver(lap).solve(rhs)
     x -= inner(x, w_g) / area
     return ScalarField(grid, x.reshape(grid.shape))
 

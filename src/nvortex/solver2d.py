@@ -6,15 +6,17 @@ After splitting off the singular part the unknown ``htilde`` satisfies
     d_r htilde(R, theta) = g(theta),
 
 with ``g`` the smooth Neumann data induced by the cores.  The discrete system
-uses the flux-form Laplacian; its Jacobian ``lap_e - Omega exp(htilde + v0)``
-is symmetric negative definite in the volume-weighted form (the nonpositive
-diagonal shift removes the constant kernel wherever ``exp(v0) > 0``), so each
-Newton step is a symmetric positive-definite solve with the negated Jacobian.
-By default that solve is a short conjugate-gradient loop preconditioned by
-the separable polar solver (``operators.PolarModeSolver``) with the Jacobian's
-shift ``w * Omega * exp(h)`` replaced by its mean on each ring; a centred
-vortex makes the shift ring-constant and CG converges in one or two
-iterations.  The steps are inexact Newton steps (Eisenstat & Walker, "Choosing
+uses the flux-form Laplacian, applied from its couplings with no matrix
+(``operators.NeumannLaplacian.apply``).  Its Jacobian
+``lap_e - Omega exp(htilde + v0)`` is symmetric negative definite in the
+volume-weighted form (the nonpositive diagonal shift removes the constant
+kernel wherever ``exp(v0) > 0``), so each Newton step is a symmetric
+positive-definite solve with the negated Jacobian: a short conjugate-gradient
+loop preconditioned by the separable polar solver
+(``operators.PolarModeSolver``) with the Jacobian's shift
+``w * Omega * exp(h)`` replaced by its mean on each ring; a centred vortex
+makes the shift ring-constant and CG converges in one or two iterations.
+The steps are inexact Newton steps (Eisenstat & Walker, "Choosing
 the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17, 1996,
 choice 2): CG stops at a relative residual of ``FORCING_MAX`` on the first
 step and of ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2`` on later ones, never
@@ -140,19 +142,17 @@ class SolveReport:
 
 
 def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, rtol: float):
-    """Solve the Newton system ``(lap.matrix - diag(shift)) x = rhs``.
+    """Solve the Newton system ``lap.apply(x) - shift * x = rhs`` by preconditioned CG.
 
-    ``shift`` (``w * Omega * exp(h)``, nonnegative) makes the system negative
-    definite.  CG stops once its residual is ``rtol`` times that of ``x = 0``
-    (the Newton step's forcing term, see ``_forcing``).  Returns
-    ``(x, cg_iterations)``; raises ``LinearSolveError`` when CG does not
-    converge or the preconditioner is singular.
+    ``shift`` (``w * Omega * exp(h)``, nonnegative, one per node) makes the
+    system negative definite.  CG stops once its residual is ``rtol`` times
+    that of ``x = 0`` (the Newton step's forcing term, see ``_forcing``).
+    Returns ``(x, cg_iterations)``; raises ``LinearSolveError`` when CG does
+    not converge or the preconditioner is singular.
     """
     # Preconditioned CG on the positive-definite mirror -J x = -rhs, from
     # x = 0; the preconditioner is the separable solve with the ring-mean shift.
-    grid = lap.grid
-    modes = PolarModeSolver(grid, lap.c_rad, lap.c_ang, shift.reshape(grid.shape).mean(axis=1))
-    matrix = lap.matrix
+    modes = PolarModeSolver(lap, shift.reshape(lap.grid.shape).mean(axis=1))
     x = np.zeros_like(rhs)
     r = -rhs
     rhs_norm = math.sqrt(inner(r, r))
@@ -163,7 +163,7 @@ def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, rtol: 
         z = -modes.solve(r)
         rho = inner(r, z)
         p = z if p is None else z + (rho / rho_prev) * p
-        q = shift * p - matrix @ p
+        q = shift * p - lap.apply(p)
         alpha = rho / inner(p, q)
         x += alpha * p
         r -= alpha * q
@@ -321,7 +321,6 @@ def _solve(disk, config, grid, tol, max_iter):
     lap = assemble_neumann_laplacian(grid, disk)
     singular = build_singular_part(config, disk, grid)
 
-    matrix = lap.matrix
     w = lap.weights
     b = lap.boundary_flux_vector(singular.neumann_data)
     omega = np.repeat(disk.omega_at(grid.r), grid.ntheta)
@@ -333,7 +332,7 @@ def _solve(disk, config, grid, tol, max_iter):
     def residual(hvec):
         with np.errstate(over="ignore"):
             e = np.exp(hvec + v0)
-            F = (matrix @ hvec + b) / w - omega * (e - 1.0)
+            F = (lap.apply(hvec) + b) / w - omega * (e - 1.0)
             return F, e, float(np.max(np.abs(F * norm_scale)))
 
     h, start, coarse = None, "product ansatz", []

@@ -182,7 +182,7 @@ def run_acceptance(
     n2_cfg = VortexConfiguration(interior=((0.5 + 0j, 1), (-0.5 + 0j, 1)))
     n2 = solved(min(nr, 128) // 2 * 2, n2_cfg, "N=2 configuration")
     profile, profile_fine = shot(radial_steps), shot(2 * radial_steps)
-    linearised = "linearized solve", lambda p: (solve_linearized(disk, p), None), profile
+    linearised = "linearized solve", lambda p: (solve_linearized(p), None), profile
 
     def runtime(label, *_):  # of an input that a row before has read
         seconds = made[label][2]

@@ -3,12 +3,12 @@
 ``solve_taubes_2d`` solves each Newton step by preconditioned CG
 (``solver2d._solve_spd``), stopped at an inexact-Newton forcing tolerance.
 This module keeps the direct path that CG is checked against: the Newton
-system ``(lap.matrix - diag(shift)) x = rhs`` factored and solved exactly by
-SuperLU (``superlu_step``), and the library's own Newton loop run with that
-step in place of CG (``solve_direct``), so the tests hold no second copy of
-the Newton iteration.  It also keeps the band build of the Laplacian
-(``band_laplacian``), the oracle of ``operators.assemble_neumann_laplacian``'s
-row-by-row CSR build.
+system ``(A - diag(shift)) x = rhs`` factored and solved exactly by SuperLU
+(``superlu_step``), and the library's own Newton loop run with that step in
+place of CG (``solve_direct``), so the tests hold no second copy of the
+Newton iteration.  ``A`` is the Laplacian's matrix built band by band
+(``band_laplacian``), which is also the oracle of the library's matrix-free
+``NeumannLaplacian.apply``.
 """
 
 from __future__ import annotations
@@ -19,16 +19,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nvortex import solver2d
-from nvortex.operators import polar_couplings
 
 
-def band_laplacian(grid, disk):
-    """The weighted Laplacian's matrix built band by band with ``sp.diags``.
+def band_laplacian(lap):
+    """The matrix of ``lap.apply``, built band by band from its couplings with ``sp.diags``.
 
     Seven diagonals, offsets 0, +-1, +-(ntheta-1) and +-ntheta; each
     diagonal entry is minus its row's off-diagonal sum.
     """
-    c_rad, c_ang = polar_couplings(grid, disk)
+    grid, c_rad, c_ang = lap.grid, lap.c_rad, lap.c_ang
     nt = grid.ntheta
     ring = np.repeat(c_ang, nt)
     first = np.arange(grid.size) % nt == 0
@@ -55,7 +54,7 @@ def superlu_step(lap, shift, rhs, rtol=0.0):
     ``shift`` holds one value per node.  ``rtol`` is ignored; the CG
     iteration count returned is 0.
     """
-    return spla.splu((lap.matrix - sp.diags(shift)).tocsc()).solve(rhs), 0
+    return spla.splu((band_laplacian(lap) - sp.diags(shift)).tocsc()).solve(rhs), 0
 
 
 def solve_direct(disk, config, grid, **kwargs):

@@ -123,6 +123,7 @@ def integrate_radial(
         n=n,
         residual=residual,
         termination="non_finite" if diverged else "converged" if residual <= SLOPE_TOL else "slope_residual",
+        disk=disk,
         steps=steps,
     )
 

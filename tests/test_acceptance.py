@@ -113,7 +113,7 @@ def test_each_centred_grid_solved_once(monkeypatch):
     count(solver2d, "_solve", lambda disk, config, grid, *args, **kwargs: (config, grid.radius, grid.nr))
     count(verification, "shoot", lambda disk, n, steps: steps)
     count(verification, "solve_linear_bvp", lambda f, radius: radius)
-    count(verification, "solve_linearized", lambda disk, profile: profile.steps)
+    count(verification, "solve_linearized", lambda profile: profile.steps)
     count(verification, "boundary_ring_position_derivatives", lambda field, report: field.grid.nr)
     count(verification, "neumann_green", lambda disk, grid, node: (grid.nr, node))
     count(verification, "boundary_neumann_green", lambda disk, grid, theta: (grid.nr, grid.ntheta, theta))

@@ -6,7 +6,6 @@ import pkgutil
 from pathlib import Path
 
 import pytest
-import scipy.sparse
 
 import nvortex
 from nvortex import cli, config, geometry, moduli, shooting, solver2d, verification
@@ -127,55 +126,27 @@ def test_linear_solve_errors_have_one_channel():
     assert "LinearSolveError" not in cli_source
 
 
-def _dotted(node) -> str | None:
-    """``a.b.c`` for a chain of attribute reads on a name, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        head = _dotted(node.value)
-        return head and f"{head}.{node.attr}"
-    return None
-
-
-def _is_sparse_constructor(name: str) -> bool:
-    """Whether ``scipy.sparse.<name>`` builds a sparse matrix or array."""
-    obj = getattr(scipy.sparse, name, None)
-    if isinstance(obj, type):
-        return issubclass(obj, (scipy.sparse.spmatrix, scipy.sparse.sparray))
-    return getattr(obj, "__module__", "").startswith("scipy.sparse._construct")
-
-
-def _sparse_constructor_calls(path: Path) -> list[tuple[str, str]]:
-    """``(site, name)`` per ``scipy.sparse`` constructor call in ``path``, sites as in ``_handler_sites``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    bound = {}  # local name -> the dotted name it was imported as
-    for node in ast.walk(tree):
+def _imported_modules(path: Path) -> set[str]:
+    """Every module that ``path`` imports; ``from m import n`` counts as ``m.n``."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.name if alias.asname else alias.name.split(".")[0]
-                bound[alias.asname or name] = name
+            modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    calls = []
-    for function in tree.body:
-        for node in ast.walk(function):
-            dotted = _dotted(node.func) if isinstance(node, ast.Call) else None
-            if dotted:
-                head, _, rest = dotted.partition(".")
-                module, _, name = ".".join(filter(None, (bound.get(head, head), rest))).rpartition(".")
-                if module == "scipy.sparse" and _is_sparse_constructor(name):
-                    calls.append((f"{path.stem}.{getattr(function, 'name', '<module>')}", name))
-    return calls
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
 
 
-def test_sparse_matrices_have_one_assembly_path():
-    # The Laplacian is the one sparse matrix the library builds, row by row
-    # into CSR; the Green functions and every Newton step use its couplings
-    # or its matvec, and no band build is left beside it.
-    calls = [call for path in SOURCES for call in _sparse_constructor_calls(path)]
-    assert {site for site, _ in calls} == {"operators.assemble_neumann_laplacian"}
-    assert "diags" not in {name for _, name in calls}
+def test_no_module_imports_scipy_sparse():
+    # The Laplacian is applied from its couplings and every linear solve is
+    # the library's own CG or a LAPACK routine, so no sparse matrix is built.
+    sparse = [
+        (path.name, module)
+        for path in SOURCES
+        for module in sorted(_imported_modules(path))
+        if module == "scipy.sparse" or module.startswith("scipy.sparse.")
+    ]
+    assert sparse == []
 
 
 def _names(path: Path) -> set[str]:

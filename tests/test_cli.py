@@ -405,9 +405,10 @@ class TestModuleEntry:
         assert doc["passed"] is True
 
     def test_import_leaves_sparse_linalg_unloaded(self, run_python):
-        # Every linear solve is the library's own PCG or a LAPACK routine.
-        done = run_python("-c", "import sys, nvortex.cli; print('scipy.sparse.linalg' in sys.modules)")
-        assert done.stdout.strip() == "False"
+        # Every linear solve is the library's own PCG or a LAPACK routine, and
+        # the Laplacian is applied from its couplings with no sparse matrix.
+        code = "import sys, nvortex.cli; print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
+        assert run_python("-c", code).stdout.strip() == "False False"
 
 
 #: The options each command takes; every other option is a usage error.

@@ -34,7 +34,7 @@ BOUNDARY_VALUE_R3 = -0.3720465637437932
 
 @pytest.fixture(scope="module")
 def lin_r3(disk3, radial_r3):
-    return solve_linearized(disk3, radial_r3)
+    return solve_linearized(radial_r3)
 
 
 def centred_solve(disk, nr, **kwargs):
@@ -202,10 +202,19 @@ class TestLinearizedSolve:
     def test_requires_converged_unit_vortex(self, disk3, radial_r3):
         double = shoot(disk3, n=2, steps=20_000)
         with pytest.raises(ValueError):
-            solve_linearized(disk3, double)
+            solve_linearized(double)
+
+    def test_reads_the_disk_it_was_shot_on(self):
+        # A profile carries its disk, so no other disk can be paired with it.
+        disk4 = ConformalDisk.flat(4.0)
+        profile = shoot(disk4, n=1, steps=2_000)
+        assert profile.disk is disk4
+        lin = solve_linearized(profile)
+        assert lin.r[-1] == 4.0
+        assert lin.bc_defect < 1e-12  # a'(R) = -2/R^2 at R = 4
 
     def test_vortex_decouples_on_large_disk(self, lin_r3, radial_r12):
-        lin12 = solve_linearized(*radial_r12)
+        lin12 = solve_linearized(radial_r12[1])
         assert abs(lin12.boundary_value) < abs(lin_r3.boundary_value)
 
     @pytest.mark.parametrize("steps", ORACLE_STEPS + [DEFAULT_STEPS, 100_000])
@@ -241,8 +250,8 @@ class TestLinearizedSolve:
         # boundary_value (about -4.1e-9 at R = 20, -2.5e-11 at R = 25) to
         # rounding; the banded block solve keeps it.
         disk, radial = radial_large
-        coarse = solve_linearized(disk, shoot(disk, n=1, steps=radial.steps // 4))
-        fine = solve_linearized(disk, radial)
+        coarse = solve_linearized(shoot(disk, n=1, steps=radial.steps // 4))
+        fine = solve_linearized(radial)
         assert fine.boundary_value == pytest.approx(coarse.boundary_value, rel=1e-3)
         assert fine.bc_defect < 1e-12
 
@@ -253,7 +262,7 @@ class TestLinearizedSolve:
         # a = a'(0) r at 1e-6 R missed it by 1.1e-10 and 4.5e-10 at any step count.
         for radius in (25.0, 50.0):
             disk = ConformalDisk.flat(radius)
-            lin = solve_linearized(disk, shoot(disk, n=1))
+            lin = solve_linearized(shoot(disk, n=1))
             assert abs(lin.slope0 - 0.5) <= 1e-11, radius
 
     def test_singular_band_is_conditioning_error(self, monkeypatch):
@@ -310,7 +319,7 @@ def refinement(request):
     values = []
     for steps in REFINEMENT_STEPS:
         radial = shoot(disk, n=1, steps=steps)
-        lin = solve_linearized(disk, radial)
+        lin = solve_linearized(radial)
         values.append((radial.h0, lin.slope0, lin.boundary_value))
     return request.param, np.array(values)
 
@@ -336,7 +345,7 @@ class TestFourthOrder:
     def test_linearized_interpolation_is_fourth_order(self, disk3, radial_r3):
         # a_at between the nodes of a 2k-step solve against the nodes of a
         # 4k-step one: the Hermite interpolant is as accurate as the steps.
-        coarse, fine = (solve_linearized(disk3, shoot(disk3, n=1, steps=s)) for s in (2_000, 4_000))
+        coarse, fine = (solve_linearized(shoot(disk3, n=1, steps=s)) for s in (2_000, 4_000))
         assert np.max(np.abs(coarse.a_at(fine.r) - fine.a)) <= 1e-9
         assert np.max(np.abs(np.interp(fine.r, coarse.r, coarse.a) - fine.a)) >= 1e-7
 
@@ -371,7 +380,7 @@ class TestAlignedStepsAgainstOracle:
         # cancels: in double its own rounding reached 1.7e-13 on an R = 6
         # disk at 2,000 steps, where the sweep is within 1.5e-15 of the
         # long-double march.
-        lin = solve_linearized(disk, profile)
+        lin = solve_linearized(profile)
         f = coefficient(disk, profile)(half_nodes(disk.radius, steps, disk.breakpoints))
         a, boundary_value, _ = two_pass_bvp(f, disk.radius, steps, disk.breakpoints, np.longdouble)
         assert np.max(np.abs(lin.a - a)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
@@ -414,7 +423,7 @@ class TestPositionTangents:
         if case == "flat":
             disk, lin = disk3, lin_r3
         else:
-            disk, lin = radial_table[0], solve_linearized(*radial_table)
+            disk, lin = radial_table[0], solve_linearized(radial_table[1])
         errors = []
         for nr in (64, 128):
             field, report = centred_solve(disk, nr)
@@ -503,7 +512,7 @@ class TestMetricReport:
             report.boundary_term + report.local_term
         )
         assert abs(report.db_dZ.imag) < 1e-3  # real for the symmetric disk
-        slope0 = solve_linearized(disk3, shoot(disk3, n=1, steps=20_000)).slope0
+        slope0 = solve_linearized(shoot(disk3, n=1, steps=20_000)).slope0
         assert report.local_term == math.pi * (0.5 + slope0)
         assert report.db_dZ == complex(0.5 * slope0 - 0.25, 0.0)
         doc = report.to_dict()

@@ -59,9 +59,9 @@ def _savetxt_field_csv(path, grid, htilde, h, B, density):
     np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=FIELD_CSV_HEADER, comments="")
 
 
-def _savetxt_profile_csv(path, profile, disk):
+def _savetxt_profile_csv(path, profile):
     """Oracle: the radial table as one column stack written by ``np.savetxt``."""
-    obs = radial_observables(profile, disk)
+    obs = radial_observables(profile)
     cols = np.column_stack(
         [profile.r, profile.htilde, profile.dhtilde, obs["phi_sq"], obs["B"], obs["energy_density"]]
     )
@@ -97,6 +97,7 @@ def _profiles(draw):
         n=draw(st.integers(0, 2)),
         residual=0.0,
         termination="converged",
+        disk=ConformalDisk.flat(3.0),
     )
 
 
@@ -137,10 +138,10 @@ class TestEnergyDensity:
         zeros = np.zeros((4, 4))
         assert np.all(_density_from_parts(e_h, zeros, zeros, np.ones((4, 1))) == 0.0)
 
-    def test_unit_multiplicity_core_limit(self, disk3, radial_r3):
+    def test_unit_multiplicity_core_limit(self, radial_r3):
         # on-shell core density is B^2 + exp(h0): the gradient term survives
         # for a single zero because exp(h) |grad h|^2 -> 4 exp(h0)
-        obs = radial_observables(radial_r3, disk3)
+        obs = radial_observables(radial_r3)
         expected = 0.25 + math.exp(radial_r3.h0)
         assert obs["energy_density"][0] == pytest.approx(expected, rel=1e-4)
 
@@ -150,8 +151,8 @@ class TestEnergyDensity:
         obs = compute_observables(*solve_taubes_2d(disk3, cfg, grid))
         assert obs.energy_density.values[0, 0] == pytest.approx(0.25, abs=5e-3)
 
-    def test_centered_density_peaks_at_core(self, disk3, radial_r3):
-        obs = radial_observables(radial_r3, disk3)
+    def test_centered_density_peaks_at_core(self, radial_r3):
+        obs = radial_observables(radial_r3)
         assert np.argmax(obs["energy_density"]) == 0
 
 
@@ -410,11 +411,10 @@ class TestExport:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(profile=_profiles())
     def test_profile_csv_bytes_match_savetxt(self, tmp_path_factory, profile):
-        disk = ConformalDisk.flat(3.0)
         tmp = tmp_path_factory.mktemp("profile")
         with np.errstate(all="ignore"):
-            _savetxt_profile_csv(tmp / "oracle.csv", profile, disk)
-            export_profile_csv(tmp / "profile.csv", profile, disk)
+            _savetxt_profile_csv(tmp / "oracle.csv", profile)
+            export_profile_csv(tmp / "profile.csv", profile)
         assert (tmp / "profile.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
 
     def test_long_profile_bytes_match_savetxt(self, tmp_path, disk3):
@@ -422,18 +422,18 @@ class TestExport:
         profile = shoot(disk3, n=1, steps=5_000)
         rows = observables._BLOCK_VALUES // 6
         assert len(profile.r) > 2 * rows and len(profile.r) % rows
-        _savetxt_profile_csv(tmp_path / "oracle.csv", profile, disk3)
-        export_profile_csv(tmp_path / "profile.csv", profile, disk3)
+        _savetxt_profile_csv(tmp_path / "oracle.csv", profile)
+        export_profile_csv(tmp_path / "profile.csv", profile)
         assert (tmp_path / "profile.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    def test_profile_csv_schema(self, tmp_path, disk3, radial_r3):
-        path = export_profile_csv(tmp_path / "profile.csv", radial_r3, disk3)
+    def test_profile_csv_schema(self, tmp_path, radial_r3):
+        path = export_profile_csv(tmp_path / "profile.csv", radial_r3)
         with open(path) as fh:
             assert fh.readline().strip() == PROFILE_CSV_HEADER
 
-    def test_empty_path_rejected_before_writing(self, disk3, radial_r3):
+    def test_empty_path_rejected_before_writing(self, radial_r3):
         with pytest.raises(ValueError):
-            export_profile_csv("", radial_r3, disk3)
+            export_profile_csv("", radial_r3)
         with pytest.raises(ValueError):
             export_json("  ", {})
 

@@ -557,7 +557,7 @@ class TestSegments:
         disk = ConformalDisk.from_samples(3.0, (0.0, 0.7, 1.3, 2.2, 3.0), (1.0, 1.1, 1.25, 1.35, 1.5))
         profile = shoot(disk, n=1, steps=2_000)
         assert all(b in profile.r for b in disk.breakpoints)
-        lin = moduli.solve_linearized(disk, profile)
+        lin = moduli.solve_linearized(profile)
         assert np.array_equal(lin.r, profile.r)
 
     @pytest.mark.parametrize(
@@ -587,9 +587,9 @@ class TestSegments:
         assert long.passes == short.passes
         assert long.h0 == pytest.approx(short.h0, abs=1e-12)
         if n == 1:
-            lin_long = moduli.solve_linearized(disk, long)
+            lin_long = moduli.solve_linearized(long)
             monkeypatch.setattr(moduli, "_segments", real_segments)
-            lin_short = moduli.solve_linearized(disk, short)
+            lin_short = moduli.solve_linearized(short)
             assert lin_long.slope0 == pytest.approx(lin_short.slope0, abs=1e-12)
             assert lin_long.boundary_value == pytest.approx(lin_short.boundary_value, abs=1e-12)
 
