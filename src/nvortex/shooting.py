@@ -20,7 +20,9 @@ alone: nothing reads its matrix.  The banded solve hands LAPACK's band to
 ``dgbsv`` itself.  Short segments keep the solve well conditioned where one
 march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
 Newton runs twice: on a coarse mesh from a closed-form guess, then at the
-requested step count from the coarse solution.  The mesh, the sweep
+requested step count from the coarse solution, interpolated to the segment
+starts by cubic Hermite (``_hermite``, each query's interval found by
+``np.searchsorted``).  The mesh, the sweep
 (``_sweep``) and the banded solve (``_solve_joints``) also serve the
 linearised radial problem of ``moduli.solve_linear_bvp``, on the same nodes.
 Both solves stay fourth order end to end: the centre zone holds the order
@@ -275,19 +277,6 @@ def _sweep(rhs, dx, y):
     return y, ys
 
 
-def _interval(x, xs):
-    """Each ``x``'s interval among the ``n`` increasing ``xs``: ``clip(searchsorted(xs, x) - 1, 0, n - 2)``.
-
-    ``np.interp`` of the node index finds it by a guided search, cheaper than
-    ``searchsorted``'s bisections for the mostly sorted queries of a
-    hand-off.  The floor of that index is the interval or the one after it;
-    one exact comparison with the node decides.  NaN queries get ``n - 2``.
-    """
-    n = len(xs)
-    j = np.fmin(np.interp(x, xs, np.arange(n, dtype=float)), n - 1).astype(np.intp)  # NaN: n - 1
-    return np.clip(j - (xs[j] >= x), 0, n - 2)
-
-
 def _hermite(x, xs, ys, dys):
     """Cubic Hermite interpolation of values ``ys`` and slopes ``dys`` at ``xs``.
 
@@ -295,7 +284,7 @@ def _hermite(x, xs, ys, dys):
     NaN queries give NaN.
     """
     x = np.clip(x, xs[0], xs[-1])
-    j = _interval(x, xs)
+    j = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
     x0, y0, y1, s0, s1 = xs[j], ys[j], ys[j + 1], dys[j], dys[j + 1]
     d = xs[j + 1] - x0
     t = (x - x0) / d

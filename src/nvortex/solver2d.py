@@ -16,17 +16,15 @@ loop preconditioned by the separable polar solver
 (``operators.PolarModeSolver``) with the Jacobian's shift
 ``w * Omega * exp(h)`` replaced by its mean on each ring; a centred vortex
 makes the shift ring-constant and CG converges in one or two iterations.
-The steps are inexact Newton steps (Eisenstat & Walker, "Choosing
-the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17, 1996,
-choice 2): CG stops at a relative residual of ``FORCING_MAX`` on the first
-step and of ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2`` on later ones, never
-below the floor ``FORCING_TOL_SHARE * tol / |F_k|`` for the grid's own
-``tol``, clipped to ``[CG_RTOL, FORCING_MAX]`` (Kelley, "Iterative Methods
-for Linear and Nonlinear Equations", SIAM 1995, 6.3); once the Newton
-residual is below ``FORCING_EXACT_BELOW`` a step is solved to that floor.
-So the half grids of a nested solve, solved to looser tolerances, stop CG
-early.  The CG inner products are ``operators.inner``, not threaded BLAS, so
-the result does not depend on the BLAS thread count.  This is the only
+The steps are inexact Newton steps whose forcing reads only the current
+residual ``|F_k|`` (``_forcing``): while it is at least
+``FORCING_EXACT_BELOW``, CG stops at a relative residual of ``FORCING_MAX``;
+below it, at the floor ``FORCING_TOL_SHARE * tol / |F_k|`` for the grid's
+own ``tol``, clipped to ``[CG_RTOL, FORCING_MAX]`` (Kelley, "Iterative
+Methods for Linear and Nonlinear Equations", SIAM 1995, 6.3).  So the half
+grids of a nested solve, solved to looser tolerances, stop CG early.  The
+CG inner products are ``operators.inner``, not threaded BLAS, so the result
+does not depend on the BLAS thread count.  This is the only
 linear-solver path; the tests keep a SuperLU Newton step as the oracle it is
 checked against.
 
@@ -69,10 +67,9 @@ DEFAULT_MAX_ITER = 50
 MAX_HALVINGS = 30
 #: Relative residual at which the preconditioned CG of a Newton step stops.
 CG_RTOL = 1e-12
-#: Loosest relative CG tolerance of an inexact Newton step (the first step's).
+#: Relative CG tolerance of a Newton step from a residual norm of at least
+#: ``FORCING_EXACT_BELOW``, and the loosest of any step.
 FORCING_MAX = 1e-3
-#: Later steps stop CG at ``FORCING_GAMMA * (|F_k| / |F_{k-1}|)**2``.
-FORCING_GAMMA = 0.01
 #: Below this Newton residual norm a step is solved to its floor (``_forcing``).
 FORCING_EXACT_BELOW = 1e-2
 #: A Newton step's CG stops no earlier than at this share of the grid's
@@ -109,8 +106,9 @@ class SolveReport:
     holds its message).  ``converged`` and ``iterations`` (accepted Newton
     steps) are read off ``termination`` and ``residual_history``.
     ``linear_iterations`` holds the CG iteration count of each Newton step
-    and ``forcing`` the relative CG tolerance it was solved to (its floor,
-    at least ``CG_RTOL``, for a step below ``FORCING_EXACT_BELOW``).
+    and ``forcing`` the relative CG tolerance it was solved to:
+    ``FORCING_MAX`` from a residual of at least ``FORCING_EXACT_BELOW``, the
+    grid's ``tol`` floor (at least ``CG_RTOL``) below it.
     ``singular`` is the singular part the solve split off; it holds the core
     logarithms ``v0``, the configuration and the disk, so the field and this
     report are all that ``compute_observables`` and the position tangents of
@@ -171,23 +169,18 @@ def _solve_spd(lap: NeumannLaplacian, shift: np.ndarray, rhs: np.ndarray, rtol: 
     raise LinearSolveError(f"conjugate gradient did not converge in {CG_MAX_ITER} iterations")
 
 
-def _forcing(history: list, tol: float) -> float:
-    """Relative CG tolerance of the Newton step from ``history[-1]`` on a grid solved to ``tol``.
+def _forcing(norm: float, tol: float) -> float:
+    """Relative CG tolerance of the Newton step from residual norm ``norm`` on a grid solved to ``tol``.
 
-    The floor ``FORCING_TOL_SHARE * tol / |F_k|``, clipped to
-    ``[CG_RTOL, FORCING_MAX]``, stops CG once the step's linear residual is
-    a small share of what Newton must still remove; below
-    ``FORCING_EXACT_BELOW`` the step is solved to that floor, above it to
-    the Eisenstat-Walker value clipped below by it.  ``tol = 0`` leaves the
-    floor at ``CG_RTOL``.
+    ``FORCING_MAX`` while ``norm`` is at least ``FORCING_EXACT_BELOW``;
+    below it the floor ``FORCING_TOL_SHARE * tol / norm``, clipped to
+    ``[CG_RTOL, FORCING_MAX]``, which stops CG once the step's linear
+    residual is a small share of what Newton must still remove.  ``tol = 0``
+    leaves the floor at ``CG_RTOL``.
     """
-    norm = history[-1]
-    floor = max(CG_RTOL, min(FORCING_MAX, FORCING_TOL_SHARE * tol / norm))
-    if norm < FORCING_EXACT_BELOW:
-        return floor
-    if len(history) == 1:
+    if norm >= FORCING_EXACT_BELOW:
         return FORCING_MAX
-    return max(floor, min(FORCING_MAX, FORCING_GAMMA * (norm / history[-2]) ** 2))
+    return max(CG_RTOL, min(FORCING_MAX, FORCING_TOL_SHARE * tol / norm))
 
 
 def _product_start(singular: SingularPart) -> np.ndarray:
@@ -357,7 +350,7 @@ def _solve(disk, config, grid, tol, max_iter):
     )
 
     while norm > tol and report.iterations < max_iter:
-        rtol = _forcing(report.residual_history, tol)
+        rtol = _forcing(norm, tol)
         try:
             delta, cg_iterations = _solve_spd(lap, w * omega * e_h, -(w * F), rtol)
         except LinearSolveError as exc:

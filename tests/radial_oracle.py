@@ -10,10 +10,8 @@ steps on ``shoot``'s own nodes (``shooting._segments``: the graded centre
 zone, then uniform steps, a node on each of the disk's breakpoints), so
 both discretise the same problem.
 
-It also keeps the library calls that the radial kernels replaced:
-``scipy.linalg.solve_banded`` for the joint solve (``banded_joints``) and
-``np.searchsorted`` for the Hermite interval (``searchsorted_interval``,
-``searchsorted_hermite``).
+It also keeps the library call that the joint solve replaced:
+``scipy.linalg.solve_banded`` (``banded_joints``).
 """
 
 from __future__ import annotations
@@ -189,18 +187,3 @@ def banded_joints(lead, maps, rhs) -> np.ndarray:
         ab[2, -2], ab[1, -1] = x10[-1], x11[-1]
     return solve_banded((2, 1), ab, rhs)
 
-
-def searchsorted_interval(x, xs) -> np.ndarray:
-    """The interval ``shooting._interval`` must find: by bisection, clipped to ``[0, n - 2]``."""
-    return np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-
-
-def searchsorted_hermite(x, xs, ys, dys) -> np.ndarray:
-    """``shooting._hermite`` on the interval of ``searchsorted_interval``."""
-    x = np.clip(x, xs[0], xs[-1])
-    j = searchsorted_interval(x, xs)
-    x0, y0, y1, s0, s1 = xs[j], ys[j], ys[j + 1], dys[j], dys[j + 1]
-    d = xs[j + 1] - x0
-    t = (x - x0) / d
-    return (y0 + t * d * s0 + t * t * (3.0 * (y1 - y0) - d * (2.0 * s0 + s1))
-            + t**3 * (2.0 * (y0 - y1) + d * (s0 + s1)))

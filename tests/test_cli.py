@@ -628,13 +628,23 @@ class TestVerify:
         assert cli.main(["verify", "--nr", "64"]) == cli.EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out
 
-    def test_gate_note_for_violating_domain(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_acceptance", lambda **kw: self._stub(True))
-        cfg = write_config(tmp_path, base_doc(interior=[{"x": 0, "y": 0, "n": 3}]))
-        assert cli.main(["verify", "--config", cfg]) == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "violates the existence bound" in out
-        assert "domain solves skipped" in out
+    def test_gate_note_for_violating_domain(self, tmp_path, capsys):
+        # verify reads grid.nr, solver.tol and radial.steps only: a configured
+        # domain that violates the existence bound changes no row and adds none.
+        def rows(argv):
+            assert cli.main(argv) == cli.EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert not any(line.lstrip().startswith("gate") for line in lines)
+            # each row without the seconds of its check
+            return [line.rsplit(") ", 1)[0] for line in lines if re.match(r" +\d+  (PASS|FAIL)  ", line)]
+
+        # The reference document's radial steps and tol (their defaults), on an overfilled disk.
+        cfg = write_config(tmp_path, {"radius": 3.0, "interior": [{"x": 0, "y": 0, "n": 3}]})
+        assert cli.main(["check", "--config", cfg]) == cli.EXIT_BRADLOW
+        capsys.readouterr()
+        reference = rows(["verify", "--nr", "32"])
+        assert len(reference) == 28
+        assert rows(["verify", "--config", cfg, "--nr", "32"]) == reference
 
     def test_each_check_printed_once(self, capsys, monkeypatch):
         records = []

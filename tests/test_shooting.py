@@ -18,8 +18,6 @@ from radial_oracle import (
     _mismatch,
     banded_joints,
     integrate_radial,
-    searchsorted_hermite,
-    searchsorted_interval,
     single_stage_h0,
 )
 
@@ -331,8 +329,113 @@ def same_bits(a, b):
     return np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+NODE_SETS = ["shoot", "linear", "two", "ragged"]
+
+
+class TestHermite:
+    """``shooting._hermite`` on the shoot's, the linear solve's and two other node sets."""
+
+    @pytest.fixture(scope="class")
+    def node_sets(self):
+        lin = moduli.solve_linear_bvp(1.0, 3.0, steps=1_000)
+        return {
+            "shoot": shoot(table_disk(), steps=2_000).r,  # with nodes on the breakpoints
+            "linear": lin.r,  # the graded zone, then uniform
+            "two": np.array([-1.0, 2.0]),
+            "ragged": np.cumsum(np.random.default_rng(1).exponential(size=300)),
+        }
+
+    def queries(self, xs):
+        rng = np.random.default_rng(xs.size)
+        inside = rng.uniform(xs[0], xs[-1], size=2_000)
+        near = np.concatenate((np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)))
+        out = np.array([xs[0] - 1.0, xs[-1] + 1.0, -np.inf, np.inf, np.nan, xs[0], xs[-1]])
+        hits = rng.permutation(np.concatenate((inside, near, out)))  # unsorted
+        return {"inside": np.sort(inside), "near nodes": near, "ends and outside": out, "unsorted": hits,
+                "scalar": np.float64(xs[len(xs) // 2]), "nan": np.full(3, np.nan)}
+
+    @staticmethod
+    def random_data(xs):
+        rng = np.random.default_rng(7)
+        ys, dys = rng.normal(size=xs.size), rng.normal(size=xs.size)
+        # Rounding is relative to the values and to each interval's slope terms.
+        scale = np.max(np.abs(ys)) + np.max(np.diff(xs)) * np.max(np.abs(dys))
+        return ys, dys, scale
+
+    @pytest.mark.parametrize("nodes", NODE_SETS)
+    def test_reproduces_a_cubic_with_exact_slopes(self, node_sets, nodes):
+        xs = node_sets[nodes]
+        mid, half = 0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])
+
+        def cubic(x):
+            u = (x - mid) / half
+            return 0.3 - 1.1 * u + 0.7 * u**2 + 1.3 * u**3
+
+        def slope(x):
+            u = (x - mid) / half
+            return (-1.1 + 1.4 * u + 3.9 * u**2) / half
+
+        ys, dys = cubic(xs), slope(xs)
+        for kind, x in self.queries(xs).items():
+            x = np.atleast_1d(x)
+            x = x[(x >= xs[0]) & (x <= xs[-1])]
+            y = shooting._hermite(x, xs, ys, dys)
+            # 3.4, the sum of the coefficients' magnitudes, bounds |cubic| on the nodes.
+            assert np.max(np.abs(y - cubic(x)), initial=0.0) <= 16 * np.finfo(float).eps * 3.4, kind
+
+    @pytest.mark.parametrize("nodes", NODE_SETS)
+    def test_takes_each_query_on_its_own_interval(self, node_sets, nodes):
+        # Random values and slopes: at a node the interpolant is that node's
+        # value and at a midpoint the closed form of its own interval's
+        # cubic, which a neighbouring interval's cubic misses.
+        xs = node_sets[nodes]
+        ys, dys, scale = self.random_data(xs)
+        eps = np.finfo(float).eps
+        d = np.diff(xs)
+        mids = xs[:-1] + 0.5 * d
+        at_mids = 0.5 * (ys[:-1] + ys[1:]) + 0.125 * d * (dys[:-1] - dys[1:])
+        # A rounded midpoint is off by up to eps |x|, which moves the value by
+        # that times the interval's largest slope.
+        slope = np.abs(np.diff(ys)) / d + np.abs(dys[:-1]) + np.abs(dys[1:])
+        assert np.max(np.abs(shooting._hermite(xs, xs, ys, dys) - ys)) <= 16 * eps * scale
+        err = np.abs(shooting._hermite(mids, xs, ys, dys) - at_mids)
+        assert np.all(err <= 16 * eps * (scale + np.abs(mids) * slope))
+        rng = np.random.default_rng(3)
+        order = rng.permutation(mids.size)  # unsorted queries find the same intervals
+        assert same_bits(shooting._hermite(mids[order], xs, ys, dys), shooting._hermite(mids, xs, ys, dys)[order])
+
+    @pytest.mark.parametrize("nodes", NODE_SETS)
+    def test_holds_the_end_values_outside_the_nodes(self, node_sets, nodes):
+        xs = node_sets[nodes]
+        ys, dys, scale = self.random_data(xs)
+        for kind, x in self.queries(xs).items():
+            x = np.atleast_1d(x)
+            below, above = x[x < xs[0]], x[x > xs[-1]]
+            assert same_bits(shooting._hermite(below, xs, ys, dys), np.full(below.size, ys[0])), kind
+            ends = shooting._hermite(above, xs, ys, dys)
+            assert np.max(np.abs(ends - ys[-1]), initial=0.0) <= 16 * np.finfo(float).eps * scale, kind
+
+    @pytest.mark.parametrize("nodes", NODE_SETS)
+    def test_nan_queries_give_nan(self, node_sets, nodes):
+        xs = node_sets[nodes]
+        ys, dys, _ = self.random_data(xs)
+        for kind, x in self.queries(xs).items():
+            y = shooting._hermite(x, xs, ys, dys)
+            assert np.array_equal(np.isnan(y), np.isnan(x)), kind
+            assert np.isfinite(y[~np.isnan(x)]).all(), kind
+
+    @pytest.mark.parametrize("nodes", NODE_SETS)
+    def test_scalar_query_gives_a_scalar(self, node_sets, nodes):
+        xs = node_sets[nodes]
+        ys, dys, _ = self.random_data(xs)
+        x = self.queries(xs)["scalar"]
+        y = shooting._hermite(x, xs, ys, dys)
+        assert np.ndim(y) == 0
+        assert same_bits(np.atleast_1d(y), shooting._hermite(np.atleast_1d(x), xs, ys, dys))
+
+
 class TestKernelsAgainstOracles:
-    """The joint solve, the Hermite interval and the state-only sweep give the replaced paths' bits."""
+    """The joint solve and the state-only sweep give the replaced paths' bits."""
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 17, 1_000])
     def test_joint_solve_is_solve_banded(self, blocks):
@@ -368,41 +471,6 @@ class TestKernelsAgainstOracles:
         _, maps, rhs = random_joint_system(np.random.default_rng(0), blocks)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             shooting._solve_joints((0.0, 0.0), maps, rhs)
-
-    @pytest.fixture(scope="class")
-    def node_sets(self):
-        lin = moduli.solve_linear_bvp(1.0, 3.0, steps=1_000)
-        return {
-            "shoot": shoot(table_disk(), steps=2_000).r,  # with nodes on the breakpoints
-            "linear": lin.r,  # the graded zone, then uniform
-            "two": np.array([-1.0, 2.0]),
-            "ragged": np.cumsum(np.random.default_rng(1).exponential(size=300)),
-        }
-
-    def queries(self, xs):
-        rng = np.random.default_rng(xs.size)
-        inside = rng.uniform(xs[0], xs[-1], size=2_000)
-        near = np.concatenate((np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)))
-        out = np.array([xs[0] - 1.0, xs[-1] + 1.0, -np.inf, np.inf, np.nan, xs[0], xs[-1]])
-        hits = rng.permutation(np.concatenate((inside, near, out)))  # unsorted
-        return {"inside": np.sort(inside), "near nodes": near, "ends and outside": out, "unsorted": hits,
-                "scalar": np.float64(xs[len(xs) // 2]), "nan": np.full(3, np.nan)}
-
-    @pytest.mark.parametrize("nodes", ["shoot", "linear", "two", "ragged"])
-    def test_interval_is_searchsorted(self, node_sets, nodes):
-        xs = node_sets[nodes]
-        for kind, x in self.queries(xs).items():
-            assert np.array_equal(shooting._interval(x, xs), searchsorted_interval(x, xs)), kind
-
-    @pytest.mark.parametrize("nodes", ["shoot", "linear", "two", "ragged"])
-    def test_hermite_is_searchsorted_hermite(self, node_sets, nodes):
-        xs = node_sets[nodes]
-        rng = np.random.default_rng(7)
-        ys, dys = rng.normal(size=xs.size), rng.normal(size=xs.size)
-        for kind, x in self.queries(xs).items():
-            y = shooting._hermite(x, xs, ys, dys)
-            assert same_bits(y, searchsorted_hermite(x, xs, ys, dys)), kind
-            assert np.array_equal(np.isnan(y), np.isnan(x)), kind
 
     def test_recording_sweep_steps_the_state_rows_only(self, monkeypatch):
         real_sweep = shooting._sweep

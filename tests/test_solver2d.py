@@ -170,6 +170,12 @@ _CASES = {
 }
 
 
+_NESTED_CASES = {**_CASES, "off-centre N=2": VortexConfiguration(interior=((1.1 + 0.4j, 1), (-0.7 - 1.2j, 1)))}
+#: Each case at 64^2 (its half grid is below ``NESTED_MIN_POINTS``) and one
+#: on an odd grid.
+_FORCING_RUNS = [(name, 64) for name in _NESTED_CASES] + [("N=1+M=1", 63)]
+
+
 class TestForcing:
     @pytest.mark.parametrize("cfg", _CASES.values(), ids=_CASES.keys())
     def test_forcing_bounded_and_final_step_at_tol_floor(self, disk3, cfg):
@@ -182,16 +188,37 @@ class TestForcing:
         share = solver2d.FORCING_TOL_SHARE * solver2d.DEFAULT_TOL / report.residual_history[-2]
         assert report.forcing[-1] == max(solver2d.CG_RTOL, min(solver2d.FORCING_MAX, share))
 
-    def test_forcing_saves_cg_iterations_not_newton_steps(self, disk3, monkeypatch):
-        grid = build_grid(disk3, 64, 64)
-        cfg = VortexConfiguration.boundary_point(0.3)
+    @pytest.mark.parametrize("name, nr", _FORCING_RUNS, ids=[f"{name} {nr}^2" for name, nr in _FORCING_RUNS])
+    def test_forcing_saves_cg_iterations_not_newton_steps(self, disk3, monkeypatch, name, nr):
+        grid = build_grid(disk3, nr, nr)  # too small or odd for a half-grid start
+        cfg = _NESTED_CASES[name]
         _, inexact = solve_taubes_2d(disk3, cfg, grid)
         monkeypatch.setattr(solver2d, "FORCING_MAX", solver2d.CG_RTOL)
         _, exact = solve_taubes_2d(disk3, cfg, grid)
         assert inexact.converged and exact.converged
+        assert inexact.start == exact.start == "product ansatz"
         assert set(exact.forcing) == {solver2d.CG_RTOL}
         assert inexact.iterations == exact.iterations
-        assert sum(inexact.linear_iterations) < sum(exact.linear_iterations)
+        if name == "centred":
+            assert sum(inexact.linear_iterations) == sum(exact.linear_iterations)
+        else:
+            assert sum(inexact.linear_iterations) < sum(exact.linear_iterations)
+
+    @given(
+        norm=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        tol=st.floats(min_value=0.0, allow_infinity=False),
+    )
+    @example(norm=solver2d.FORCING_EXACT_BELOW, tol=1.0)
+    @example(norm=math.nextafter(solver2d.FORCING_EXACT_BELOW, 0.0), tol=0.0)
+    @example(norm=5e-324, tol=1e300)
+    def test_forcing_reads_only_the_current_residual(self, norm, tol):
+        eta = solver2d._forcing(norm, tol)
+        if norm >= solver2d.FORCING_EXACT_BELOW:
+            assert eta == solver2d.FORCING_MAX
+        else:
+            floor = solver2d.FORCING_TOL_SHARE * tol / norm
+            assert eta == max(solver2d.CG_RTOL, min(solver2d.FORCING_MAX, floor))
+        assert solver2d.CG_RTOL <= eta <= solver2d.FORCING_MAX
 
 
 def _without_half_grid_start(disk, cfg, grid):
@@ -217,7 +244,6 @@ def _refuse(*args):
     raise AssertionError("no half-grid start expected")
 
 
-_NESTED_CASES = {**_CASES, "off-centre N=2": VortexConfiguration(interior=((1.1 + 0.4j, 1), (-0.7 - 1.2j, 1)))}
 #: On the flat disk of radius 3 its 64^2 solve ends in line_search: the
 #: Neumann data's boundary peak is narrower than the angular spacing.
 _NEAR_RIM = VortexConfiguration(interior=((2.99 + 0.0123j, 1),))
