@@ -20,7 +20,6 @@ from .geometry import (
 from .moduli import (
     LinearizedProfile,
     MetricReport,
-    boundary_metric_term,
     metric_coefficient,
     solve_linear_bvp,
     solve_linearized,
@@ -31,7 +30,7 @@ from .observables import (
     magnetic_field,
 )
 from .operators import NeumannLaplacian, assemble_neumann_laplacian
-from .shooting import RadialProfile, shoot, taylor_seed
+from .shooting import RadialProfile, shoot
 from .singular import (
     SingularPart,
     boundary_neumann_green,
@@ -58,7 +57,6 @@ __all__ = [
     "SolveReport",
     "VortexConfiguration",
     "assemble_neumann_laplacian",
-    "boundary_metric_term",
     "boundary_neumann_green",
     "bradlow_margin",
     "build_grid",
@@ -73,6 +71,5 @@ __all__ = [
     "solve_linear_bvp",
     "solve_linearized",
     "solve_taubes_2d",
-    "taylor_seed",
     "__version__",
 ]

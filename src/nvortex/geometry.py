@@ -174,14 +174,6 @@ class VortexConfiguration:
                     f"interior vortex at {pos} is not strictly inside radius {disk.radius}"
                 )
 
-    def rotated(self, angle: float) -> "VortexConfiguration":
-        """Configuration with every vortex position rotated by ``angle``."""
-        phase = complex(math.cos(angle), math.sin(angle))
-        return VortexConfiguration(
-            interior=tuple((z * phase, n) for z, n in self.interior),
-            boundary=tuple((t + angle, m) for t, m in self.boundary),
-        )
-
 
 @dataclass(frozen=True)
 class PolarGrid:

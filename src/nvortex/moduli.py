@@ -9,8 +9,9 @@ where the radial factor ``a`` solves the linear two-point problem
     a'' + a'/r - a/r^2 = f(r) * (a - 2/r),   f = Omega * exp(h),
 
 regular at the origin with ``a'(R) = -2/R^2``; ``solve_linear_bvp`` solves
-it by multiple shooting on the radial shoot's own mesh, RK4 sweep and
-banded joint solve (``shooting._segments``, ``_sweep``, ``_solve_joints``).
+it on the radial shoot's own mesh (``shooting._segments``) as one Newton
+correction of the shoot's one multiple-shooting system
+(``shooting._solve_linear``).
 The kinetic-energy coefficient of a moving vortex combines a boundary term,
 ``(1/2) * pi * (d_X h(R; 0))^2`` with ``d_X h(R; 0) = a(R) - 2/R``, and the
 local term ``pi * (Omega(0) + 2 db/dZ)`` built from the core coefficient
@@ -46,8 +47,7 @@ from .shooting import (
     RadialProfile,
     _hermite,
     _segments,
-    _solve_joints,
-    _sweep,
+    _solve_linear,
     shoot,
 )
 from .solver2d import CG_RTOL, SolveReport, _solve_spd
@@ -56,10 +56,8 @@ __all__ = [
     "LinearizedProfile",
     "MetricReport",
     "ConditioningError",
-    "FitError",
     "solve_linear_bvp",
     "solve_linearized",
-    "boundary_metric_term",
     "boundary_ring_position_derivatives",
     "ring_metric_integral",
     "metric_coefficient",
@@ -67,10 +65,6 @@ __all__ = [
 
 class ConditioningError(RuntimeError):
     """The block system for the linearized profile overflowed or is singular."""
-
-
-class FitError(RuntimeError):
-    """The core-coefficient fit has too few usable nodes (grid too coarse)."""
 
 
 @dataclass
@@ -82,7 +76,7 @@ class LinearizedProfile:
     da: np.ndarray  # a'(r) at the nodes, from the sweep
     slope0: float  # a'(0), the coefficient of the regular branch a ~ c r
     boundary_value: float  # d_X h(R; 0) = a(R) - 2/R
-    bc_defect: float  # |a'(R) + 2/R^2|, zero up to roundoff by construction
+    bc_defect: float  # |a'(R) + 2/R^2|, measured on the sweep that recorded a
 
     def a_at(self, r) -> np.ndarray:
         """Cubic Hermite interpolation of ``a`` and ``da`` onto radii ``r``.
@@ -106,13 +100,12 @@ def solve_linear_bvp(
     centre, with a node on each of the increasing radii ``breakpoints``
     where ``f`` has a kink.  ``f`` holds the coefficient at the
     ``2 * steps + 1`` half-node radii; a scalar broadcasts, and 0 is the
-    vacuum, ``a = -2 r / R^2``.  The system is linear, so one ``_sweep``
-    from a zero start with an identity variational matrix gives each
-    segment's affine map (the first segment's from the seed
-    ``(a, a') = slope0 * (SEED_RADIUS, 1)``), and one banded solve
-    (``_solve_joints``) gives ``a'(0)`` (``slope0``) and every segment start
-    from continuity at the joints and ``a'(R) = -2/R^2``.  Short segments
-    keep it well conditioned where both solutions grow like ``e^r``.
+    vacuum, ``a = -2 r / R^2``.  It is the shoot's multiple-shooting system
+    with the seed ``(a, a') = slope0 * (SEED_RADIUS, 1)`` and the outer slope
+    ``-2/R^2``; being linear, one Newton correction from zero starts gives
+    ``a'(0)`` (``slope0``) and every segment start, and one sweep from them
+    records ``a`` (``shooting._solve_linear``).  Short segments keep it well
+    conditioned where both solutions grow like ``e^r``.
 
     Raises ``ValueError`` unless ``steps`` is a positive integer, ``radius``
     is finite and exceeds ``SEED_RADIUS`` and ``f`` is finite and
@@ -142,46 +135,22 @@ def solve_linear_bvp(
     def rhs(j, y, k):
         k[::2] = y[1::2]
         np.multiply(w[j], y[1::2], out=k[1::2])
-        k[1::2] += np.multiply(p[j], y[::2], out=pa)
+        k[1::2] += np.multiply(p[j], y[::2], out=pa[:y.shape[0] // 2])
         k[1] += s[j]
 
-    start = np.zeros((6, index.shape[1]))
-    start[2::3] = 1.0  # the variational matrix starts at the identity,
-    start[2:4, 0] = SEED_RADIUS, 1.0  # but the first block's first column at the seed
-    y, ys = _sweep(rhs, dr, start)
-    overflow = ConditioningError("linearized integration overflowed before the boundary")
-    if not np.isfinite(y).all():
-        raise overflow
-    d0, d1, x00, x10, x01, x11 = y
-    # Continuity X_b s_b + d_b = s_{b+1} at each joint, then the outer
-    # condition a'(R) = -2/R^2; the seed is (a, a') = slope0 * (SEED_RADIUS, 1).
-    rhs_joints = np.empty(2 * d0.size - 1)
-    rhs_joints[0:-1:2], rhs_joints[1:-1:2] = -d0[:-1], -d1[:-1]
-    rhs_joints[-1] = -2.0 / radius**2 - d1[-1]
     try:
-        x = _solve_joints((x00[0], x10[0]), (x00, x01, x10, x11), rhs_joints)
+        slope0, (a, da), mismatch = _solve_linear(rhs, dr, steps, (SEED_RADIUS, 1.0), -2.0 / radius**2)
+    except FloatingPointError:
+        raise ConditioningError("linearized integration overflowed before the boundary") from None
     except np.linalg.LinAlgError:
         raise ConditioningError("the banded block system for the linearized profile is singular") from None
-    slope0 = float(x[0])
-    start_a = np.concatenate(([slope0], x[1::2]))  # the first block's in units of the seed
-    start_da = np.concatenate(([0.0], x[2::2]))
-    a, da = np.empty(steps + 1), np.empty(steps + 1)
-    a[0], da[0] = slope0 * SEED_RADIUS, slope0
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.array([(state[0] + state[2] * start_a + state[4] * start_da,
-                          state[1] + state[3] * start_a + state[5] * start_da) for state in ys])
-    a[1:] = rows[:, 0].T.ravel()[:steps]
-    da[1:] = rows[:, 1].T.ravel()[:steps]
-    if not np.isfinite(a).all():
-        raise overflow
-    da_end = x10[-1] * start_a[-1] + x11[-1] * start_da[-1] + d1[-1]
     return LinearizedProfile(
         r=r_half[::2].copy(),
         a=a,
         da=da,
         slope0=slope0,
         boundary_value=float(a[-1]) - 2.0 / radius,
-        bc_defect=abs(da_end + 2.0 / radius**2),
+        bc_defect=abs(mismatch),
     )
 
 
@@ -205,11 +174,6 @@ def solve_linearized(radial: RadialProfile) -> LinearizedProfile:
     return solve_linear_bvp(f, disk.radius, radial.steps, breakpoints=disk.breakpoints)
 
 
-def boundary_metric_term(lin: LinearizedProfile) -> float:
-    """Boundary contribution ``(1/2) * pi * (d_X h(R; 0))^2`` (never negative)."""
-    return 0.5 * math.pi * lin.boundary_value**2
-
-
 def _fit_b(htilde: ScalarField, z_core: complex) -> complex:
     """Core coefficient from a local polynomial fit of ``htilde`` at ``z_core``.
 
@@ -227,8 +191,6 @@ def _fit_b(htilde: ScalarField, z_core: complex) -> complex:
     dist = np.abs(d)
     mask = (dist >= 2.0 * grid.dr) & (dist <= 6.0 * grid.dr)
     count = int(np.count_nonzero(mask))
-    if count < 12:
-        raise FitError(f"only {count} nodes in the fit annulus; refine the grid")
     dx, dy = d.real[mask], d.imag[mask]
     design = np.column_stack([np.ones(count), dx, dy, dx * dx, dx * dy, dy * dy])
     coeffs, *_ = np.linalg.lstsq(design, htilde.values[mask], rcond=None)
@@ -345,7 +307,7 @@ def metric_coefficient(
         raise RuntimeError(radial.failure_reason())
     lin = solve_linearized(radial)
     try:
-        bterm = boundary_metric_term(lin)
+        bterm = 0.5 * math.pi * lin.boundary_value**2  # (1/2) pi (d_X h(R; 0))^2
     except OverflowError:
         raise ConditioningError(
             f"boundary term overflows: the linearized boundary value is {lin.boundary_value:.3g}"

@@ -22,9 +22,12 @@ march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
 Newton runs twice: on a coarse mesh from a closed-form guess, then at the
 requested step count from the coarse solution, interpolated to the segment
 starts by cubic Hermite (``_hermite``, each query's interval found by
-``np.searchsorted``).  The mesh, the sweep
-(``_sweep``) and the banded solve (``_solve_joints``) also serve the
-linearised radial problem of ``moduli.solve_linear_bvp``, on the same nodes.
+``np.searchsorted``).  This module owns the one multiple-shooting system:
+its start rows and mismatch (``_sweep_system``), its banded joint solve
+(``_solve_joints``) and its node read-out (``_nodes``).  The linearised
+radial problem of ``moduli.solve_linear_bvp`` is that system with a linear
+right-hand side, solved by one Newton correction from zero starts
+(``_solve_linear``) on the same nodes.
 Both solves stay fourth order end to end: the centre zone holds the order
 against the ``1/r`` coefficients, and a node sits on every kink of a
 sampled Omega (``ConformalDisk.breakpoints``).
@@ -43,12 +46,11 @@ from .geometry import ConformalDisk, VortexConfiguration, check_bradlow
 
 __all__ = [
     "RadialProfile",
-    "taylor_seed",
     "shoot",
 ]
 
-#: Radius where the integration starts from ``taylor_seed``'s series.  The
-#: terms the series leaves out are below double precision here.
+#: Radius where the integration starts from the regular series at the
+#: centre.  The terms the series leaves out are below double precision here.
 SEED_RADIUS = 1e-8
 #: The graded centre zone of ``_segments``: ``ZONE_SHARE`` of the steps on
 #: ``[SEED_RADIUS, ZONE_RADIUS]``, chosen among 12 pairs by the errors at 7k
@@ -118,10 +120,6 @@ class RadialProfile:
     def converged(self) -> bool:
         return self.termination == "converged"
 
-    @property
-    def stalled(self) -> bool:
-        return self.termination not in ("converged", "slope_residual")
-
     def htilde_at(self, r) -> np.ndarray:
         """Cubic Hermite interpolation of ``htilde`` and ``dhtilde`` onto radii ``r``.
 
@@ -132,52 +130,13 @@ class RadialProfile:
 
     def failure_reason(self) -> str:
         """Why the shoot did not converge, led by its ``termination``, for error messages."""
-        if self.stalled:
-            how = (f"Newton stalled after {self.passes[1]} sweeps "
-                   f"(largest joint defect {self.joint_defect:.3g})")
-        else:
+        if self.termination == "slope_residual":
             how = f"boundary-slope residual {self.residual:.3g} > tol {SLOPE_TOL:.3g}"
+        else:  # a stalled Newton; a profile without fine sweeps stopped on the coarse mesh
+            stage, sweeps = ("Newton", self.passes[1]) if self.passes[1] else ("coarse Newton", self.passes[0])
+            how = f"{stage} stalled after {sweeps} sweeps (largest joint defect {self.joint_defect:.3g})"
         return (f"radial shoot did not converge ({self.termination}): {how} at {self.steps} steps, "
                 f"h0 = {self.h0!r}")
-
-
-def taylor_seed(h0: float, eps: float, omega0: float) -> tuple[float, float]:
-    """Series values ``(htilde(eps), htilde'(eps))`` seeding the integration.
-
-    Only the universal leading term ``h0 - Omega(0) * eps^2 / 4`` is kept;
-    the next terms, of order ``Omega'(0) eps^3`` and ``eps^4``, are below
-    double precision at ``SEED_RADIUS``.
-    """
-    if eps <= 0:
-        raise ValueError(f"seed radius must be positive, got {eps}")
-    return (h0 - 0.25 * omega0 * eps * eps, -0.5 * omega0 * eps)
-
-
-def _solve_joints(lead, maps, rhs) -> np.ndarray:
-    """Banded solve of a multiple-shooting system with one scalar seed parameter.
-
-    Unknowns: the parameter, then each later block's start state.  Block
-    ``k`` maps its start by ``maps = (x00, x01, x10, x11)`` (arrays over
-    blocks); ``lead`` is the first block's end per unit parameter.  Equations
-    (``rhs``): continuity at each joint, then the second component of the
-    last block's end.  Two sub- and one superdiagonal, stored as LAPACK's
-    band with two rows for the fill-in above it and solved by ``dgbsv``
-    itself; a singular factor raises ``numpy.linalg.LinAlgError``.
-    """
-    x00, x01, x10, x11 = maps
-    ab = np.zeros((6, rhs.size))
-    ab[2, 1:] = -1.0  # minus the next block's start
-    ab[3, 0], ab[4, 0] = lead
-    if rhs.size == 1:  # one block: its end's second component is the only equation
-        ab[3, 0] = lead[1]
-    else:
-        ab[4, 1::2], ab[3, 2::2] = x00[1:], x01[1:]
-        ab[5, 1:-3:2], ab[4, 2:-1:2] = x10[1:-1], x11[1:-1]
-        ab[4, -2], ab[3, -1] = x10[-1], x11[-1]
-    _, _, x, info = dgbsv(2, 1, ab, rhs, overwrite_ab=True)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"the banded factor is singular at row {info}")
-    return x
 
 
 def _segments(x0, x1, steps, breaks=()):
@@ -292,16 +251,99 @@ def _hermite(x, xs, ys, dys):
             + t**3 * (2.0 * (y0 - y1) + d * (s0 + s1)))
 
 
+def _sweep_system(rhs, dx, seed, starts, slope, lead=None):
+    """One sweep of the multiple-shooting system, with its mismatch.
+
+    The first segment starts at ``seed``, each later one at its column of
+    ``starts`` (shape ``(2, segments - 1)``).  Given ``lead``, the seed's
+    derivative by the system's scalar parameter, the sweep also steps the
+    variational matrix (``_sweep``'s rows 2-5), started at the identity but
+    for the first segment's first column, ``lead``: the rows
+    ``_solve_joints`` reads.  Returns ``(y, ys, defect)``: ``_sweep``'s
+    segment ends and steps, and the mismatch, each joint's state minus the
+    next segment's start, then the outer slope minus ``slope``.
+    """
+    y = np.zeros((2 if lead is None else 6, starts.shape[1] + 1))
+    y[:2, 0], y[:2, 1:] = seed, starts
+    if lead is not None:
+        y[2::3] = 1.0
+        y[2:4, 0] = lead
+    y, ys = _sweep(rhs, dx, y)
+    defect = np.empty(2 * y.shape[1] - 1)
+    defect[0:-1:2] = y[0, :-1] - starts[0]
+    defect[1:-1:2] = y[1, :-1] - starts[1]
+    defect[-1] = y[1, -1] - slope
+    return y, ys, defect
+
+
+def _solve_joints(y, defect):
+    """Newton correction of the multiple-shooting system from a variational sweep.
+
+    ``y`` holds the segment ends of ``_sweep_system`` with ``lead``: block
+    ``k`` maps its start by its rows ``(x00, x10, x01, x11) = y[2:, k]``,
+    and the first block's first column is its end per unit parameter.
+    Solves the linearised ``defect = 0``, continuity at each joint and then
+    the outer slope, for the correction ``(parameter, starts)``, ``starts``
+    shaped like ``_sweep_system``'s.  Two sub- and one superdiagonal, stored
+    as LAPACK's band with two rows for the fill-in above it and solved by
+    ``dgbsv`` itself; a singular factor raises ``numpy.linalg.LinAlgError``.
+    """
+    x00, x10, x01, x11 = y[2:]
+    ab = np.zeros((6, defect.size))
+    ab[2, 1:] = -1.0  # minus the next block's start
+    if defect.size == 1:  # one block: its end's second component is the only equation
+        ab[3, 0] = x10[0]
+    else:
+        ab[3, 0], ab[4, 0] = x00[0], x10[0]
+        ab[4, 1::2], ab[3, 2::2] = x00[1:], x01[1:]
+        ab[5, 1:-3:2], ab[4, 2:-1:2] = x10[1:-1], x11[1:-1]
+        ab[4, -2], ab[3, -1] = x10[-1], x11[-1]
+    _, _, x, info = dgbsv(2, 1, ab, -defect, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"the banded factor is singular at row {info}")
+    return float(x[0]), np.vstack((x[1::2], x[2::2]))
+
+
+def _nodes(seed, ys, steps):
+    """The state at every node, shape ``(2, steps + 1)``: ``seed``, then the state rows of each step of ``ys``."""
+    nodes = np.empty((2, steps + 1))
+    nodes[:, 0] = seed
+    nodes[:, 1:] = np.array([y[:2] for y in ys]).transpose(1, 2, 0).reshape(2, -1)[:, :steps]
+    return nodes
+
+
+def _solve_linear(rhs, dx, steps, lead, slope):
+    """The multiple-shooting system of a linear ``rhs``, seeded at the parameter times ``lead``.
+
+    Affine in the parameter and the starts, it is solved by one correction
+    (``_solve_joints``) from zero starts; a state-only sweep from the solved
+    starts records the nodes.  Returns ``(parameter, nodes, mismatch)``, the
+    last that sweep's outer slope minus ``slope``.  Raises
+    ``FloatingPointError`` if a sweep overflows and
+    ``numpy.linalg.LinAlgError`` if the band is singular.
+    """
+    y, _, defect = _sweep_system(rhs, dx, (0.0, 0.0), np.zeros((2, dx.shape[1] - 1)), slope, lead)
+    if not np.isfinite(y).all():
+        raise FloatingPointError("the variational sweep overflowed")
+    parameter, starts = _solve_joints(y, defect)
+    seed = (parameter * lead[0], parameter * lead[1])
+    _, ys, defect = _sweep_system(rhs, dx, seed, starts, slope)
+    nodes = _nodes(seed, ys, steps)
+    if not np.isfinite(nodes).all():
+        raise FloatingPointError("the recording sweep overflowed")
+    return parameter, nodes, float(defect[-1])
+
+
 def _newton(disk, n, steps, h0, starts):
     """Newton on the multiple-shooting system at ``steps`` steps from core value ``h0``.
 
     ``starts(r)`` gives the first guess of ``(htilde, htilde')`` at the
     segment-start radii ``r``, shape ``(2, len(r))``.  Each sweep
-    (``_sweep``) steps every segment from its start, and one banded solve
-    (``_solve_joints``) corrects ``h0`` and the starts.  Newton runs until
-    the sweep after a correction below ``SETTLED_STEP``, at most
-    ``MAX_SWEEPS`` sweeps; that sweep records the profile and, known to be
-    the last, steps the state without the variational matrix.  A step that
+    (``_sweep_system``) steps every segment from its start, and one banded
+    solve (``_solve_joints``) corrects ``h0`` and the starts.  Newton runs
+    until the sweep after a correction below ``SETTLED_STEP``, at most
+    ``MAX_SWEEPS`` sweeps; that sweep records the profile (``_nodes``) and,
+    known to be the last, steps the state without the variational matrix.  A step that
     changes ``h0`` by more than ``MAX_H0_STEP`` is scaled down.  It stalls,
     as its ``termination`` says, on the cap (``max_sweeps``), a non-finite
     sweep (``non_finite``), a singular band (``singular_band``) or a step
@@ -324,41 +366,38 @@ def _newton(disk, n, steps, h0, starts):
     high = SCAN_HIGH + n * math.log(max(1.0, omega0))
     settled = False
     for sweeps in range(1, MAX_SWEEPS + 1):
-        seed = taylor_seed(h0, SEED_RADIUS, omega0)
+        # The regular series at the centre, h0 - Omega(0) r^2 / 4: its next
+        # terms, of order Omega'(0) r^3 and r^4, are below double precision.
+        seed = (h0 - 0.25 * omega0 * SEED_RADIUS * SEED_RADIUS, -0.5 * omega0 * SEED_RADIUS)
         last = settled or sweeps == MAX_SWEEPS
-        y = np.zeros((2 if last else 6, starts.shape[1] + 1))
-        y[:2, 0], y[:2, 1:] = seed, starts
-        y[2::3] = 1.0  # the variational matrix starts at the identity, if stepped
-        y, ys = _sweep(rhs, dx, y)
-        defect = np.empty(2 * y.shape[1] - 1)
-        defect[0:-1:2] = y[0, :-1] - starts[0]
-        defect[1:-1:2] = y[1, :-1] - starts[1]
-        defect[-1] = y[1, -1] + 2.0 * n / disk.radius
+        # The seed's derivative by h0 is (1, 0).
+        y, ys, defect = _sweep_system(rhs, dx, seed, starts, -2.0 * n / disk.radius, None if last else (1.0, 0.0))
         termination = "non_finite" if not np.isfinite(y).all() else "converged" if settled else "max_sweeps"
         if last or termination == "non_finite":
             break
-        # The first segment's end per unit h0: d(seed)/d(h0) = (1, 0).
         try:
-            step = _solve_joints(y[2:4, 0], (y[2], y[4], y[3], y[5]), -defect)
+            dh0, dstarts = _solve_joints(y, defect)
         except np.linalg.LinAlgError:
             termination = "singular_band"
             break
-        if abs(step[0]) > MAX_H0_STEP:
-            step *= MAX_H0_STEP / abs(step[0])
-        if not SCAN_LOW <= h0 + step[0] <= high:
+        if abs(dh0) > MAX_H0_STEP:
+            scale = MAX_H0_STEP / abs(dh0)
+            dh0, dstarts = dh0 * scale, dstarts * scale
+        if not SCAN_LOW <= h0 + dh0 <= high:
             termination = "h0_range"  # diverging: the root is inside the scan range
             break
-        h0 += float(step[0])
-        starts = starts + np.vstack((step[1::2], step[2::2]))
-        settled = bool(np.max(np.abs(step)) <= SETTLED_STEP)
+        h0 += dh0
+        starts = starts + dstarts
+        settled = bool(np.max(np.abs(dstarts), initial=abs(dh0)) <= SETTLED_STEP)
     defect = np.abs(defect)
     defect[~np.isfinite(defect)] = math.inf
     joint = float(defect[:-1].max(initial=0.0))
     residual = float(defect[-1])
+    nodes = _nodes(seed, ys, steps)
     return RadialProfile(
         r=r_half[::2].copy(),
-        htilde=np.concatenate(([seed[0]], np.array([state[0] for state in ys]).T.ravel()[:steps])),
-        dhtilde=np.concatenate(([seed[1]], np.array([state[1] for state in ys]).T.ravel()[:steps])),
+        htilde=nodes[0],
+        dhtilde=nodes[1],
         h0=h0,
         n=n,
         residual=residual,
@@ -383,8 +422,10 @@ def shoot(
     guess ``|phi|^2 = r^{2n} / (r^{2n} + exp(-h0))``, which has that core
     value and the vacuum's slope far out.  Then at ``steps`` steps from the
     coarse solution, cubic-Hermite interpolated to the segment starts (slopes
-    from the equation).  ``passes`` counts the sweeps of both stages.  The
-    result is converged when the second Newton settled and the outer slope
+    from the equation).  ``passes`` counts the sweeps of both stages.  A
+    coarse stage that ends ``non_finite`` has no finite start to hand on: its
+    own profile is returned, with ``passes = (sweeps, 0)``.  The result is
+    converged when the second Newton settled and the outer slope
     is within ``SLOPE_TOL``; otherwise ``termination`` names the cause.
 
     Raises
@@ -411,6 +452,8 @@ def shoot(
 
     coarse_steps = max(COARSE_STEPS, math.ceil(disk.radius / COARSE_MAX_STEP))
     coarse = _newton(disk, n, coarse_steps, START_H0, closed_form)
+    if coarse.termination == "non_finite":  # nothing finite to hand to the fine mesh
+        return dataclasses.replace(coarse, passes=(coarse.passes[1], 0))
     r, h, p = coarse.r, coarse.htilde, coarse.dhtilde
     with np.errstate(over="ignore", invalid="ignore"):  # a stalled coarse stage leaves h huge
         dp = disk.omega_at(r) * (r ** (2 * n) * np.exp(h) - 1.0) - p / r

@@ -30,7 +30,6 @@ from nvortex.shooting import (
     SLOPE_TOL,
     RadialProfile,
     _segments,
-    taylor_seed,
 )
 
 #: Treat the trajectory as blown up once htilde exceeds this value.
@@ -63,7 +62,8 @@ def _integrate(h0, disk, n, eps, steps, record):
     r_2n = (r_half ** (2 * n)).tolist()
     w = disk.omega_at(r_half).tolist()
     exp = math.exp
-    h, p = taylor_seed(h0, eps, float(disk.omega_at(0.0)))
+    omega0 = float(disk.omega_at(0.0))
+    h, p = h0 - 0.25 * omega0 * eps * eps, -0.5 * omega0 * eps  # the regular series' leading term
     hs = np.full(steps + 1, h) if record else None
     ps = np.full(steps + 1, p) if record else None
     cap = DIVERGENCE_CAP  # a local: the step loop reads it every step
@@ -173,17 +173,18 @@ def single_stage_h0(disk, n, steps, eps=SEED_RADIUS):
     return _illinois(mismatch, SCAN_LOW, SCAN_HIGH, f_lo, f_hi, H0_BRACKET_WIDTH)
 
 
-def banded_joints(lead, maps, rhs) -> np.ndarray:
+def banded_joints(y, defect):
     """``shooting._solve_joints`` through ``solve_banded((2, 1), ...)`` on the unpadded ``(4, n)`` band."""
-    x00, x01, x10, x11 = maps
-    ab = np.zeros((4, rhs.size))
+    x00, x10, x01, x11 = y[2:]
+    ab = np.zeros((4, defect.size))
     ab[0, 1:] = -1.0
-    ab[1, 0], ab[2, 0] = lead
-    if rhs.size == 1:
-        ab[1, 0] = lead[1]
+    ab[1, 0], ab[2, 0] = x00[0], x10[0]
+    if defect.size == 1:
+        ab[1, 0] = x10[0]
     else:
         ab[2, 1::2], ab[1, 2::2] = x00[1:], x01[1:]
         ab[3, 1:-3:2], ab[2, 2:-1:2] = x10[1:-1], x11[1:-1]
         ab[2, -2], ab[1, -1] = x10[-1], x11[-1]
-    return solve_banded((2, 1), ab, rhs)
+    x = solve_banded((2, 1), ab, -defect)
+    return float(x[0]), np.vstack((x[1::2], x[2::2]))
 

@@ -23,11 +23,37 @@ def test_every_exported_name_resolves(module):
     assert not missing
 
 
-@pytest.mark.parametrize("name", ["integrate_radial", "BracketError"])
+@pytest.mark.parametrize("name", ["integrate_radial", "BracketError", "taylor_seed"])
 def test_removed_radial_names_are_gone(name):
     assert not hasattr(nvortex, name)
     assert not hasattr(nvortex.shooting, name)
     assert name not in nvortex.__all__
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (moduli, "boundary_metric_term"),
+        (moduli, "FitError"),
+        (shooting.RadialProfile, "stalled"),
+        (geometry.VortexConfiguration, "rotated"),
+    ],
+    ids=["boundary_metric_term", "FitError", "RadialProfile.stalled", "VortexConfiguration.rotated"],
+)
+def test_removed_names_are_gone(owner, name):
+    # Only tests reached these; the product reads boundary_term off
+    # MetricReport and termination off RadialProfile.
+    assert not hasattr(owner, name)
+    assert not hasattr(nvortex, name)
+    assert name not in nvortex.__all__ and name not in getattr(owner, "__all__", ())
+
+
+def test_moduli_leaves_the_shooting_system_to_shooting():
+    # One multiple-shooting system: moduli sweeps and solves it only through
+    # shooting._solve_linear.
+    names = _names(Path(moduli.__file__))
+    assert "_solve_linear" in names
+    assert not names & {"_sweep", "_sweep_system", "_solve_joints", "_nodes"}
 
 
 def test_default_radial_steps_have_one_source(monkeypatch, capsys):

@@ -118,14 +118,27 @@ class TestSolveRadial:
 
 
     def test_stalled_shoot_exits_without_warnings(self, tmp_path, capsys):
-        # The stalled coarse stage leaves exp(h) overflowing in the hand-off
-        # and in the profile's observables; the suite turns warnings into errors.
+        # The overflowing coarse stage leaves exp(h) overflowing in the
+        # profile's observables; the suite turns warnings into errors.
         out = tmp_path / "out"
         doc = base_doc(radius=800.0, interior=[{"x": 0, "y": 0, "n": 25}], radial={"steps": 1000})
         assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_SHOOT
         err = capsys.readouterr().err
-        assert err.startswith("radial shoot did not converge (non_finite): Newton stalled after 1 sweeps ")
+        assert err.startswith("radial shoot did not converge (non_finite): coarse Newton stalled after 2 sweeps ")
         assert (out / "profile.csv").exists()
+
+    def test_overflowing_coarse_stage_exits_cleanly(self, tmp_path, run_python):
+        # Omega(0) = 1e6 overflows the coarse Newton; no fine sweep runs on
+        # its NaN starts, so nothing warns even with warnings as errors.
+        doc = base_doc(omega=[[0.0, 1e6], [3.0, 1.0]], radial={"steps": 7000})
+        cfg = write_config(tmp_path, doc)
+        reason = "radial shoot did not converge (non_finite): coarse Newton stalled after 5 sweeps ("
+        for command, code, prefix in (("solve-radial", cli.EXIT_SHOOT, ""),
+                                      ("metric", cli.EXIT_METRIC, "metric pipeline failed: ")):
+            done = run_python("-W", "error::RuntimeWarning", "-m", "nvortex", command, "--config", cfg,
+                              "--out", str(tmp_path / command), returncode=code)
+            assert done.stderr.startswith(prefix + reason), done.stderr
+            assert done.stderr.count("\n") == 1, done.stderr
 
 
 class TestSolve2d:

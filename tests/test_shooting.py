@@ -11,7 +11,6 @@ from nvortex import (
     moduli,
     shoot,
     shooting,
-    taylor_seed,
 )
 from nvortex.geometry import VortexConfiguration, bradlow_margin
 from radial_oracle import (
@@ -33,25 +32,33 @@ def table_disk():
 
 
 class TestTaylorSeed:
-    def test_zero_core_value(self):
-        h, dh = taylor_seed(0.0, 1e-8, 1.0)
-        assert h == pytest.approx(-2.5e-17, rel=1e-6)
-        assert dh == pytest.approx(-5e-9, rel=1e-6)
+    """The regular series ``h0 - Omega(0) r^2 / 4`` seeding both radial marches at the first node."""
 
-    def test_limit_recovers_core_value(self):
-        h, dh = taylor_seed(-3.7, 1e-14, 1.0)
-        assert h == pytest.approx(-3.7, abs=1e-12)
-        assert dh == pytest.approx(0.0, abs=1e-12)
+    def test_zero_core_value(self, disk3):
+        # The oracle's march from h0 = 0 starts from its own seed.
+        profile = integrate_radial(0.0, disk3, eps=1e-8, steps=1_000)
+        assert profile.r[0] == 1e-8
+        assert profile.htilde[0] == pytest.approx(-2.5e-17, rel=1e-6)
+        assert profile.dhtilde[0] == pytest.approx(-5e-9, rel=1e-6)
+
+    def test_flat_disk_first_node(self, radial_r3):
+        eps = shooting.SEED_RADIUS
+        assert radial_r3.r[0] == eps
+        assert radial_r3.htilde[0] == radial_r3.h0 - 0.25 * eps * eps
+        assert radial_r3.dhtilde[0] == -0.5 * eps
+
+    def test_limit_recovers_core_value(self, radial_r3):
+        assert radial_r3.htilde[0] == pytest.approx(radial_r3.h0, abs=1e-15)
+        assert radial_r3.dhtilde[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_general_multiplicity_keeps_leading_term(self):
         # The seed is the same for every multiplicity: only Omega(0) enters.
-        h, dh = taylor_seed(-1.0, 1e-2, 2.0)
-        assert h == pytest.approx(-1.0 - 2.0 * 1e-4 / 4.0, abs=1e-15)
-        assert dh == pytest.approx(-1e-2, abs=1e-15)
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            taylor_seed(0.0, 0.0, 1.0)
+        profile = shoot(ConformalDisk.from_samples(3.0, (0.0, 3.0), (2.0, 2.0)), n=2, steps=2_000)
+        assert profile.converged
+        eps = shooting.SEED_RADIUS
+        assert profile.r[0] == eps
+        assert profile.htilde[0] == profile.h0 - 0.25 * 2.0 * eps * eps
+        assert profile.dhtilde[0] == -eps
 
 
 class TestIntegrateRadial:
@@ -170,7 +177,7 @@ class TestShoot:
         monkeypatch.setattr(shooting, "_sweep", flickering)
         profile = shoot(disk3, steps=8_000)
         assert not profile.converged
-        assert profile.stalled and profile.termination == "max_sweeps"
+        assert profile.termination == "max_sweeps"
         assert profile.passes[1] == shooting.MAX_SWEEPS
         reason = profile.failure_reason()
         assert reason.startswith("radial shoot did not converge (max_sweeps): ")
@@ -180,14 +187,14 @@ class TestShoot:
 
     @pytest.mark.parametrize("failure", ["singular", "diverging"])
     def test_failed_newton_step_stalls(self, disk3, monkeypatch, failure):
-        def failed_step(lead, maps, rhs):
+        def failed_step(y, defect):
             if failure == "singular":
                 raise np.linalg.LinAlgError("singular matrix")
-            return np.full(rhs.size, 1e3)  # leaves the scan bracket
+            return 1e3, np.full((2, y.shape[1] - 1), 1e3)  # leaves the scan bracket
 
         monkeypatch.setattr(shooting, "_solve_joints", failed_step)
         profile = shoot(disk3, steps=8_000)
-        assert not profile.converged and profile.stalled
+        assert not profile.converged
         assert profile.passes[1] == 1
         cause = {"singular": "singular_band", "diverging": "h0_range"}[failure]
         assert profile.termination == cause
@@ -204,9 +211,11 @@ class TestShoot:
 
         monkeypatch.setattr(shooting, "_sweep", overflowing)
         profile = shoot(disk3, steps=8_000)
-        assert not profile.converged and profile.stalled
-        assert profile.termination == "non_finite" and profile.passes == (1, 1)
-        assert "(non_finite): Newton stalled after 1 sweeps (" in profile.failure_reason()
+        # The coarse stage stops at its first sweep and the fine mesh is never swept.
+        assert not profile.converged
+        assert profile.termination == "non_finite" and profile.passes == (1, 0)
+        assert profile.steps == shooting.COARSE_STEPS
+        assert "(non_finite): coarse Newton stalled after 1 sweeps (" in profile.failure_reason()
 
     def test_settled_newton_off_the_outer_slope(self, disk3, monkeypatch):
         # The recording sweep, which steps the state rows alone, ends 1e-3
@@ -221,17 +230,36 @@ class TestShoot:
 
         monkeypatch.setattr(shooting, "_sweep", tilted)
         profile = shoot(disk3, steps=8_000)
-        assert not profile.converged and not profile.stalled
+        assert not profile.converged
         assert profile.termination == "slope_residual"
         assert profile.residual == pytest.approx(1e-3, rel=1e-6)
         reason = profile.failure_reason()
         assert reason.startswith("radial shoot did not converge (slope_residual): boundary-slope residual 0.001")
 
     def test_stalled_coarse_stage_hands_off_without_warnings(self):
-        # The coarse stage stalls with a huge h, whose exp overflows in the
-        # slopes handed to the fine stage; the suite turns warnings into errors.
+        # The coarse stage overflows (its own profile comes back) with a huge
+        # h; the suite turns warnings into errors.
         profile = shoot(ConformalDisk.flat(800.0), n=25, steps=1_000)
-        assert not profile.converged and profile.stalled and profile.termination == "non_finite"
+        assert not profile.converged and profile.termination == "non_finite"
+
+    def test_overflowing_coarse_stage_sweeps_no_fine_mesh(self, monkeypatch):
+        # Omega(0) = 1e6: the coarse Newton overflows.  Its NaN starts must
+        # not reach the fine mesh, where the Hermite hand-off warned on them.
+        disk = ConformalDisk.from_samples(3.0, (0.0, 3.0), (1e6, 1.0))
+        real_newton = shooting._newton
+        meshes = []
+
+        def spy(disk, n, steps, h0, starts):
+            meshes.append(steps)
+            return real_newton(disk, n, steps, h0, starts)
+
+        monkeypatch.setattr(shooting, "_newton", spy)
+        profile = shoot(disk, n=1)
+        assert meshes == [shooting.COARSE_STEPS]
+        assert not profile.converged and profile.termination == "non_finite"
+        assert profile.passes == (5, 0) and profile.steps == shooting.COARSE_STEPS
+        assert profile.failure_reason().startswith(
+            "radial shoot did not converge (non_finite): coarse Newton stalled after 5 sweeps (")
 
     @pytest.mark.parametrize(
         "radius, steps", [(25.0, 50_000), (30.0, 100_000), (60.0, 100_000)], ids=["R25", "R30", "R60"]
@@ -302,7 +330,7 @@ class TestShoot:
         # Why shoot takes no slope tolerance: a Newton that settles meets
         # -2n/R to roundoff, so SLOPE_TOL only guards a settled Newton.
         profile = shoot(disk, n=n)
-        assert profile.converged and not profile.stalled and profile.termination == "converged"
+        assert profile.converged and profile.termination == "converged"
         assert profile.residual <= 1e-15
 
     def test_bradlow_violation_raised_before_scan(self):
@@ -320,9 +348,8 @@ class TestShoot:
 
 
 def random_joint_system(rng, blocks):
-    """``(lead, maps, rhs)`` of a random multiple-shooting system with ``blocks`` blocks."""
-    maps = tuple(rng.normal(size=blocks) for _ in range(4))
-    return tuple(rng.normal(size=2)), maps, rng.normal(size=2 * blocks - 1)
+    """``(y, defect)`` of a random multiple-shooting system with ``blocks`` blocks."""
+    return rng.normal(size=(6, blocks)), rng.normal(size=2 * blocks - 1)
 
 
 def same_bits(a, b):
@@ -441,8 +468,11 @@ class TestKernelsAgainstOracles:
     def test_joint_solve_is_solve_banded(self, blocks):
         rng = np.random.default_rng(blocks)
         for _ in range(20):
-            lead, maps, rhs = random_joint_system(rng, blocks)
-            assert same_bits(shooting._solve_joints(lead, maps, rhs), banded_joints(lead, maps, rhs))
+            y, defect = random_joint_system(rng, blocks)
+            parameter, starts = shooting._solve_joints(y, defect)
+            want_parameter, want_starts = banded_joints(y, defect)
+            assert same_bits(parameter, want_parameter) and same_bits(starts, want_starts)
+            assert starts.shape == (2, blocks - 1)
 
     @pytest.mark.parametrize("steps", [1, 2, 2_000])
     def test_linear_bvp_is_solve_banded(self, monkeypatch, steps):
@@ -453,7 +483,7 @@ class TestKernelsAgainstOracles:
             return moduli.solve_linear_bvp(1.0 + 0.1 * r_half, 3.0, steps=steps)
 
         lin = solve()
-        monkeypatch.setattr(moduli, "_solve_joints", banded_joints)
+        monkeypatch.setattr(shooting, "_solve_joints", banded_joints)
         oracle = solve()
         for name in ("r", "a", "da", "slope0", "boundary_value", "bc_defect"):
             assert same_bits(getattr(lin, name), getattr(oracle, name)), name
@@ -468,9 +498,10 @@ class TestKernelsAgainstOracles:
     @pytest.mark.parametrize("blocks", [1, 4])
     def test_singular_band_raises(self, blocks):
         # The first block does not depend on the parameter: the first column is zero.
-        _, maps, rhs = random_joint_system(np.random.default_rng(0), blocks)
+        y, defect = random_joint_system(np.random.default_rng(0), blocks)
+        y[2:4, 0] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            shooting._solve_joints((0.0, 0.0), maps, rhs)
+            shooting._solve_joints(y, defect)
 
     def test_recording_sweep_steps_the_state_rows_only(self, monkeypatch):
         real_sweep = shooting._sweep
@@ -486,6 +517,9 @@ class TestKernelsAgainstOracles:
         n_coarse, n_fine = profile.passes
         rows = [y.shape[0] for _, _, y in calls]
         assert rows == [6] * (n_coarse - 1) + [2] + [6] * (n_fine - 1) + [2]
+        # The linearised solve is one correction, then its recording sweep.
+        moduli.solve_linearized(profile)
+        assert [y.shape[0] for _, _, y in calls[len(rows):]] == [6, 2]
         # Each Newton sweep's state rows, stepped alone, are the full sweep's bit for bit.
         for rhs, dx, y in calls:
             if y.shape[0] == 6:
