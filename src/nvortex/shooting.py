@@ -316,22 +316,26 @@ def _solve_linear(rhs, dx, steps, lead, slope):
     """The multiple-shooting system of a linear ``rhs``, seeded at the parameter times ``lead``.
 
     Affine in the parameter and the starts, it is solved by one correction
-    (``_solve_joints``) from zero starts; a state-only sweep from the solved
-    starts records the nodes.  Returns ``(parameter, nodes, mismatch)``, the
-    last that sweep's outer slope minus ``slope``.  Raises
-    ``FloatingPointError`` if a sweep overflows and
-    ``numpy.linalg.LinAlgError`` if the band is singular.
+    (``_solve_joints``) from zero starts.  A state-only sweep from the solved
+    starts records the nodes, but for the first block's: its zero-seed state
+    plus the parameter times its lead column, off the correction's sweep (at
+    ``SEED_RADIUS`` the ``1/r`` terms cancel to rounding from ``lead``, not
+    from ``parameter * lead``).  Returns ``(parameter, nodes, mismatch)``, the
+    last the recorded outer slope minus ``slope``.  Raises ``FloatingPointError``
+    on overflow and ``numpy.linalg.LinAlgError`` on a singular band.
     """
-    y, _, defect = _sweep_system(rhs, dx, (0.0, 0.0), np.zeros((2, dx.shape[1] - 1)), slope, lead)
+    y, ys, defect = _sweep_system(rhs, dx, (0.0, 0.0), np.zeros((2, dx.shape[1] - 1)), slope, lead)
     if not np.isfinite(y).all():
         raise FloatingPointError("the variational sweep overflowed")
     parameter, starts = _solve_joints(y, defect)
+    first = np.array([step[:4, 0] for step in ys]).T
     seed = (parameter * lead[0], parameter * lead[1])
-    _, ys, defect = _sweep_system(rhs, dx, seed, starts, slope)
+    _, ys, _ = _sweep_system(rhs, dx, seed, starts, slope)
     nodes = _nodes(seed, ys, steps)
+    nodes[:, 1:first.shape[1] + 1] = first[:2] + parameter * first[2:]
     if not np.isfinite(nodes).all():
         raise FloatingPointError("the recording sweep overflowed")
-    return parameter, nodes, float(defect[-1])
+    return parameter, nodes, float(nodes[1, -1] - slope)
 
 
 def _newton(disk, n, steps, h0, starts):

@@ -131,27 +131,6 @@ def two_pass_bvp(f_half, radius, steps, breakpoints=(), dtype=float):
 ORACLE_STEPS = [1, 3, 1_000, 99_991]  # 99,991 is prime: a ragged last block
 
 
-def oracle_tolerances(steps):
-    """Relative bound per node on ``a`` against ``two_pass_bvp``: 1e-13, but at node 1 of a mesh without a graded zone.
-
-    Below 5 steps ``_segments`` has no graded zone: the first step runs from
-    ``SEED_RADIUS`` across a third of the disk or more, and is the first
-    block.  Its first RK4 stage sums the regular branch's ``a/r^2`` and
-    ``-a'/r`` terms, each of size ``slope0 / SEED_RADIUS``, and the long step
-    amplifies the rounding of that sum.  The sweep that records ``a`` from
-    the seed ``slope0 * (SEED_RADIUS, 1)`` ended that block off the
-    superposition by up to 3.9e-8 on R = 3 and 8.5e-7 on R = 12; the oracle
-    marches the unit seed ``(SEED_RADIUS, 1)``, whose sum rounds to 1e-16,
-    and scales it afterwards.  Every later block starts from the solved
-    starts and keeps 1e-13.  From 1,000 steps on the first step is below
-    1e-6 and every node keeps 1e-13.
-    """
-    tols = np.full(steps + 1, 1e-13)
-    if steps < 5:
-        tols[1] = 1e-6
-    return tols
-
-
 def offset_fields(disk, grid, delta):
     """Field solves with the vortex at ``+delta``, ``-delta``, ``+i delta``, ``-i delta``.
 
@@ -244,9 +223,8 @@ class TestLinearizedSolve:
         f = coefficient(disk, radial)(half_nodes(disk.radius, steps, disk.breakpoints))
         lin = solve_linear_bvp(f, disk.radius, steps, breakpoints=disk.breakpoints)
         a, boundary_value, _ = two_pass_bvp(f, disk.radius, steps, disk.breakpoints)
-        tols = oracle_tolerances(steps)
-        assert np.all(np.abs(lin.a - a) <= tols * max(1.0, np.max(np.abs(a))))
-        assert abs(lin.boundary_value - boundary_value) <= tols[-1]
+        assert np.max(np.abs(lin.a - a)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+        assert abs(lin.boundary_value - boundary_value) <= 1e-13
         # The oracle seeds the regular branch as a = coefficient * r.
         assert abs(lin.slope0 - a[0] / SEED_RADIUS) <= 1e-12
 
@@ -262,9 +240,9 @@ class TestLinearizedSolve:
         f = coefficient(disk, radial)(half_nodes(disk.radius, steps))
         lin = solve_linear_bvp(f, disk.radius, steps)
         a, boundary_value, terms = two_pass_bvp(f, disk.radius, steps)
-        tols = oracle_tolerances(steps) * max(1.0, np.max(np.abs(a)), terms)
-        assert np.all(np.abs(lin.a - a) <= tols)
-        assert abs(lin.boundary_value - boundary_value) <= tols[-1]
+        tol = 1e-13 * max(1.0, np.max(np.abs(a)), terms)
+        assert np.max(np.abs(lin.a - a)) <= tol
+        assert abs(lin.boundary_value - boundary_value) <= tol
 
     def test_boundary_value_converges_on_large_disk(self, radial_large):
         # A superposition of two solutions growing like exp(r) loses
