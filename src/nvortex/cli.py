@@ -81,6 +81,15 @@ def _outputs(cfg: RunConfig, files: dict) -> dict:
     return paths
 
 
+def _export(paths: dict, fmt: str, export, *args) -> None:
+    """``export(paths[fmt], *args)`` if ``paths`` selects ``fmt``; a file that cannot be written is a configuration error."""
+    if fmt in paths:
+        try:
+            export(paths[fmt], *args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {paths[fmt]}: {exc.strerror}") from exc
+
+
 def _cmd_check(args) -> int:
     cfg = _load(args)
     margin = bradlow_margin(cfg.vortices, cfg.disk)
@@ -117,10 +126,8 @@ def _cmd_solve_radial(args) -> int:
         "steps": profile.steps,
         "boundary_slope": float(profile.dhtilde[-1]),
     }
-    if "csv" in paths:
-        export_profile_csv(paths["csv"], profile)
-    if "json" in paths:
-        export_json(paths["json"], report)
+    _export(paths, "csv", export_profile_csv, profile)
+    _export(paths, "json", export_json, report)
     print(json.dumps(report, sort_keys=True))
     if not profile.converged:
         print(profile.failure_reason(), file=sys.stderr)
@@ -138,10 +145,8 @@ def _cmd_solve_2d(args) -> int:
     )
     observables = compute_observables(field, report)
     summary = solution_summary(observables, report, margin)
-    if "csv" in paths:
-        export_field_csv(paths["csv"], field, observables)
-    if "json" in paths:
-        export_json(paths["json"], summary)
+    _export(paths, "csv", export_field_csv, field, observables)
+    _export(paths, "json", export_json, summary)
     print(json.dumps(summary, sort_keys=True))
     if not report.converged:
         print(
@@ -166,8 +171,7 @@ def _cmd_metric(args) -> int:
         print(f"metric pipeline failed: {exc}", file=sys.stderr)
         return EXIT_METRIC
     document = report.to_dict()
-    if "json" in paths:
-        export_json(paths["json"], document)
+    _export(paths, "json", export_json, document)
     print(json.dumps(document, sort_keys=True))
     return EXIT_OK
 

@@ -109,11 +109,11 @@ class ConformalDisk:
         return np.asarray(self.omega(np.asarray(r, dtype=float)), dtype=float)
 
 
-def _as_multiplicity(value) -> int:
+def _as_integer(value, what: str, least: int) -> int:
     # float() would take True as 1 and "2" as 2.
     n = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
-    if not n.is_integer() or n < 1:
-        raise ValueError(f"multiplicity must be an integer >= 1, got {value!r}")
+    if not n.is_integer() or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(n)
 
 
@@ -141,14 +141,14 @@ class VortexConfiguration:
             z = complex(pos)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"interior position must be finite, got {pos!r}")
-            merged_i[z] = merged_i.get(z, 0) + _as_multiplicity(n)
+            merged_i[z] = merged_i.get(z, 0) + _as_integer(n, "multiplicity", 1)
         merged_b: dict[float, int] = {}
         for theta, m in self.boundary:
             # A tiny negative angle rounds up to 2*pi itself; the second ``%`` maps it to 0.
             t = float(theta) % math.tau % math.tau
             if not math.isfinite(t):
                 raise ValueError(f"boundary angle must be finite, got {theta!r}")
-            merged_b[t] = merged_b.get(t, 0) + _as_multiplicity(m)
+            merged_b[t] = merged_b.get(t, 0) + _as_integer(m, "multiplicity", 1)
         object.__setattr__(self, "interior", tuple(merged_i.items()))
         object.__setattr__(self, "boundary", tuple(merged_b.items()))
         object.__setattr__(self, "N", sum(merged_i.values()))
@@ -192,11 +192,8 @@ class PolarGrid:
     dtheta: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.nr < MIN_GRID_POINTS or self.ntheta < MIN_GRID_POINTS:
-            raise ValueError(
-                f"grid needs at least {MIN_GRID_POINTS} points per direction, "
-                f"got nr={self.nr}, ntheta={self.ntheta}"
-            )
+        for name in ("nr", "ntheta"):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), f"grid {name}", MIN_GRID_POINTS))
         object.__setattr__(self, "dr", self.radius / self.nr)
         object.__setattr__(self, "dtheta", 2.0 * np.pi / self.ntheta)
 
@@ -285,4 +282,4 @@ def check_bradlow(config: VortexConfiguration, disk: ConformalDisk) -> float:
 
 def build_grid(disk: ConformalDisk, nr: int, ntheta: int) -> PolarGrid:
     """Cell-centred polar grid with ``nr * ntheta`` nodes on ``disk``."""
-    return PolarGrid(radius=disk.radius, nr=int(nr), ntheta=int(ntheta))
+    return PolarGrid(radius=disk.radius, nr=nr, ntheta=ntheta)

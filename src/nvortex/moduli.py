@@ -10,8 +10,8 @@ where the radial factor ``a`` solves the linear two-point problem
 
 regular at the origin with ``a'(R) = -2/R^2``; ``solve_linear_bvp`` solves
 it on the radial shoot's own mesh (``shooting._segments``) as one Newton
-correction of the shoot's one multiple-shooting system
-(``shooting._solve_linear``).
+correction of the shoot's one multiple-shooting system, read off that
+correction's sweep (``shooting._solve_linear``).
 The kinetic-energy coefficient of a moving vortex combines a boundary term,
 ``(1/2) * pi * (d_X h(R; 0))^2`` with ``d_X h(R; 0) = a(R) - 2/R``, and the
 local term ``pi * (Omega(0) + 2 db/dZ)`` built from the core coefficient
@@ -76,7 +76,7 @@ class LinearizedProfile:
     da: np.ndarray  # a'(r) at the nodes, from the sweep
     slope0: float  # a'(0), the coefficient of the regular branch a ~ c r
     boundary_value: float  # d_X h(R; 0) = a(R) - 2/R
-    bc_defect: float  # |a'(R) + 2/R^2|, measured on the sweep that recorded a
+    bc_defect: float  # |a'(R) + 2/R^2|, measured on the nodes read off the sweep
 
     def a_at(self, r) -> np.ndarray:
         """Cubic Hermite interpolation of ``a`` and ``da`` onto radii ``r``.
@@ -103,9 +103,9 @@ def solve_linear_bvp(
     vacuum, ``a = -2 r / R^2``.  It is the shoot's multiple-shooting system
     with the seed ``(a, a') = slope0 * (SEED_RADIUS, 1)`` and the outer slope
     ``-2/R^2``; being linear, one Newton correction from zero starts gives
-    ``a'(0)`` (``slope0``) and every segment start, and one sweep from them
-    records ``a`` (``shooting._solve_linear``).  Short segments keep it well
-    conditioned where both solutions grow like ``e^r``.
+    ``a'(0)`` (``slope0``) and every segment start, and ``a`` is read off
+    that correction's sweep (``shooting._solve_linear``).  Short segments
+    keep it well conditioned where both solutions grow like ``e^r``.
 
     Raises ``ValueError`` unless ``steps`` is a positive integer, ``radius``
     is finite and exceeds ``SEED_RADIUS`` and ``f`` is finite and

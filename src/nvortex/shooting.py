@@ -26,8 +26,8 @@ starts by cubic Hermite (``_hermite``, each query's interval found by
 its start rows and mismatch (``_sweep_system``), its banded joint solve
 (``_solve_joints``) and its node read-out (``_nodes``).  The linearised
 radial problem of ``moduli.solve_linear_bvp`` is that system with a linear
-right-hand side, solved by one Newton correction from zero starts
-(``_solve_linear``) on the same nodes.
+right-hand side, solved by one Newton correction from zero starts and read
+off that correction's sweep on the same nodes (``_solve_linear``).
 Both solves stay fourth order end to end: the centre zone holds the order
 against the ``1/r`` coefficients, and a node sits on every kink of a
 sampled Omega (``ConformalDisk.breakpoints``).
@@ -304,11 +304,11 @@ def _solve_joints(y, defect):
     return float(x[0]), np.vstack((x[1::2], x[2::2]))
 
 
-def _nodes(seed, ys, steps):
-    """The state at every node, shape ``(2, steps + 1)``: ``seed``, then the state rows of each step of ``ys``."""
+def _nodes(seed, states, steps):
+    """The state at every node, shape ``(2, steps + 1)``: ``seed``, then each step's 2-row ``states``."""
     nodes = np.empty((2, steps + 1))
     nodes[:, 0] = seed
-    nodes[:, 1:] = np.array([y[:2] for y in ys]).transpose(1, 2, 0).reshape(2, -1)[:, :steps]
+    nodes[:, 1:] = np.array(states).transpose(1, 2, 0).reshape(2, -1)[:, :steps]
     return nodes
 
 
@@ -316,25 +316,23 @@ def _solve_linear(rhs, dx, steps, lead, slope):
     """The multiple-shooting system of a linear ``rhs``, seeded at the parameter times ``lead``.
 
     Affine in the parameter and the starts, it is solved by one correction
-    (``_solve_joints``) from zero starts.  A state-only sweep from the solved
-    starts records the nodes, but for the first block's: its zero-seed state
-    plus the parameter times its lead column, off the correction's sweep (at
-    ``SEED_RADIUS`` the ``1/r`` terms cancel to rounding from ``lead``, not
-    from ``parameter * lead``).  Returns ``(parameter, nodes, mismatch)``, the
-    last the recorded outer slope minus ``slope``.  Raises ``FloatingPointError``
-    on overflow and ``numpy.linalg.LinAlgError`` on a singular band.
+    (``_solve_joints``) from zero starts, and its nodes are read off that
+    correction's sweep: each block's zero-start state plus its variational
+    matrix times its solved start, the first block's start being the
+    parameter on its ``lead`` column.  Returns ``(parameter, nodes,
+    mismatch)``, the last the read-out's outer slope minus ``slope``.  Raises
+    ``FloatingPointError`` on overflow and ``numpy.linalg.LinAlgError`` on a
+    singular band.
     """
     y, ys, defect = _sweep_system(rhs, dx, (0.0, 0.0), np.zeros((2, dx.shape[1] - 1)), slope, lead)
     if not np.isfinite(y).all():
         raise FloatingPointError("the variational sweep overflowed")
     parameter, starts = _solve_joints(y, defect)
-    first = np.array([step[:4, 0] for step in ys]).T
-    seed = (parameter * lead[0], parameter * lead[1])
-    _, ys, _ = _sweep_system(rhs, dx, seed, starts, slope)
-    nodes = _nodes(seed, ys, steps)
-    nodes[:, 1:first.shape[1] + 1] = first[:2] + parameter * first[2:]
+    c = np.hstack(([[parameter], [0.0]], starts))
+    states = [step[:2] + step[2:4] * c[0] + step[4:6] * c[1] for step in ys]
+    nodes = _nodes((parameter * lead[0], parameter * lead[1]), states, steps)
     if not np.isfinite(nodes).all():
-        raise FloatingPointError("the recording sweep overflowed")
+        raise FloatingPointError("the read-out overflowed")
     return parameter, nodes, float(nodes[1, -1] - slope)
 
 
@@ -397,7 +395,7 @@ def _newton(disk, n, steps, h0, starts):
     defect[~np.isfinite(defect)] = math.inf
     joint = float(defect[:-1].max(initial=0.0))
     residual = float(defect[-1])
-    nodes = _nodes(seed, ys, steps)
+    nodes = _nodes(seed, [y[:2] for y in ys], steps)
     return RadialProfile(
         r=r_half[::2].copy(),
         htilde=nodes[0],

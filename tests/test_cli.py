@@ -580,6 +580,18 @@ class TestOverrides:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: outputs.dir {out!r} is not a usable directory: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("solve-2d", "field.csv"), ("solve-2d", "report.json"), ("metric", "metric.json"),
+         ("solve-radial", "profile.csv"), ("solve-radial", "report.json")],
+    )
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, command, name):
+        out = str(tmp_path / "o")
+        os.makedirs(os.path.join(out, name))
+        argv = [command, "--config", write_config(tmp_path, base_doc()), "--out", out]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: cannot write {os.path.join(out, name)}: Is a directory\n"
+
     def test_output_dir_unused_when_no_file_goes_there(self, tmp_path, capsys, monkeypatch):
         # metric writes only JSON: with CSV alone it writes nothing, so its solve runs
         def failing_metric(*args, **kwargs):

@@ -12,6 +12,7 @@ from nvortex import (
     build_grid,
     check_bradlow,
 )
+from nvortex.geometry import PolarGrid
 
 
 class TestConformalDisk:
@@ -141,6 +142,23 @@ class TestPolarGrid:
             build_grid(disk, 4, 8)
         with pytest.raises(ValueError):
             build_grid(disk, 8, 7)
+
+    @pytest.mark.parametrize("bad", [64.9, 64.5, math.inf, math.nan, True, np.True_, "64", b"64"])
+    def test_size_must_be_an_integer(self, disk3, bad):
+        # int() would read 64.9 as 64 and "64" as 64.
+        for nr, ntheta in ((bad, 64), (64, bad)):
+            name = "nr" if nr is bad else "ntheta"
+            with pytest.raises(ValueError, match=f"grid {name} must be an integer >= 8, got "):
+                build_grid(disk3, nr, ntheta)
+            with pytest.raises(ValueError, match=f"grid {name} must be an integer >= 8, got "):
+                PolarGrid(3.0, nr, ntheta)
+
+    @pytest.mark.parametrize("size", [64, 64.0, np.float64(64.0), np.int64(64), np.int32(64)])
+    def test_integer_valued_sizes_kept(self, disk3, size):
+        for grid in (build_grid(disk3, size, size), PolarGrid(3.0, size, size)):
+            assert type(grid.nr) is int and type(grid.ntheta) is int
+            assert grid.shape == (64, 64) and grid.r.size == 64
+            assert grid == build_grid(disk3, 64, 64)
 
     def test_refinement_halves_spacings_exactly(self, disk3):
         coarse = build_grid(disk3, 32, 64)

@@ -244,6 +244,20 @@ class TestLinearizedSolve:
         assert np.max(np.abs(lin.a - a)) <= tol
         assert abs(lin.boundary_value - boundary_value) <= tol
 
+    def test_bc_defect_measures_the_read_out(self, monkeypatch):
+        # Not an identity of the solve: a last start off the solution shows in
+        # the outer slope read off the nodes (2.8e-17 unperturbed, 1.0e-6 here).
+        assert solve_linear_bvp(1.0, 3.0, 2_000).bc_defect < 1e-12
+        real = shooting._solve_joints
+
+        def off_by_a_little(y, defect):
+            parameter, starts = real(y, defect)
+            starts[:, -1] += 1e-6
+            return parameter, starts
+
+        monkeypatch.setattr(shooting, "_solve_joints", off_by_a_little)
+        assert solve_linear_bvp(1.0, 3.0, 2_000).bc_defect > 1e-10
+
     def test_boundary_value_converges_on_large_disk(self, radial_large):
         # A superposition of two solutions growing like exp(r) loses
         # boundary_value (about -4.1e-9 at R = 20, -2.5e-11 at R = 25) to

@@ -517,9 +517,9 @@ class TestKernelsAgainstOracles:
         n_coarse, n_fine = profile.passes
         rows = [y.shape[0] for _, _, y in calls]
         assert rows == [6] * (n_coarse - 1) + [2] + [6] * (n_fine - 1) + [2]
-        # The linearised solve is one correction, then its recording sweep.
+        # The linearised solve is one correction, its nodes read off that sweep.
         moduli.solve_linearized(profile)
-        assert [y.shape[0] for _, _, y in calls[len(rows):]] == [6, 2]
+        assert [y.shape[0] for _, _, y in calls[len(rows):]] == [6]
         # Each Newton sweep's state rows, stepped alone, are the full sweep's bit for bit.
         for rhs, dx, y in calls:
             if y.shape[0] == 6:
