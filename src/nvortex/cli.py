@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -119,13 +120,13 @@ def _cmd_solve_radial(args) -> int:
     profile = shoot(cfg.disk, n=n, steps=cfg.radial_steps)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "h0": profile.h0,
         "n": profile.n,
-        "residual": profile.residual,
         "converged": profile.converged,
-        "steps": profile.steps,
-        "boundary_slope": float(profile.dhtilde[-1]),
+        "steps": cfg.radial_steps,
     }
+    # JSON has no NaN or Infinity (RFC 8259): a value a failed shoot left non-finite is null.
+    for key, value in (("h0", profile.h0), ("residual", profile.residual), ("boundary_slope", profile.dhtilde[-1])):
+        report[key] = float(value) if math.isfinite(value) else None
     _export(paths, "csv", export_profile_csv, profile)
     _export(paths, "json", export_json, report)
     print(json.dumps(report, sort_keys=True))

@@ -192,6 +192,8 @@ class PolarGrid:
     dtheta: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"grid radius must be positive and finite, got {self.radius!r}")
         for name in ("nr", "ntheta"):
             object.__setattr__(self, name, _as_integer(getattr(self, name), f"grid {name}", MIN_GRID_POINTS))
         object.__setattr__(self, "dr", self.radius / self.nr)

@@ -95,9 +95,9 @@ def solve_linear_bvp(
 ) -> LinearizedProfile:
     """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by multiple shooting.
 
-    Steps ``(a, a')`` in ``r`` on the radial shoot's mesh: ``steps`` RK4
-    steps of ``shooting._segments`` from ``SEED_RADIUS``, graded at the
-    centre, with a node on each of the increasing radii ``breakpoints``
+    Steps ``(a, a')`` in ``r`` on the unit-vortex shoot's mesh: ``steps``
+    RK4 steps of ``shooting._segments`` from ``SEED_RADIUS``, graded through
+    the core, with a node on each of the increasing radii ``breakpoints``
     where ``f`` has a kink.  ``f`` holds the coefficient at the
     ``2 * steps + 1`` half-node radii; a scalar broadcasts, and 0 is the
     vacuum, ``a = -2 r / R^2``.  It is the shoot's multiple-shooting system

@@ -8,9 +8,9 @@ radial two-point boundary value problem
 
 which is solved by multiple shooting on the core value ``h0 = htilde(0)``
 from the fixed seed radius ``SEED_RADIUS`` with a fixed-step classical
-4th-order method.  The mesh (``_segments``) is graded in a centre zone and
-uniform after it, and its steps are cut into about ``16 sqrt(steps)``
-segments whose start states are
+4th-order method.  The mesh (``_segments``) is one closed-form map, its
+steps growing from the centre through the vortex core and uniform in the
+tail, cut into about ``16 sqrt(steps)`` segments whose start states are
 unknowns beside ``h0``; one vectorised sweep steps every segment and its 2x2
 variational matrix, and Newton on continuity at the joints plus the outer
 slope is one banded solve per sweep (Keller, "Numerical Methods for
@@ -19,23 +19,22 @@ Two-Point Boundary-Value Problems", 1968; Ascher, Mattheij & Russell, SIAM
 alone: nothing reads its matrix.  The banded solve hands LAPACK's band to
 ``dgbsv`` itself.  Short segments keep the solve well conditioned where one
 march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
-Newton runs twice: on a coarse mesh from a closed-form guess, then at the
-requested step count from the coarse solution, interpolated to the segment
-starts by cubic Hermite (``_hermite``, each query's interval found by
+Newton runs on a coarse mesh from a closed-form guess, then at the requested
+step count from the coarse solution, interpolated to the segment starts by
+cubic Hermite (``_hermite``, each query's interval found by
 ``np.searchsorted``).  This module owns the one multiple-shooting system:
 its start rows and mismatch (``_sweep_system``), its banded joint solve
 (``_solve_joints``) and its node read-out (``_nodes``).  The linearised
 radial problem of ``moduli.solve_linear_bvp`` is that system with a linear
 right-hand side, solved by one Newton correction from zero starts and read
 off that correction's sweep on the same nodes (``_solve_linear``).
-Both solves stay fourth order end to end: the centre zone holds the order
-against the ``1/r`` coefficients, and a node sits on every kink of a
-sampled Omega (``ConformalDisk.breakpoints``).
+Both solves stay fourth order end to end: the map's quadratic centre holds
+the order against the ``1/r`` coefficients, and a node sits on every kink of
+a sampled Omega (``ConformalDisk.breakpoints``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -52,16 +51,12 @@ __all__ = [
 #: Radius where the integration starts from the regular series at the
 #: centre.  The terms the series leaves out are below double precision here.
 SEED_RADIUS = 1e-8
-#: The graded centre zone of ``_segments``: ``ZONE_SHARE`` of the steps on
-#: ``[SEED_RADIUS, ZONE_RADIUS]``, chosen among 12 pairs by the errors at 7k
-#: steps on five small and three large disks (``BENCH_radial_mesh.json``).
-ZONE_RADIUS = 1.0
-ZONE_SHARE = 0.2
-#: Default step count of both radial solves.  On flat disks of radius 3, 12
-#: and 25 and a sampled and a smooth Omega on radius 3, ``h0``, ``slope0``
-#: and ``boundary_value`` are within 2.2e-13 of 224k-step solves at 7,000;
-#: 3,000 would keep them within 1e-11 (table ``slope0``: 1.1e-11 at 2,500).
-DEFAULT_STEPS = 7_000
+#: Default step count of both radial solves.  Against 224k-step solves on
+#: flat disks of radius 3, 12, 25, 300 and 2000 and a sampled and a smooth
+#: Omega on radius 3, ``h0``, ``slope0`` and ``boundary_value`` are within
+#: 4.2e-12 at 6,000 steps and 1e-11 from 5,000; 6,000 also keeps the flat
+#: R = 1500 and 2000 boundary values (true values below 1e-18) within 1e-12.
+DEFAULT_STEPS = 6_000
 #: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW`` or above
 #: ``SCAN_HIGH + n log(max(1, Omega(0)))``: the core value grows like
 #: ``n log Omega(0)`` on a disk with a large conformal factor at the centre.
@@ -70,14 +65,9 @@ SCAN_HIGH = 5.0
 #: Least steps of the coarse Newton stage, which starts the one at
 #: ``steps``; also the least step count ``shoot`` accepts.
 COARSE_STEPS = 1_000
-#: The coarse mesh takes at least ``R / COARSE_MAX_STEP`` steps.  Its
-#: segments must stay short where the closed-form start is far from the
-#: flow.  On a uniform mesh of 1,000 steps the coarse Newton converged on
-#: flat disks with n <= 10 up to R = 320 and first stalled at R = 340
-#: (n = 10), 360 (n = 8), 400 (n = 6) and 500 (n = 5).  Without the cap,
-#: shoots on the flat R = 400 disk with n = 6 and n = 10 stalled at both 7k
-#: and 16k steps; R = 50-320 and R = 600 converged with or without it.
-COARSE_MAX_STEP = 0.025
+#: RK4's real stability interval is ``[-RK4_REACH, 0]``: the nonzero real root of
+#: ``1 + z + z^2/2 + z^3/6 + z^4/24 = 1``.
+RK4_REACH = 2.785
 #: Core value of the coarse stage's closed-form start.
 START_H0 = -1.0
 #: Largest change of ``h0`` in one Newton step; a longer step is scaled
@@ -139,7 +129,7 @@ class RadialProfile:
                 f"h0 = {self.h0!r}")
 
 
-def _segments(x0, x1, steps, breaks=()):
+def _segments(x0, x1, steps, breaks=(), n=1):
     """``steps`` RK4 steps from ``x0`` to ``x1`` cut into segments, for ``_sweep``.
 
     Returns ``(x_half, index, dx)``: the ``2 * steps + 1`` half-node
@@ -152,47 +142,54 @@ def _segments(x0, x1, steps, breaks=()):
     flat R = 3 ``shoot`` is least or within 2% of it from 1k to 100k steps
     (``BENCH_radial_segments.json``).
 
-    A graded centre zone comes first: ``int(ZONE_SHARE * steps)`` steps (all
-    of them if ``x1 <= ZONE_RADIUS``, none below 5 steps) up to
-    ``min(ZONE_RADIUS, x1)``, on nodes ``r = ZONE_RADIUS s^2`` with ``s``
-    uniform.  Against the ``y'/r`` terms of the radial equations uniform
-    steps lose an order of RK4 where the solution has an ``r^3`` term (de
-    Hoog & Weiss, SIAM J. Numer. Anal. 15, 1978); these keep it.  The steps
-    after the zone are uniform.  A node falls on each of the increasing
-    ``breaks`` where the coefficients have a kink, so that no step straddles
-    one (Hairer, Norsett & Wanner, "Solving ODEs I", II.6): it moves the
-    node nearest it (in ``s`` in the zone) onto itself, the steps between
-    such nodes staying uniform.  A breakpoint nearest ``x0``, ``x1``, the
-    zone's end or the node of the one before gets no node.
+    The nodes are ``x(t) = x0 + L log(1 + (rho / L) sinh^2(a t / 2))`` at
+    ``t`` uniform on ``[0, 1]``, ``a`` set by ``x(1) = x1``.  Below the core
+    scale ``rho = min(sqrt(n), span)``, the ``n``-vortex core on ``Omega = 1``
+    (its edge grows like ``sqrt(2n)``; Bolognesi, Nucl. Phys. B 730, 2005),
+    the map is quadratic and steps grow like ``sqrt(r)``: uniform steps lose
+    an order of RK4 against the ``y'/r`` terms where the solution has an
+    ``r^3`` term (de Hoog & Weiss, SIAM J. Numer. Anal. 15, 1978).  Then each
+    step is ``e^{a / steps}`` times the last up to ``L = span / (2
+    asinh(sqrt(span / rho)))``, and the steps are uniform after it.  ``L`` is
+    where the two halves of the equidistributing map ``t = asinh(sqrt(r /
+    rho)) / (2 asinh(sqrt(span / rho))) + r / (2 span)`` (de Boor, 1973) have
+    equal density: this is that mesh in closed form.  ``Omega(0)`` is left
+    out of ``rho`` so that the linearised solve, which sees no Omega, steps
+    on the unit-vortex shoot's nodes; ``sqrt(n / Omega(0))`` moved no ``h0``
+    error above 1e-13 at 3k-7k steps by more than a factor 1.6 on disks with
+    ``Omega(0)`` from 0.25 to 100.  A node falls on each of the increasing
+    ``breaks`` where the coefficients have a kink (Hairer, Norsett & Wanner,
+    "Solving ODEs I", II.6): breakpoint ``b`` takes node ``round(t(b)
+    steps)``, the nodes between two such marks uniform in ``t``.  A
+    breakpoint nearest ``x0``, ``x1`` or the node of the one before gets no
+    node.
     """
-    zone, m = min(ZONE_RADIUS, x1), int(ZONE_SHARE * steps)
-    if zone == x1:
-        m = steps
-    elif m == 0:
-        zone = x0  # too few steps for a zone: uniform throughout
-    s0 = math.sqrt(x0 / zone) if m else 0.0
-    marks = {0: x0, m: zone, steps: x1}  # node index: coordinate
+    span = x1 - x0
+    rho = min(math.sqrt(n), span)
+    tail = span / (2.0 * math.asinh(math.sqrt(span / rho)))
+
+    def u_of(x):  # a t(x), the map's inverse
+        return 2.0 * math.asinh(math.sqrt(tail / rho * math.expm1((x - x0) / tail)))
+
+    rate = u_of(x1)
+    marks = {0: (0.0, x0), steps: (1.0, x1)}  # node index: (t, coordinate)
     for b in breaks:
         if x0 < b < x1:
-            k = (round((math.sqrt(b / zone) - s0) / (1.0 - s0) * m) if b < zone
-                 else m + round((b - zone) / (x1 - zone) * (steps - m)))
-            marks.setdefault(k, b)
+            t = u_of(b) / rate
+            marks.setdefault(round(t * steps), (t, b))
+    ends = sorted(marks.items())
+    t = np.ones(steps + 1)
+    for (ka, (ta, _)), (kb, (tb, _)) in zip(ends, ends[1:]):
+        t[ka:kb] = ta + (tb - ta) / (kb - ka) * np.arange(kb - ka)
+    nodes = x0 + tail * np.log1p(rho / tail * np.sinh(0.5 * rate * t) ** 2)
+    for k, (_, x) in ends:
+        nodes[k] = x
     size = math.isqrt(steps - 1) // 16 + 1
     count = -(-steps // size)
-    nodes, dx = np.empty(steps + 1), np.zeros(count * size)
-    ends = sorted(marks.items())
-    for (ka, a), (kb, b) in zip(ends, ends[1:]):
-        if b <= zone:
-            sa = math.sqrt(a / zone)
-            nodes[ka:kb] = zone * (sa + (math.sqrt(b / zone) - sa) * np.arange(kb - ka) / (kb - ka)) ** 2
-            nodes[ka], nodes[kb] = a, b
-            dx[ka:kb] = np.diff(nodes[ka:kb + 1])
-        else:
-            dx[ka:kb] = (b - a) / (kb - ka)
-            nodes[ka:kb] = a + dx[ka] * np.arange(kb - ka)
-    nodes[steps] = x1
+    dx = np.zeros(count * size)
+    np.subtract(nodes[1:], nodes[:-1], out=dx[:steps])
     x_half = np.empty(2 * steps + 1)
-    x_half[::2], x_half[1::2] = nodes, nodes[:-1] + 0.5 * np.diff(nodes)
+    x_half[::2], x_half[1::2] = nodes, nodes[:-1] + 0.5 * dx[:steps]
     index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
     return x_half, index, dx.reshape(count, size).T
 
@@ -352,12 +349,12 @@ def _newton(disk, n, steps, h0, starts):
     taking ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1,
     Omega(0)))`` (``h0_range``); ``passes`` is ``(0, sweeps)``.
     """
-    r_half, index, dx = _segments(SEED_RADIUS, disk.radius, steps, disk.breakpoints)
+    r_half, index, dx = _segments(SEED_RADIUS, disk.radius, steps, disk.breakpoints, n)
     r = r_half[index]
-    r_2n, w = r ** (2 * n), disk.omega_at(r)
+    log_r2n, w = 2 * n * np.log(r), disk.omega_at(r)
 
     def rhs(j, y, k):
-        t = r_2n[j] * np.exp(y[0])
+        t = np.exp(y[0] + log_r2n[j])  # r^{2n} e^y: r^{2n} alone overflows at large n
         k[::2] = y[1::2]
         np.divide(y[1::2], r[j], out=k[1::2])  # the -y'/r terms, subtracted next
         np.subtract(w[j] * (t - 1.0), k[1], out=k[1])
@@ -393,22 +390,10 @@ def _newton(disk, n, steps, h0, starts):
         settled = bool(np.max(np.abs(dstarts), initial=abs(dh0)) <= SETTLED_STEP)
     defect = np.abs(defect)
     defect[~np.isfinite(defect)] = math.inf
-    joint = float(defect[:-1].max(initial=0.0))
-    residual = float(defect[-1])
     nodes = _nodes(seed, [y[:2] for y in ys], steps)
-    return RadialProfile(
-        r=r_half[::2].copy(),
-        htilde=nodes[0],
-        dhtilde=nodes[1],
-        h0=h0,
-        n=n,
-        residual=residual,
-        termination=termination,
-        disk=disk,
-        steps=steps,
-        passes=(0, sweeps),
-        joint_defect=joint,
-    )
+    return RadialProfile(r=r_half[::2].copy(), htilde=nodes[0], dhtilde=nodes[1], h0=h0, n=n,
+                         residual=float(defect[-1]), termination=termination, disk=disk, steps=steps,
+                         passes=(0, sweeps), joint_defect=float(defect[:-1].max(initial=0.0)))
 
 
 def shoot(
@@ -418,17 +403,20 @@ def shoot(
 ) -> RadialProfile:
     """Find the core value ``h0`` meeting the outer Neumann slope ``-2n/R``.
 
-    Newton on the multiple-shooting system (``_newton``) runs twice.  First
-    on a coarse mesh (``COARSE_STEPS`` steps, more where a step would exceed
-    ``COARSE_MAX_STEP``) from ``h0 = START_H0`` and the closed-form
-    guess ``|phi|^2 = r^{2n} / (r^{2n} + exp(-h0))``, which has that core
-    value and the vacuum's slope far out.  Then at ``steps`` steps from the
-    coarse solution, cubic-Hermite interpolated to the segment starts (slopes
-    from the equation).  ``passes`` counts the sweeps of both stages.  A
-    coarse stage that ends ``non_finite`` has no finite start to hand on: its
-    own profile is returned, with ``passes = (sweeps, 0)``.  The result is
-    converged when the second Newton settled and the outer slope
-    is within ``SLOPE_TOL``; otherwise ``termination`` names the cause.
+    Newton on the multiple-shooting system (``_newton``) starts from ``h0 =
+    START_H0`` and the closed-form guess ``|phi|^2 = r^{2n} / (r^{2n} +
+    exp(-h0))``, which has that core value and the vacuum's slope far out,
+    on a coarse mesh; then it runs at ``steps`` steps from the coarse
+    solution, cubic-Hermite interpolated to the segment starts (slopes from
+    the equation).  The coarse mesh takes ``COARSE_STEPS`` steps, more where
+    a step times ``sqrt(Omega)`` would leave RK4's real stability interval
+    (``RK4_REACH``) on the tail's ``e^{-sqrt(Omega) r}`` mode.  Where that is
+    not fewer than ``steps``, one Newton at ``steps`` starts from the closed
+    form.  ``passes`` counts the sweeps of both stages.  A coarse stage that
+    ends ``non_finite`` has no finite start to hand on: its own profile is
+    returned, with ``passes = (sweeps, 0)``.  The result is converged when
+    the last Newton settled and the outer slope is within ``SLOPE_TOL``;
+    otherwise ``termination`` names the cause.
 
     Raises
     ------
@@ -449,23 +437,29 @@ def shoot(
     n, steps = int(n), int(steps)
 
     def closed_form(r):
-        t = r ** (2 * n) + math.exp(-START_H0)
-        return np.array([-np.log(t), -2.0 * n * r ** (2 * n - 1) / t])
+        log_r2n = 2 * n * np.log(r)
+        log_t = np.logaddexp(log_r2n, -START_H0)  # log(r^{2n} + exp(-START_H0)), free of overflow
+        return np.array([-log_t, -2.0 * n / r * np.exp(log_r2n - log_t)])
 
-    coarse_steps = max(COARSE_STEPS, math.ceil(disk.radius / COARSE_MAX_STEP))
-    coarse = _newton(disk, n, coarse_steps, START_H0, closed_form)
-    if coarse.termination == "non_finite":  # nothing finite to hand to the fine mesh
-        return dataclasses.replace(coarse, passes=(coarse.passes[1], 0))
-    r, h, p = coarse.r, coarse.htilde, coarse.dhtilde
-    with np.errstate(over="ignore", invalid="ignore"):  # a stalled coarse stage leaves h huge
-        dp = disk.omega_at(r) * (r ** (2 * n) * np.exp(h) - 1.0) - p / r
+    r_half = _segments(SEED_RADIUS, disk.radius, COARSE_STEPS, disk.breakpoints, n)[0]
+    reach = COARSE_STEPS * np.max(np.diff(r_half[::2]) * np.sqrt(disk.omega_at(r_half[1::2])))
+    coarse_steps = max(COARSE_STEPS, math.ceil(reach / RK4_REACH))
+    if coarse_steps >= steps:  # no coarser mesh to start on
+        profile = _newton(disk, n, steps, START_H0, closed_form)
+    else:
+        coarse = _newton(disk, n, coarse_steps, START_H0, closed_form)
+        if coarse.termination == "non_finite":  # nothing finite to hand to the fine mesh
+            coarse.passes = (coarse.passes[1], 0)
+            return coarse
+        r, h, p = coarse.r, coarse.htilde, coarse.dhtilde
+        with np.errstate(over="ignore", invalid="ignore"):  # a stalled coarse stage leaves h huge
+            dp = disk.omega_at(r) * np.expm1(h + 2 * n * np.log(r)) - p / r
 
-    def interpolated(r_starts):
-        return np.array([_hermite(r_starts, r, h, p), _hermite(r_starts, r, p, dp)])
+        def interpolated(r_starts):
+            return np.array([_hermite(r_starts, r, h, p), _hermite(r_starts, r, p, dp)])
 
-    fine = _newton(disk, n, steps, coarse.h0, interpolated)
-    return dataclasses.replace(
-        fine,
-        termination="slope_residual" if fine.converged and fine.residual > SLOPE_TOL else fine.termination,
-        passes=(coarse.passes[1], fine.passes[1]),
-    )
+        profile = _newton(disk, n, steps, coarse.h0, interpolated)
+        profile.passes = (coarse.passes[1], profile.passes[1])
+    if profile.converged and profile.residual > SLOPE_TOL:
+        profile.termination = "slope_residual"
+    return profile

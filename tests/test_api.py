@@ -23,7 +23,9 @@ def test_every_exported_name_resolves(module):
     assert not missing
 
 
-@pytest.mark.parametrize("name", ["integrate_radial", "BracketError", "taylor_seed"])
+@pytest.mark.parametrize(
+    "name", ["integrate_radial", "BracketError", "taylor_seed", "ZONE_RADIUS", "ZONE_SHARE", "COARSE_MAX_STEP"]
+)
 def test_removed_radial_names_are_gone(name):
     assert not hasattr(nvortex, name)
     assert not hasattr(nvortex.shooting, name)

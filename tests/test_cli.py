@@ -118,14 +118,41 @@ class TestSolveRadial:
 
 
     def test_stalled_shoot_exits_without_warnings(self, tmp_path, capsys):
-        # The overflowing coarse stage leaves exp(h) overflowing in the
-        # profile's observables; the suite turns warnings into errors.
+        # At 1,000 steps there is no coarser mesh: the one Newton stalls with
+        # h0 at the scan bound (the n = 25 core value lies below SCAN_LOW),
+        # and the profile's observables are written; the suite turns warnings
+        # into errors.
         out = tmp_path / "out"
         doc = base_doc(radius=800.0, interior=[{"x": 0, "y": 0, "n": 25}], radial={"steps": 1000})
         assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_SHOOT
         err = capsys.readouterr().err
-        assert err.startswith("radial shoot did not converge (non_finite): coarse Newton stalled after 2 sweeps ")
+        assert err.startswith("radial shoot did not converge (h0_range): Newton stalled after 17 sweeps ")
         assert (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, finite",
+        [
+            ({"radius": 200.0, "interior": [{"x": 0, "y": 0, "n": 100}], "radial": {"steps": 7000}}, True),
+            ({"omega": [[0.0, 1e6], [3.0, 1.0]], "radial": {"steps": 7000}}, True),
+            ({"radius": 2000.0, "radial": {"steps": 1000}}, False),
+        ],
+        ids=["n100-R200", "steep-Omega", "R2000-1k"],
+    )
+    def test_failed_shoot_writes_strict_json(self, tmp_path, capsys, overrides, finite):
+        # JSON has no NaN or Infinity: a value the failed shoot left non-finite
+        # (flat R = 2000 at 1,000 steps overflows) is null, and "steps" is the
+        # requested count, not the coarse mesh's.
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(**overrides))
+        assert cli.main(["solve-radial", "--config", cfg, "--out", str(out)]) == cli.EXIT_SHOOT
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert report == json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["converged"] is False and report["steps"] == overrides["radial"]["steps"]
+        values = [report[key] for key in ("h0", "residual", "boundary_slope")]
+        assert all(isinstance(v, float) for v in values) if finite else values[1:] == [None, None]
 
     def test_overflowing_coarse_stage_exits_cleanly(self, tmp_path, run_python):
         # Omega(0) = 1e6 overflows the coarse Newton; no fine sweep runs on

@@ -153,6 +153,12 @@ class TestPolarGrid:
             with pytest.raises(ValueError, match=f"grid {name} must be an integer >= 8, got "):
                 PolarGrid(3.0, nr, ntheta)
 
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -3.0, math.inf, -math.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # A NaN radius made dr NaN, and the solve ended on non-finite field values.
+        with pytest.raises(ValueError, match="grid radius must be positive and finite, got "):
+            PolarGrid(radius, 16, 16)
+
     @pytest.mark.parametrize("size", [64, 64.0, np.float64(64.0), np.int64(64), np.int32(64)])
     def test_integer_valued_sizes_kept(self, disk3, size):
         for grid in (build_grid(disk3, size, size), PolarGrid(3.0, size, size)):

@@ -342,8 +342,8 @@ class TestFourthOrder:
     def test_observed_order(self, refinement, column, quantity):
         # Uniform steps from the centre gave h0 only third order (2.98) where
         # Omega'(0) != 0: RK4's stages lose an order against the htilde'/r
-        # coefficient.  The graded centre zone of the mesh keeps every case
-        # fourth order.
+        # coefficient.  The mesh's quadratic centre, steps growing like
+        # sqrt(r), keeps every case fourth order.
         name, values = refinement
         order = observed_order(values[:, column])
         assert order >= 3.5, f"{name} {quantity}: observed order {order:.2f}"
@@ -399,6 +399,39 @@ class TestAlignedStepsAgainstOracle:
         assert np.max(np.abs(lin.a - a)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
         assert abs(lin.boundary_value - boundary_value) <= 1e-13
         assert abs(lin.slope0 - a[0] / SEED_RADIUS) <= 1e-12
+
+
+#: ``(h0, slope0, boundary_value, local_term)`` of 224k-step solves, the
+#: references of ``shooting.DEFAULT_STEPS``.  On flat R = 300 and 2000 a
+#: unit vortex is the plane's: ``h0 = -1.01072165075583`` and ``a'(0) = 1/2``.
+DEFAULT_STEPS_REFERENCES = {
+    "R3": (-1.110153320255244, 0.42247612346546465, -0.3720465637413851, 2.8980442125910946),
+    "R12": (-1.0107216518472577, 0.49999999923164984, -1.6324107454196435e-05, 3.1415926511759498),
+    "R25": (-1.010721650755858, 0.4999999999999945, -2.462538506442513e-11, 3.141592653589776),
+    "R300": (-1.0107216507558308, 0.5000000000000004, -6.071532165918825e-18, 3.1415926535897944),
+    "R2000": (-1.0107216507558419, 0.5000000000000178, 4.336808689942018e-19, 3.141592653589849),
+    "table": (-0.9191193130892793, 0.5470662279621543, -0.23385426728268777, 3.2894555695878798),
+    "quadratic": (-0.9290290929195164, 0.5481883021508485, -0.2000911072741502, 3.2929806696158637),
+}
+
+
+class TestDefaultSteps:
+    @pytest.mark.parametrize("case", list(DEFAULT_STEPS_REFERENCES))
+    def test_within_1e_11_of_the_references(self, case):
+        # The mesh's core scale keeps the wide disks' cores resolved: on the
+        # earlier mesh, graded only on [0, 1], local_term at 7,000 steps was
+        # off by 3.0e-9 on R = 300 and 2.6e-6 on R = 2000.
+        disk = {
+            "table": ConformalDisk.from_samples(3.0, (0.0, 0.75, 1.5, 2.25, 3.0), (1.0, 1.1, 1.25, 1.35, 1.5)),
+            "quadratic": ConformalDisk(3.0, omega=lambda r: 1.0 + 0.1 * np.asarray(r) ** 2),
+        }.get(case) or ConformalDisk.flat(float(case[1:]))
+        radial = shoot(disk, n=1)
+        assert radial.steps == DEFAULT_STEPS
+        lin = solve_linearized(radial)
+        report = metric_coefficient(disk)
+        got = (radial.h0, lin.slope0, report.boundary_value, report.local_term)
+        assert lin.boundary_value == report.boundary_value
+        assert np.max(np.abs(np.subtract(got, DEFAULT_STEPS_REFERENCES[case]))) <= 1e-11
 
 
 class TestBoundaryTerm:

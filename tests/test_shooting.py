@@ -237,10 +237,44 @@ class TestShoot:
         assert reason.startswith("radial shoot did not converge (slope_residual): boundary-slope residual 0.001")
 
     def test_stalled_coarse_stage_hands_off_without_warnings(self):
-        # The coarse stage overflows (its own profile comes back) with a huge
-        # h; the suite turns warnings into errors.
-        profile = shoot(ConformalDisk.flat(800.0), n=25, steps=1_000)
-        assert not profile.converged and profile.termination == "non_finite"
+        # The coarse Newton stalls on h0_range (the n = 25 core value lies
+        # below SCAN_LOW) and hands its profile on to the fine mesh; the
+        # suite turns warnings into errors.
+        profile = shoot(ConformalDisk.flat(800.0), n=25, steps=7_000)
+        assert not profile.converged and profile.termination == "h0_range"
+        assert profile.passes[0] > 1 and profile.steps == 7_000
+
+    @pytest.mark.parametrize(
+        "radius, n, steps, meshes",
+        [(800.0, 25, 1_000, [1_000]), (2000.0, 1, 1_000, [1_000]), (2000.0, 1, 7_000, [1_261, 7_000])],
+        ids=["R800-n25-1k", "R2000-1k", "R2000-7k"],
+    )
+    def test_coarse_stage_never_outsteps_the_fine_one(self, monkeypatch, radius, n, steps, meshes):
+        # The coarse mesh keeps its largest step inside RK4's real stability
+        # interval, 1,261 steps on R = 2000; at 1,000 requested steps it would
+        # not be coarser, so one Newton runs at 1,000 from the closed form.
+        real_newton = shooting._newton
+        seen = []
+
+        def spy(disk, n, steps, h0, starts):
+            seen.append(steps)
+            return real_newton(disk, n, steps, h0, starts)
+
+        monkeypatch.setattr(shooting, "_newton", spy)
+        profile = shoot(ConformalDisk.flat(radius), n=n, steps=steps)
+        assert seen == meshes and profile.steps == steps
+        if len(meshes) == 2:
+            assert profile.converged
+        else:  # one stage: no coarse sweeps
+            assert profile.passes[0] == 0
+
+    def test_no_power_overflows_at_large_multiplicity(self):
+        # r^{2n} reaches 1e460 at n = 100 on R = 200: the right-hand side and
+        # the closed-form start take it as exp(2n log r), so nothing warns
+        # (the suite turns warnings into errors).  h0 lies below SCAN_LOW.
+        profile = shoot(ConformalDisk.flat(200.0), n=100)
+        assert profile.termination == "h0_range"
+        assert np.isfinite(profile.htilde).all()
 
     def test_overflowing_coarse_stage_sweeps_no_fine_mesh(self, monkeypatch):
         # Omega(0) = 1e6: the coarse Newton overflows.  Its NaN starts must
@@ -255,9 +289,9 @@ class TestShoot:
 
         monkeypatch.setattr(shooting, "_newton", spy)
         profile = shoot(disk, n=1)
-        assert meshes == [shooting.COARSE_STEPS]
+        assert len(meshes) == 1 and meshes[0] < shooting.DEFAULT_STEPS
         assert not profile.converged and profile.termination == "non_finite"
-        assert profile.passes == (5, 0) and profile.steps == shooting.COARSE_STEPS
+        assert profile.passes == (5, 0) and profile.steps == meshes[0]
         assert profile.failure_reason().startswith(
             "radial shoot did not converge (non_finite): coarse Newton stalled after 5 sweeps (")
 
@@ -297,8 +331,8 @@ class TestShoot:
     def test_far_from_the_closed_form_start(self, disk, n):
         # h0 is 3.2 on the steep table: a full first Newton step from -1
         # leaves the scan range, so steps are capped at MAX_H0_STEP.  For
-        # n = 6 at R >= 100 the coarse mesh step is capped at COARSE_MAX_STEP
-        # (see its comment for where a 1,000-step coarse Newton stalls).
+        # n = 6 at R >= 100 the closed-form start is far from the flow; the
+        # mapped coarse mesh of 1,000 steps still converges there.
         profile = shoot(disk, n=n, steps=5_000)
         assert profile.converged
         assert profile.h0 == pytest.approx(single_stage_h0(disk, n, 5_000), abs=1e-12)
@@ -367,7 +401,7 @@ class TestHermite:
         lin = moduli.solve_linear_bvp(1.0, 3.0, steps=1_000)
         return {
             "shoot": shoot(table_disk(), steps=2_000).r,  # with nodes on the breakpoints
-            "linear": lin.r,  # the graded zone, then uniform
+            "linear": lin.r,  # graded through the core, then uniform
             "two": np.array([-1.0, 2.0]),
             "ragged": np.cumsum(np.random.default_rng(1).exponential(size=300)),
         }
@@ -539,41 +573,40 @@ def cut(x_half, step_sizes, size):
     return x_half, index, dx.reshape(count, size).T
 
 
-def zone_of(x0, x1, steps):
-    """``(zone end, zone steps)`` of ``_segments``' graded centre zone."""
-    if x1 <= shooting.ZONE_RADIUS:
-        return x1, steps
-    m = int(shooting.ZONE_SHARE * steps)
-    return (shooting.ZONE_RADIUS, m) if m else (x0, 0)
+def map_scales(x0, x1, n=1):
+    """``(rho, L, a)`` of ``_segments``' map ``x(t) = x0 + L log(1 + (rho / L) sinh^2(a t / 2))``."""
+    span = x1 - x0
+    rho = min(math.sqrt(n), span)
+    tail = span / (2.0 * math.asinh(math.sqrt(span / rho)))
+    return rho, tail, 2.0 * math.asinh(math.sqrt(tail / rho * math.expm1(span / tail)))
 
 
-def uniform_layout(x0, x1, steps):
-    """``_segments``' nodes without breakpoints, as plain floats.
+def mapped_layout(x0, x1, steps, n=1):
+    """``_segments``' nodes without breakpoints, as plain floats: ``x(k / steps)`` for ``k = 0, ..., steps``."""
+    rho, tail, rate = map_scales(x0, x1, n)
+    inner = [x0 + tail * math.log1p(rho / tail * math.sinh(0.5 * rate * k / steps) ** 2) for k in range(steps)]
+    return np.array(inner + [x1])
 
-    Uniform in ``s = sqrt(r / zone)`` on the graded centre zone, then uniform
-    in ``r``.
-    """
-    zone, m = zone_of(x0, x1, steps)
-    s0 = math.sqrt(x0 / zone) if m else 1.0
-    inner = [zone * (s0 + (1.0 - s0) * k / m) ** 2 for k in range(m)]
-    return np.array([x0] + inner[1:] + [zone + (x1 - zone) * k / (steps - m) for k in range(steps - m)] + [x1])
+
+def t_of(x, x0, x1, n=1):
+    """The inverse of ``_segments``' map: the ``t`` in ``[0, 1]`` of coordinate ``x``."""
+    rho, tail, rate = map_scales(x0, x1, n)
+    return 2.0 * math.asinh(math.sqrt(tail / rho * math.expm1((x - x0) / tail))) / rate
 
 
 class TestSegments:
     @pytest.mark.parametrize(
         "x0, x1, steps",
-        [(1e-8, 3.0, 7_000), (1e-8, 25.0, 1_000), (0.0, 1.0, 1), (0.0, 1.0, 99_991)],
+        [(1e-8, 3.0, 7_000), (1e-8, 25.0, 1_000), (0.0, 1.0, 1), (0.0, 1.0, 99_991), (1e-8, 2000.0, 5_000)],
     )
     def test_no_breakpoints_keep_the_uniform_layout_bit_for_bit(self, x0, x1, steps):
-        # Uniform in s on the zone and in r after it; the half-nodes, steps
-        # and segment cut follow from the nodes bit for bit.
+        # Uniform in t, the nodes are the map at k / steps; the half-nodes,
+        # steps and segment cut follow from the nodes bit for bit.
         x_half, index, dx = shooting._segments(x0, x1, steps)
         nodes = x_half[::2]
-        assert np.allclose(nodes, uniform_layout(x0, x1, steps), rtol=1e-14, atol=0.0)
-        zone, m = zone_of(x0, x1, steps)
-        assert (nodes[0], nodes[m], nodes[-1]) == (x0, zone, x1)
-        uniform = np.full(steps - m, (x1 - zone) / max(steps - m, 1))
-        want = cut(x_half, np.concatenate((np.diff(nodes[:m + 1]), uniform)), math.isqrt(steps - 1) // 16 + 1)
+        assert np.allclose(nodes, mapped_layout(x0, x1, steps), rtol=1e-13, atol=0.0)
+        assert (nodes[0], nodes[-1]) == (x0, x1)
+        want = cut(x_half, np.diff(nodes), math.isqrt(steps - 1) // 16 + 1)
         for got, want in zip((x_half, index, dx), want):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -581,18 +614,41 @@ class TestSegments:
 
     @pytest.mark.parametrize("steps", [1, 3, 4, 5, 1_000])
     def test_zone_takes_its_share_of_the_steps(self, steps):
-        # 20% of the steps on [SEED_RADIUS, 1]; below 5 steps none, so one
-        # uniform step still spans the disk, as the linear oracle's 1 and 3 need.
+        # The unit-vortex core [SEED_RADIUS, 1] takes the share t(1) = 0.38
+        # of the steps on R = 3; the steps never shrink outward, and one
+        # step spans the disk.
         x_half, _, dx = shooting._segments(shooting.SEED_RADIUS, 3.0, steps)
-        nodes, m = x_half[::2], int(shooting.ZONE_SHARE * steps)
+        nodes, steps_of = x_half[::2], dx.T.ravel()[:steps]
         assert nodes.size == steps + 1 and nodes[0] == shooting.SEED_RADIUS and nodes[-1] == 3.0
-        assert m == steps // 5
-        if m:
-            assert nodes[m] == shooting.ZONE_RADIUS
-            assert np.count_nonzero(nodes[1:] <= shooting.ZONE_RADIUS) == m
-        else:
-            assert np.allclose(dx.T.ravel()[:steps], (3.0 - shooting.SEED_RADIUS) / steps, rtol=1e-15, atol=0.0)
-        assert np.all(dx.T.ravel()[:steps] > 0.0)
+        assert np.count_nonzero(nodes[1:] <= 1.0) == math.floor(t_of(1.0, shooting.SEED_RADIUS, 3.0) * steps)
+        assert np.all(steps_of > 0.0)
+        assert np.all(np.diff(steps_of) >= -1e-12 * steps_of[1:])
+
+    def test_quadratic_then_geometric_then_uniform(self):
+        # Flat R = 2000: x ~ rho (a t / 2)^2 at the centre, a constant step
+        # ratio e^{a / steps} through the core, and uniform steps a L / steps
+        # in the tail.
+        steps, radius = 5_000, 2000.0
+        x_half, _, dx = shooting._segments(0.0, radius, steps)
+        nodes, steps_of = x_half[::2], dx.T.ravel()[:steps]
+        k = np.arange(1, 6)
+        assert np.allclose(nodes[k] / nodes[1], k**2, rtol=1e-4, atol=0.0)
+        _, tail, rate = map_scales(0.0, radius)
+        core = (nodes[1:] > 3.0) & (nodes[1:] < 20.0)  # between rho = 1 and L = 223
+        assert np.count_nonzero(core) > 500
+        assert np.allclose(steps_of[core][1:] / steps_of[core][:-1], math.exp(rate / steps), rtol=1e-3, atol=0.0)
+        assert steps_of[-1] == pytest.approx(rate * tail / steps, rel=1e-3)
+        assert np.ptp(steps_of[nodes[1:] > 0.5 * radius]) <= 0.02 * steps_of[-1]
+
+    @pytest.mark.parametrize("n", [1, 4, 25])
+    def test_core_scale_follows_the_multiplicity(self, n):
+        # rho = sqrt(n), the n-vortex core: the core [0, sqrt(n)] of flat
+        # R = 300 takes t(sqrt(n)) of the steps, 14% for n = 1, 19% for n = 25.
+        nodes = shooting._segments(0.0, 300.0, 1_000, (), n)[0][::2]
+        assert np.allclose(nodes, mapped_layout(0.0, 300.0, 1_000, n), rtol=1e-13, atol=0.0)
+        share = t_of(math.sqrt(n), 0.0, 300.0, n)
+        assert 0.14 < share < 0.2
+        assert np.count_nonzero(nodes[1:] <= math.sqrt(n)) == math.floor(share * 1_000)
 
     @pytest.mark.parametrize("steps", [1_000, 7_000, 12_345])
     @pytest.mark.parametrize("breaks", [(0.75, 1.5, 2.25), (0.7, 1.3, 2.2), (0.0101, 1.0, 1.0004, 2.9995)])
@@ -606,47 +662,41 @@ class TestSegments:
         # Each node is the last one plus its step, each half-node halfway.
         assert np.allclose(np.diff(nodes), steps_of, rtol=1e-9, atol=0.0)
         assert np.allclose(x_half[1::2], nodes[:-1] + 0.5 * steps_of, rtol=1e-12, atol=0.0)
-        assert nodes[-1] == pytest.approx(radius, rel=1e-14)
-        # A breakpoint takes the node nearest it (in s = sqrt(r) on the zone
-        # [eps, 1]) unless that is an end, the zone's end or the node of the
-        # last one taken: 1.0 is the zone's end, at 1k steps 1.0004 shares its
-        # node, and at 1k 2.9995 is nearest the rim.
-        zone, m = zone_of(eps, radius, steps)
-        s0 = math.sqrt(eps)
-        taken = {0, m, steps}
+        assert nodes[-1] == radius
+        # Breakpoint b takes node round(t(b) steps) unless that is an end or
+        # the node of the last one taken: at 1k steps 1.0004 shares 1.0's
+        # node and 2.9995 is nearest the rim.
+        taken = {0, steps}
         expected = []
         for b in breaks:
-            k = (round((math.sqrt(b) - s0) / (1.0 - s0) * m) if b < zone
-                 else m + round((b - zone) / (radius - zone) * (steps - m)))
+            k = round(t_of(b, eps, radius) * steps)
             if k not in taken:
                 expected.append(b)
                 taken.add(k)
-        kept = [b for b in breaks if b in nodes and b != zone]
+        kept = [b for b in breaks if b in nodes]
         assert kept == expected
         if breaks[0] > 0.1:
             assert kept == list(breaks)
-        # Between taken nodes the steps are uniform, in s on the zone and in
-        # r after it, and each end moved by at most half a step.
-        knots = sorted(set([eps, zone, radius] + kept))
+        # Between taken nodes the steps are uniform in t, and each breakpoint
+        # moved its node by at most half a step in t.
+        t = np.array([t_of(x, eps, radius) for x in nodes])
+        knots = sorted([eps, radius] + kept)
         for a, b in zip(knots, knots[1:]):
             inside = (nodes[:-1] >= a) & (nodes[:-1] < b)
-            if b <= zone:
-                ds, uniform = np.diff(np.sqrt(nodes))[inside], (1.0 - s0) / m
-            else:
-                ds, uniform = steps_of[inside], (radius - zone) / (steps - m)
-            assert np.ptp(ds) <= 1e-12 * uniform
-            span = math.sqrt(b) - math.sqrt(a) if b <= zone else b - a
-            assert ds.size * uniform == pytest.approx(span, abs=uniform)
+            dt = np.diff(t)[inside]
+            assert np.ptp(dt) <= 1e-9 / steps
+            assert dt.size / steps == pytest.approx(t_of(b, eps, radius) - t_of(a, eps, radius), abs=1.0 / steps)
 
     def test_breakpoints_nearest_an_end_get_no_node(self):
-        # On [0, 1] the whole mesh is the graded zone: nodes (k/10)^2.
-        x_half, _, dx = shooting._segments(0.0, 1.0, 10, (-0.5, 0.0016, 0.25, 0.27, 0.9604, 1.5))
-        # Only 0.25 takes a node: -0.5 and 1.5 lie outside, 0.0016 (s = 0.04)
-        # and 0.9604 (s = 0.98) are nearest an end, 0.27 is nearest 0.25's
-        # node.  That is the plain graded mesh.
-        assert x_half[10] == 0.25 and x_half[0] == 0.0
-        assert np.allclose(x_half[::2], (0.1 * np.arange(11)) ** 2, rtol=0.0, atol=1e-15)
-        assert np.allclose(dx.T.ravel()[:10], np.diff((0.1 * np.arange(11)) ** 2), rtol=0.0, atol=1e-15)
+        # On [0, 1] in 10 steps, only x(0.5) takes a node: -0.5 and 1.5 lie
+        # outside, x(0.04) and x(0.98) are nearest an end, and x(0.52) is
+        # nearest x(0.5)'s node.  That is the plain mapped mesh.
+        plain = mapped_layout(0.0, 1.0, 100)
+        breaks = (-0.5, plain[4], plain[50], plain[52], plain[98], 1.5)
+        x_half, _, dx = shooting._segments(0.0, 1.0, 10, breaks)
+        assert x_half[10] == plain[50] and x_half[0] == 0.0
+        assert np.allclose(x_half[::2], plain[::10], rtol=1e-13, atol=0.0)
+        assert np.allclose(dx.T.ravel()[:10], np.diff(plain[::10]), rtol=1e-12, atol=0.0)
 
     def test_disk_breakpoints(self):
         assert ConformalDisk.flat(3.0).breakpoints == ()
@@ -675,8 +725,8 @@ class TestSegments:
         real_segments = shooting._segments
         cuts = []
 
-        def long_segments(x0, x1, steps, breaks=()):
-            x_half, index, dx = real_segments(x0, x1, steps, breaks)
+        def long_segments(x0, x1, steps, breaks=(), n=1):
+            x_half, index, dx = real_segments(x0, x1, steps, breaks, n)
             size = math.isqrt(steps - 1) // 4 + 1
             cuts.append((index.shape[1], -(-steps // size)))
             return cut(x_half, dx.T.ravel()[:steps], size)
