@@ -8,10 +8,11 @@ where the radial factor ``a`` solves the linear two-point problem
 
     a'' + a'/r - a/r^2 = f(r) * (a - 2/r),   f = Omega * exp(h),
 
-regular at the origin with ``a'(R) = -2/R^2``; ``solve_linear_bvp`` solves
-it on the radial shoot's own mesh (``shooting._segments``) as one Newton
-correction of the shoot's one multiple-shooting system, read off that
-correction's sweep (``shooting._solve_linear``).
+regular at the origin with ``a'(R) = -2/R^2``; ``solve_linearized`` solves
+it on the radial shoot's own nodes (``RadialProfile.r``, cut by
+``shooting._segments``) as one Newton correction of the shoot's one
+multiple-shooting system, read off that correction's sweep
+(``shooting._solve_linear``).
 The kinetic-energy coefficient of a moving vortex combines a boundary term,
 ``(1/2) * pi * (d_X h(R; 0))^2`` with ``d_X h(R; 0) = a(R) - 2/R``, and the
 local term ``pi * (Omega(0) + 2 db/dZ)`` built from the core coefficient
@@ -46,6 +47,7 @@ from .shooting import (
     SEED_RADIUS,
     RadialProfile,
     _hermite,
+    _mesh,
     _segments,
     _solve_linear,
     shoot,
@@ -90,18 +92,15 @@ def solve_linear_bvp(
     f,
     radius: float,
     steps: int = DEFAULT_STEPS,
-    *,
-    breakpoints=(),
 ) -> LinearizedProfile:
     """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by multiple shooting.
 
-    Steps ``(a, a')`` in ``r`` on the unit-vortex shoot's mesh: ``steps``
-    RK4 steps of ``shooting._segments`` from ``SEED_RADIUS``, graded through
-    the core, with a node on each of the increasing radii ``breakpoints``
-    where ``f`` has a kink.  ``f`` holds the coefficient at the
-    ``2 * steps + 1`` half-node radii; a scalar broadcasts, and 0 is the
-    vacuum, ``a = -2 r / R^2``.  It is the shoot's multiple-shooting system
-    with the seed ``(a, a') = slope0 * (SEED_RADIUS, 1)`` and the outer slope
+    Steps ``(a, a')`` in ``r`` on the unit-vortex shoot's mesh of a flat
+    disk: ``steps`` RK4 steps of ``shooting._mesh`` from ``SEED_RADIUS``,
+    graded through the core.  ``f`` holds the coefficient at the ``2 *
+    steps + 1`` half-node radii; a scalar broadcasts, and 0 is the vacuum,
+    ``a = -2 r / R^2``.  It is the shoot's multiple-shooting system with the
+    seed ``(a, a') = slope0 * (SEED_RADIUS, 1)`` and the outer slope
     ``-2/R^2``; being linear, one Newton correction from zero starts gives
     ``a'(0)`` (``slope0``) and every segment start, and ``a`` is read off
     that correction's sweep (``shooting._solve_linear``).  Short segments
@@ -116,7 +115,11 @@ def solve_linear_bvp(
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if not (math.isfinite(radius) and radius > SEED_RADIUS):
         raise ValueError(f"radius must be positive and finite, above {SEED_RADIUS}, got {radius!r}")
-    r_half, index, dr = _segments(SEED_RADIUS, radius, steps, breakpoints)
+    return _solve_on(f, radius, *_segments(_mesh(radius, steps)))
+
+
+def _solve_on(f, radius, r_half, index, dr) -> LinearizedProfile:
+    """``solve_linear_bvp`` on ``shooting._segments``' cut of nodes from ``SEED_RADIUS`` to ``radius``."""
     f_half = np.asarray(f, dtype=float)
     try:
         f_half = np.broadcast_to(f_half, r_half.shape)
@@ -139,7 +142,7 @@ def solve_linear_bvp(
         k[1] += s[j]
 
     try:
-        slope0, (a, da), mismatch = _solve_linear(rhs, dr, steps, (SEED_RADIUS, 1.0), -2.0 / radius**2)
+        slope0, (a, da), mismatch = _solve_linear(rhs, dr, r_half.size // 2, (SEED_RADIUS, 1.0), -2.0 / radius**2)
     except FloatingPointError:
         raise ConditioningError("linearized integration overflowed before the boundary") from None
     except np.linalg.LinAlgError:
@@ -157,21 +160,20 @@ def solve_linear_bvp(
 def solve_linearized(radial: RadialProfile) -> LinearizedProfile:
     """Linearized profile driven by a converged unit-vortex radial solution.
 
-    Steps on the mesh and disk of the shoot, so ``f = Omega r^2 e^htilde``
-    reads the recorded ``htilde`` at the nodes and, at each midpoint, the cubic
-    Hermite value ``(h_i + h_{i+1})/2 + d_i (h'_i - h'_{i+1})/8`` (``d_i`` the step).
+    Steps on the nodes the profile was shot on (``radial.r``, cut by
+    ``shooting._segments``), so ``f = Omega r^2 e^htilde`` reads the recorded
+    ``htilde`` at the nodes and, at each midpoint, the cubic Hermite value
+    ``(h_i + h_{i+1})/2 + d_i (h'_i - h'_{i+1})/8`` (``d_i`` the step).
     """
     if radial.n != 1:
         raise ValueError("the linearized problem is defined for a unit vortex")
     if not radial.converged:
         raise ValueError("radial profile must be converged")
-    disk, r, h, dh = radial.disk, radial.r, radial.htilde, radial.dhtilde
-    d = np.diff(r)
-    r_half, h_half = np.empty(2 * r.size - 1), np.empty(2 * r.size - 1)
-    r_half[::2], r_half[1::2] = r, r[:-1] + 0.5 * d  # the half-node radii of ``_segments``
-    h_half[::2], h_half[1::2] = h, 0.5 * (h[:-1] + h[1:]) + 0.125 * d * (dh[:-1] - dh[1:])
-    f = disk.omega_at(r_half) * r_half**2 * np.exp(h_half)
-    return solve_linear_bvp(f, disk.radius, radial.steps, breakpoints=disk.breakpoints)
+    (r_half, index, dr), h, dh = _segments(radial.r), radial.htilde, radial.dhtilde
+    h_half = np.empty(r_half.shape)  # the steps d_i are dr's columns, less the padding
+    h_half[::2], h_half[1::2] = h, 0.5 * (h[:-1] + h[1:]) + 0.125 * dr.T.ravel()[:radial.steps] * (dh[:-1] - dh[1:])
+    f = radial.disk.omega_at(r_half) * r_half**2 * np.exp(h_half)
+    return _solve_on(f, radial.disk.radius, r_half, index, dr)
 
 
 def _fit_b(htilde: ScalarField, z_core: complex) -> complex:

@@ -8,26 +8,29 @@ radial two-point boundary value problem
 
 which is solved by multiple shooting on the core value ``h0 = htilde(0)``
 from the fixed seed radius ``SEED_RADIUS`` with a fixed-step classical
-4th-order method.  The mesh (``_segments``) is one closed-form map, its
-steps growing from the centre through the vortex core and uniform in the
-tail, cut into about ``16 sqrt(steps)`` segments whose start states are
-unknowns beside ``h0``; one vectorised sweep steps every segment and its 2x2
-variational matrix, and Newton on continuity at the joints plus the outer
-slope is one banded solve per sweep (Keller, "Numerical Methods for
-Two-Point Boundary-Value Problems", 1968; Ascher, Mattheij & Russell, SIAM
-1995, ch. 4).  The last sweep, which records the profile, steps the state
-alone: nothing reads its matrix.  The banded solve hands LAPACK's band to
-``dgbsv`` itself.  Short segments keep the solve well conditioned where one
-march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
-Newton runs on a coarse mesh from a closed-form guess, then at the requested
-step count from the coarse solution, interpolated to the segment starts by
-cubic Hermite (``_hermite``, each query's interval found by
-``np.searchsorted``).  This module owns the one multiple-shooting system:
-its start rows and mismatch (``_sweep_system``), its banded joint solve
-(``_solve_joints``) and its node read-out (``_nodes``).  The linearised
-radial problem of ``moduli.solve_linear_bvp`` is that system with a linear
-right-hand side, solved by one Newton correction from zero starts and read
-off that correction's sweep on the same nodes (``_solve_linear``).
+4th-order method.  The mesh (``_mesh``) is one closed-form map, its steps
+growing from the centre through the vortex core and uniform in the tail;
+``_segments`` cuts any such node array into about ``16 sqrt(steps)``
+segments whose start states are unknowns beside ``h0``; one vectorised
+sweep steps every segment and its 2x2 variational matrix, and Newton on
+continuity at the joints plus the outer slope is one banded solve per sweep
+(Keller, "Numerical Methods for Two-Point Boundary-Value Problems", 1968;
+Ascher, Mattheij & Russell, SIAM 1995, ch. 4).  The last sweep, which
+records the profile, steps the state alone: nothing reads its matrix.  The
+banded solve hands LAPACK's band to ``dgbsv`` itself.  Short segments keep
+the solve well conditioned where one march across ``[SEED_RADIUS, R]``
+amplifies errors like e^R.  The same Newton runs on a coarse mesh from a
+closed-form guess (on the nodes placed to measure RK4's reach,
+``_reach_steps``, where they are within it), then at the requested step
+count from the coarse solution, interpolated to the segment starts by cubic
+Hermite (``_hermite``, each query's interval found by ``np.searchsorted``).
+This module owns the one multiple-shooting system: its start rows and
+mismatch (``_sweep_system``), its banded joint solve (``_solve_joints``)
+and its node read-out (``_nodes``).  The linearised radial problem of
+``moduli`` is that system with a linear right-hand side, solved by one
+Newton correction from zero starts and read off that correction's sweep
+(``_solve_linear``), on ``_segments`` of the very nodes a profile was shot
+on (``RadialProfile.r``).
 Both solves stay fourth order end to end: the map's quadratic centre holds
 the order against the ``1/r`` coefficients, and a node sits on every kink of
 a sampled Omega (``ConformalDisk.breakpoints``).
@@ -57,9 +60,11 @@ SEED_RADIUS = 1e-8
 #: 4.2e-12 at 6,000 steps and 1e-11 from 5,000; 6,000 also keeps the flat
 #: R = 1500 and 2000 boundary values (true values below 1e-18) within 1e-12.
 DEFAULT_STEPS = 6_000
-#: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW`` or above
-#: ``SCAN_HIGH + n log(max(1, Omega(0)))``: the core value grows like
-#: ``n log Omega(0)`` on a disk with a large conformal factor at the centre.
+#: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW``, or below
+#: twice ``_core_start`` where that is lower, or above ``SCAN_HIGH + n
+#: log(max(1, Omega(0)))``: the core value falls like ``-n log(2n)`` with the
+#: multiplicity and grows like ``n log Omega(0)`` on a disk with a large
+#: conformal factor at the centre.
 SCAN_LOW = -50.0
 SCAN_HIGH = 5.0
 #: Least steps of the coarse Newton stage, which starts the one at
@@ -68,7 +73,8 @@ COARSE_STEPS = 1_000
 #: RK4's real stability interval is ``[-RK4_REACH, 0]``: the nonzero real root of
 #: ``1 + z + z^2/2 + z^3/6 + z^4/24 = 1``.
 RK4_REACH = 2.785
-#: Core value of the coarse stage's closed-form start.
+#: Core value of the coarse stage's closed-form start, unless the bag
+#: estimate of ``_core_start`` is lower.
 START_H0 = -1.0
 #: Largest change of ``h0`` in one Newton step; a longer step is scaled
 #: down whole.  Where Omega is ~50 near the centre, ``h0`` is 2-5 and a full
@@ -119,28 +125,26 @@ class RadialProfile:
         return _hermite(np.asarray(r, dtype=float), self.r, self.htilde, self.dhtilde)
 
     def failure_reason(self) -> str:
-        """Why the shoot did not converge, led by its ``termination``, for error messages."""
+        """Why the shoot did not converge, led by its ``termination``, for error messages.
+
+        A stalled Newton on steps too long for RK4's real stability
+        interval (``_reach_steps``) also names the least step count inside it.
+        """
+        outside = ""
         if self.termination == "slope_residual":
             how = f"boundary-slope residual {self.residual:.3g} > tol {SLOPE_TOL:.3g}"
         else:  # a stalled Newton; a profile without fine sweeps stopped on the coarse mesh
             stage, sweeps = ("Newton", self.passes[1]) if self.passes[1] else ("coarse Newton", self.passes[0])
             how = f"{stage} stalled after {sweeps} sweeps (largest joint defect {self.joint_defect:.3g})"
+            reach = _reach_steps(self.disk, self.r)
+            if reach > self.steps:
+                outside = f"; its steps leave RK4's stability interval, which takes at least {reach} steps"
         return (f"radial shoot did not converge ({self.termination}): {how} at {self.steps} steps, "
-                f"h0 = {self.h0!r}")
+                f"h0 = {self.h0!r}{outside}")
 
 
-def _segments(x0, x1, steps, breaks=(), n=1):
-    """``steps`` RK4 steps from ``x0`` to ``x1`` cut into segments, for ``_sweep``.
-
-    Returns ``(x_half, index, dx)``: the ``2 * steps + 1`` half-node
-    coordinates, each odd one halfway between its nodes; per segment
-    (columns) the indices of its half-nodes, shape ``(2 * size + 1, segments)``,
-    at which a caller gathers its coefficients; and the step sizes, shape
-    ``(size, segments)``, zero on the padding after the last node (an
-    identity step).  ``size`` is ``isqrt(steps - 1) // 16 + 1`` (6 at 7k
-    steps): of ``// 4``, ``// 8``, ``// 16`` and ``// 32``, the CPU time of a
-    flat R = 3 ``shoot`` is least or within 2% of it from 1k to 100k steps
-    (``BENCH_radial_segments.json``).
+def _mesh(x1, steps, breaks=(), n=1, x0=SEED_RADIUS):
+    """The ``steps + 1`` nodes of ``steps`` RK4 steps from ``x0``, by default the seed radius, to ``x1``.
 
     The nodes are ``x(t) = x0 + L log(1 + (rho / L) sinh^2(a t / 2))`` at
     ``t`` uniform on ``[0, 1]``, ``a`` set by ``x(1) = x1``.  Below the core
@@ -154,15 +158,13 @@ def _segments(x0, x1, steps, breaks=(), n=1):
     where the two halves of the equidistributing map ``t = asinh(sqrt(r /
     rho)) / (2 asinh(sqrt(span / rho))) + r / (2 span)`` (de Boor, 1973) have
     equal density: this is that mesh in closed form.  ``Omega(0)`` is left
-    out of ``rho`` so that the linearised solve, which sees no Omega, steps
-    on the unit-vortex shoot's nodes; ``sqrt(n / Omega(0))`` moved no ``h0``
-    error above 1e-13 at 3k-7k steps by more than a factor 1.6 on disks with
-    ``Omega(0)`` from 0.25 to 100.  A node falls on each of the increasing
-    ``breaks`` where the coefficients have a kink (Hairer, Norsett & Wanner,
-    "Solving ODEs I", II.6): breakpoint ``b`` takes node ``round(t(b)
-    steps)``, the nodes between two such marks uniform in ``t``.  A
-    breakpoint nearest ``x0``, ``x1`` or the node of the one before gets no
-    node.
+    out of ``rho``: ``sqrt(n / Omega(0))`` moved no ``h0`` error above 1e-13
+    at 3k-7k steps by more than a factor 1.6 on disks with ``Omega(0)`` from
+    0.25 to 100.  A node falls on each of the increasing ``breaks`` where
+    the coefficients have a kink (Hairer, Norsett & Wanner, "Solving ODEs
+    I", II.6): breakpoint ``b`` takes node ``round(t(b) steps)``, the nodes
+    between two such marks uniform in ``t``.  A breakpoint nearest ``x0``,
+    ``x1`` or the node of the one before gets no node.
     """
     span = x1 - x0
     rho = min(math.sqrt(n), span)
@@ -184,6 +186,23 @@ def _segments(x0, x1, steps, breaks=(), n=1):
     nodes = x0 + tail * np.log1p(rho / tail * np.sinh(0.5 * rate * t) ** 2)
     for k, (_, x) in ends:
         nodes[k] = x
+    return nodes
+
+
+def _segments(nodes):
+    """The RK4 steps between increasing ``nodes`` cut into segments, for ``_sweep``.
+
+    Returns ``(x_half, index, dx)``: the ``2 * steps + 1`` half-node
+    coordinates, each odd one halfway between its nodes; per segment
+    (columns) the indices of its half-nodes, shape ``(2 * size + 1, segments)``,
+    at which a caller gathers its coefficients; and the step sizes, shape
+    ``(size, segments)``, zero on the padding after the last node (an
+    identity step).  ``size`` is ``isqrt(steps - 1) // 16 + 1`` (6 at 7k
+    steps): of ``// 4``, ``// 8``, ``// 16`` and ``// 32``, the CPU time of a
+    flat R = 3 ``shoot`` is least or within 2% of it from 1k to 100k steps
+    (``BENCH_radial_segments.json``).
+    """
+    steps = nodes.size - 1
     size = math.isqrt(steps - 1) // 16 + 1
     count = -(-steps // size)
     dx = np.zeros(count * size)
@@ -192,6 +211,18 @@ def _segments(x0, x1, steps, breaks=(), n=1):
     x_half[::2], x_half[1::2] = nodes, nodes[:-1] + 0.5 * dx[:steps]
     index = np.minimum(2 * size * np.arange(count) + np.arange(2 * size + 1)[:, None], 2 * steps)
     return x_half, index, dx.reshape(count, size).T
+
+
+def _reach_steps(disk, nodes):
+    """The least step count whose mesh keeps a step times ``sqrt(Omega)`` within ``RK4_REACH``.
+
+    Measured on ``nodes``, each step at its midpoint: the mapped steps
+    scale like one over the step count.  A step past that leaves RK4's real
+    stability interval on the tail's ``e^{-sqrt(Omega) r}`` mode.
+    """
+    dr = np.diff(nodes)
+    reach = (nodes.size - 1) * np.max(dr * np.sqrt(disk.omega_at(nodes[:-1] + 0.5 * dr)))
+    return math.ceil(reach / RK4_REACH)
 
 
 def _sweep(rhs, dx, y):
@@ -333,8 +364,21 @@ def _solve_linear(rhs, dx, steps, lead, slope):
     return parameter, nodes, float(nodes[1, -1] - slope)
 
 
-def _newton(disk, n, steps, h0, starts):
-    """Newton on the multiple-shooting system at ``steps`` steps from core value ``h0``.
+def _core_start(n, omega0):
+    """Core value Newton starts from: ``START_H0``, or the bag estimate where that is lower.
+
+    In the bag picture of the ``n``-vortex (Bolognesi, Nucl. Phys. B 730,
+    2005) ``htilde = h0 - Omega(0) r^2 / 4`` inside the core and the field is
+    vacuum from its edge ``r^2 = 2n / Omega(0)`` on, so ``h0 = n/2 - n
+    log(2n) + n log Omega(0)``: -25.0 at n = 10 and -107.8 at n = 30 on a
+    flat disk, against the solved -27.8 and -114.6.  A unit vortex on
+    ``Omega(0) >= 1`` starts from ``START_H0``.
+    """
+    return min(START_H0, n / 2 - n * math.log(2 * n) + n * math.log(omega0))
+
+
+def _newton(disk, n, nodes, h0, starts):
+    """Newton on the multiple-shooting system on ``nodes`` (``_mesh``) from core value ``h0``.
 
     ``starts(r)`` gives the first guess of ``(htilde, htilde')`` at the
     segment-start radii ``r``, shape ``(2, len(r))``.  Each sweep
@@ -346,10 +390,11 @@ def _newton(disk, n, steps, h0, starts):
     changes ``h0`` by more than ``MAX_H0_STEP`` is scaled down.  It stalls,
     as its ``termination`` says, on the cap (``max_sweeps``), a non-finite
     sweep (``non_finite``), a singular band (``singular_band``) or a step
-    taking ``h0`` below ``SCAN_LOW`` or above ``SCAN_HIGH + n log(max(1,
-    Omega(0)))`` (``h0_range``); ``passes`` is ``(0, sweeps)``.
+    taking ``h0`` below ``min(SCAN_LOW, 2 _core_start(n, Omega(0)))`` or
+    above ``SCAN_HIGH + n log(max(1, Omega(0)))`` (``h0_range``); ``passes``
+    is ``(0, sweeps)``.
     """
-    r_half, index, dx = _segments(SEED_RADIUS, disk.radius, steps, disk.breakpoints, n)
+    r_half, index, dx = _segments(nodes)
     r = r_half[index]
     log_r2n, w = 2 * n * np.log(r), disk.omega_at(r)
 
@@ -362,7 +407,7 @@ def _newton(disk, n, steps, h0, starts):
 
     starts = starts(r[0, 1:])
     omega0 = float(disk.omega_at(0.0))
-    high = SCAN_HIGH + n * math.log(max(1.0, omega0))
+    low, high = min(SCAN_LOW, 2.0 * _core_start(n, omega0)), SCAN_HIGH + n * math.log(max(1.0, omega0))
     settled = False
     for sweeps in range(1, MAX_SWEEPS + 1):
         # The regular series at the centre, h0 - Omega(0) r^2 / 4: its next
@@ -382,7 +427,7 @@ def _newton(disk, n, steps, h0, starts):
         if abs(dh0) > MAX_H0_STEP:
             scale = MAX_H0_STEP / abs(dh0)
             dh0, dstarts = dh0 * scale, dstarts * scale
-        if not SCAN_LOW <= h0 + dh0 <= high:
+        if not low <= h0 + dh0 <= high:
             termination = "h0_range"  # diverging: the root is inside the scan range
             break
         h0 += dh0
@@ -390,9 +435,9 @@ def _newton(disk, n, steps, h0, starts):
         settled = bool(np.max(np.abs(dstarts), initial=abs(dh0)) <= SETTLED_STEP)
     defect = np.abs(defect)
     defect[~np.isfinite(defect)] = math.inf
-    nodes = _nodes(seed, [y[:2] for y in ys], steps)
-    return RadialProfile(r=r_half[::2].copy(), htilde=nodes[0], dhtilde=nodes[1], h0=h0, n=n,
-                         residual=float(defect[-1]), termination=termination, disk=disk, steps=steps,
+    states = _nodes(seed, [y[:2] for y in ys], nodes.size - 1)
+    return RadialProfile(r=nodes, htilde=states[0], dhtilde=states[1], h0=h0, n=n,
+                         residual=float(defect[-1]), termination=termination, disk=disk, steps=nodes.size - 1,
                          passes=(0, sweeps), joint_defect=float(defect[:-1].max(initial=0.0)))
 
 
@@ -404,16 +449,17 @@ def shoot(
     """Find the core value ``h0`` meeting the outer Neumann slope ``-2n/R``.
 
     Newton on the multiple-shooting system (``_newton``) starts from ``h0 =
-    START_H0`` and the closed-form guess ``|phi|^2 = r^{2n} / (r^{2n} +
-    exp(-h0))``, which has that core value and the vacuum's slope far out,
-    on a coarse mesh; then it runs at ``steps`` steps from the coarse
-    solution, cubic-Hermite interpolated to the segment starts (slopes from
-    the equation).  The coarse mesh takes ``COARSE_STEPS`` steps, more where
-    a step times ``sqrt(Omega)`` would leave RK4's real stability interval
-    (``RK4_REACH``) on the tail's ``e^{-sqrt(Omega) r}`` mode.  Where that is
-    not fewer than ``steps``, one Newton at ``steps`` starts from the closed
-    form.  ``passes`` counts the sweeps of both stages.  A coarse stage that
-    ends ``non_finite`` has no finite start to hand on: its own profile is
+    _core_start(n, Omega(0))`` and the closed-form guess ``|phi|^2 = r^{2n}
+    / (r^{2n} + exp(-h0))``, which has that core value and the vacuum's
+    slope far out, on a coarse mesh; then it runs at ``steps`` steps from
+    the coarse solution, cubic-Hermite interpolated to the segment starts
+    (slopes from the equation).  The coarse mesh takes ``COARSE_STEPS``
+    steps, more where a step times ``sqrt(Omega)`` would leave RK4's real
+    stability interval (``_reach_steps``); when it takes no more, Newton
+    sweeps the very nodes it was measured on.  Where it is not fewer than
+    ``steps``, one Newton at ``steps`` starts from the closed form.
+    ``passes`` counts the sweeps of both stages.  A coarse stage that ends
+    ``non_finite`` has no finite start to hand on: its own profile is
     returned, with ``passes = (sweeps, 0)``.  The result is converged when
     the last Newton settled and the outer slope is within ``SLOPE_TOL``;
     otherwise ``termination`` names the cause.
@@ -435,19 +481,18 @@ def shoot(
         raise ValueError(f"radius must exceed the seed radius {SEED_RADIUS}, got {disk.radius}")
     check_bradlow(VortexConfiguration.centered(n), disk)
     n, steps = int(n), int(steps)
+    h_start = _core_start(n, float(disk.omega_at(0.0)))
 
     def closed_form(r):
         log_r2n = 2 * n * np.log(r)
-        log_t = np.logaddexp(log_r2n, -START_H0)  # log(r^{2n} + exp(-START_H0)), free of overflow
+        log_t = np.logaddexp(log_r2n, -h_start)  # log(r^{2n} + exp(-h_start)), free of overflow
         return np.array([-log_t, -2.0 * n / r * np.exp(log_r2n - log_t)])
 
-    r_half = _segments(SEED_RADIUS, disk.radius, COARSE_STEPS, disk.breakpoints, n)[0]
-    reach = COARSE_STEPS * np.max(np.diff(r_half[::2]) * np.sqrt(disk.omega_at(r_half[1::2])))
-    coarse_steps = max(COARSE_STEPS, math.ceil(reach / RK4_REACH))
-    if coarse_steps >= steps:  # no coarser mesh to start on
-        profile = _newton(disk, n, steps, START_H0, closed_form)
-    else:
-        coarse = _newton(disk, n, coarse_steps, START_H0, closed_form)
+    nodes = _mesh(disk.radius, COARSE_STEPS, disk.breakpoints, n)
+    reach = _reach_steps(disk, nodes)
+    nodes = nodes if reach <= COARSE_STEPS else _mesh(disk.radius, min(reach, steps), disk.breakpoints, n)
+    coarse = profile = _newton(disk, n, nodes, h_start, closed_form)
+    if nodes.size - 1 < steps:  # that was the coarse stage: start the one at ``steps`` from it
         if coarse.termination == "non_finite":  # nothing finite to hand to the fine mesh
             coarse.passes = (coarse.passes[1], 0)
             return coarse
@@ -458,7 +503,7 @@ def shoot(
         def interpolated(r_starts):
             return np.array([_hermite(r_starts, r, h, p), _hermite(r_starts, r, p, dp)])
 
-        profile = _newton(disk, n, steps, coarse.h0, interpolated)
+        profile = _newton(disk, n, _mesh(disk.radius, steps, disk.breakpoints, n), coarse.h0, interpolated)
         profile.passes = (coarse.passes[1], profile.passes[1])
     if profile.converged and profile.residual > SLOPE_TOL:
         profile.termination = "slope_residual"

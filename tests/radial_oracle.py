@@ -6,7 +6,7 @@ one fixed-step classical RK4 march of ``(htilde, htilde')`` from ``eps``
 to ``R`` (``integrate_radial``), its outer-slope mismatch, and Illinois
 false position on that mismatch over ``[SCAN_LOW, SCAN_HIGH]``
 (``single_stage_h0``), every pass at the full step count.  The march
-steps on ``shoot``'s own nodes (``shooting._segments``: the map graded
+steps on ``shoot``'s own nodes (``shooting._mesh``: the map graded
 through the ``n``-vortex core, a node on each of the disk's breakpoints), so
 both discretise the same problem.
 
@@ -29,6 +29,7 @@ from nvortex.shooting import (
     SEED_RADIUS,
     SLOPE_TOL,
     RadialProfile,
+    _mesh,
     _segments,
 )
 
@@ -56,7 +57,7 @@ def _integrate(h0, disk, n, eps, steps, record):
         raise ValueError(f"multiplicity must be >= 1, got {n}")
     if not 0.0 < eps < disk.radius:
         raise ValueError(f"eps must lie in (0, radius={disk.radius}), got {eps}")
-    r_half, _, dr = _segments(eps, disk.radius, steps, disk.breakpoints, n)
+    r_half, _, dr = _segments(_mesh(disk.radius, steps, disk.breakpoints, n, eps))
     dr = dr.T.ravel()[:steps].tolist()
     r = r_half.tolist()
     r_2n = (r_half ** (2 * n)).tolist()

@@ -58,6 +58,12 @@ def test_moduli_leaves_the_shooting_system_to_shooting():
     assert not names & {"_sweep", "_sweep_system", "_solve_joints", "_nodes"}
 
 
+def test_linear_bvp_takes_no_breakpoints():
+    # The linearised solve of a profile steps on that profile's nodes, which
+    # carry the disk's breakpoints; solve_linear_bvp steps on the flat-disk mesh.
+    assert list(inspect.signature(moduli.solve_linear_bvp).parameters) == ["f", "radius", "steps"]
+
+
 def test_default_radial_steps_have_one_source(monkeypatch, capsys):
     # Resizing shooting.DEFAULT_STEPS must be a single edit: the config,
     # verify, the metric pipeline and both radial solves read it.

@@ -16,6 +16,10 @@ from nvortex.verification import CheckResult
 from radial_oracle import integrate_radial
 
 
+#: A flat disk of area 4 pi (1 + 1e-8), just above a unit vortex's existence bound.
+NEAR_BOUND_RADIUS = 2.0 * math.sqrt(1.0 + 1e-8)
+
+
 def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -117,26 +121,34 @@ class TestSolveRadial:
         _assert_shoot_reason(captured.err)
 
 
+    def test_twenty_vortices_converge(self, tmp_path, capsys):
+        # The n = 20 core value, -68.55, lies below SCAN_LOW; Newton starts
+        # from the bag estimate and its low bound follows that start.
+        doc = base_doc(radius=19.42, interior=[{"x": 0, "y": 0, "n": 20}], radial={"steps": 6000})
+        assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True and report["h0"] == pytest.approx(-68.55, abs=0.01)
+
     def test_stalled_shoot_exits_without_warnings(self, tmp_path, capsys):
-        # At 1,000 steps there is no coarser mesh: the one Newton stalls with
-        # h0 at the scan bound (the n = 25 core value lies below SCAN_LOW),
-        # and the profile's observables are written; the suite turns warnings
-        # into errors.
+        # At 1,000 steps there is no coarser mesh: 1e-8 above the existence
+        # bound the one Newton spends all its sweeps on a core value sinking
+        # toward -inf, and the profile's observables are written; the suite
+        # turns warnings into errors.
         out = tmp_path / "out"
-        doc = base_doc(radius=800.0, interior=[{"x": 0, "y": 0, "n": 25}], radial={"steps": 1000})
+        doc = base_doc(radius=NEAR_BOUND_RADIUS, radial={"steps": 1000})
         assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_SHOOT
         err = capsys.readouterr().err
-        assert err.startswith("radial shoot did not converge (h0_range): Newton stalled after 17 sweeps ")
+        assert err.startswith("radial shoot did not converge (max_sweeps): Newton stalled after 20 sweeps ")
         assert (out / "profile.csv").exists()
 
     @pytest.mark.parametrize(
         "overrides, finite",
         [
-            ({"radius": 200.0, "interior": [{"x": 0, "y": 0, "n": 100}], "radial": {"steps": 7000}}, True),
+            ({"radius": NEAR_BOUND_RADIUS, "radial": {"steps": 1000}}, True),
             ({"omega": [[0.0, 1e6], [3.0, 1.0]], "radial": {"steps": 7000}}, True),
             ({"radius": 2000.0, "radial": {"steps": 1000}}, False),
         ],
-        ids=["n100-R200", "steep-Omega", "R2000-1k"],
+        ids=["near-bound-1k", "steep-Omega", "R2000-1k"],
     )
     def test_failed_shoot_writes_strict_json(self, tmp_path, capsys, overrides, finite):
         # JSON has no NaN or Infinity: a value the failed shoot left non-finite

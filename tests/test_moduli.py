@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -80,15 +81,15 @@ def coefficient(disk, radial):
 
 def half_nodes(radius, steps, breakpoints=()):
     """The ``2 * steps + 1`` half-node radii of both radial solves."""
-    return shooting._segments(SEED_RADIUS, radius, steps, breakpoints)[0]
+    return shooting._segments(shooting._mesh(radius, steps, breakpoints))[0]
 
 
 def two_pass_bvp(f_half, radius, steps, breakpoints=(), dtype=float):
     """Oracle: the superposition of two pure-Python RK4 passes.
 
     This is how ``solve_linear_bvp`` integrated before it became a
-    multiple-shooting sweep: the same half-nodes (``shooting._segments``
-    from ``SEED_RADIUS``, a node on each of ``breakpoints``), coefficient
+    multiple-shooting sweep: the same half-nodes (``shooting._mesh`` from
+    ``SEED_RADIUS``, a node on each of ``breakpoints``), coefficient
     values ``f_half``, seeds and step formula, one sequential pass each in
     ``r`` for the regular homogeneous and the particular solution of
     ``a'' = w a' + (w^2 + f) a + 2 w f``, ``w = -1/r``, in ``dtype`` arithmetic.
@@ -96,7 +97,7 @@ def two_pass_bvp(f_half, radius, steps, breakpoints=(), dtype=float):
     sup norm of the two superposed solutions.
     """
     num = dtype
-    r_half, _, drs = shooting._segments(SEED_RADIUS, radius, steps, breakpoints)
+    r_half, _, drs = shooting._segments(shooting._mesh(radius, steps, breakpoints))
     f_half = np.broadcast_to(np.asarray(f_half, dtype=float), r_half.shape).astype(num)
     r_half = r_half.astype(num)
     # Python floats step an order of magnitude faster than numpy scalars.
@@ -220,8 +221,19 @@ class TestLinearizedSolve:
     @pytest.mark.parametrize("case", ["flat", "table"])
     def test_matches_two_pass_oracle(self, disk3, radial_r3, radial_table, case, steps):
         disk, radial = (disk3, radial_r3) if case == "flat" else radial_table
-        f = coefficient(disk, radial)(half_nodes(disk.radius, steps, disk.breakpoints))
-        lin = solve_linear_bvp(f, disk.radius, steps, breakpoints=disk.breakpoints)
+        r_half = half_nodes(disk.radius, steps, disk.breakpoints)
+        if case == "flat":
+            f = coefficient(disk, radial)(r_half)
+            lin = solve_linear_bvp(f, disk.radius, steps)
+        else:
+            # The table disk's nodes sit on its breakpoints, which only a
+            # profile carries: the 20k-step profile, moved onto the nodes of
+            # the ``steps``-step mesh, is what the linearised solve steps on.
+            nodes = r_half[::2]
+            moved = dataclasses.replace(radial, r=nodes, htilde=radial.htilde_at(nodes),
+                                        dhtilde=np.interp(nodes, radial.r, radial.dhtilde), steps=steps)
+            f = coefficient(disk, moved)(r_half)
+            lin = solve_linearized(moved)
         a, boundary_value, _ = two_pass_bvp(f, disk.radius, steps, disk.breakpoints)
         assert np.max(np.abs(lin.a - a)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
         assert abs(lin.boundary_value - boundary_value) <= 1e-13

@@ -237,12 +237,13 @@ class TestShoot:
         assert reason.startswith("radial shoot did not converge (slope_residual): boundary-slope residual 0.001")
 
     def test_stalled_coarse_stage_hands_off_without_warnings(self):
-        # The coarse Newton stalls on h0_range (the n = 25 core value lies
-        # below SCAN_LOW) and hands its profile on to the fine mesh; the
-        # suite turns warnings into errors.
-        profile = shoot(ConformalDisk.flat(800.0), n=25, steps=7_000)
-        assert not profile.converged and profile.termination == "h0_range"
-        assert profile.passes[0] > 1 and profile.steps == 7_000
+        # Area 1e-8 above the existence bound, where the core value sinks
+        # toward -inf: the coarse Newton spends all its sweeps and hands its
+        # profile on to the fine mesh, which converges from it; the suite
+        # turns warnings into errors.
+        profile = shoot(ConformalDisk.flat(2.0 * math.sqrt(1.0 + 1e-8)), n=1)
+        assert profile.passes[0] == shooting.MAX_SWEEPS and profile.passes[1] > 0
+        assert profile.converged and profile.steps == shooting.DEFAULT_STEPS
 
     @pytest.mark.parametrize(
         "radius, n, steps, meshes",
@@ -256,9 +257,9 @@ class TestShoot:
         real_newton = shooting._newton
         seen = []
 
-        def spy(disk, n, steps, h0, starts):
-            seen.append(steps)
-            return real_newton(disk, n, steps, h0, starts)
+        def spy(disk, n, nodes, h0, starts):
+            seen.append(nodes.size - 1)
+            return real_newton(disk, n, nodes, h0, starts)
 
         monkeypatch.setattr(shooting, "_newton", spy)
         profile = shoot(ConformalDisk.flat(radius), n=n, steps=steps)
@@ -271,10 +272,79 @@ class TestShoot:
     def test_no_power_overflows_at_large_multiplicity(self):
         # r^{2n} reaches 1e460 at n = 100 on R = 200: the right-hand side and
         # the closed-form start take it as exp(2n log r), so nothing warns
-        # (the suite turns warnings into errors).  h0 lies below SCAN_LOW.
+        # (the suite turns warnings into errors).  h0 is about -500.
         profile = shoot(ConformalDisk.flat(200.0), n=100)
-        assert profile.termination == "h0_range"
+        assert profile.converged and profile.h0 < 10 * shooting.SCAN_LOW
         assert np.isfinite(profile.htilde).all()
+
+    def test_steps_past_rk4_reach_are_named(self):
+        # Flat R = 2000 at 1,000 steps: the tail's steps of 3.5 leave RK4's
+        # stability interval and the one Newton overflows; the reason names
+        # the least step count inside it, where the shoot converges.
+        profile = shoot(ConformalDisk.flat(2000.0), n=1, steps=1_000)
+        assert profile.termination == "non_finite"
+        assert profile.failure_reason().endswith(
+            "; its steps leave RK4's stability interval, which takes at least 1261 steps")
+        assert shoot(ConformalDisk.flat(2000.0), n=1, steps=1_261).converged
+        # A stall inside the interval says nothing of it.
+        near_bound = shoot(ConformalDisk.flat(2.0 * math.sqrt(1.0 + 1e-8)), n=1, steps=1_000)
+        assert near_bound.termination == "max_sweeps"
+        assert "RK4" not in near_bound.failure_reason()
+
+    def test_every_multiplicity_up_to_30_converges(self):
+        # Flat R = 3 sqrt(n) + 6 from the bag-model start: h0 falls below
+        # SCAN_LOW from n = 16 on, and the coarse Newton takes 5-9 sweeps.
+        for n in range(1, 31):
+            disk = ConformalDisk.flat(3.0 * math.sqrt(n) + 6.0)
+            profile, fine = shoot(disk, n=n, steps=6_000), shoot(disk, n=n, steps=12_000)
+            assert profile.converged and fine.converged, n
+            assert profile.passes[0] < shooting.MAX_SWEEPS, n
+            assert abs(profile.h0 - fine.h0) < 1e-8, n
+
+    @pytest.mark.parametrize("n, htilde_2d", [(10, -27.766), (15, -47.315), (16, -51.445), (20, -68.554),
+                                              (30, -114.554)])
+    def test_large_multiplicity_meets_the_2d_centre_value(self, n, htilde_2d):
+        # The 2-D solver's htilde at ring 0 at 256^2 on flat R = 3 sqrt(n) + 6,
+        # to the three decimals it was recorded with.
+        profile = shoot(ConformalDisk.flat(3.0 * math.sqrt(n) + 6.0), n=n)
+        assert profile.converged
+        assert profile.h0 == pytest.approx(htilde_2d, abs=5e-4)
+
+    def test_unit_vortex_starts_from_start_h0(self):
+        # The bag estimate n/2 - n log(2n) + n log Omega(0) is above -1 for a
+        # unit vortex on Omega(0) >= 1, so its start and bytes are unchanged.
+        for omega0 in (1.0, 1.5, 1e3):
+            assert shooting._core_start(1, omega0) == shooting.START_H0
+        assert shooting._core_start(20, 1.0) == pytest.approx(10.0 - 20.0 * math.log(40.0))
+
+    def test_one_node_map_per_stage(self, monkeypatch):
+        # The coarse stage sweeps the very nodes its step count was measured
+        # on, and the linearised solve steps on the shoot's nodes: a shoot
+        # places nodes twice (1,000 and 10,000 steps), and so does a metric.
+        real_mesh = shooting._mesh
+        placed = []
+
+        def spy(x1, steps, breaks=(), n=1, x0=shooting.SEED_RADIUS):
+            placed.append(steps)
+            return real_mesh(x1, steps, breaks, n, x0)
+
+        monkeypatch.setattr(shooting, "_mesh", spy)
+        monkeypatch.setattr(moduli, "_mesh", spy)
+        disk = ConformalDisk.flat(3.0)
+        assert shoot(disk, steps=10_000).converged
+        assert placed == [1_000, 10_000]
+        placed.clear()
+        moduli.metric_coefficient(disk, radial_steps=10_000)
+        assert placed == [1_000, 10_000]
+
+    @pytest.mark.parametrize("disk", [ConformalDisk.flat(3.0), table_disk()], ids=["R3", "table"])
+    def test_segmenting_a_shoot_is_segmenting_its_map(self, disk):
+        # The linearised solve cuts the profile's nodes: the same half-nodes,
+        # segment table and steps as the map's own nodes, bit for bit.
+        profile = shoot(disk, n=1)
+        mapped = segments(shooting.SEED_RADIUS, disk.radius, profile.steps, disk.breakpoints)
+        for got, want in zip(shooting._segments(profile.r), mapped):
+            assert same_bits(got, want)
 
     def test_overflowing_coarse_stage_sweeps_no_fine_mesh(self, monkeypatch):
         # Omega(0) = 1e6: the coarse Newton overflows.  Its NaN starts must
@@ -283,9 +353,9 @@ class TestShoot:
         real_newton = shooting._newton
         meshes = []
 
-        def spy(disk, n, steps, h0, starts):
-            meshes.append(steps)
-            return real_newton(disk, n, steps, h0, starts)
+        def spy(disk, n, nodes, h0, starts):
+            meshes.append(nodes.size - 1)
+            return real_newton(disk, n, nodes, h0, starts)
 
         monkeypatch.setattr(shooting, "_newton", spy)
         profile = shoot(disk, n=1)
@@ -511,7 +581,7 @@ class TestKernelsAgainstOracles:
     @pytest.mark.parametrize("steps", [1, 2, 2_000])
     def test_linear_bvp_is_solve_banded(self, monkeypatch, steps):
         # steps=1 is one block: the one-equation system a'(R) = -2/R^2.
-        r_half = shooting._segments(shooting.SEED_RADIUS, 3.0, steps)[0]
+        r_half = segments(shooting.SEED_RADIUS, 3.0, steps)[0]
 
         def solve():
             return moduli.solve_linear_bvp(1.0 + 0.1 * r_half, 3.0, steps=steps)
@@ -563,6 +633,11 @@ class TestKernelsAgainstOracles:
                 assert all(same_bits(s, f[:2]) for s, f in zip(states, full_steps))
 
 
+def segments(x0, x1, steps, breaks=(), n=1):
+    """``_segments`` of ``_mesh``'s nodes: the cut both radial solves step on."""
+    return shooting._segments(shooting._mesh(x1, steps, breaks, n, x0))
+
+
 def cut(x_half, step_sizes, size):
     """``_segments``' output for the half-nodes ``x_half`` in segments of ``size`` steps."""
     steps = step_sizes.size
@@ -602,7 +677,7 @@ class TestSegments:
     def test_no_breakpoints_keep_the_uniform_layout_bit_for_bit(self, x0, x1, steps):
         # Uniform in t, the nodes are the map at k / steps; the half-nodes,
         # steps and segment cut follow from the nodes bit for bit.
-        x_half, index, dx = shooting._segments(x0, x1, steps)
+        x_half, index, dx = segments(x0, x1, steps)
         nodes = x_half[::2]
         assert np.allclose(nodes, mapped_layout(x0, x1, steps), rtol=1e-13, atol=0.0)
         assert (nodes[0], nodes[-1]) == (x0, x1)
@@ -617,7 +692,7 @@ class TestSegments:
         # The unit-vortex core [SEED_RADIUS, 1] takes the share t(1) = 0.38
         # of the steps on R = 3; the steps never shrink outward, and one
         # step spans the disk.
-        x_half, _, dx = shooting._segments(shooting.SEED_RADIUS, 3.0, steps)
+        x_half, _, dx = segments(shooting.SEED_RADIUS, 3.0, steps)
         nodes, steps_of = x_half[::2], dx.T.ravel()[:steps]
         assert nodes.size == steps + 1 and nodes[0] == shooting.SEED_RADIUS and nodes[-1] == 3.0
         assert np.count_nonzero(nodes[1:] <= 1.0) == math.floor(t_of(1.0, shooting.SEED_RADIUS, 3.0) * steps)
@@ -629,7 +704,7 @@ class TestSegments:
         # ratio e^{a / steps} through the core, and uniform steps a L / steps
         # in the tail.
         steps, radius = 5_000, 2000.0
-        x_half, _, dx = shooting._segments(0.0, radius, steps)
+        x_half, _, dx = segments(0.0, radius, steps)
         nodes, steps_of = x_half[::2], dx.T.ravel()[:steps]
         k = np.arange(1, 6)
         assert np.allclose(nodes[k] / nodes[1], k**2, rtol=1e-4, atol=0.0)
@@ -644,7 +719,7 @@ class TestSegments:
     def test_core_scale_follows_the_multiplicity(self, n):
         # rho = sqrt(n), the n-vortex core: the core [0, sqrt(n)] of flat
         # R = 300 takes t(sqrt(n)) of the steps, 14% for n = 1, 19% for n = 25.
-        nodes = shooting._segments(0.0, 300.0, 1_000, (), n)[0][::2]
+        nodes = shooting._mesh(300.0, 1_000, (), n, 0.0)
         assert np.allclose(nodes, mapped_layout(0.0, 300.0, 1_000, n), rtol=1e-13, atol=0.0)
         share = t_of(math.sqrt(n), 0.0, 300.0, n)
         assert 0.14 < share < 0.2
@@ -654,7 +729,7 @@ class TestSegments:
     @pytest.mark.parametrize("breaks", [(0.75, 1.5, 2.25), (0.7, 1.3, 2.2), (0.0101, 1.0, 1.0004, 2.9995)])
     def test_a_node_on_every_breakpoint(self, steps, breaks):
         eps, radius = 1e-8, 3.0
-        x_half, index, dx = shooting._segments(eps, radius, steps, breaks)
+        x_half, index, dx = segments(eps, radius, steps, breaks)
         nodes = x_half[::2]
         steps_of = dx.T.ravel()[:steps]
         assert x_half.shape == (2 * steps + 1,) and nodes[0] == eps
@@ -693,7 +768,7 @@ class TestSegments:
         # nearest x(0.5)'s node.  That is the plain mapped mesh.
         plain = mapped_layout(0.0, 1.0, 100)
         breaks = (-0.5, plain[4], plain[50], plain[52], plain[98], 1.5)
-        x_half, _, dx = shooting._segments(0.0, 1.0, 10, breaks)
+        x_half, _, dx = segments(0.0, 1.0, 10, breaks)
         assert x_half[10] == plain[50] and x_half[0] == 0.0
         assert np.allclose(x_half[::2], plain[::10], rtol=1e-13, atol=0.0)
         assert np.allclose(dx.T.ravel()[:10], np.diff(plain[::10]), rtol=1e-12, atol=0.0)
@@ -725,8 +800,9 @@ class TestSegments:
         real_segments = shooting._segments
         cuts = []
 
-        def long_segments(x0, x1, steps, breaks=(), n=1):
-            x_half, index, dx = real_segments(x0, x1, steps, breaks, n)
+        def long_segments(nodes):
+            x_half, index, dx = real_segments(nodes)
+            steps = nodes.size - 1
             size = math.isqrt(steps - 1) // 4 + 1
             cuts.append((index.shape[1], -(-steps // size)))
             return cut(x_half, dx.T.ravel()[:steps], size)
