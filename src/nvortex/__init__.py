@@ -21,7 +21,6 @@ from .moduli import (
     LinearizedProfile,
     MetricReport,
     metric_coefficient,
-    solve_linear_bvp,
     solve_linearized,
 )
 from .observables import (
@@ -68,7 +67,6 @@ __all__ = [
     "neumann_green",
     "run_acceptance",
     "shoot",
-    "solve_linear_bvp",
     "solve_linearized",
     "solve_taubes_2d",
     "__version__",

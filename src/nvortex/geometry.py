@@ -91,6 +91,8 @@ class ConformalDisk:
         w_s = np.asarray(omega_samples, dtype=float)
         if r_s.ndim != 1 or r_s.shape != w_s.shape or r_s.size < 2:
             raise ValueError("need matching 1-d arrays of at least two samples")
+        if not (np.isfinite(r_s).all() and np.isfinite(w_s).all()):
+            raise ValueError("sample radii and values must be finite")
         if np.any(np.diff(r_s) <= 0):
             raise ValueError("sample radii must be strictly increasing")
         if r_s[0] > 0.0 or r_s[-1] < radius:

@@ -12,7 +12,9 @@ regular at the origin with ``a'(R) = -2/R^2``; ``solve_linearized`` solves
 it on the radial shoot's own nodes (``RadialProfile.r``, cut by
 ``shooting._segments``) as one Newton correction of the shoot's one
 multiple-shooting system, read off that correction's sweep
-(``shooting._solve_linear``).
+(``shooting._solve_linear``).  This module places no nodes: its one body,
+``_solve_on``, serves ``solve_linearized`` and, with ``f = 0``, ``verify``'s
+vacuum oracle ``a = -2r/R^2`` on a shoot's nodes.
 The kinetic-energy coefficient of a moving vortex combines a boundary term,
 ``(1/2) * pi * (d_X h(R; 0))^2`` with ``d_X h(R; 0) = a(R) - 2/R``, and the
 local term ``pi * (Omega(0) + 2 db/dZ)`` built from the core coefficient
@@ -47,7 +49,6 @@ from .shooting import (
     SEED_RADIUS,
     RadialProfile,
     _hermite,
-    _mesh,
     _segments,
     _solve_linear,
     shoot,
@@ -58,7 +59,6 @@ __all__ = [
     "LinearizedProfile",
     "MetricReport",
     "ConditioningError",
-    "solve_linear_bvp",
     "solve_linearized",
     "boundary_ring_position_derivatives",
     "ring_metric_integral",
@@ -88,51 +88,23 @@ class LinearizedProfile:
         return _hermite(np.asarray(r, dtype=float), self.r, self.a, self.da)
 
 
-def solve_linear_bvp(
-    f,
-    radius: float,
-    steps: int = DEFAULT_STEPS,
-) -> LinearizedProfile:
-    """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` by multiple shooting.
-
-    Steps ``(a, a')`` in ``r`` on the unit-vortex shoot's mesh of a flat
-    disk: ``steps`` RK4 steps of ``shooting._mesh`` from ``SEED_RADIUS``,
-    graded through the core.  ``f`` holds the coefficient at the ``2 *
-    steps + 1`` half-node radii; a scalar broadcasts, and 0 is the vacuum,
-    ``a = -2 r / R^2``.  It is the shoot's multiple-shooting system with the
-    seed ``(a, a') = slope0 * (SEED_RADIUS, 1)`` and the outer slope
-    ``-2/R^2``; being linear, one Newton correction from zero starts gives
-    ``a'(0)`` (``slope0``) and every segment start, and ``a`` is read off
-    that correction's sweep (``shooting._solve_linear``).  Short segments
-    keep it well conditioned where both solutions grow like ``e^r``.
-
-    Raises ``ValueError`` unless ``steps`` is a positive integer, ``radius``
-    is finite and exceeds ``SEED_RADIUS`` and ``f`` is finite and
-    broadcastable to the half-node radii; ``ConditioningError`` if the
-    sweep overflows or the banded factor is singular.
-    """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if not (math.isfinite(radius) and radius > SEED_RADIUS):
-        raise ValueError(f"radius must be positive and finite, above {SEED_RADIUS}, got {radius!r}")
-    return _solve_on(f, radius, *_segments(_mesh(radius, steps)))
-
-
 def _solve_on(f, radius, r_half, index, dr) -> LinearizedProfile:
-    """``solve_linear_bvp`` on ``shooting._segments``' cut of nodes from ``SEED_RADIUS`` to ``radius``."""
-    f_half = np.asarray(f, dtype=float)
-    try:
-        f_half = np.broadcast_to(f_half, r_half.shape)
-    except ValueError:
-        raise ValueError(
-            f"f must be broadcastable to the half-node radii, shape {r_half.shape}; got shape {f_half.shape}"
-        ) from None
-    bad = np.count_nonzero(~np.isfinite(f_half))
-    if bad:
-        raise ValueError(f"coefficient f is not finite at {bad} of {f_half.size} half-node radii")
+    """Solve ``a'' + a'/r - a/r^2 = f(r)(a - 2/r)`` on ``shooting._segments``' cut of a shoot's nodes.
+
+    ``(r_half, index, dr)`` is ``_segments`` of nodes from ``SEED_RADIUS``
+    to ``radius``; ``f`` holds the coefficient at the half-node radii
+    ``r_half``, and the scalar 0 is the vacuum, ``a = -2 r / R^2``.  It is
+    the shoot's multiple-shooting system with the seed ``(a, a') = slope0 *
+    (SEED_RADIUS, 1)`` and the outer slope ``-2/R^2``; being linear, one
+    Newton correction from zero starts gives ``a'(0)`` (``slope0``) and
+    every segment start, and ``a`` is read off that correction's sweep
+    (``shooting._solve_linear``).  Short segments keep it well conditioned
+    where both solutions grow like ``e^r``.  Raises ``ConditioningError`` if
+    the sweep overflows or the banded factor is singular.
+    """
     # a'' = p(r) a + w(r) a' + s(r), w = -1/r
     w = -1.0 / r_half
-    p, s, w = (w * w + f_half)[index], (2.0 * w * f_half)[index], w[index]
+    p, s, w = (w * w + f)[index], (2.0 * w * f)[index], w[index]
     pa = np.empty((3, index.shape[1]))
 
     def rhs(j, y, k):
@@ -169,11 +141,12 @@ def solve_linearized(radial: RadialProfile) -> LinearizedProfile:
         raise ValueError("the linearized problem is defined for a unit vortex")
     if not radial.converged:
         raise ValueError("radial profile must be converged")
-    (r_half, index, dr), h, dh = _segments(radial.r), radial.htilde, radial.dhtilde
-    h_half = np.empty(r_half.shape)  # the steps d_i are dr's columns, less the padding
-    h_half[::2], h_half[1::2] = h, 0.5 * (h[:-1] + h[1:]) + 0.125 * dr.T.ravel()[:radial.steps] * (dh[:-1] - dh[1:])
+    segments, h, dh = _segments(radial.r), radial.htilde, radial.dhtilde
+    r_half = segments[0]
+    h_half = np.empty(r_half.shape)
+    h_half[::2], h_half[1::2] = h, 0.5 * (h[:-1] + h[1:]) + 0.125 * np.diff(radial.r) * (dh[:-1] - dh[1:])
     f = radial.disk.omega_at(r_half) * r_half**2 * np.exp(h_half)
-    return _solve_on(f, radial.disk.radius, r_half, index, dr)
+    return _solve_on(f, radial.disk.radius, *segments)
 
 
 def _fit_b(htilde: ScalarField, z_core: complex) -> complex:

@@ -54,11 +54,12 @@ __all__ = [
 #: Radius where the integration starts from the regular series at the
 #: centre.  The terms the series leaves out are below double precision here.
 SEED_RADIUS = 1e-8
-#: Default step count of both radial solves.  Against 224k-step solves on
-#: flat disks of radius 3, 12, 25, 300 and 2000 and a sampled and a smooth
-#: Omega on radius 3, ``h0``, ``slope0`` and ``boundary_value`` are within
-#: 4.2e-12 at 6,000 steps and 1e-11 from 5,000; 6,000 also keeps the flat
-#: R = 1500 and 2000 boundary values (true values below 1e-18) within 1e-12.
+#: Default step count of the shoot, and so of the linearised solve on its
+#: nodes.  Against 224k-step solves on flat disks of radius 3, 12, 25, 300
+#: and 2000 and a sampled and a smooth Omega on radius 3, ``h0``,
+#: ``slope0`` and ``boundary_value`` are within 4.2e-12 at 6,000 steps and
+#: 1e-11 from 5,000; 6,000 also keeps the flat R = 1500 and 2000 boundary
+#: values (true values below 1e-18) within 1e-12.
 DEFAULT_STEPS = 6_000
 #: Newton gives up on a step that takes ``h0`` below ``SCAN_LOW``, or below
 #: twice ``_core_start`` where that is lower, or above ``SCAN_HIGH + n

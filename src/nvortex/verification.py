@@ -9,10 +9,13 @@ and loop-integral checks run on fixed auxiliary grids chosen for their own
 resolution needs, independent of ``nr``.
 
 The checks read inputs: 2-D solves, radial shoots, the vacuum, linearised
-and tangent solves, and four Green functions.  Each is made once, when a
-check first needs it, and logged as ``<input> ... <seconds> s``.  A check
-fails, naming the input and why, when an input it reads, or one that input
-is made from, did not converge (a 2-D solve's ``termination``, a shoot's
+and tangent solves, and four Green functions.  The vacuum and the
+linearised solve step on the nodes of the shoot at ``radial_steps``, so the
+vacuum's closed form checks the very nodes and code the nonlocality witness
+and the loop integral read.  Each input is made once, when a check first
+needs it, and logged as ``<input> ... <seconds> s``.  A check fails, naming
+the input and why, when an input it reads, or one that input is made from,
+did not converge (a 2-D solve's ``termination``, a shoot's
 ``failure_reason()``) or raised in the tangent solve.
 """
 
@@ -36,14 +39,14 @@ from .geometry import (
 )
 from .moduli import (
     _fit_b,
+    _solve_on,
     boundary_ring_position_derivatives,
     ring_metric_integral,
-    solve_linear_bvp,
     solve_linearized,
 )
 from .observables import compute_observables
 from .operators import LinearSolveError
-from .shooting import DEFAULT_STEPS, shoot
+from .shooting import DEFAULT_STEPS, _segments, shoot
 from .singular import boundary_neumann_green, neumann_green
 from .solver2d import DEFAULT_TOL, solve_taubes_2d
 
@@ -258,7 +261,7 @@ def run_acceptance(
     add(7, "vacuum closed form a = -2r/R^2",
         lambda vac: _at_most(float(np.max(np.abs(vac.a + 2.0 * vac.r / disk.radius**2))), TOL_VACUUM_ORACLE,
                              "max_err={:.2e} <= {:.0e}"),
-        ("vacuum solve", lambda: (solve_linear_bvp(0.0, disk.radius), None)))
+        ("vacuum solve", lambda p: (_solve_on(0.0, disk.radius, *_segments(p.r)), None), profile))
     add(7, "nonlocality witness |d_X h(R;0)| > 1e-2",
         lambda lin: (abs(lin.boundary_value) > MIN_BOUNDARY_VALUE, f"d_X h(R;0) = {lin.boundary_value:.6f}"),
         linearised)

@@ -112,7 +112,7 @@ def test_each_centred_grid_solved_once(monkeypatch):
 
     count(solver2d, "_solve", lambda disk, config, grid, *args, **kwargs: (config, grid.radius, grid.nr))
     count(verification, "shoot", lambda disk, n, steps: steps)
-    count(verification, "solve_linear_bvp", lambda f, radius: radius)
+    count(verification, "_solve_on", lambda f, radius, r_half, index, dx: (f, radius, r_half.size // 2))
     count(verification, "solve_linearized", lambda profile: profile.steps)
     count(verification, "boundary_ring_position_derivatives", lambda field, report: field.grid.nr)
     count(verification, "neumann_green", lambda disk, grid, node: (grid.nr, node))
@@ -126,7 +126,7 @@ def test_each_centred_grid_solved_once(monkeypatch):
                       (VortexConfiguration.centered(3), 16): 1}
     assert made == {
         "shoot": {2000: 1, 4000: 1},
-        "solve_linear_bvp": {3.0: 1},
+        "_solve_on": {(0.0, 3.0, 2000): 1},  # the vacuum, on the shoot's nodes
         "solve_linearized": {2000: 1},
         "boundary_ring_position_derivatives": {64: 1},
         "neumann_green": {(48, (10, 7)): 1, (48, (30, 29)): 1, (96, (0, 0)): 1},

@@ -37,14 +37,17 @@ def test_removed_radial_names_are_gone(name):
     [
         (moduli, "boundary_metric_term"),
         (moduli, "FitError"),
+        (moduli, "solve_linear_bvp"),
         (shooting.RadialProfile, "stalled"),
         (geometry.VortexConfiguration, "rotated"),
     ],
-    ids=["boundary_metric_term", "FitError", "RadialProfile.stalled", "VortexConfiguration.rotated"],
+    ids=["boundary_metric_term", "FitError", "solve_linear_bvp", "RadialProfile.stalled",
+         "VortexConfiguration.rotated"],
 )
 def test_removed_names_are_gone(owner, name):
     # Only tests reached these; the product reads boundary_term off
-    # MetricReport and termination off RadialProfile.
+    # MetricReport and termination off RadialProfile, and solves the
+    # linearised problem, the vacuum's too, on a shoot's nodes.
     assert not hasattr(owner, name)
     assert not hasattr(nvortex, name)
     assert name not in nvortex.__all__ and name not in getattr(owner, "__all__", ())
@@ -52,21 +55,22 @@ def test_removed_names_are_gone(owner, name):
 
 def test_moduli_leaves_the_shooting_system_to_shooting():
     # One multiple-shooting system: moduli sweeps and solves it only through
-    # shooting._solve_linear.
+    # shooting._solve_linear, on the nodes a shoot placed: node placement
+    # stays with shooting, and no second linearised solve places its own.
     names = _names(Path(moduli.__file__))
     assert "_solve_linear" in names
-    assert not names & {"_sweep", "_sweep_system", "_solve_joints", "_nodes"}
+    assert not names & {"_sweep", "_sweep_system", "_solve_joints", "_nodes", "_mesh", "solve_linear_bvp"}
 
 
 def test_linear_bvp_takes_no_breakpoints():
-    # The linearised solve of a profile steps on that profile's nodes, which
-    # carry the disk's breakpoints; solve_linear_bvp steps on the flat-disk mesh.
-    assert list(inspect.signature(moduli.solve_linear_bvp).parameters) == ["f", "radius", "steps"]
+    # The linearised solve steps on its profile's nodes, which carry the
+    # disk's breakpoints: it takes no mesh, step count or breakpoints of its own.
+    assert list(inspect.signature(moduli.solve_linearized).parameters) == ["radial"]
 
 
 def test_default_radial_steps_have_one_source(monkeypatch, capsys):
     # Resizing shooting.DEFAULT_STEPS must be a single edit: the config,
-    # verify, the metric pipeline and both radial solves read it.
+    # verify, the metric pipeline and the shoot read it.
     disk, vortices = nvortex.ConformalDisk.flat(3.0), nvortex.VortexConfiguration.centered(1)
     assert config.RunConfig(disk, vortices).radial_steps == shooting.DEFAULT_STEPS
     doc = {"radius": 3.0, "interior": [{"x": 0.0, "y": 0.0, "n": 1}]}
@@ -74,7 +78,6 @@ def test_default_radial_steps_have_one_source(monkeypatch, capsys):
     for function, name in (
         (verification.run_acceptance, "radial_steps"),
         (moduli.metric_coefficient, "radial_steps"),
-        (moduli.solve_linear_bvp, "steps"),
         (shooting.shoot, "steps"),
     ):
         assert inspect.signature(function).parameters[name].default == shooting.DEFAULT_STEPS
@@ -184,10 +187,12 @@ def test_no_module_imports_scipy_sparse():
 
 
 def _names(path: Path) -> set[str]:
-    """Every name that ``path`` imports, reads or calls, attribute names included."""
+    """Every name that ``path`` imports, defines, reads or calls, attribute names included."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)

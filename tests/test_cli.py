@@ -591,7 +591,7 @@ class TestOverrides:
         for name in ("shoot", "solve_taubes_2d", "metric_coefficient"):
             monkeypatch.setattr(cli, name, no_solve)
         # verify's own bound on nr is run_acceptance's, so patch what it solves with
-        for name in ("shoot", "solve_taubes_2d", "solve_linear_bvp", "solve_linearized",
+        for name in ("shoot", "solve_taubes_2d", "solve_linearized",
                      "boundary_ring_position_derivatives", "neumann_green", "boundary_neumann_green"):
             monkeypatch.setattr(verification, name, no_solve)
         monkeypatch.chdir(tmp_path)  # where the default output directory would go
@@ -778,10 +778,10 @@ class TestVerify:
             assert line.endswith(f"({solve} vortex at 32x32: solve not converged (line_search)) 0.000000 s")
 
     def test_unconverged_shoot_is_a_failure(self, tmp_path, capsys, monkeypatch):
-        # The checks that read the radial profile, or the linearised solve
-        # made from it, name the shoot and say why it is unusable, and the
-        # run ends as a verification failure, not a configuration error from
-        # the linearised solve.
+        # The checks that read the radial profile, or the vacuum or the
+        # linearised solve made on its nodes, name the shoot and say why it is
+        # unusable, and the run ends as a verification failure, not a
+        # configuration error from the linearised solve.
         real_shoot = verification.shoot
 
         def unconverged(*args, **kwargs):
@@ -793,11 +793,10 @@ class TestVerify:
         out = capsys.readouterr().out
         reason = "(radial shoot at 2000 steps: radial shoot did not converge (slope_residual): boundary-slope residual "
         for name in ("2d field matches radial profile", "observed convergence order",
-                     "boundary slope -2/3 met", "h0 stable under step halving",
+                     "boundary slope -2/3 met", "h0 stable under step halving", "vacuum closed form a = -2r/R^2",
                      "nonlocality witness |d_X h(R;0)| > 1e-2", "loop integral matches closed form"):
             (line,) = [line for line in out.splitlines() if f"FAIL    {name} (" in line]
             assert f"FAIL    {name} {reason}" in line and "at 2000 steps, h0 = " in line
-        assert "PASS    vacuum closed form a = -2r/R^2" in out
 
     def test_failed_newton_linear_solves_fail_the_rows_that_read_them(self, capsys, monkeypatch):
         # Every 2-D solve stops at its first Newton step with linear_solve;

@@ -27,10 +27,11 @@ class TestConformalDisk:
         assert disk.area == pytest.approx(2.0 * math.pi * (2.0 + 1.0), rel=1e-6)
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            ConformalDisk.flat(0.0)
-        with pytest.raises(ValueError):
-            ConformalDisk.flat(-1.0)
+        # Every radial solve takes its radius from a disk, so a disk refuses
+        # a radius no solve can step to.
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="disk radius must be positive"):
+                ConformalDisk.flat(radius)
 
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ValueError):
@@ -41,6 +42,11 @@ class TestConformalDisk:
             ConformalDisk.from_samples(2.0, [0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             ConformalDisk.from_samples(2.0, [0.0, 1.5], [1.0, 1.0])  # short coverage
+        # A non-finite radius or value is refused, not read as a kink at infinity.
+        for radii, values in (([0.0, 1.0, math.inf], [1.0, 2.0, 1.0]), ([0.0, math.nan, 3.0], [1.0, 2.0, 1.0]),
+                              ([0.0, 1.0, 3.0], [1.0, math.inf, 1.0]), ([0.0, 1.0, 3.0], [1.0, 2.0, math.nan])):
+            with pytest.raises(ValueError, match="sample radii and values must be finite"):
+                ConformalDisk.from_samples(3.0, radii, values)
 
 
 class TestVortexConfiguration:

@@ -11,7 +11,6 @@ from nvortex import (
     build_grid,
     metric_coefficient,
     shoot,
-    solve_linear_bvp,
     solve_linearized,
 )
 from nvortex import moduli, shooting, solver2d
@@ -84,10 +83,15 @@ def half_nodes(radius, steps, breakpoints=()):
     return shooting._segments(shooting._mesh(radius, steps, breakpoints))[0]
 
 
+def linear_bvp(f, radius, steps):
+    """The linearised solve's one body on the unit-vortex shoot's nodes of a flat disk, ``f`` at its half-nodes."""
+    return moduli._solve_on(f, radius, *shooting._segments(shooting._mesh(radius, steps)))
+
+
 def two_pass_bvp(f_half, radius, steps, breakpoints=(), dtype=float):
     """Oracle: the superposition of two pure-Python RK4 passes.
 
-    This is how ``solve_linear_bvp`` integrated before it became a
+    This is how the linearised solve integrated before it became a
     multiple-shooting sweep: the same half-nodes (``shooting._mesh`` from
     ``SEED_RADIUS``, a node on each of ``breakpoints``), coefficient
     values ``f_half``, seeds and step formula, one sequential pass each in
@@ -174,20 +178,10 @@ def finite_difference_ring(disk, grid, delta):
 
 class TestLinearizedSolve:
     def test_vacuum_closed_form(self):
-        lin = solve_linear_bvp(np.zeros(2 * DEFAULT_STEPS + 1), 3.0)
+        lin = linear_bvp(np.zeros(2 * DEFAULT_STEPS + 1), 3.0, DEFAULT_STEPS)
         assert np.max(np.abs(lin.a + 2.0 * lin.r / 9.0)) < 1e-8
         assert lin.boundary_value == pytest.approx(-4.0 / 3.0, abs=1e-10)
         assert lin.slope0 == pytest.approx(-2.0 / 9.0, abs=1e-10)
-
-    @pytest.mark.parametrize("steps", [0, -5])
-    def test_step_count_validated(self, steps):
-        with pytest.raises(ValueError, match="steps must be a positive integer"):
-            solve_linear_bvp(0.0, 3.0, steps=steps)
-
-    @pytest.mark.parametrize("radius", [0.0, -3.0, math.inf, math.nan])
-    def test_radius_validated(self, radius):
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
-            solve_linear_bvp(0.0, radius)
 
     def test_regular_at_origin(self, lin_r3):
         assert abs(lin_r3.a[0]) < 1e-4
@@ -224,7 +218,7 @@ class TestLinearizedSolve:
         r_half = half_nodes(disk.radius, steps, disk.breakpoints)
         if case == "flat":
             f = coefficient(disk, radial)(r_half)
-            lin = solve_linear_bvp(f, disk.radius, steps)
+            lin = linear_bvp(f, disk.radius, steps)
         else:
             # The table disk's nodes sit on its breakpoints, which only a
             # profile carries: the 20k-step profile, moved onto the nodes of
@@ -250,7 +244,7 @@ class TestLinearizedSolve:
         # Agreement is asked relative to the size of the superposed terms.
         disk, radial = radial_r12
         f = coefficient(disk, radial)(half_nodes(disk.radius, steps))
-        lin = solve_linear_bvp(f, disk.radius, steps)
+        lin = linear_bvp(f, disk.radius, steps)
         a, boundary_value, terms = two_pass_bvp(f, disk.radius, steps)
         tol = 1e-13 * max(1.0, np.max(np.abs(a)), terms)
         assert np.max(np.abs(lin.a - a)) <= tol
@@ -259,7 +253,7 @@ class TestLinearizedSolve:
     def test_bc_defect_measures_the_read_out(self, monkeypatch):
         # Not an identity of the solve: a last start off the solution shows in
         # the outer slope read off the nodes (2.8e-17 unperturbed, 1.0e-6 here).
-        assert solve_linear_bvp(1.0, 3.0, 2_000).bc_defect < 1e-12
+        assert linear_bvp(1.0, 3.0, 2_000).bc_defect < 1e-12
         real = shooting._solve_joints
 
         def off_by_a_little(y, defect):
@@ -268,7 +262,7 @@ class TestLinearizedSolve:
             return parameter, starts
 
         monkeypatch.setattr(shooting, "_solve_joints", off_by_a_little)
-        assert solve_linear_bvp(1.0, 3.0, 2_000).bc_defect > 1e-10
+        assert linear_bvp(1.0, 3.0, 2_000).bc_defect > 1e-10
 
     def test_boundary_value_converges_on_large_disk(self, radial_large):
         # A superposition of two solutions growing like exp(r) loses
@@ -296,25 +290,23 @@ class TestLinearizedSolve:
 
         monkeypatch.setattr(shooting, "_solve_joints", singular)
         with pytest.raises(ConditioningError, match="singular"):
-            solve_linear_bvp(0.0, 3.0, steps=2_000)
-
-    def test_coefficient_of_wrong_shape_named(self):
-        message = r"broadcastable to the half-node radii, shape \(4001,\); got shape \(5,\)"
-        with pytest.raises(ValueError, match=message):
-            solve_linear_bvp(np.ones(5), 3.0, steps=2_000)
+            linear_bvp(0.0, 3.0, 2_000)
 
     def test_scalar_coefficient_broadcasts(self):
-        lin = solve_linear_bvp(0.0, 3.0, steps=2_000)
+        lin = linear_bvp(0.0, 3.0, 2_000)
         assert np.max(np.abs(lin.a + 2.0 * lin.r / 9.0)) < 1e-8
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_coefficient_named(self, bad):
-        with pytest.raises(ValueError, match="coefficient f is not finite at 4001 of 4001"):
-            solve_linear_bvp(np.full(4001, bad), 3.0, steps=2_000)
 
     def test_overflow_is_conditioning_error(self):
         with pytest.raises(ConditioningError, match="overflowed before the boundary"):
-            solve_linear_bvp(1e200, 3.0, steps=2_000)
+            linear_bvp(1e200, 3.0, 2_000)
+
+    def test_steps_are_read_off_the_nodes(self):
+        # The profile's nodes fix the solve, whatever its ``steps`` field says.
+        profile = shoot(ConformalDisk.flat(3.0), 1, 2_000)
+        lin = solve_linearized(profile)
+        relabelled = solve_linearized(dataclasses.replace(profile, steps=6_000))
+        for name in ("r", "a", "da", "slope0", "boundary_value", "bc_defect"):
+            assert np.asarray(getattr(relabelled, name)).tobytes() == np.asarray(getattr(lin, name)).tobytes(), name
 
 
 #: Disks of the order study: flat, a smooth conformal factor, the table of

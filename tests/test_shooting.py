@@ -329,7 +329,6 @@ class TestShoot:
             return real_mesh(x1, steps, breaks, n, x0)
 
         monkeypatch.setattr(shooting, "_mesh", spy)
-        monkeypatch.setattr(moduli, "_mesh", spy)
         disk = ConformalDisk.flat(3.0)
         assert shoot(disk, steps=10_000).converged
         assert placed == [1_000, 10_000]
@@ -468,10 +467,9 @@ class TestHermite:
 
     @pytest.fixture(scope="class")
     def node_sets(self):
-        lin = moduli.solve_linear_bvp(1.0, 3.0, steps=1_000)
         return {
             "shoot": shoot(table_disk(), steps=2_000).r,  # with nodes on the breakpoints
-            "linear": lin.r,  # graded through the core, then uniform
+            "linear": shooting._mesh(3.0, 1_000),  # graded through the core, then uniform
             "two": np.array([-1.0, 2.0]),
             "ragged": np.cumsum(np.random.default_rng(1).exponential(size=300)),
         }
@@ -581,10 +579,10 @@ class TestKernelsAgainstOracles:
     @pytest.mark.parametrize("steps", [1, 2, 2_000])
     def test_linear_bvp_is_solve_banded(self, monkeypatch, steps):
         # steps=1 is one block: the one-equation system a'(R) = -2/R^2.
-        r_half = segments(shooting.SEED_RADIUS, 3.0, steps)[0]
+        r_half, index, dx = segments(shooting.SEED_RADIUS, 3.0, steps)
 
         def solve():
-            return moduli.solve_linear_bvp(1.0 + 0.1 * r_half, 3.0, steps=steps)
+            return moduli._solve_on(1.0 + 0.1 * r_half, 3.0, r_half, index, dx)
 
         lin = solve()
         monkeypatch.setattr(shooting, "_solve_joints", banded_joints)
