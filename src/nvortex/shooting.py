@@ -15,22 +15,21 @@ segments whose start states are unknowns beside ``h0``; one vectorised
 sweep steps every segment and its 2x2 variational matrix, and Newton on
 continuity at the joints plus the outer slope is one banded solve per sweep
 (Keller, "Numerical Methods for Two-Point Boundary-Value Problems", 1968;
-Ascher, Mattheij & Russell, SIAM 1995, ch. 4).  The last sweep, which
-records the profile, steps the state alone: nothing reads its matrix.  The
-banded solve hands LAPACK's band to ``dgbsv`` itself.  Short segments keep
-the solve well conditioned where one march across ``[SEED_RADIUS, R]``
-amplifies errors like e^R.  The same Newton runs on a coarse mesh from a
-closed-form guess (on the nodes placed to measure RK4's reach,
-``_reach_steps``, where they are within it), then at the requested step
-count from the coarse solution, interpolated to the segment starts by cubic
-Hermite (``_hermite``, each query's interval found by ``np.searchsorted``).
-This module owns the one multiple-shooting system: its start rows and
-mismatch (``_sweep_system``), its banded joint solve (``_solve_joints``)
-and its node read-out (``_nodes``).  The linearised radial problem of
-``moduli`` is that system with a linear right-hand side, solved by one
-Newton correction from zero starts and read off that correction's sweep
-(``_solve_linear``), on ``_segments`` of the very nodes a profile was shot
-on (``RadialProfile.r``).
+Ascher, Mattheij & Russell, SIAM 1995, ch. 4); the profile is read off the
+sweep whose correction settled.  The banded solve hands LAPACK's band to
+``dgbsv`` itself.  Short segments keep the solve well conditioned where one
+march across ``[SEED_RADIUS, R]`` amplifies errors like e^R.  The same
+Newton runs on a coarse mesh from a closed-form guess (on the nodes placed
+to measure RK4's reach, ``_reach_steps``, where they are within it), then at
+the requested step count from the coarse solution, interpolated to the
+segment starts by cubic Hermite (``_hermite``, each query's interval found
+by ``np.searchsorted``).  This module owns the one multiple-shooting
+system: its start rows and mismatch (``_sweep_system``), its banded joint
+solve (``_solve_joints``) and its node read-out (``_read_out``).  The
+linearised radial problem of ``moduli`` is that system with a linear
+right-hand side, solved by one Newton correction from zero starts and read
+off that correction's sweep (``_solve_linear``), on ``_segments`` of the
+very nodes a profile was shot on (``RadialProfile.r``).
 Both solves stay fourth order end to end: the map's quadratic centre holds
 the order against the ``1/r`` coefficients, and a node sits on every kink of
 a sampled Omega (``ConformalDisk.breakpoints``).
@@ -83,12 +82,12 @@ START_H0 = -1.0
 MAX_H0_STEP = 3.0
 #: Cap on the multiple-shooting Newton sweeps of each stage of ``shoot``.
 MAX_SWEEPS = 20
-#: A shoot whose Newton settled has converged if its outer slope is within
-#: this of ``-2n/R``.  A safety check only: every settled Newton measured
-#: (flat and sampled disks, n = 1-3, 1k-16k steps) met the slope to 2.2e-16.
+#: A shoot whose Newton settled has converged if its read-out's outer slope
+#: is within this of ``-2n/R``.  A safety check only: every settled Newton
+#: measured (flat and sampled disks, n = 1-3, 1k-16k steps) met it to 2.2e-16.
 SLOPE_TOL = 1e-6
-#: Newton stops at the sweep after a correction no larger than this in every
-#: unknown: convergence is quadratic, so that sweep is off by about its square.
+#: Newton stops at a sweep whose correction is at most this in every unknown and
+#: reads the profile off it: convergence is quadratic, so it is off by about its square.
 SETTLED_STEP = 1e-8
 
 
@@ -101,6 +100,7 @@ class RadialProfile:
     dhtilde: np.ndarray
     h0: float
     n: int
+    #: ``|htilde'(R) + 2n/R|`` at the recorded last node.
     residual: float
     #: ``converged``; a Newton stalled on ``max_sweeps``, ``non_finite``,
     #: ``singular_band`` or ``h0_range`` (see ``_newton``); or
@@ -108,9 +108,9 @@ class RadialProfile:
     termination: str
     disk: ConformalDisk
     steps: int = DEFAULT_STEPS
-    #: ``shoot``'s Newton sweeps on the coarse mesh and at ``steps``.
+    #: ``shoot``'s Newton sweeps on the coarse mesh and at ``steps``, the nodes read off the last.
     passes: tuple[int, int] = (0, 0)
-    #: Largest state mismatch at a segment joint in the recorded sweep.
+    #: Largest state mismatch at a segment joint of the recorded nodes.
     joint_defect: float = 0.0
 
     @property
@@ -230,8 +230,8 @@ def _sweep(rhs, dx, y):
     """RK4 across every segment from the start rows ``y`` (shape ``(rows, segments)``).
 
     Vectorised over segments, it steps the rows it is given, with the same
-    stages: a 2-component state ``(y0, y1)``, optionally followed by the 2x2
-    matrix of its derivatives by the start state, rows
+    stages: a 2-component state ``(y0, y1)``, in every solve followed by the
+    2x2 matrix of its derivatives by the start state, rows
     ``(x00, x10, x01, x11)``; started at the identity, that matrix is the
     exact Jacobian of the discrete segment map.  ``rhs(j, y, k)``
     writes the derivatives of the rows ``y`` at half-node row ``j`` of
@@ -280,29 +280,28 @@ def _hermite(x, xs, ys, dys):
             + t**3 * (2.0 * (y0 - y1) + d * (s0 + s1)))
 
 
-def _sweep_system(rhs, dx, seed, starts, slope, lead=None):
+def _sweep_system(rhs, dx, seed, starts, slope, lead):
     """One sweep of the multiple-shooting system, with its mismatch.
 
     The first segment starts at ``seed``, each later one at its column of
-    ``starts`` (shape ``(2, segments - 1)``).  Given ``lead``, the seed's
-    derivative by the system's scalar parameter, the sweep also steps the
+    ``starts`` (shape ``(2, segments - 1)``).  The state steps with its
     variational matrix (``_sweep``'s rows 2-5), started at the identity but
-    for the first segment's first column, ``lead``: the rows
-    ``_solve_joints`` reads.  Returns ``(y, ys, defect)``: ``_sweep``'s
-    segment ends and steps, and the mismatch, each joint's state minus the
-    next segment's start, then the outer slope minus ``slope``.
+    for the first segment's first column, ``lead``, the seed's derivative by
+    the system's scalar parameter.  Returns ``(y, ys, defect)``: ``_sweep``'s
+    segment ends and steps, and their ``_defect``.
     """
-    y = np.zeros((2 if lead is None else 6, starts.shape[1] + 1))
+    y = np.zeros((6, starts.shape[1] + 1))
     y[:2, 0], y[:2, 1:] = seed, starts
-    if lead is not None:
-        y[2::3] = 1.0
-        y[2:4, 0] = lead
+    y[2::3], y[2:4, 0] = 1.0, lead
     y, ys = _sweep(rhs, dx, y)
-    defect = np.empty(2 * y.shape[1] - 1)
-    defect[0:-1:2] = y[0, :-1] - starts[0]
-    defect[1:-1:2] = y[1, :-1] - starts[1]
-    defect[-1] = y[1, -1] - slope
-    return y, ys, defect
+    return y, ys, _defect(y, starts, slope)
+
+
+def _defect(y, starts, slope):
+    """Each joint's state in the segment ends ``y`` minus the next start, then the outer slope minus ``slope``."""
+    defect = np.full(2 * y.shape[1] - 1, y[1, -1] - slope)
+    np.subtract(y[:2, :-1], starts, out=defect[:-1].reshape(-1, 2).T)
+    return defect
 
 
 def _solve_joints(y, defect):
@@ -341,14 +340,18 @@ def _nodes(seed, states, steps):
     return nodes
 
 
+def _read_out(ys, parameter, starts):
+    """Each state of ``_sweep_system``'s steps ``ys`` plus its variational matrix times the correction."""
+    c = np.hstack(([[parameter], [0.0]], starts))
+    return [step[:2] + step[2:4] * c[0] + step[4:6] * c[1] for step in ys]
+
+
 def _solve_linear(rhs, dx, steps, lead, slope):
     """The multiple-shooting system of a linear ``rhs``, seeded at the parameter times ``lead``.
 
     Affine in the parameter and the starts, it is solved by one correction
     (``_solve_joints``) from zero starts, and its nodes are read off that
-    correction's sweep: each block's zero-start state plus its variational
-    matrix times its solved start, the first block's start being the
-    parameter on its ``lead`` column.  Returns ``(parameter, nodes,
+    correction's sweep (``_read_out``).  Returns ``(parameter, nodes,
     mismatch)``, the last the read-out's outer slope minus ``slope``.  Raises
     ``FloatingPointError`` on overflow and ``numpy.linalg.LinAlgError`` on a
     singular band.
@@ -357,9 +360,7 @@ def _solve_linear(rhs, dx, steps, lead, slope):
     if not np.isfinite(y).all():
         raise FloatingPointError("the variational sweep overflowed")
     parameter, starts = _solve_joints(y, defect)
-    c = np.hstack(([[parameter], [0.0]], starts))
-    states = [step[:2] + step[2:4] * c[0] + step[4:6] * c[1] for step in ys]
-    nodes = _nodes((parameter * lead[0], parameter * lead[1]), states, steps)
+    nodes = _nodes((parameter * lead[0], parameter * lead[1]), _read_out(ys, parameter, starts), steps)
     if not np.isfinite(nodes).all():
         raise FloatingPointError("the read-out overflowed")
     return parameter, nodes, float(nodes[1, -1] - slope)
@@ -383,17 +384,15 @@ def _newton(disk, n, nodes, h0, starts):
 
     ``starts(r)`` gives the first guess of ``(htilde, htilde')`` at the
     segment-start radii ``r``, shape ``(2, len(r))``.  Each sweep
-    (``_sweep_system``) steps every segment from its start, and one banded
-    solve (``_solve_joints``) corrects ``h0`` and the starts.  Newton runs
-    until the sweep after a correction below ``SETTLED_STEP``, at most
-    ``MAX_SWEEPS`` sweeps; that sweep records the profile (``_nodes``) and,
-    known to be the last, steps the state without the variational matrix.  A step that
-    changes ``h0`` by more than ``MAX_H0_STEP`` is scaled down.  It stalls,
-    as its ``termination`` says, on the cap (``max_sweeps``), a non-finite
-    sweep (``non_finite``), a singular band (``singular_band``) or a step
-    taking ``h0`` below ``min(SCAN_LOW, 2 _core_start(n, Omega(0)))`` or
-    above ``SCAN_HIGH + n log(max(1, Omega(0)))`` (``h0_range``); ``passes``
-    is ``(0, sweeps)``.
+    (``_sweep_system``) and banded solve (``_solve_joints``) corrects ``h0``
+    and the starts, a step moving ``h0`` by over ``MAX_H0_STEP`` scaled down.
+    A correction below ``SETTLED_STEP`` converges it: ``h0`` takes it, and
+    the nodes are that sweep's ``_read_out``, the mismatch taken against the
+    corrected starts.  It stalls on ``MAX_SWEEPS`` sweeps (``max_sweeps``), a
+    non-finite sweep (``non_finite``), a singular band (``singular_band``) or
+    a step taking ``h0`` below ``min(SCAN_LOW, 2 _core_start(n, Omega(0)))``
+    or above ``SCAN_HIGH + n log(max(1, Omega(0)))`` (``h0_range``), keeping
+    the last sweep's states, ``h0`` and mismatch; ``passes`` is ``(0, sweeps)``.
     """
     r_half, index, dx = _segments(nodes)
     r = r_half[index]
@@ -409,16 +408,14 @@ def _newton(disk, n, nodes, h0, starts):
     starts = starts(r[0, 1:])
     omega0 = float(disk.omega_at(0.0))
     low, high = min(SCAN_LOW, 2.0 * _core_start(n, omega0)), SCAN_HIGH + n * math.log(max(1.0, omega0))
-    settled = False
+    # The seed, the regular series h0 - Omega(0) r^2 / 4 at the centre (its next terms,
+    # of order Omega'(0) r^3 and r^4, are below double precision), has derivative (1, 0) by h0.
+    drop, seed_slope = 0.25 * omega0 * SEED_RADIUS * SEED_RADIUS, -0.5 * omega0 * SEED_RADIUS
+    slope, termination = -2.0 * n / disk.radius, "max_sweeps"
     for sweeps in range(1, MAX_SWEEPS + 1):
-        # The regular series at the centre, h0 - Omega(0) r^2 / 4: its next
-        # terms, of order Omega'(0) r^3 and r^4, are below double precision.
-        seed = (h0 - 0.25 * omega0 * SEED_RADIUS * SEED_RADIUS, -0.5 * omega0 * SEED_RADIUS)
-        last = settled or sweeps == MAX_SWEEPS
-        # The seed's derivative by h0 is (1, 0).
-        y, ys, defect = _sweep_system(rhs, dx, seed, starts, -2.0 * n / disk.radius, None if last else (1.0, 0.0))
-        termination = "non_finite" if not np.isfinite(y).all() else "converged" if settled else "max_sweeps"
-        if last or termination == "non_finite":
+        y, ys, defect = _sweep_system(rhs, dx, (h0 - drop, seed_slope), starts, slope, (1.0, 0.0))
+        if not np.isfinite(y).all():
+            termination = "non_finite"
             break
         try:
             dh0, dstarts = _solve_joints(y, defect)
@@ -431,12 +428,15 @@ def _newton(disk, n, nodes, h0, starts):
         if not low <= h0 + dh0 <= high:
             termination = "h0_range"  # diverging: the root is inside the scan range
             break
-        h0 += dh0
-        starts = starts + dstarts
-        settled = bool(np.max(np.abs(dstarts), initial=abs(dh0)) <= SETTLED_STEP)
+        if np.max(np.abs(dstarts), initial=abs(dh0)) <= SETTLED_STEP:
+            termination, h0, ys = "converged", h0 + dh0, _read_out(ys, dh0, dstarts)
+            defect = _defect(ys[-1], starts + dstarts, slope)
+            break
+        if sweeps < MAX_SWEEPS:  # a stalled stage keeps its last sweep uncorrected
+            h0, starts = h0 + dh0, starts + dstarts
     defect = np.abs(defect)
     defect[~np.isfinite(defect)] = math.inf
-    states = _nodes(seed, [y[:2] for y in ys], nodes.size - 1)
+    states = _nodes((h0 - drop, seed_slope), [step[:2] for step in ys], nodes.size - 1)
     return RadialProfile(r=nodes, htilde=states[0], dhtilde=states[1], h0=h0, n=n,
                          residual=float(defect[-1]), termination=termination, disk=disk, steps=nodes.size - 1,
                          passes=(0, sweeps), joint_defect=float(defect[:-1].max(initial=0.0)))

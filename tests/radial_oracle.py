@@ -10,8 +10,9 @@ steps on ``shoot``'s own nodes (``shooting._mesh``: the map graded
 through the ``n``-vortex core, a node on each of the disk's breakpoints), so
 both discretise the same problem.
 
-It also keeps the library call that the joint solve replaced:
-``scipy.linalg.solve_banded`` (``banded_joints``).
+It also keeps the library call that the joint solve replaced,
+``scipy.linalg.solve_banded`` (``banded_joints``), and the state-only sweep
+that the Newton read-out replaced (``state_march``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from nvortex.shooting import (
     SLOPE_TOL,
     RadialProfile,
     _mesh,
+    _nodes,
     _segments,
+    _sweep,
 )
 
 #: Treat the trajectory as blown up once htilde exceeds this value.
@@ -189,3 +192,25 @@ def banded_joints(y, defect):
     x = solve_banded((2, 1), ab, -defect)
     return float(x[0]), np.vstack((x[1::2], x[2::2]))
 
+
+def state_march(profile):
+    """The nodes of ``profile`` marched again on the state alone, each segment from its own start node.
+
+    The sweep that recorded a shoot's profile before Newton's read-out
+    replaced it: ``shooting._sweep`` steps the rows ``(htilde, htilde')`` of
+    every segment of ``_segments(profile.r)`` from the profile's node at the
+    segment's start, the first being the seed.  Returns the states at every
+    node, shape ``(2, steps + 1)``.
+    """
+    r_half, index, dx = _segments(profile.r)
+    r = r_half[index]
+    log_r2n, w = 2 * profile.n * np.log(r), profile.disk.omega_at(r)
+
+    def rhs(j, y, k):
+        k[0] = y[1]
+        k[1] = w[j] * (np.exp(y[0] + log_r2n[j]) - 1.0) - y[1] / r[j]
+
+    size = dx.shape[0]
+    starts = np.vstack((profile.htilde[:-1:size], profile.dhtilde[:-1:size]))
+    _, states = _sweep(rhs, dx, starts)
+    return _nodes(starts[:, 0], states, profile.steps)

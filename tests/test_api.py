@@ -59,7 +59,22 @@ def test_moduli_leaves_the_shooting_system_to_shooting():
     # stays with shooting, and no second linearised solve places its own.
     names = _names(Path(moduli.__file__))
     assert "_solve_linear" in names
-    assert not names & {"_sweep", "_sweep_system", "_solve_joints", "_nodes", "_mesh", "solve_linear_bvp"}
+    assert not names & {"_sweep", "_sweep_system", "_solve_joints", "_nodes", "_read_out", "_mesh", "solve_linear_bvp"}
+
+
+def test_both_radial_solves_read_out_one_way():
+    # Each Newton stage and the linearised solve read their nodes off the
+    # same read-out of a variational sweep; no sweep steps the state alone,
+    # so the system's sweep takes no lead=None.
+    functions = {node.name: node for node in ast.parse(Path(shooting.__file__).read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def called(name):
+        return {node.func.id for node in ast.walk(functions[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    assert {"_sweep_system", "_read_out", "_nodes"} <= called("_newton") & called("_solve_linear")
+    assert not functions["_sweep_system"].args.defaults
 
 
 def test_linear_bvp_takes_no_breakpoints():

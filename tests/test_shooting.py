@@ -18,6 +18,7 @@ from radial_oracle import (
     banded_joints,
     integrate_radial,
     single_stage_h0,
+    state_march,
 )
 
 #: Core value of the radius-3 unit vortex at 1e5 integration steps,
@@ -154,13 +155,14 @@ class TestShoot:
 
     @pytest.mark.parametrize("radius", [3.0, 12.0], ids=["R3", "R12"])
     def test_false_position_pass_count(self, radius):
-        # Sweeps of the two Newton stages: 5 on the coarse mesh from the
-        # closed-form start, then 2 at 20k steps.
+        # Sweeps of the two Newton stages: 4 on the coarse mesh from the
+        # closed-form start, then 1 at 20k steps, whose correction settles
+        # and is read off that sweep.
         profile = shoot(ConformalDisk.flat(radius), n=1, steps=20_000)
         assert profile.converged
         n_coarse, n_fine = profile.passes
         assert n_coarse <= 8
-        assert 2 <= n_fine <= 3
+        assert 1 <= n_fine <= 2
 
     def test_stalled_newton_says_why(self, disk3, monkeypatch):
         real_sweep = shooting._sweep
@@ -196,6 +198,7 @@ class TestShoot:
         profile = shoot(disk3, steps=8_000)
         assert not profile.converged
         assert profile.passes[1] == 1
+        assert_seeded_by_h0(profile)  # the stalled sweep's own start, its correction not applied
         cause = {"singular": "singular_band", "diverging": "h0_range"}[failure]
         assert profile.termination == cause
         assert f"({cause}): Newton stalled after 1 sweeps (" in profile.failure_reason()
@@ -218,23 +221,46 @@ class TestShoot:
         assert "(non_finite): coarse Newton stalled after 1 sweeps (" in profile.failure_reason()
 
     def test_settled_newton_off_the_outer_slope(self, disk3, monkeypatch):
-        # The recording sweep, which steps the state rows alone, ends 1e-3
-        # off the outer slope: Newton settled, the slope check fails.
-        real_sweep = shooting._sweep
+        # The read-out of each settled correction ends 1e-3 off the outer
+        # slope: Newton settled, the slope check fails.
+        real_read_out = shooting._read_out
 
-        def tilted(rhs, dx, y):
-            y, ys = real_sweep(rhs, dx, y)
-            if y.shape[0] == 2:
-                y[1, -1] += 1e-3
-            return y, ys
+        def tilted(ys, parameter, starts):
+            states = real_read_out(ys, parameter, starts)
+            states[-1][1, -1] += 1e-3
+            return states
 
-        monkeypatch.setattr(shooting, "_sweep", tilted)
+        monkeypatch.setattr(shooting, "_read_out", tilted)
         profile = shoot(disk3, steps=8_000)
         assert not profile.converged
         assert profile.termination == "slope_residual"
         assert profile.residual == pytest.approx(1e-3, rel=1e-6)
         reason = profile.failure_reason()
         assert reason.startswith("radial shoot did not converge (slope_residual): boundary-slope residual 0.001")
+
+    @pytest.mark.parametrize(
+        "disk, n, steps",
+        [
+            (ConformalDisk.flat(3.0), 1, 10_000),
+            (table_disk(), 1, 6_000),
+            (ConformalDisk.flat(12.0), 3, 6_000),
+            (ConformalDisk.flat(2.0 * math.sqrt(1.0 + 1e-8)), 1, 1_000),
+        ],
+        ids=["R3", "table", "R12-n3", "near-bound-stall"],
+    )
+    def test_recorded_profile_is_one_sweeps(self, disk, n, steps):
+        # A converged profile is its last sweep read out at the settled
+        # correction, h0 advanced by it; a stalled one is its last sweep's
+        # own states, from the h0 that sweep ran from.  Either way its first
+        # node is the seed of the h0 it returns, and its first segment is
+        # the march from that seed: to rounding, or bit for bit if stalled.
+        profile = shoot(disk, n=n, steps=steps)
+        stalled = steps == 1_000
+        assert profile.termination == ("max_sweeps" if stalled else "converged")
+        assert_seeded_by_h0(profile)
+        first = shooting._segments(profile.r)[2].shape[0] + 1  # the nodes of the first segment
+        march, nodes = state_march(profile)[:, :first], np.vstack((profile.htilde, profile.dhtilde))[:, :first]
+        assert same_bits(march, nodes) if stalled else np.max(np.abs(march - nodes)) <= 2e-13
 
     def test_stalled_coarse_stage_hands_off_without_warnings(self):
         # Area 1e-8 above the existence bound, where the core value sinks
@@ -293,7 +319,7 @@ class TestShoot:
 
     def test_every_multiplicity_up_to_30_converges(self):
         # Flat R = 3 sqrt(n) + 6 from the bag-model start: h0 falls below
-        # SCAN_LOW from n = 16 on, and the coarse Newton takes 5-9 sweeps.
+        # SCAN_LOW from n = 16 on, and the coarse Newton takes 4-8 sweeps.
         for n in range(1, 31):
             disk = ConformalDisk.flat(3.0 * math.sqrt(n) + 6.0)
             profile, fine = shoot(disk, n=n, steps=6_000), shoot(disk, n=n, steps=12_000)
@@ -330,7 +356,8 @@ class TestShoot:
 
         monkeypatch.setattr(shooting, "_mesh", spy)
         disk = ConformalDisk.flat(3.0)
-        assert shoot(disk, steps=10_000).converged
+        profile = shoot(disk, steps=10_000)
+        assert profile.converged and profile.passes == (4, 1)
         assert placed == [1_000, 10_000]
         placed.clear()
         moduli.metric_coefficient(disk, radial_steps=10_000)
@@ -378,14 +405,14 @@ class TestShoot:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_converges_near_the_existence_bound(self, n):
         # Bradlow margin 1e-3: |phi|^2 is small everywhere and the coarse
-        # Newton takes 12-15 sweeps from the closed-form start.  The slope
+        # Newton takes 11-13 sweeps from the closed-form start.  The slope
         # mismatch barely moves with h0 there, so the oracle's own root is
         # known to a few 1e-12 only.
         disk = ConformalDisk.flat(2.0 * math.sqrt(n + 1e-3))
         assert bradlow_margin(VortexConfiguration.centered(n), disk) == pytest.approx(1e-3, abs=1e-12)
         profile = shoot(disk, n=n, steps=5_000)
         assert profile.converged
-        assert profile.passes[1] == 2
+        assert profile.passes[1] == 1
         assert profile.h0 == pytest.approx(single_stage_h0(disk, n, 5_000), abs=5e-12)
 
     @pytest.mark.parametrize(
@@ -457,6 +484,13 @@ def random_joint_system(rng, blocks):
 
 def same_bits(a, b):
     return np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_seeded_by_h0(profile):
+    """The first node of ``profile`` is the regular series' seed of its ``h0``, bit for bit."""
+    eps, omega0 = shooting.SEED_RADIUS, float(profile.disk.omega_at(0.0))
+    assert same_bits(profile.htilde[0], profile.h0 - 0.25 * omega0 * eps * eps)
+    assert same_bits(profile.dhtilde[0], -0.5 * omega0 * eps)
 
 
 NODE_SETS = ["shoot", "linear", "two", "ragged"]
@@ -564,7 +598,7 @@ class TestHermite:
 
 
 class TestKernelsAgainstOracles:
-    """The joint solve and the state-only sweep give the replaced paths' bits."""
+    """The joint solve, the sweep and the read-out against the paths they replaced."""
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 17, 1_000])
     def test_joint_solve_is_solve_banded(self, blocks):
@@ -605,7 +639,7 @@ class TestKernelsAgainstOracles:
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             shooting._solve_joints(y, defect)
 
-    def test_recording_sweep_steps_the_state_rows_only(self, monkeypatch):
+    def test_every_sweep_steps_the_variational_rows(self, monkeypatch):
         real_sweep = shooting._sweep
         calls = []
 
@@ -616,19 +650,46 @@ class TestKernelsAgainstOracles:
         monkeypatch.setattr(shooting, "_sweep", recording)
         profile = shoot(table_disk(), steps=2_000)
         assert profile.converged
-        n_coarse, n_fine = profile.passes
-        rows = [y.shape[0] for _, _, y in calls]
-        assert rows == [6] * (n_coarse - 1) + [2] + [6] * (n_fine - 1) + [2]
+        # Each stage's last sweep is read out at its settled correction: no
+        # sweep steps the state alone.
+        sweeps = sum(profile.passes)
+        assert [y.shape[0] for _, _, y in calls] == [6] * sweeps
         # The linearised solve is one correction, its nodes read off that sweep.
         moduli.solve_linearized(profile)
-        assert [y.shape[0] for _, _, y in calls[len(rows):]] == [6]
-        # Each Newton sweep's state rows, stepped alone, are the full sweep's bit for bit.
+        assert [y.shape[0] for _, _, y in calls[sweeps:]] == [6]
+        # Each sweep's state rows, stepped alone, are the full sweep's bit for bit.
         for rhs, dx, y in calls:
-            if y.shape[0] == 6:
-                full_end, full_steps = real_sweep(rhs, dx, y)
-                end, states = real_sweep(rhs, dx, y[:2])
-                assert same_bits(end, full_end[:2])
-                assert all(same_bits(s, f[:2]) for s, f in zip(states, full_steps))
+            full_end, full_steps = real_sweep(rhs, dx, y)
+            end, states = real_sweep(rhs, dx, y[:2])
+            assert same_bits(end, full_end[:2])
+            assert all(same_bits(s, f[:2]) for s, f in zip(states, full_steps))
+
+    @pytest.mark.parametrize(
+        "disk, n",
+        [
+            (ConformalDisk.flat(3.0), 1),
+            (ConformalDisk.flat(12.0), 1),
+            (ConformalDisk.flat(12.0), 3),
+            (ConformalDisk.flat(300.0), 1),
+            (ConformalDisk.flat(300.0), 3),
+            (ConformalDisk.flat(2000.0), 1),
+            (ConformalDisk.flat(2000.0), 3),
+            (table_disk(), 1),
+            (ConformalDisk(3.0, omega=lambda r: 1.0 + 0.1 * np.asarray(r) ** 2), 1),
+            (ConformalDisk(3.0, omega=lambda r: 1.0 + 0.1 * np.asarray(r) ** 2), 3),
+        ],
+        ids=["R3", "R12", "R12-n3", "R300", "R300-n3", "R2000", "R2000-n3", "table", "smooth", "smooth-n3"],
+    )
+    def test_read_out_is_the_state_march(self, disk, n):
+        # The state-only sweep the read-out replaced, each segment marched
+        # from the profile's node at its start, retraces the profile to
+        # rounding: the read-out is off by about the square of a settled
+        # correction.  (Flat R = 3 and the table disk are below the existence
+        # bound for n = 3.)
+        profile = shoot(disk, n=n, steps=6_000)
+        assert profile.converged
+        march = state_march(profile)
+        assert np.max(np.abs(march - np.vstack((profile.htilde, profile.dhtilde)))) <= 2e-13
 
 
 def segments(x0, x1, steps, breaks=(), n=1):
