@@ -23,6 +23,10 @@ echo '{"radius": 200.0, "interior": [{"x": 0, "y": 0, "n": 100}]}' > n100.json
 nvortex solve-radial --config n100.json --out n100
 echo '{"radius": 19.42, "interior": [{"x": 0, "y": 0, "n": 20}]}' > n20.json
 nvortex solve-radial --config n20.json --out n20
+# Constant Omega = 1000 on R = 3: the core value, 5.897, lies above 5, and
+# Newton's capped steps reach it with no overflow warning.
+echo '{"radius": 3.0, "omega": [[0, 1000.0], [3.0, 1000.0]], "interior": [{"x": 0, "y": 0, "n": 1}]}' > omega1000.json
+nvortex solve-radial --config omega1000.json --out omega1000
 # Flat R = 2000 at 1,000 steps: the tail's steps leave RK4's stability
 # interval, the shoot stops (exit 3) and says so, and its report.json is
 # strict JSON (no NaN or Infinity).

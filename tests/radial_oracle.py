@@ -25,8 +25,6 @@ from scipy.linalg import solve_banded
 from nvortex.geometry import ConformalDisk
 from nvortex.shooting import (
     DEFAULT_STEPS,
-    SCAN_HIGH,
-    SCAN_LOW,
     SEED_RADIUS,
     SLOPE_TOL,
     RadialProfile,
@@ -36,6 +34,9 @@ from nvortex.shooting import (
     _sweep,
 )
 
+#: Bracket of the Illinois search on the core value: the mismatch changes
+#: sign on it for every disk and multiplicity the oracle is asked about.
+SCAN_LOW, SCAN_HIGH = -50.0, 5.0
 #: Treat the trajectory as blown up once htilde exceeds this value.
 DIVERGENCE_CAP = 500.0
 #: False position stops once the bracket on ``h0`` is this narrow, so the

@@ -24,7 +24,9 @@ def test_every_exported_name_resolves(module):
 
 
 @pytest.mark.parametrize(
-    "name", ["integrate_radial", "BracketError", "taylor_seed", "ZONE_RADIUS", "ZONE_SHARE", "COARSE_MAX_STEP"]
+    "name",
+    ["integrate_radial", "BracketError", "taylor_seed", "ZONE_RADIUS", "ZONE_SHARE", "COARSE_MAX_STEP",
+     "SCAN_LOW", "SCAN_HIGH"],
 )
 def test_removed_radial_names_are_gone(name):
     assert not hasattr(nvortex, name)

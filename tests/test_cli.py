@@ -122,8 +122,8 @@ class TestSolveRadial:
 
 
     def test_twenty_vortices_converge(self, tmp_path, capsys):
-        # The n = 20 core value, -68.55, lies below SCAN_LOW; Newton starts
-        # from the bag estimate and its low bound follows that start.
+        # The n = 20 core value is -68.55; Newton starts from the bag
+        # estimate, -63.8.
         doc = base_doc(radius=19.42, interior=[{"x": 0, "y": 0, "n": 20}], radial={"steps": 6000})
         assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -139,6 +139,9 @@ class TestSolveRadial:
         assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_SHOOT
         err = capsys.readouterr().err
         assert err.startswith("radial shoot did not converge (max_sweeps): Newton stalled after 20 sweeps ")
+        # The reason ends with the existence margin that explains the stall.
+        margin = re.search(r"; existence margin A/\(4\*pi\) - n = (\S+)$", err.strip())
+        assert margin and float(margin.group(1)) == pytest.approx(1e-8, rel=1e-3)
         assert (out / "profile.csv").exists()
 
     @pytest.mark.parametrize(

@@ -187,21 +187,32 @@ class TestShoot:
         assert f"largest joint defect {profile.joint_defect:.3g}" in reason
         assert profile.joint_defect > 1e-4
 
-    @pytest.mark.parametrize("failure", ["singular", "diverging"])
-    def test_failed_newton_step_stalls(self, disk3, monkeypatch, failure):
+    @pytest.mark.parametrize(
+        "failure, termination, passes, stage",
+        [
+            ("singular", "singular_band", (1, 1), "Newton stalled after 1 sweeps"),
+            # Each step, capped at MAX_H0_STEP, raises h0 by 3 until a sweep
+            # overflows at h0 = 14; the coarse profile is returned.
+            ("diverging", "non_finite", (6, 0), "coarse Newton stalled after 6 sweeps"),
+            # Each lowers h0 by 3: r^{2n} e^{h0} only underflows, so both
+            # stages spend their sweeps.
+            ("sinking", "max_sweeps", (20, 20), "Newton stalled after 20 sweeps"),
+        ],
+        ids=["singular", "diverging", "sinking"],
+    )
+    def test_failed_newton_step_stalls(self, disk3, monkeypatch, failure, termination, passes, stage):
         def failed_step(y, defect):
             if failure == "singular":
                 raise np.linalg.LinAlgError("singular matrix")
-            return 1e3, np.full((2, y.shape[1] - 1), 1e3)  # leaves the scan bracket
+            step = 1e3 if failure == "diverging" else -1e3
+            return step, np.full((2, y.shape[1] - 1), step)
 
         monkeypatch.setattr(shooting, "_solve_joints", failed_step)
         profile = shoot(disk3, steps=8_000)
         assert not profile.converged
-        assert profile.passes[1] == 1
+        assert profile.termination == termination and profile.passes == passes
         assert_seeded_by_h0(profile)  # the stalled sweep's own start, its correction not applied
-        cause = {"singular": "singular_band", "diverging": "h0_range"}[failure]
-        assert profile.termination == cause
-        assert f"({cause}): Newton stalled after 1 sweeps (" in profile.failure_reason()
+        assert profile.failure_reason().startswith(f"radial shoot did not converge ({termination}): {stage} (")
 
     def test_overflowing_sweep_stalls(self, disk3, monkeypatch):
         real_sweep = shooting._sweep
@@ -300,7 +311,7 @@ class TestShoot:
         # the closed-form start take it as exp(2n log r), so nothing warns
         # (the suite turns warnings into errors).  h0 is about -500.
         profile = shoot(ConformalDisk.flat(200.0), n=100)
-        assert profile.converged and profile.h0 < 10 * shooting.SCAN_LOW
+        assert profile.converged and profile.h0 < -500.0
         assert np.isfinite(profile.htilde).all()
 
     def test_steps_past_rk4_reach_are_named(self):
@@ -310,7 +321,8 @@ class TestShoot:
         profile = shoot(ConformalDisk.flat(2000.0), n=1, steps=1_000)
         assert profile.termination == "non_finite"
         assert profile.failure_reason().endswith(
-            "; its steps leave RK4's stability interval, which takes at least 1261 steps")
+            "; its steps leave RK4's stability interval, which takes at least 1261 steps"
+            "; existence margin A/(4*pi) - n = 1e+06")
         assert shoot(ConformalDisk.flat(2000.0), n=1, steps=1_261).converged
         # A stall inside the interval says nothing of it.
         near_bound = shoot(ConformalDisk.flat(2.0 * math.sqrt(1.0 + 1e-8)), n=1, steps=1_000)
@@ -319,7 +331,7 @@ class TestShoot:
 
     def test_every_multiplicity_up_to_30_converges(self):
         # Flat R = 3 sqrt(n) + 6 from the bag-model start: h0 falls below
-        # SCAN_LOW from n = 16 on, and the coarse Newton takes 4-8 sweeps.
+        # -50 from n = 16 on, and the coarse Newton takes 4-8 sweeps.
         for n in range(1, 31):
             disk = ConformalDisk.flat(3.0 * math.sqrt(n) + 6.0)
             profile, fine = shoot(disk, n=n, steps=6_000), shoot(disk, n=n, steps=12_000)
@@ -425,23 +437,38 @@ class TestShoot:
         ids=["steep-Omega", "n6-R100", "n6-R120"],
     )
     def test_far_from_the_closed_form_start(self, disk, n):
-        # h0 is 3.2 on the steep table: a full first Newton step from -1
-        # leaves the scan range, so steps are capped at MAX_H0_STEP.  For
-        # n = 6 at R >= 100 the closed-form start is far from the flow; the
-        # mapped coarse mesh of 1,000 steps still converges there.
+        # h0 is 3.2 on the steep table: the first Newton step from -1 is
+        # 10.1, capped at MAX_H0_STEP.  For n = 6 at R >= 100 the
+        # closed-form start is far from the flow; the mapped coarse mesh of
+        # 1,000 steps still converges there.
         profile = shoot(disk, n=n, steps=5_000)
         assert profile.converged
         assert profile.h0 == pytest.approx(single_stage_h0(disk, n, 5_000), abs=1e-12)
 
     def test_core_value_past_scan_high_on_large_conformal_factor(self):
         # h0 is about h0_plane + n log Omega(0) = 5.9 at Omega = 1000, above
-        # SCAN_HIGH; the guard on Newton's h0 grows with log Omega(0).  The
-        # RK4 error at 20k steps is about 3e-13.
+        # 5, the top of the oracle's scan bracket.  The RK4 error at 20k
+        # steps is about 3e-13.
         disk = ConformalDisk.from_samples(3.0, (0.0, 3.0), (1000.0, 1000.0))
         profile = shoot(disk, n=1, steps=20_000)
         assert profile.converged
-        assert profile.h0 > shooting.SCAN_HIGH
+        assert profile.h0 > 5.0
         assert profile.h0 == pytest.approx(shoot(disk, n=1, steps=40_000).h0, abs=1e-10)
+
+    @pytest.mark.parametrize("omega", [0.05, 1e3, 1e4])
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_core_values_on_constant_conformal_factors(self, omega, n):
+        # h0 runs from -44.6 (Omega = 0.05, n = 8) to 53.1 (Omega = 1e4,
+        # n = 8).  R = 3 violates the area bound for Omega = 0.05 (margin
+        # 0.1125 - n), which takes R = 2 sqrt(2n / Omega), margin n.
+        # Rescaling r by sqrt(Omega) maps the disk to the flat one of radius
+        # R sqrt(Omega) and shifts h0 by n log Omega; the flat shoot, on its
+        # own mesh, agrees within 2.8e-11.
+        radius = max(3.0, 2.0 * math.sqrt(2.0 * n / omega))
+        profile = shoot(ConformalDisk.from_samples(radius, (0.0, radius), (omega, omega)), n=n, steps=6_000)
+        assert profile.converged and profile.residual <= shooting.SLOPE_TOL
+        flat = shoot(ConformalDisk.flat(radius * math.sqrt(omega)), n=n, steps=6_000)
+        assert profile.h0 == pytest.approx(flat.h0 + n * math.log(omega), abs=1e-9)
 
     @pytest.mark.parametrize(
         "disk, n",
