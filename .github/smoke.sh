@@ -15,6 +15,12 @@ nvortex metric --config flat3.json --out metric
 nvortex solve-2d --config flat3.json --nr 64 --ntheta 64 --out field
 echo '{"radius": 3.0, "omega": [[0, 1.0], [0.75, 1.1], [1.5, 1.25], [2.25, 1.4], [3.0, 1.5]], "interior": [{"x": 0, "y": 0, "n": 1}]}' > table3.json
 nvortex metric --config table3.json --out table-metric
+# Omega falls at the rim: the exact area puts this table 3.0e-8 below the
+# existence bound for one vortex, and the gate refuses it (exit 2).
+echo '{"radius": 3.0, "omega": [[0, 0.4594374050974581], [2.9, 0.4594374050974581], [3.0, 0.004594374050974581]], "interior": [{"x": 0, "y": 0, "n": 1}]}' > rimfall.json
+status=0
+nvortex check --config rimfall.json || status=$?
+test "$status" -eq 2
 echo '{"radius": 2000.0, "interior": [{"x": 0, "y": 0, "n": 1}]}' > flat2000.json
 nvortex metric --config flat2000.json --out wide-metric
 # n = 100 on R = 200 and n = 20 on R = 19.42: core values far below -50

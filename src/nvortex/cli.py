@@ -139,13 +139,13 @@ def _cmd_solve_radial(args) -> int:
 def _cmd_solve_2d(args) -> int:
     cfg = _load(args)
     grid = build_grid(cfg.disk, cfg.nr, cfg.ntheta)
-    margin = check_bradlow(cfg.vortices, cfg.disk)
+    check_bradlow(cfg.vortices, cfg.disk)
     paths = _outputs(cfg, {"csv": "field.csv", "json": "report.json"})
     field, report = solve_taubes_2d(
         cfg.disk, cfg.vortices, grid, tol=cfg.tol, max_iter=cfg.max_iter
     )
     observables = compute_observables(field, report)
-    summary = solution_summary(observables, report, margin)
+    summary = solution_summary(observables, report)
     _export(paths, "csv", export_field_csv, field, observables)
     _export(paths, "json", export_json, summary)
     print(json.dumps(summary, sort_keys=True))

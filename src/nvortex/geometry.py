@@ -52,10 +52,11 @@ class ConformalDisk:
 
     The metric is ``Omega(r) * (dr^2 + r^2 dtheta^2)``.  ``omega`` must accept
     and return numpy arrays.  The area is evaluated once by composite midpoint
-    quadrature over ``AREA_PANELS`` radial panels.  ``breakpoints`` are the
-    radii in ``(0, radius)`` where ``Omega`` has a kink, on which the radial
-    solvers put a step node: the interior sample radii of ``from_samples``,
-    none for a flat or callable ``Omega``.
+    quadrature over ``AREA_PANELS`` radial panels, or exactly for
+    ``from_samples``.  ``breakpoints`` are the radii in ``(0, radius)`` where
+    ``Omega`` has a kink, on which the radial solvers put a step node: the
+    interior sample radii of ``from_samples``, none for a flat or callable
+    ``Omega``.
 
     Immutable after construction; safe to share across threads.
     """
@@ -104,6 +105,14 @@ class ConformalDisk:
         disk = cls(radius=radius, omega=interpolated)
         kinks = r_s[(r_s > 0.0) & (r_s < disk.radius)]
         object.__setattr__(disk, "breakpoints", tuple(float(r) for r in kinks))
+        # The exact area: on a piece where Omega = a + b s, the integral of
+        # Omega s is a (r1^2 - r0^2)/2 + b (r1^3 - r0^3)/3, here in the end
+        # values w0, w1 as (r1 - r0)/6 (w0 (2 r0 + r1) + w1 (r0 + 2 r1)),
+        # whose terms are all positive.
+        r = np.concatenate(([0.0], kinks, [disk.radius]))
+        w = interpolated(r)
+        pieces = np.diff(r) / 6.0 * (w[:-1] * (2.0 * r[:-1] + r[1:]) + w[1:] * (r[:-1] + 2.0 * r[1:]))
+        object.__setattr__(disk, "area", 2.0 * np.pi * math.fsum(pieces))
         return disk
 
     def omega_at(self, r) -> np.ndarray:

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import ScalarField
+from .geometry import ScalarField, bradlow_margin
 from .shooting import RadialProfile
 from .solver2d import SolveReport
 
@@ -408,11 +408,11 @@ def export_json(path, document: dict) -> str:
     return path
 
 
-def solution_summary(observables: ObservableSet, report: SolveReport, bradlow_margin: float) -> dict:
+def solution_summary(observables: ObservableSet, report: SolveReport) -> dict:
     """The ``report.json`` document of one solve (JSON-ready).
 
     ``observables`` is ``compute_observables`` of the solve that gave
-    ``report``; ``N`` and ``M`` come from ``report.singular.config``.
+    ``report``; ``N``, ``M`` and the existence margin come from ``report.singular``.
     """
     config = report.singular.config
     return {
@@ -422,7 +422,7 @@ def solution_summary(observables: ObservableSet, report: SolveReport, bradlow_ma
         "expected_flux": (2 * config.N + config.M) * math.pi,
         "expected_energy": (config.N + 0.5 * config.M) * math.pi,
         "bc_residual": report.bc_residual,
-        "bradlow_margin": bradlow_margin,
+        "bradlow_margin": bradlow_margin(config, report.singular.disk),
         "iterations": report.iterations,
         "converged": report.converged,
         "residual_history": report.residual_history,

@@ -105,7 +105,6 @@ class RadialProfile:
     #: ``slope_residual``, settled but off the outer slope by over ``SLOPE_TOL``.
     termination: str
     disk: ConformalDisk
-    steps: int = DEFAULT_STEPS
     #: ``shoot``'s Newton sweeps on the coarse mesh and at ``steps``, the nodes read off the last.
     passes: tuple[int, int] = (0, 0)
     #: Largest state mismatch at a segment joint of the recorded nodes.
@@ -114,6 +113,10 @@ class RadialProfile:
     @property
     def converged(self) -> bool:
         return self.termination == "converged"
+
+    @property
+    def steps(self) -> int:
+        return self.r.size - 1
 
     def htilde_at(self, r) -> np.ndarray:
         """Cubic Hermite interpolation of ``htilde`` and ``dhtilde`` onto radii ``r``.
@@ -315,20 +318,18 @@ def _solve_joints(y, defect):
     and the first block's first column is its end per unit parameter.
     Solves the linearised ``defect = 0``, continuity at each joint and then
     the outer slope, for the correction ``(parameter, starts)``, ``starts``
-    shaped like ``_sweep_system``'s.  Two sub- and one superdiagonal, stored
+    shaped like ``_sweep_system``'s.  A system has at least two blocks: a
+    shoot's nodes cut 500 or more.  Two sub- and one superdiagonal, stored
     as LAPACK's band with two rows for the fill-in above it and solved by
     ``dgbsv`` itself; a singular factor raises ``numpy.linalg.LinAlgError``.
     """
     x00, x10, x01, x11 = y[2:]
     ab = np.zeros((6, defect.size))
     ab[2, 1:] = -1.0  # minus the next block's start
-    if defect.size == 1:  # one block: its end's second component is the only equation
-        ab[3, 0] = x10[0]
-    else:
-        ab[3, 0], ab[4, 0] = x00[0], x10[0]
-        ab[4, 1::2], ab[3, 2::2] = x00[1:], x01[1:]
-        ab[5, 1:-3:2], ab[4, 2:-1:2] = x10[1:-1], x11[1:-1]
-        ab[4, -2], ab[3, -1] = x10[-1], x11[-1]
+    ab[3, 0], ab[4, 0] = x00[0], x10[0]
+    ab[4, 1::2], ab[3, 2::2] = x00[1:], x01[1:]
+    ab[5, 1:-3:2], ab[4, 2:-1:2] = x10[1:-1], x11[1:-1]
+    ab[4, -2], ab[3, -1] = x10[-1], x11[-1]
     _, _, x, info = dgbsv(2, 1, ab, -defect, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError(f"the banded factor is singular at row {info}")
@@ -436,7 +437,7 @@ def _newton(disk, n, nodes, h0, starts):
     defect[~np.isfinite(defect)] = math.inf
     states = _nodes((h0 - drop, seed_slope), [step[:2] for step in ys], nodes.size - 1)
     return RadialProfile(r=nodes, htilde=states[0], dhtilde=states[1], h0=h0, n=n,
-                         residual=float(defect[-1]), termination=termination, disk=disk, steps=nodes.size - 1,
+                         residual=float(defect[-1]), termination=termination, disk=disk,
                          passes=(0, sweeps), joint_defect=float(defect[:-1].max(initial=0.0)))
 
 

@@ -119,9 +119,6 @@ def _green_for_source(disk: ConformalDisk, grid: PolarGrid, source: int) -> Scal
     area = float(np.sum(w_g))
     rhs = w_g / area
     rhs[source] -= 1.0
-    scale = float(np.max(np.abs(rhs))) or 1.0
-    if abs(float(np.sum(rhs))) > 1e-9 * scale * rhs.size:
-        raise ValueError("right-hand side is not compatible with the Neumann operator")
     x = PolarModeSolver(lap).solve(rhs)
     x -= inner(x, w_g) / area
     return ScalarField(grid, x.reshape(grid.shape))

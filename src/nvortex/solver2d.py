@@ -295,11 +295,14 @@ def solve_taubes_2d(
     # The keyword stays only because perfbench's warm-up passes linear_solver="cg".
     if linear_solver != "cg":
         raise ValueError(f"unknown linear_solver {linear_solver!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    check_bradlow(config, disk)
     return _solve(disk, config, grid, tol, max_iter)
 
 
 def _solve(disk, config, grid, tol, max_iter):
-    """``solve_taubes_2d`` on ``grid`` to ``tol``.
+    """``solve_taubes_2d`` on ``grid`` to ``tol``, its arguments and the existence gate already checked.
 
     Where ``grid`` halves to at least ``NESTED_MIN_POINTS`` per direction,
     this same function first solves the half grid to
@@ -308,9 +311,6 @@ def _solve(disk, config, grid, tol, max_iter):
     ``LinearSolveError`` of a Newton step ends the loop as the termination
     ``"linear_solve"``.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    check_bradlow(config, disk)
     lap = assemble_neumann_laplacian(grid, disk)
     singular = build_singular_part(config, disk, grid)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nvortex import ConformalDisk, shoot
+from nvortex import ConformalDisk, shoot, shooting
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,36 @@ def radial_r3(disk3):
     profile = shoot(disk3, n=1)
     assert profile.converged
     return profile
+
+
+@pytest.fixture
+def unsettled_newton(monkeypatch):
+    """Stub ``shooting._solve_joints`` so that the radial Newton never settles.
+
+    Just above the existence bound, rounding in the outer slope is amplified
+    by one over the margin and Newton's corrections do not fall below
+    ``SETTLED_STEP``.  The stub does the same on any disk: it returns the
+    real correction with ``h0``'s pushed 1e-6 down and up in turn, so a
+    stage spends its ``MAX_SWEEPS`` sweeps within about 1e-6 of the core
+    value.  ``unsettled_newton()`` stubs every system and
+    ``unsettled_newton(blocks)`` only those of ``blocks`` blocks, one mesh.
+    """
+    real = shooting._solve_joints
+
+    def stub(blocks=None):
+        kick = 1e-6
+
+        def unsettled(y, defect):
+            nonlocal kick
+            parameter, starts = real(y, defect)
+            if blocks is None or y.shape[1] == blocks:
+                kick = -kick
+                parameter += kick
+            return parameter, starts
+
+        monkeypatch.setattr(shooting, "_solve_joints", unsettled)
+
+    return stub
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

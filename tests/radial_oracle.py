@@ -127,7 +127,6 @@ def integrate_radial(
         residual=residual,
         termination="non_finite" if diverged else "converged" if residual <= SLOPE_TOL else "slope_residual",
         disk=disk,
-        steps=steps,
     )
 
 

@@ -18,6 +18,11 @@ from radial_oracle import integrate_radial
 
 #: A flat disk of area 4 pi (1 + 1e-8), just above a unit vortex's existence bound.
 NEAR_BOUND_RADIUS = 2.0 * math.sqrt(1.0 + 1e-8)
+#: Omega of a disk of radius 3 that falls at the rim: s on [0, 2.9], then
+#: linear to s/100 at r = 3.  Its exact margin for one vortex is -3.0e-8; a
+#: midpoint sum of its area made it +4.7e-9 and let it through the gate.
+RIM_FALL = 0.4594374050974581
+RIM_FALL_OMEGA = [[0.0, RIM_FALL], [2.9, RIM_FALL], [3.0, RIM_FALL / 100]]
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -70,6 +75,15 @@ class TestCheck:
         assert cli.main(["check", "--config", cfg]) == cli.EXIT_BRADLOW
         doc = json.loads(capsys.readouterr().out)
         assert doc["margin"] == pytest.approx(-0.75, abs=1e-9)
+
+    def test_rim_falling_table_violates_the_bound(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc(omega=RIM_FALL_OMEGA))
+        assert cli.main(["check", "--config", cfg]) == cli.EXIT_BRADLOW
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False and doc["margin"] == pytest.approx(-3.0e-8, rel=1e-6)
+        for command in ("solve-radial", "solve-2d"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == cli.EXIT_BRADLOW
+            assert "existence bound violated" in capsys.readouterr().err
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"interior": [{"x": 0, "y": 0}]})
@@ -129,11 +143,12 @@ class TestSolveRadial:
         report = json.loads(capsys.readouterr().out)
         assert report["converged"] is True and report["h0"] == pytest.approx(-68.55, abs=0.01)
 
-    def test_stalled_shoot_exits_without_warnings(self, tmp_path, capsys):
+    def test_stalled_shoot_exits_without_warnings(self, tmp_path, capsys, unsettled_newton):
         # At 1,000 steps there is no coarser mesh: 1e-8 above the existence
-        # bound the one Newton spends all its sweeps on a core value sinking
-        # toward -inf, and the profile's observables are written; the suite
+        # bound the one Newton, stubbed to stall as it does there, spends all
+        # its sweeps, and the profile's observables are written; the suite
         # turns warnings into errors.
+        unsettled_newton()
         out = tmp_path / "out"
         doc = base_doc(radius=NEAR_BOUND_RADIUS, radial={"steps": 1000})
         assert cli.main(["solve-radial", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_SHOOT
@@ -145,18 +160,22 @@ class TestSolveRadial:
         assert (out / "profile.csv").exists()
 
     @pytest.mark.parametrize(
-        "overrides, finite",
+        "overrides, finite, stalled",
         [
-            ({"radius": NEAR_BOUND_RADIUS, "radial": {"steps": 1000}}, True),
-            ({"omega": [[0.0, 1e6], [3.0, 1.0]], "radial": {"steps": 7000}}, True),
-            ({"radius": 2000.0, "radial": {"steps": 1000}}, False),
+            ({"radius": NEAR_BOUND_RADIUS, "radial": {"steps": 1000}}, True, True),
+            ({"omega": [[0.0, 1e6], [3.0, 1.0]], "radial": {"steps": 7000}}, True, False),
+            ({"radius": 2000.0, "radial": {"steps": 1000}}, False, False),
         ],
         ids=["near-bound-1k", "steep-Omega", "R2000-1k"],
     )
-    def test_failed_shoot_writes_strict_json(self, tmp_path, capsys, overrides, finite):
+    def test_failed_shoot_writes_strict_json(self, tmp_path, capsys, unsettled_newton, overrides, finite, stalled):
         # JSON has no NaN or Infinity: a value the failed shoot left non-finite
         # (flat R = 2000 at 1,000 steps overflows) is null, and "steps" is the
-        # requested count, not the coarse mesh's.
+        # requested count, not the coarse mesh's.  The near-bound stall is
+        # stubbed.
+        if stalled:
+            unsettled_newton()
+
         def refuse(constant):
             raise ValueError(f"not JSON: {constant}")
 
@@ -258,11 +277,17 @@ class TestSolve2d:
         assert json.loads((out / "report.json").read_text())["converged"] is False
         assert (out / "field.csv").exists()
 
-    def test_linear_solve_failure_names_newton_step(self, tmp_path, capsys):
-        # 0.01 from the boundary at dr ~ 0.047: exp(h) collapses over the
-        # Newton steps until mode 0 of the preconditioner is singular.
-        doc = base_doc(interior=[{"x": 2.99, "y": 1e-4, "n": 1}], grid={"nr": 64, "ntheta": 64})
-        cfg = write_config(tmp_path, doc)
+    def test_linear_solve_failure_names_newton_step(self, tmp_path, capsys, monkeypatch):
+        # The second Newton step's shift is zeroed, so the real preconditioner
+        # meets the Neumann Laplacian alone, whose mode 0 is singular.
+        real, calls = solver2d._solve_spd, []
+
+        def unshifted_second_step(lap, shift, rhs, rtol):
+            calls.append(rtol)
+            return real(lap, np.zeros_like(shift) if len(calls) == 2 else shift, rhs, rtol)
+
+        monkeypatch.setattr(solver2d, "_solve_spd", unshifted_second_step)
+        cfg = write_config(tmp_path, base_doc(grid={"nr": 64, "ntheta": 64}))
         assert cli.main(["solve-2d", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_NEWTON
         err = capsys.readouterr().err
         assert re.search(r"linear_solve after \d+ iterations \(residual [^)]+\): polar mode 0 is singular", err)

@@ -1,5 +1,7 @@
 import math
+import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,19 @@ from nvortex import (
 from nvortex.geometry import PolarGrid
 
 
+def exact_moment(radius, r, w):
+    """``int_0^radius Omega s ds`` of the piecewise-linear ``Omega`` through ``(r, w)``, in rationals."""
+    r, w, radius = [Fraction(x) for x in r], [Fraction(x) for x in w], Fraction(radius)
+    total = Fraction(0)
+    for r0, r1, w0, w1 in zip(r, r[1:], w, w[1:]):
+        b = (w1 - w0) / (r1 - r0)
+        a = w0 - b * r0
+        lo, hi = max(r0, Fraction(0)), min(r1, radius)
+        if lo < hi:
+            total += a * (hi**2 - lo**2) / 2 + b * (hi**3 - lo**3) / 3
+    return total
+
+
 class TestConformalDisk:
     def test_flat_area_is_pi_r_squared(self):
         disk = ConformalDisk.flat(3.0)
@@ -25,6 +40,20 @@ class TestConformalDisk:
         r = np.linspace(0.0, 2.0, 4001)
         disk = ConformalDisk.from_samples(2.0, r, 1.0 + r**2 / 4.0)
         assert disk.area == pytest.approx(2.0 * math.pi * (2.0 + 1.0), rel=1e-6)
+
+    def test_sampled_factor_area_is_exact(self):
+        # Omega r is quadratic between samples, so the area is a sum of exact
+        # piece integrals: against the same sum in rational arithmetic it is
+        # off by rounding only.  A midpoint sum was off by up to 1e-9 relative.
+        rng = random.Random(17)
+        for _ in range(200):
+            radius = rng.uniform(0.5, 50.0)
+            inner = sorted(rng.uniform(0.0, radius) for _ in range(rng.randint(0, 6)))
+            r = [-rng.random() * radius if rng.random() < 0.3 else 0.0, *inner,
+                 radius * (1.0 + rng.random() if rng.random() < 0.3 else 1.0)]
+            w = [math.exp(rng.uniform(-5.0, 8.0)) for _ in r]
+            disk = ConformalDisk.from_samples(radius, r, w)
+            assert disk.area == pytest.approx(2.0 * math.pi * float(exact_moment(radius, r, w)), rel=1e-15)
 
     def test_rejects_nonpositive_radius(self):
         # Every radial solve takes its radius from a disk, so a disk refuses
@@ -125,6 +154,17 @@ class TestBradlowGate:
         with pytest.raises(BradlowViolation) as err:
             check_bradlow(VortexConfiguration.centered(3), disk3)
         assert err.value.margin == pytest.approx(-0.75, abs=1e-9)
+
+    def test_rim_falling_table_is_rejected(self):
+        # Omega = s on [0, 2.9], then linear to s/100 at R = 3: the exact
+        # margin for one vortex is -3.0e-8 (a midpoint-sum area made it +4.7e-9).
+        s = 0.4594374050974581
+        disk = ConformalDisk.from_samples(3.0, (0.0, 2.9, 3.0), (s, s, s / 100.0))
+        exact = exact_moment(3.0, (0.0, 2.9, 3.0), (s, s, s / 100.0)) / 2 - 1
+        with pytest.raises(BradlowViolation) as info:
+            check_bradlow(VortexConfiguration.centered(1), disk)
+        assert info.value.margin == pytest.approx(float(exact), rel=1e-6)
+        assert float(exact) == pytest.approx(-3.0e-8, rel=1e-3)
 
     def test_small_disk_rejects_single_vortex(self):
         disk = ConformalDisk.flat(1.0)

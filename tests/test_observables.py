@@ -11,6 +11,7 @@ from nvortex import (
     ConformalDisk,
     ScalarField,
     VortexConfiguration,
+    bradlow_margin,
     build_grid,
     compute_observables,
     magnetic_field,
@@ -174,7 +175,9 @@ class TestQuantization:
         for _, field, report, obs in out.values():
             assert obs.h.grid is grid
             assert np.array_equal(obs.h.values, field.values + report.singular.v0.values)
-            assert solution_summary(obs, report, 1.25)["bc_residual"] == report.bc_residual
+            summary = solution_summary(obs, report)
+            assert summary["bc_residual"] == report.bc_residual
+            assert summary["bradlow_margin"] == bradlow_margin(report.singular.config, report.singular.disk)
 
     def test_energy_is_half_flux(self, solved96):
         _, out = solved96
@@ -440,7 +443,7 @@ class TestExport:
     def test_json_export_is_deterministic(self, tmp_path, solved96):
         _, out = solved96
         _, _, report, obs = out["centered"]
-        doc = solution_summary(obs, report, 1.25)
+        doc = solution_summary(obs, report)
         p1 = export_json(tmp_path / "a.json", doc)
         p2 = export_json(tmp_path / "b.json", doc)
         with open(p1, "rb") as f1, open(p2, "rb") as f2:

@@ -368,11 +368,18 @@ class TestNestedStart:
         assert report.residual_history == oracle_report.residual_history
         assert np.array_equal(field.values, oracle.values)
 
-    def test_near_rim_vortex_whose_half_grid_fails(self, disk3):
-        # The 64^2 level fails, so 128^2 starts from the product ansatz and
-        # 256^2 from the converged 128^2.  Solved as single grids, 128^2 and
-        # 256^2 converge in 5 steps with flux/2pi 1.4647 and 1.0385: wrong by
-        # the same boundary defect, so the flux is not asserted here.
+    def test_near_rim_vortex_whose_half_grid_fails(self, disk3, monkeypatch):
+        # The 64^2 level fails, stubbed to step uphill, so 128^2 starts from
+        # the product ansatz and 256^2 from the converged 128^2.  The near-rim
+        # flux is off by the sampled Neumann data's boundary defect, so it is
+        # not asserted here.
+        spd = solver2d._solve_spd
+
+        def uphill_on_64(lap, shift, rhs, rtol):
+            delta, cg_iterations = spd(lap, shift, rhs, rtol)
+            return (-delta if lap.grid.nr == 64 else delta), cg_iterations
+
+        monkeypatch.setattr(solver2d, "_solve_spd", uphill_on_64)
         levels = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver2d, "_solve", _record_levels(levels))
@@ -387,6 +394,22 @@ class TestNestedStart:
         oracle, _ = _without_half_grid_start(disk3, _NEAR_RIM, grid)
         assert report.converged and report.start == "product ansatz"
         assert np.array_equal(field.values, oracle.values)
+
+    def test_existence_gate_checked_once_per_solve(self, disk3, monkeypatch):
+        # The half grids solve the same configuration on the same disk: a
+        # 256^2 solve runs three levels and checks the gate once.
+        real, gates, levels = solver2d.check_bradlow, [], []
+
+        def counted(config, disk):
+            gates.append((config, disk))
+            return real(config, disk)
+
+        monkeypatch.setattr(solver2d, "check_bradlow", counted)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver2d, "_solve", _record_levels(levels))
+            _, report = solve_taubes_2d(disk3, _CASES["centred"], build_grid(disk3, 256, 256))
+        assert report.converged and [nr for nr, *_ in levels] == [64, 128, 256]
+        assert gates == [(_CASES["centred"], disk3)]
 
     def test_fine_grid_validated_before_half_grid(self, disk3, monkeypatch):
         grid = build_grid(disk3, 128, 128)
