@@ -21,6 +21,15 @@ echo '{"radius": 3.0, "omega": [[0, 0.4594374050974581], [2.9, 0.459437405097458
 status=0
 nvortex check --config rimfall.json || status=$?
 test "$status" -eq 2
+# The gate runs before --out is made: a refused run leaves no directory.
+status=0
+nvortex solve-radial --config rimfall.json --out rimfall-radial || status=$?
+test "$status" -eq 2
+status=0
+nvortex metric --config rimfall.json --out rimfall-metric || status=$?
+test "$status" -eq 2
+test ! -e rimfall-radial
+test ! -e rimfall-metric
 echo '{"radius": 2000.0, "interior": [{"x": 0, "y": 0, "n": 1}]}' > flat2000.json
 nvortex metric --config flat2000.json --out wide-metric
 # n = 100 on R = 200 and n = 20 on R = 19.42: core values far below -50

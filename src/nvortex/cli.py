@@ -12,6 +12,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -68,10 +69,11 @@ def _load(args) -> RunConfig:
 def _outputs(cfg: RunConfig, files: dict) -> dict:
     """The paths of the files that ``cfg.formats`` selects from ``files``.
 
-    ``files`` maps a format to a file name.  The output directory is made
-    here, before any solve, and only if a file will go into it, so an
-    unusable directory is a configuration error, not a traceback after the
-    work.
+    ``files`` maps a format to a file name.  Commands call this after their
+    existence gate and before their solve, so a refused configuration leaves
+    no directory, and an unusable one is a configuration error, not a
+    traceback after the work.  The directory is made only if a file will go
+    into it.
     """
     paths = {fmt: os.path.join(cfg.out_dir, name) for fmt, name in files.items() if fmt in cfg.formats}
     if paths:
@@ -116,6 +118,7 @@ def _require_centered(cfg: RunConfig, command: str) -> int:
 def _cmd_solve_radial(args) -> int:
     cfg = _load(args)
     n = _require_centered(cfg, "solve-radial")
+    check_bradlow(cfg.vortices, cfg.disk)
     paths = _outputs(cfg, {"csv": "profile.csv", "json": "report.json"})
     profile = shoot(cfg.disk, n=n, steps=cfg.radial_steps)
     report = {
@@ -165,6 +168,7 @@ def _cmd_metric(args) -> int:
     n = _require_centered(cfg, "metric")
     if n != 1:
         raise ConfigError(f"metric needs one unit vortex at the origin, got N={n}")
+    check_bradlow(cfg.vortices, cfg.disk)
     paths = _outputs(cfg, {"json": "metric.json"})
     try:
         report = metric_coefficient(cfg.disk, radial_steps=cfg.radial_steps)
@@ -200,7 +204,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser as it was, so ``main`` may run any number of
+    times in one process.  Each handler looks up the solvers it calls when
+    it runs, so a module function patched between calls is the one used.
+    """
     parser = _Parser(
         prog="nvortex",
         description=(

@@ -46,17 +46,34 @@ def _unit_factor(r):
     return np.ones_like(np.asarray(r, dtype=float))
 
 
+class _PiecewiseLinear:
+    """``Omega`` that linearly interpolates sampled pairs ``(r[k], w[k])``."""
+
+    def __init__(self, r: np.ndarray, w: np.ndarray):
+        self.r = r
+        self.w = w
+
+    def __call__(self, r):
+        return np.interp(np.asarray(r, dtype=float), self.r, self.w)
+
+
+def _check_positive(w: np.ndarray) -> None:
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise ValueError("conformal factor must be finite and positive on [0, R]")
+
+
 @dataclass(frozen=True)
 class ConformalDisk:
     """Round disk of radius ``radius`` with a radial conformal factor.
 
     The metric is ``Omega(r) * (dr^2 + r^2 dtheta^2)``.  ``omega`` must accept
     and return numpy arrays.  The area is evaluated once by composite midpoint
-    quadrature over ``AREA_PANELS`` radial panels, or exactly for
-    ``from_samples``.  ``breakpoints`` are the radii in ``(0, radius)`` where
-    ``Omega`` has a kink, on which the radial solvers put a step node: the
-    interior sample radii of ``from_samples``, none for a flat or callable
-    ``Omega``.
+    quadrature over ``AREA_PANELS`` radial panels, whose values must be
+    finite and positive; for ``from_samples`` it is exact, and ``Omega`` must
+    be finite and positive at each knot in ``[0, radius]`` and at ``radius``.
+    ``breakpoints`` are the radii in ``(0, radius)`` where ``Omega`` has a
+    kink, on which the radial solvers put a step node: the interior sample
+    radii of ``from_samples``, none for a flat or callable ``Omega``.
 
     Immutable after construction; safe to share across threads.
     """
@@ -71,14 +88,35 @@ class ConformalDisk:
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(f"disk radius must be positive, got {self.radius!r}")
         object.__setattr__(self, "radius", radius)
+        if isinstance(self.omega, _PiecewiseLinear):
+            self._set_sampled_area()
+            return
         panel = radius / AREA_PANELS
         r_mid = (np.arange(AREA_PANELS) + 0.5) * panel
         w = np.asarray(self.omega(r_mid), dtype=float)
         if w.shape != r_mid.shape:
             raise ValueError("omega must map an array of radii to an array of values")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("conformal factor must be finite and positive on [0, R]")
+        _check_positive(w)
         object.__setattr__(self, "area", 2.0 * np.pi * float(np.sum(w * r_mid)) * panel)
+
+    def _set_sampled_area(self) -> None:
+        """Breakpoints and exact area of a piecewise-linear ``Omega``.
+
+        ``Omega`` is linear between the knots 0, the sample radii inside the
+        disk and ``radius``, so it is positive on ``[0, radius]`` if and only
+        if it is at each knot.  On a piece where ``Omega = a + b s``, the
+        integral of ``Omega s`` is ``a (r1^2 - r0^2)/2 + b (r1^3 - r0^3)/3``,
+        here in the end values w0, w1 as ``(r1 - r0)/6 (w0 (2 r0 + r1) + w1
+        (r0 + 2 r1))``, whose terms are all positive.
+        """
+        samples = self.omega.r
+        kinks = samples[(samples > 0.0) & (samples < self.radius)]
+        r = np.concatenate(([0.0], kinks, [self.radius]))
+        w = self.omega(r)
+        _check_positive(w)
+        pieces = np.diff(r) / 6.0 * (w[:-1] * (2.0 * r[:-1] + r[1:]) + w[1:] * (r[:-1] + 2.0 * r[1:]))
+        object.__setattr__(self, "breakpoints", tuple(float(k) for k in kinks))
+        object.__setattr__(self, "area", 2.0 * np.pi * math.fsum(pieces))
 
     @classmethod
     def flat(cls, radius: float) -> "ConformalDisk":
@@ -99,21 +137,7 @@ class ConformalDisk:
         if r_s[0] > 0.0 or r_s[-1] < radius:
             raise ValueError("samples must cover [0, radius]")
 
-        def interpolated(r, _r=r_s, _w=w_s):
-            return np.interp(np.asarray(r, dtype=float), _r, _w)
-
-        disk = cls(radius=radius, omega=interpolated)
-        kinks = r_s[(r_s > 0.0) & (r_s < disk.radius)]
-        object.__setattr__(disk, "breakpoints", tuple(float(r) for r in kinks))
-        # The exact area: on a piece where Omega = a + b s, the integral of
-        # Omega s is a (r1^2 - r0^2)/2 + b (r1^3 - r0^3)/3, here in the end
-        # values w0, w1 as (r1 - r0)/6 (w0 (2 r0 + r1) + w1 (r0 + 2 r1)),
-        # whose terms are all positive.
-        r = np.concatenate(([0.0], kinks, [disk.radius]))
-        w = interpolated(r)
-        pieces = np.diff(r) / 6.0 * (w[:-1] * (2.0 * r[:-1] + r[1:]) + w[1:] * (r[:-1] + 2.0 * r[1:]))
-        object.__setattr__(disk, "area", 2.0 * np.pi * math.fsum(pieces))
-        return disk
+        return cls(radius=radius, omega=_PiecewiseLinear(r_s, w_s))
 
     def omega_at(self, r) -> np.ndarray:
         """Conformal factor evaluated at radius array ``r``."""

@@ -81,9 +81,11 @@ class TestCheck:
         assert cli.main(["check", "--config", cfg]) == cli.EXIT_BRADLOW
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False and doc["margin"] == pytest.approx(-3.0e-8, rel=1e-6)
-        for command in ("solve-radial", "solve-2d"):
+        # Each command checks the gate before it makes its output directory.
+        for command in ("solve-radial", "solve-2d", "metric"):
             assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == cli.EXIT_BRADLOW
             assert "existence bound violated" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"interior": [{"x": 0, "y": 0}]})
@@ -411,6 +413,23 @@ class TestMetric:
         assert "configuration error" in err and message in err
         assert not (out / "metric.json").exists()
 
+    @pytest.mark.parametrize(
+        "omega",
+        [[[0.0, 0.0], [3.0, 1.0]], [[0.0, 1.0], [1.5, 0.0], [3.0, 1.0]]],
+        ids=["zero-at-centre", "zero-at-interior-knot"],
+    )
+    def test_table_vanishing_at_a_knot_is_config_error(self, tmp_path, capsys, omega):
+        # Both are positive at every midpoint of the area sum; only a check at
+        # the knots refuses them before the shoot.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(omega=omega))
+        assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: invalid omega specification: "
+            "conformal factor must be finite and positive on [0, R]\n"
+        )
+        assert not out.exists()
+
     def test_unconverged_shoot_says_why(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(moduli, "shoot", _unconverged_shoot)
         out = tmp_path / "out"
@@ -592,6 +611,44 @@ class TestUsageErrors:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("configuration error: input too large to allocate: Unable to allocate")
         assert done.stderr.count("\n") == 1
+
+
+class TestRepeatedCalls:
+    """``main`` called many times in one process, as a notebook or a benchmark does."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_after_a_successful_command(self, tmp_path, capsys):
+        usage = ["solve-2d"]
+        message = "configuration error: nvortex solve-2d: the following arguments are required: --config\n"
+        assert cli.main(usage) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert cli.main(["check", "--config", write_config(tmp_path, base_doc())]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(usage) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == message
+
+    def test_same_metric_config_twice_is_bit_identical(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc())
+        printed = []
+        for out in ("first", "second"):
+            assert cli.main(["metric", "--config", cfg, "--out", str(tmp_path / out)]) == cli.EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert (tmp_path / "first" / "metric.json").read_bytes() == (tmp_path / "second" / "metric.json").read_bytes()
+
+    def test_function_patched_after_a_call_is_used(self, tmp_path, capsys, monkeypatch):
+        argv = ["metric", "--config", write_config(tmp_path, base_doc()), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+
+        def failing_metric(*args, **kwargs):
+            raise RuntimeError("stub")
+
+        monkeypatch.setattr(cli, "metric_coefficient", failing_metric)
+        assert cli.main(argv) == cli.EXIT_METRIC
+        assert capsys.readouterr().err == "metric pipeline failed: stub\n"
 
 
 class TestOverrides:

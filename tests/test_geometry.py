@@ -66,6 +66,18 @@ class TestConformalDisk:
         with pytest.raises(ValueError):
             ConformalDisk(radius=1.0, omega=lambda r: np.asarray(r) - 0.5)
 
+    def test_sampled_factor_must_be_positive_at_each_knot(self):
+        # Omega is linear between 0, the sample radii inside the disk and R,
+        # so it is checked there: each table is positive at every midpoint.
+        message = re.escape("conformal factor must be finite and positive on [0, R]")
+        for radii, values in (([0.0, 3.0], [0.0, 1.0]), ([0.0, 1.5, 3.0], [1.0, 0.0, 1.0]),
+                              ([0.0, 3.0], [1.0, 0.0]), ([-3.0, 3.0], [-1.0, 1.0]), ([0.0, 2.0, 4.0], [1.0, 1.0, -2.0])):
+            with pytest.raises(ValueError, match=message):
+                ConformalDisk.from_samples(3.0, radii, values)
+        # Samples outside [0, R] are not on the disk.
+        disk = ConformalDisk.from_samples(3.0, [-1.0, 0.0, 3.0, 4.0], [0.0, 1.0, 1.0, 0.0])
+        assert disk.area == pytest.approx(9.0 * math.pi, rel=1e-15)
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             ConformalDisk.from_samples(2.0, [0.0, 1.0], [1.0, 1.0, 1.0])
